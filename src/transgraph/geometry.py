@@ -12,14 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-Rational = Fraction
-
 RationalLike = Union[Fraction, int, str]
-
-
-def rat(value: RationalLike) -> Fraction:
-    """Coerce ints and "num/den" strings to an exact rational."""
-    return Fraction(value)
 
 
 class ParallelLines(Exception):
@@ -67,7 +60,6 @@ def vec(x: RationalLike, y: RationalLike) -> Vec2:
 
 
 Point = Vec2
-Vector = Vec2
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,10 @@ from .reductions import reduce_sectors, reduce_segments
 from .transmission import Instance, instance, transmission_graph
 
 
+# A named checker's outcome: (name, passed, detail).
+Check = tuple[str, bool, str]
+
+
 class NonSimpleArrangement(Exception):
     pass
 
@@ -83,6 +87,7 @@ class SegmentRealization:
     slab: Slab
     tilt: Rotation
     graph: LabelledDigraph = field(compare=False)
+    description: Description = field(compare=False)
 
 
 def _pick_tilt(arr: LineArrangement) -> Rotation:
@@ -147,7 +152,7 @@ def realize_segments(arr: LineArrangement) -> SegmentRealization:
     diff = graph_diff(reduce_segments(desc), graph)
     if not diff.empty:
         raise RealizationError(f"segment realization mismatch: {diff.summary()}")
-    return SegmentRealization(inst, slab, tilt, graph)
+    return SegmentRealization(inst, slab, tilt, graph, desc)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +318,10 @@ class SectorRealization:
     epsilon: Fraction
     alpha_half: Rotation
     graph: LabelledDigraph = field(compare=False)
+    description: Description = field(compare=False)
+    # The side-condition checks that certified this realization, in report
+    # order; every one of them passed.
+    checks: tuple[Check, ...] = field(compare=False)
 
 
 def _normalized_lines(arr: LineArrangement) -> list[Line]:
@@ -360,7 +369,7 @@ def _build_sector_instance(
     t: Fraction,
     delta: Fraction,
     eps: Fraction,
-) -> tuple[Instance, Rotation, Fraction]:
+) -> Optional[tuple[Instance, Rotation, Fraction]]:
     lines = _normalized_lines(arr)
     half = rotation_from_parameter(t)
     width = slab.width
@@ -400,7 +409,7 @@ def _build_sector_instance(
                 min_gap = Fraction(0)
     if min_gap is None or min_gap <= 0:
         # A shifted crossing escaped the slab or collided; caller shrinks tau.
-        return None, half, Fraction(0)
+        return None
     delta = min(delta, min_gap / 4)
 
     entries: list[tuple[Label, Sector]] = []
@@ -434,22 +443,23 @@ def _build_sector_instance(
 
 def _sector_side_conditions(
     inst: Instance, graph: LabelledDigraph, desc: Description
-) -> list[str]:
-    """Spot every violated side condition of the construction."""
-    problems = []
-    objs = {label: obj for label, obj in inst.entries}
+) -> tuple[Check, ...]:
+    """Evaluate every side condition of the construction.
+
+    Returns one (name, ok, detail) triple per checker, in report order; the
+    detail of a failed sweep names the objects where it fails.
+    """
+    objs = dict(inst.entries)
     some = next(iter(objs.values()))
-    if not some.opening_at_most_quarter_pi():
-        problems.append("opening angle exceeds pi/4")
-    if not is_equiangular(inst):
-        problems.append("not equiangular")
-    if not _wide_spread_from_graph(inst, graph):
-        problems.append("not wide spread")
     edge_set = set(graph.edges)
-    for u, v in edge_set:
-        if (v, u) in edge_set and u.sort_key() < v.sort_key():
-            if not check_observation1(objs[u], objs[v]):
-                problems.append(f"observation-1 violated for {u}, {v}")
+    couple_failures = sorted(
+        f"({u}, {v})"
+        for u, v in edge_set
+        if (v, u) in edge_set
+        and u.sort_key() < v.sort_key()
+        and not check_observation1(objs[u], objs[v])
+    )
+    gadget_failures = []
     for i in range(1, desc.n + 1):
         expected = []
         for ok in desc.flat_order(i):
@@ -463,10 +473,16 @@ def _sector_side_conditions(
                 children.append(objs[SB(i, m, ok, mp)])
             report = check_ordering_gadget(objs[SC(i, m)], children)
             if not report.hypotheses_hold:
-                problems.append(f"ordering gadget hypotheses fail at SC_{i}_{m}")
+                gadget_failures.append(f"hypotheses fail at {SC(i, m)}")
             elif not report.order_ok or report.ties:
-                problems.append(f"ordering gadget order fails at SC_{i}_{m}")
-    return problems
+                gadget_failures.append(f"order fails at {SC(i, m)}")
+    return (
+        ("equiangular", is_equiangular(inst), ""),
+        ("alpha at most pi/4", some.opening_at_most_quarter_pi(), ""),
+        ("wide spread", _wide_spread_from_graph(inst, graph), ""),
+        ("observation-1 sweep", not couple_failures, ", ".join(couple_failures)),
+        ("ordering gadget sweep", not gadget_failures, ", ".join(gadget_failures)),
+    )
 
 
 MAX_SEARCH_ROUNDS = 64
@@ -490,22 +506,28 @@ def realize_sectors(arr: LineArrangement) -> SectorRealization:
         t = t0 / 8**rnd
         delta = delta0 / 64**rnd
         eps = eps0 / 2**rnd
-        inst, half, delta_used = _build_sector_instance(
-            arr, desc, slab, tau, t, delta, eps
-        )
-        if inst is None:
+        built = _build_sector_instance(arr, desc, slab, tau, t, delta, eps)
+        if built is None:
             last_detail = "shifted crossings left the slab"
             continue
+        inst, half, delta_used = built
         graph = transmission_graph(inst)
         diff = graph_diff(target, graph)
         if not diff.empty:
             last_detail = diff.summary()
             continue
-        problems = _sector_side_conditions(inst, graph, desc)
-        if problems:
-            last_detail = "; ".join(problems)
+        checks = _sector_side_conditions(inst, graph, desc)
+        failed = [
+            f"{name}: {detail}" if detail else name
+            for name, ok, detail in checks
+            if not ok
+        ]
+        if failed:
+            last_detail = "; ".join(failed)
             continue
-        return SectorRealization(inst, slab, tau, delta_used, eps, half, graph)
+        return SectorRealization(
+            inst, slab, tau, delta_used, eps, half, graph, desc, checks
+        )
     raise ParameterSearchExhausted(
         f"no parameters found in {MAX_SEARCH_ROUNDS} rounds", last_detail
     )

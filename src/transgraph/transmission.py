@@ -43,12 +43,6 @@ class Instance:
     def objects(self) -> list[ArrangementObject]:
         return [obj for _, obj in self.entries]
 
-    def object_of(self, label: Label) -> ArrangementObject:
-        for lab, obj in self.entries:
-            if lab == label:
-                return obj
-        raise KeyError(str(label))
-
 
 def instance(entries: Iterable[tuple[Label, ArrangementObject]]) -> Instance:
     return Instance(tuple(entries))
@@ -67,7 +61,8 @@ def distinguished_point(obj: ArrangementObject) -> Point:
 def _scale_vec(v, factor: int) -> tuple[int, int]:
     x = v.x * factor
     y = v.y * factor
-    assert x.denominator == 1 and y.denominator == 1
+    if x.denominator != 1 or y.denominator != 1:
+        raise ValueError(f"scaling by {factor} leaves ({x}, {y}) non-integral")
     return (int(x), int(y))
 
 

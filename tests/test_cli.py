@@ -3,7 +3,7 @@ import json
 import pytest
 
 from transgraph.cli import main
-from transgraph.serialization import load_document
+from transgraph.serialization import Document, load_document, save_document
 
 
 def run(*args):
@@ -75,6 +75,14 @@ def test_verify_segments(arr_path, tmp_path, capsys):
 
 def test_verify_sectors(arr_path):
     assert run("verify", "--mode", "sectors", "--in", arr_path) == 0
+
+
+@pytest.mark.parametrize("mode", ["segments", "sectors"])
+def test_verify_rejects_nonsimple_arrangement(mode, concurrent_lines, tmp_path, capsys):
+    path = tmp_path / "arr.json"
+    save_document(Document("arrangement", concurrent_lines), path)
+    assert run("verify", "--mode", mode, "--in", path) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_render_and_export(arr_path, tmp_path):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from transgraph import realization
 from transgraph.arrangement import LineArrangement, extract_description
 from transgraph.geometry import (
     Line,
@@ -17,6 +18,7 @@ from transgraph.realization import (
     NonSectorObject,
     NonSimpleArrangement,
     NotAMutualCouple,
+    ParameterSearchExhausted,
     PreconditionViolated,
     check_observation1,
     check_observation2,
@@ -287,6 +289,16 @@ def test_realize_sectors_parameters_positive():
     # opening angle regime: the full opening stays within a quarter turn
     doubled = real.alpha_half.doubled()
     assert doubled.c > 0 and doubled.s > 0
+
+
+def test_failed_side_check_is_named_in_the_search_detail(monkeypatch):
+    # Round 0 on two_lines() passes the graph diff, so only the patched
+    # checker can reject it.
+    monkeypatch.setattr(realization, "is_equiangular", lambda inst: False)
+    monkeypatch.setattr(realization, "MAX_SEARCH_ROUNDS", 1)
+    with pytest.raises(ParameterSearchExhausted) as exc:
+        realize_sectors(two_lines())
+    assert exc.value.detail == "equiangular"
 
 
 def test_realize_sectors_rejects_nonsimple(concurrent_lines):

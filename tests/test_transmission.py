@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from transgraph.geometry import (
@@ -11,7 +12,12 @@ from transgraph.geometry import (
     vec,
 )
 from transgraph.graphs import free, graph_diff
-from transgraph.transmission import distinguished_point, instance, transmission_graph
+from transgraph.transmission import (
+    _scale_vec,
+    distinguished_point,
+    instance,
+    transmission_graph,
+)
 
 F = Fraction
 
@@ -21,6 +27,12 @@ def test_distinguished_points():
     sec = Sector(vec(5, 6), vec(1, 0), rotation_from_parameter(F(1, 3)), F(1))
     assert distinguished_point(sec) == vec(5, 6)
     assert distinguished_point(Disk(vec(7, 8), F(2))) == vec(7, 8)
+
+
+def test_non_integral_scaled_coordinate_raises():
+    assert _scale_vec(vec(F(1, 2), F(3, 4)), 4) == (2, 3)
+    with pytest.raises(ValueError):
+        _scale_vec(vec(F(1, 2), F(1, 3)), 2)
 
 
 def test_segment_transmission_edge():

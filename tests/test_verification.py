@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from transgraph import realization
 from transgraph.arrangement import is_simple
 from transgraph.graphs import B, graph_diff
 from transgraph.realization import realize_segments
@@ -53,8 +54,31 @@ def test_round_trip_sectors_small():
     rep = round_trip_sectors(arr)
     assert rep.passed, rep.summary()
     assert rep.graph_from_reduction.vertex_count == 42
-    assert rep.checker_results  # side conditions were actually evaluated
+    assert [name for name, _, _ in rep.checker_results] == [
+        "equiangular",
+        "alpha at most pi/4",
+        "wide spread",
+        "observation-1 sweep",
+        "ordering gadget sweep",
+    ]
     assert rep.parameters  # certified parameters are reported
+
+
+def test_round_trip_sectors_checks_side_conditions_once(monkeypatch):
+    arr = random_simple_arrangement(RandomSpec(n=2, seed=0))
+    calls = []
+    original = realization.is_equiangular
+
+    def counting(inst):
+        calls.append(inst)
+        return original(inst)
+
+    monkeypatch.setattr(realization, "is_equiangular", counting)
+    realization.realize_sectors(arr)
+    alone = len(calls)
+    calls.clear()
+    round_trip_sectors(arr)
+    assert len(calls) == alone > 0
 
 
 def test_round_trip_sectors_n3():
