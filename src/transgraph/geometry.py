@@ -4,6 +4,12 @@ Every value is an immutable exact quantity: coordinates are
 ``fractions.Fraction``, rotations are exact (cos, sin) pairs on the unit
 circle.  All predicates below are decided by sign tests on rational
 expressions, so there is no rounding anywhere in the pipeline.
+
+Every cone and angle predicate is one tangent test.  For an angle bound
+(c, s) with c, s >= 0, i.e. an angle in [0, pi/2], the angle between u and
+v is at most the bound iff u.v >= 0 and |u x v| * c <= (u.v) * s; the
+acute angle between their lines is at least the bound iff
+|u x v| * c >= |u.v| * s.  No vector is rotated to decide either.
 """
 
 from __future__ import annotations
@@ -127,40 +133,24 @@ def orientation(a: Point, b: Point, c: Point) -> int:
     return (d > 0) - (d < 0)
 
 
-def angle_at_most(u: Vec2, v: Vec2, bound: Rotation) -> bool:
-    """Exact test: unsigned angle between u and v is at most angle(bound).
+def _within(dot: Fraction, cross: Fraction, bound: Rotation) -> bool:
+    """The tangent test on the dot and cross products of two vectors."""
+    return dot >= 0 and abs(cross) * bound.c <= dot * bound.s
 
-    Caller contract: angle(bound) <= pi/2.  The test checks that v lies
-    in the closed cone spanned by u rotated by -bound and +bound (and on
-    the u side of the perpendicular, which pins the cone down when the
-    bound is exactly pi/2).
-    """
+
+def angle_at_most(u: Vec2, v: Vec2, bound: Rotation) -> bool:
+    """Exact test: unsigned angle between u and v <= angle(bound), a bound in [0, pi/2]."""
     if u.is_zero() or v.is_zero():
         raise ZeroVector("angle_at_most needs nonzero vectors")
-    lo = bound.inverse().apply(u)
-    hi = bound.apply(u)
-    return lo.cross(v) >= 0 and v.cross(hi) >= 0 and u.dot(v) >= 0
-
-
-def angle_cmp(u: Vec2, v: Vec2, bound: Rotation) -> int:
-    """Compare the unsigned angle between u and v with angle(bound).
-
-    Returns -1 / 0 / +1 for smaller / equal / larger.  Same contract as
-    :func:`angle_at_most` (bound at most pi/2).
-    """
-    if not angle_at_most(u, v, bound):
-        return +1
-    lo = bound.inverse().apply(u)
-    hi = bound.apply(u)
-    on_lo = lo.cross(v) == 0 and lo.dot(v) > 0
-    on_hi = hi.cross(v) == 0 and hi.dot(v) > 0
-    return 0 if (on_lo or on_hi) else -1
+    return _within(u.dot(v), u.cross(v), bound)
 
 
 def acute_angle_at_least(u: Vec2, v: Vec2, bound: Rotation) -> bool:
     """True iff the acute angle between the *undirected* lines of u and v
-    is at least angle(bound)."""
-    return angle_cmp(u, v, bound) >= 0 and angle_cmp(u, -v, bound) >= 0
+    is at least angle(bound).  Same contract as :func:`angle_at_most`."""
+    if u.is_zero() or v.is_zero():
+        raise ZeroVector("acute_angle_at_least needs nonzero vectors")
+    return abs(u.cross(v)) * bound.c >= abs(u.dot(v)) * bound.s
 
 
 @dataclass(frozen=True)
@@ -193,7 +183,8 @@ class Sector:
 
     ``half_angle`` stores the rotation by half the opening angle, so the
     two boundary rays are the direction rotated by +-half_angle and
-    "equal opening angles" is exact equality of rotations.
+    "equal opening angles" is exact equality of rotations.  The half angle
+    must lie in [0, pi/2]: an opening angle of at most pi.
     """
 
     apex: Point
@@ -206,6 +197,8 @@ class Sector:
             raise ValueError("sector direction must be nonzero")
         if self.radius_sq <= 0:
             raise ValueError("sector needs a positive squared radius")
+        if self.half_angle.c < 0 or self.half_angle.s < 0:
+            raise ValueError("sector half angle must lie in [0, pi/2]")
 
     def boundary_rays(self) -> tuple[Vec2, Vec2]:
         return (
@@ -216,18 +209,18 @@ class Sector:
     def opening_at_most_quarter_pi(self) -> bool:
         """Exact test for the opening-angle regime alpha <= pi/4.
 
-        The half angle is at most pi/8 iff quadrupling it stays within
-        the first quadrant.
+        Twice the half angle lies in [0, pi]; it is at most pi/4 iff its
+        cosine is at least its sine.
         """
-        quad = self.half_angle.doubled().doubled()
-        return quad.c >= 0 and quad.s >= 0
+        double = self.half_angle.doubled()
+        return double.c >= double.s
 
     def contains(self, pt: Point) -> bool:
+        """Within the radius and the half angle of the bisector (closed)."""
         w = pt - self.apex
         if w.norm_sq() > self.radius_sq:
             return False
-        lo, hi = self.boundary_rays()
-        return lo.cross(w) >= 0 and w.cross(hi) >= 0 and self.direction.dot(w) >= 0
+        return _within(self.direction.dot(w), self.direction.cross(w), self.half_angle)
 
 
 @dataclass(frozen=True)

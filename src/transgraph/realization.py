@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .arrangement import (
@@ -226,7 +227,8 @@ def _wide_spread_from_graph(inst: Instance, graph: LabelledDigraph) -> bool:
     sector forms a mutual couple with both; every sector counts as a
     couple of itself (its apex is in itself), which exempts pairs that
     couple with each other.  Qualifying pairs need an acute bisector
-    angle of at least twice the largest opening angle.
+    angle of at least twice the largest opening angle; the angle test runs
+    once per distinct pair of bisector directions.
     """
     sectors = _require_sectors(inst)
     m = len(sectors)
@@ -243,24 +245,19 @@ def _wide_spread_from_graph(inst: Instance, graph: LabelledDigraph) -> bool:
     for i, j in edge_set:
         if (j, i) in edge_set:
             couples[i].add(j)
-    qualifying: set[tuple[int, int]] = set()
-    for d in range(m):
-        inside = sorted(containers[d])
-        for ai, a in enumerate(inside):
-            for b in inside[ai + 1 :]:
-                qualifying.add((a, b))
-    largest_half = min((s.half_angle for s in sectors), key=lambda r: r.c)
-    two_alpha = largest_half.doubled().doubled()
-    for a, b in qualifying:
-        if couples[a] & couples[b]:
-            continue
-        if two_alpha.c < 0:
-            return False  # twice the opening angle already exceeds pi/2
-        if not acute_angle_at_least(
-            sectors[a].direction, sectors[b].direction, two_alpha
-        ):
-            return False
-    return True
+    qualifying = {pair for inside in containers for pair in combinations(sorted(inside), 2)}
+    directions = {
+        (sectors[a].direction, sectors[b].direction)
+        for a, b in qualifying
+        if not couples[a] & couples[b]
+    }
+    if not directions:
+        return True
+    largest = min(sectors, key=lambda s: s.half_angle.c)
+    if not largest.opening_at_most_quarter_pi():
+        return False  # twice the opening angle already exceeds pi/2
+    two_alpha = largest.half_angle.doubled().doubled()
+    return all(acute_angle_at_least(u, v, two_alpha) for u, v in directions)
 
 
 @dataclass
@@ -363,7 +360,6 @@ def _initial_parameters(
 
 def _build_sector_instance(
     arr: LineArrangement,
-    desc: Description,
     slab: Slab,
     tau: Fraction,
     t: Fraction,
@@ -506,7 +502,7 @@ def realize_sectors(arr: LineArrangement) -> SectorRealization:
         t = t0 / 8**rnd
         delta = delta0 / 64**rnd
         eps = eps0 / 2**rnd
-        built = _build_sector_instance(arr, desc, slab, tau, t, delta, eps)
+        built = _build_sector_instance(arr, slab, tau, t, delta, eps)
         if built is None:
             last_detail = "shifted crossings left the slab"
             continue

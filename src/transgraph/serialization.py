@@ -174,6 +174,18 @@ def save_document(doc: Document, path) -> None:
 # --- decoding ---------------------------------------------------------------
 
 
+def _dec_dict(raw: Any, path: str) -> dict:
+    if not isinstance(raw, dict):
+        raise SchemaError(path, "expected an object")
+    return raw
+
+
+def _dec_list(raw: Any, path: str) -> list:
+    if not isinstance(raw, list):
+        raise SchemaError(path, "expected a list")
+    return raw
+
+
 def _dec_rat(raw: Any, path: str) -> Fraction:
     if not isinstance(raw, str):
         raise SchemaError(path, f"expected a rational string, got {raw!r}")
@@ -190,7 +202,7 @@ def _dec_point(raw: Any, path: str) -> Vec2:
 
 
 def _dec_label(raw: Any, path: str) -> Label:
-    if not isinstance(raw, dict) or "kind" not in raw:
+    if not isinstance(raw, dict) or not isinstance(raw.get("kind"), str):
         raise SchemaError(path, "expected a label object with a kind")
     kind = raw["kind"]
     if kind == "FREE":
@@ -230,20 +242,29 @@ def _dec_object(raw: Any, path: str) -> ArrangementObject:
     raise SchemaError(path, f"unknown object type {kind!r}")
 
 
-def _dec_graph(raw: Any, path: str) -> LabelledDigraph:
-    if not isinstance(raw, dict):
-        raise SchemaError(path, "expected a graph object")
-    vertices = [
-        _dec_label(v, f"{path}.vertices[{i}]")
-        for i, v in enumerate(raw.get("vertices", []))
-    ]
-    vertex_set = set(vertices)
+def _dec_labels(raw: dict, key: str, path: str) -> list[Label]:
+    path = f"{path}.{key}"
+    return [_dec_label(v, f"{path}[{i}]") for i, v in enumerate(_dec_list(raw.get(key, []), path))]
+
+
+def _dec_edges(raw: dict, key: str, path: str) -> list[tuple[Label, Label]]:
+    path = f"{path}.{key}"
     edges = []
-    for i, pair in enumerate(raw.get("edges", [])):
+    for i, pair in enumerate(_dec_list(raw.get(key, []), path)):
         if not isinstance(pair, list) or len(pair) != 2:
-            raise SchemaError(f"{path}.edges[{i}]", "expected a label pair")
-        u = _dec_label(pair[0], f"{path}.edges[{i}][0]")
-        v = _dec_label(pair[1], f"{path}.edges[{i}][1]")
+            raise SchemaError(f"{path}[{i}]", "expected a label pair")
+        u = _dec_label(pair[0], f"{path}[{i}][0]")
+        v = _dec_label(pair[1], f"{path}[{i}][1]")
+        edges.append((u, v))
+    return edges
+
+
+def _dec_graph(raw: Any, path: str) -> LabelledDigraph:
+    raw = _dec_dict(raw, path)
+    vertices = _dec_labels(raw, "vertices", path)
+    vertex_set = set(vertices)
+    edges = _dec_edges(raw, "edges", path)
+    for i, (u, v) in enumerate(edges):
         for lab in (u, v):
             if lab not in vertex_set:
                 raise SchemaError(
@@ -251,15 +272,14 @@ def _dec_graph(raw: Any, path: str) -> LabelledDigraph:
                 )
         if u == v:
             raise SchemaError(f"{path}.edges[{i}]", f"self-loop at {u}")
-        edges.append((u, v))
     return digraph(vertices, edges)
 
 
-def _dec_payload(kind: str, raw: Any) -> Any:
-    path = "payload"
+def _dec_payload(kind: str, raw: Any, path: str = "payload") -> Any:
+    raw = _dec_dict(raw, path)
     if kind == "arrangement":
         lines = []
-        for i, row in enumerate(raw.get("lines", [])):
+        for i, row in enumerate(_dec_list(raw.get("lines", []), path + ".lines")):
             if not isinstance(row, list) or len(row) != 3:
                 raise SchemaError(f"{path}.lines[{i}]", "expected [a, b, c]")
             try:
@@ -280,13 +300,11 @@ def _dec_payload(kind: str, raw: Any) -> Any:
         n = raw.get("n")
         if not isinstance(n, int) or n < 1:
             raise SchemaError(f"{path}.n", "expected a positive integer")
-        orders = raw.get("orders")
-        if not isinstance(orders, list):
-            raise SchemaError(f"{path}.orders", "expected a list of crossing lists")
+        orders = _dec_list(raw.get("orders"), f"{path}.orders")
         rows = []
         for i, row in enumerate(orders):
             blocks = []
-            for j, block in enumerate(row):
+            for j, block in enumerate(_dec_list(row, f"{path}.orders[{i}]")):
                 if not isinstance(block, list) or not all(
                     isinstance(x, int) for x in block
                 ):
@@ -298,9 +316,8 @@ def _dec_payload(kind: str, raw: Any) -> Any:
         return Description(n, tuple(rows))
     if kind == "instance":
         entries = []
-        for i, entry in enumerate(raw.get("entries", [])):
-            if not isinstance(entry, dict):
-                raise SchemaError(f"{path}.entries[{i}]", "expected an entry object")
+        for i, entry in enumerate(_dec_list(raw.get("entries", []), path + ".entries")):
+            entry = _dec_dict(entry, f"{path}.entries[{i}]")
             entries.append(
                 (
                     _dec_label(entry.get("label"), f"{path}.entries[{i}].label"),
@@ -314,33 +331,27 @@ def _dec_payload(kind: str, raw: Any) -> Any:
     if kind == "graph":
         return _dec_graph(raw, path)
     if kind == "report":
-        desc = _dec_payload("description", raw.get("description", {}))
+        desc = _dec_payload("description", raw.get("description", {}), path + ".description")
         reduction = _dec_graph(raw.get("graph_from_reduction", {}), path + ".graph_from_reduction")
         geometry = _dec_graph(raw.get("graph_from_geometry", {}), path + ".graph_from_geometry")
-        diff_raw = raw.get("diff", {})
+        diff_path = path + ".diff"
+        diff_raw = _dec_dict(raw.get("diff", {}), diff_path)
         diff = DiffReport(
-            missing_vertices=[
-                _dec_label(v, path + ".diff") for v in diff_raw.get("missing_vertices", [])
-            ],
-            extra_vertices=[
-                _dec_label(v, path + ".diff") for v in diff_raw.get("extra_vertices", [])
-            ],
-            missing_edges=[
-                (_dec_label(e[0], path + ".diff"), _dec_label(e[1], path + ".diff"))
-                for e in diff_raw.get("missing_edges", [])
-            ],
-            extra_edges=[
-                (_dec_label(e[0], path + ".diff"), _dec_label(e[1], path + ".diff"))
-                for e in diff_raw.get("extra_edges", [])
-            ],
+            missing_vertices=_dec_labels(diff_raw, "missing_vertices", diff_path),
+            extra_vertices=_dec_labels(diff_raw, "extra_vertices", diff_path),
+            missing_edges=_dec_edges(diff_raw, "missing_edges", diff_path),
+            extra_edges=_dec_edges(diff_raw, "extra_edges", diff_path),
         )
+        checks = _dec_list(raw.get("checkers", []), path + ".checkers")
+        if not all(isinstance(c, list) and list(map(type, c)) == [str, bool, str] for c in checks):
+            raise SchemaError(path + ".checkers", "expected [name, passed, detail] triples")
         return RoundTripReport(
             description=desc,
             graph_from_reduction=reduction,
             graph_from_geometry=geometry,
             diff=diff,
-            checker_results=[tuple(c) for c in raw.get("checkers", [])],
-            parameters=dict(raw.get("parameters", {})),
+            checker_results=[tuple(c) for c in checks],
+            parameters=dict(_dec_dict(raw.get("parameters", {}), path + ".parameters")),
         )
     raise SchemaError("kind", f"unknown document kind {kind!r}")
 

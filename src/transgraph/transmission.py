@@ -66,18 +66,21 @@ def _scale_vec(v, factor: int) -> tuple[int, int]:
     return (int(x), int(y))
 
 
-def _int_dir(v) -> tuple[int, int]:
-    f = lcm(v.x.denominator, v.y.denominator)
-    return (int(v.x * f), int(v.y * f))
+def _cleared(x: Fraction, y: Fraction) -> tuple[int, int]:
+    """(x, y) times the least positive integer that makes both integral."""
+    f = lcm(x.denominator, y.denominator)
+    return (int(x * f), int(y * f))
 
 
 def _scaled_tester(obj: ArrangementObject, scale: int) -> Callable[[int, int], bool]:
     """Integer containment kernel, equivalent to ``obj.contains`` on points
     whose coordinates times ``scale`` are integers.
 
-    All tests are sign tests, so clearing denominators with the one
-    positive global factor changes nothing; this only exists because the
-    all-pairs sweep is the hot loop.
+    All tests are sign tests, so clearing denominators with positive
+    factors changes nothing: one global factor for the points, one each
+    for a sector's direction and for its half angle (c, s) in the tangent
+    test of ``geometry``.  This only exists because the all-pairs sweep is
+    the hot loop.
     """
     if isinstance(obj, Segment):
         px, py = _scale_vec(obj.p, scale)
@@ -96,10 +99,8 @@ def _scaled_tester(obj: ArrangementObject, scale: int) -> Callable[[int, int], b
 
     if isinstance(obj, Sector):
         ax, ay = _scale_vec(obj.apex, scale)
-        lo, hi = obj.boundary_rays()
-        lox, loy = _int_dir(lo)
-        hix, hiy = _int_dir(hi)
-        ux, uy = _int_dir(obj.direction)
+        ux, uy = _cleared(obj.direction.x, obj.direction.y)
+        c, s = _cleared(obj.half_angle.c, obj.half_angle.s)
         rn = obj.radius_sq.numerator
         rbound = rn * scale * scale
         rd = obj.radius_sq.denominator
@@ -108,11 +109,8 @@ def _scaled_tester(obj: ArrangementObject, scale: int) -> Callable[[int, int], b
             wx, wy = x - ax, y - ay
             if (wx * wx + wy * wy) * rd > rbound:
                 return False
-            return (
-                lox * wy - loy * wx >= 0
-                and wx * hiy - wy * hix >= 0
-                and ux * wx + uy * wy >= 0
-            )
+            dot = ux * wx + uy * wy
+            return dot >= 0 and abs(ux * wy - uy * wx) * c <= dot * s
 
         return test_sector
 

@@ -12,7 +12,6 @@ from transgraph.geometry import (
     ZeroVector,
     acute_angle_at_least,
     angle_at_most,
-    angle_cmp,
     contains_point,
     line_from_slope_intercept,
     line_intersection,
@@ -91,16 +90,21 @@ def test_rotate_sign_reverses():
 
 def test_angle_at_most_basic():
     quarter = rotation_from_parameter(1)
-    small = rotation_from_parameter(F(1, 3))
+    small = rotation_from_parameter(F(1, 3))  # cos 4/5, sin 3/5
     assert angle_at_most(vec(1, 0), vec(1, 1), quarter)
     assert angle_at_most(vec(1, 0), vec(0, 1), quarter)  # boundary counts
     assert not angle_at_most(vec(1, 0), vec(0, 1), small)
     assert not angle_at_most(vec(1, 0), vec(-1, 1), quarter)
+    assert angle_at_most(vec(1, 0), vec(4, 3), small)  # equal angle
+    assert angle_at_most(vec(1, 0), vec(9, 3), small)  # smaller
+    assert not angle_at_most(vec(1, 0), vec(3, 4), small)  # larger
 
 
 def test_angle_at_most_zero_vector_raises():
     with pytest.raises(ZeroVector):
         angle_at_most(vec(0, 0), vec(1, 0), rotation_from_parameter(1))
+    with pytest.raises(ZeroVector):
+        acute_angle_at_least(vec(1, 0), vec(0, 0), rotation_from_parameter(1))
 
 
 @given(small_rationals, small_rationals, small_rationals, small_rationals, rationals)
@@ -112,20 +116,61 @@ def test_angle_at_most_symmetric(ax, ay, bx, by, t):
     assert angle_at_most(u, v, bound) == angle_at_most(v, u, bound)
 
 
-def test_angle_cmp_boundary():
-    b = rotation_from_parameter(F(1, 3))  # cos 4/5, sin 3/5
-    assert angle_cmp(vec(1, 0), vec(4, 3), b) == 0
-    assert angle_cmp(vec(1, 0), vec(9, 3), b) == -1
-    assert angle_cmp(vec(1, 0), vec(3, 4), b) == 1
-
-
 def test_acute_angle_at_least():
-    b = rotation_from_parameter(F(1, 3))
-    assert acute_angle_at_least(vec(1, 0), vec(3, 4), b)
+    b = rotation_from_parameter(F(1, 3))  # cos 4/5, sin 3/5
+    assert acute_angle_at_least(vec(1, 0), vec(3, 4), b)  # larger
     assert acute_angle_at_least(vec(1, 0), vec(4, 3), b)  # equality counts
-    assert not acute_angle_at_least(vec(1, 0), vec(9, 3), b)
+    assert not acute_angle_at_least(vec(1, 0), vec(9, 3), b)  # smaller
     # measured against the acute angle, direction sign is ignored
     assert acute_angle_at_least(vec(1, 0), vec(-3, 4), b)
+    assert not acute_angle_at_least(vec(1, 0), vec(-9, 3), b)
+
+
+def _in_rotated_cone(u, v, bound, strict=False):
+    """Reference: the rotated-boundary-ray test the predicates replaced.
+
+    v lies in the cone between u rotated by -bound and by +bound, on the u
+    side of the perpendicular; closed, or open with ``strict``.  The open
+    cone holds the directions strictly within angle(bound) of u.
+    """
+    lo, hi = bound.inverse().apply(u), bound.apply(u)
+    signs = (lo.cross(v), v.cross(hi), u.dot(v))
+    return all(x > 0 for x in signs) if strict else all(x >= 0 for x in signs)
+
+
+nonzero_vectors = st.builds(vec, small_rationals, small_rationals).filter(
+    lambda v: not v.is_zero()
+)
+
+
+@given(
+    nonzero_vectors,
+    nonzero_vectors,
+    st.fractions(min_value=0, max_value=1, max_denominator=50),
+    st.sampled_from(["free", "upper ray", "lower ray"]),
+    st.sampled_from([-1, 0, 1]),
+    small_rationals,
+    small_rationals,
+)
+def test_predicates_match_rotated_cone(u, v, t, where, radius_offset, ax, ay):
+    bound = rotation_from_parameter(t)
+    if where == "upper ray":
+        v = bound.apply(u).scaled(v.norm_sq())
+    elif where == "lower ray":
+        v = bound.inverse().apply(u).scaled(v.norm_sq())
+    assert angle_at_most(u, v, bound) == _in_rotated_cone(u, v, bound)
+    assert acute_angle_at_least(u, v, bound) == (
+        not _in_rotated_cone(u, v, bound, strict=True)
+        and not _in_rotated_cone(u, -v, bound, strict=True)
+    )
+    # the radius ends exactly at |v|, or well short of it, or well past it
+    radius_sq = v.norm_sq() + radius_offset * v.norm_sq() / 2
+    apex = vec(ax, ay)
+    sec = Sector(apex, u, bound, radius_sq)
+    assert sec.contains(apex + v) == (
+        radius_offset >= 0 and _in_rotated_cone(u, v, bound)
+    )
+    assert sec.contains(apex)
 
 
 # --- containment -----------------------------------------------------------
@@ -161,8 +206,19 @@ def test_disk_contains():
 def test_sector_opening_regime():
     narrow = Sector(vec(0, 0), vec(1, 0), rotation_from_parameter(F(1, 10)), F(1))
     wide = Sector(vec(0, 0), vec(1, 0), rotation_from_parameter(F(1, 2)), F(1))
+    half_plane = Sector(vec(0, 0), vec(1, 0), Rotation(F(0), F(1)), F(1))
     assert narrow.opening_at_most_quarter_pi()
     assert not wide.opening_at_most_quarter_pi()
+    assert not half_plane.opening_at_most_quarter_pi()
+
+
+@pytest.mark.parametrize(
+    "half",
+    [Rotation(F(-3, 5), F(4, 5)), Rotation(F(4, 5), F(-3, 5)), Rotation(F(-1), F(0))],
+)
+def test_sector_half_angle_outside_zero_to_quarter_turn_raises(half):
+    with pytest.raises(ValueError):
+        Sector(vec(0, 0), vec(1, 0), half, F(1))
 
 
 # --- projections -----------------------------------------------------------

@@ -130,6 +130,27 @@ def test_dangling_edge_rejected():
     assert "C_" in str(exc.value)
 
 
+ONE_LINE = {"n": 1, "orders": [[]]}
+
+
+@pytest.mark.parametrize(
+    "kind, payload",
+    [
+        ("arrangement", []),  # payload not an object
+        ("description", {"n": 2, "orders": [7, []]}),  # row not a list
+        ("graph", {"vertices": 3, "edges": []}),
+        ("graph", {"vertices": [{"kind": ["C"], "indices": [1]}], "edges": []}),
+        ("instance", {"entries": 5}),
+        ("report", {"description": ONE_LINE, "checkers": [5]}),
+        ("report", {"description": ONE_LINE, "diff": {"missing_edges": [7]}}),
+    ],
+)
+def test_malformed_payload_shape_rejected(kind, payload):
+    text = json.dumps({"kind": kind, "formatVersion": 1, "payload": payload})
+    with pytest.raises(SchemaError):
+        document_from_json(text)
+
+
 def test_garbage_rejected():
     with pytest.raises(SchemaError):
         document_from_json("not json at all")

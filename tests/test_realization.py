@@ -173,6 +173,19 @@ def test_wide_spread_fails_for_wide_parallel_pair():
     assert not is_wide_spread(inst)
 
 
+@pytest.mark.parametrize(
+    "half", [rotation_from_parameter(F(9, 10)), Rotation(F(0), F(1))]
+)
+def test_wide_spread_fails_when_twice_the_opening_wraps_past_a_turn(half):
+    # 2 * alpha is about 336 degrees, then 360 degrees: far past pi/2, though
+    # quadrupling the half angle lands back near the identity rotation.
+    a = Sector(vec(0, 10), vec(0, -1), half, F(200))
+    b = Sector(vec(-10, 0), vec(1, 0), half, F(200))
+    d = Sector(vec(0, 0), vec(1, 0), half, F(1, 100))
+    inst = instance([(free("a"), a), (free("b"), b), (free("d"), d)])
+    assert not is_wide_spread(inst)
+
+
 def test_wide_spread_holds_for_perpendicular_pairs():
     # non-exempt qualifying pairs exist but their bisectors are far apart
     a = Sector(vec(0, 10), vec(0, -1), NARROW, F(200))

@@ -141,3 +141,52 @@ def test_transmission_independent_of_listing_order():
     g1 = transmission_graph(instance(objs))
     g2 = transmission_graph(instance(list(reversed(objs))))
     assert g1 == g2
+
+
+coords = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+points = st.builds(vec, coords, coords)
+radii_sq = st.fractions(min_value=F(1, 4), max_value=40, max_denominator=4)
+
+
+@st.composite
+def mixed_instances(draw):
+    """Segments, sectors (half-angle parameter in [0, 1]) and disks, plus
+    probe disks centred exactly on a sector's boundary ray or bisector;
+    a sector's radius may end exactly at its probe."""
+    objs = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["segment", "sector", "disk"]))
+        p = draw(points)
+        if kind == "segment":
+            q = draw(points)
+            objs.append(Segment(p, q if q != p else p + vec(1, 0)))
+        elif kind == "disk":
+            objs.append(Disk(p, draw(radii_sq)))
+        else:
+            u = draw(points.filter(lambda v: not v.is_zero()))
+            half = rotation_from_parameter(
+                draw(st.fractions(min_value=0, max_value=1, max_denominator=6))
+            )
+            rsq = draw(radii_sq)
+            probes = []
+            for ray in draw(st.lists(st.sampled_from(["lo", "hi", "mid"]), max_size=3)):
+                w = {"lo": half.inverse().apply(u), "hi": half.apply(u), "mid": u}[ray]
+                w = w.scaled(draw(st.fractions(min_value=F(1, 4), max_value=2, max_denominator=4)))
+                if draw(st.booleans()):
+                    rsq = w.norm_sq()
+                probes.append(Disk(p + w, draw(radii_sq)))
+            objs.append(Sector(p, u, half, rsq))
+            objs.extend(probes)
+    return instance((free(f"o{i}"), obj) for i, obj in enumerate(objs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_instances())
+def test_integer_kernel_agrees_with_contains(inst):
+    expected = {
+        (x, y)
+        for x, ox in inst.entries
+        for y, oy in inst.entries
+        if x != y and ox.contains(distinguished_point(oy))
+    }
+    assert set(transmission_graph(inst).edges) == expected
