@@ -44,15 +44,16 @@ class InputError(Exception):
     pass
 
 
-def _load(path, kind) -> Document:
+def _load(path, *kinds) -> Document:
     try:
         doc = load_document(path)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     except SchemaError as exc:
         raise InputError(f"{path}: {exc}") from None
-    if doc.kind != kind:
-        raise InputError(f"{path}: expected a {kind} document, found {doc.kind}")
+    if doc.kind not in kinds:
+        expected = " or ".join(kinds)
+        raise InputError(f"{path}: expected a {expected} document, found {doc.kind}")
     return doc
 
 
@@ -141,16 +142,13 @@ def _cmd_verify(args) -> int:
 
 def _cmd_render(args) -> int:
     path = getattr(args, "in")
+    doc = _load(path, "instance", "arrangement")
     try:
-        doc = load_document(path)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-    except SchemaError as exc:
-        raise InputError(f"{path}: {exc}") from None
-    if doc.kind not in ("instance", "arrangement"):
-        raise InputError(f"{path}: cannot render a {doc.kind} document")
+        svg = render_svg(doc.payload, RenderStyle())
+    except OverflowError:
+        raise InputError(f"{path}: a coordinate is too large to draw") from None
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(render_svg(doc.payload, RenderStyle()))
+        fh.write(svg)
     return EXIT_OK
 
 

@@ -97,9 +97,6 @@ class LabelledDigraph:
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges, key=lambda e: (e[0].sort_key(), e[1].sort_key()))
 
-    def out_neighbors(self, u: Label) -> set[Label]:
-        return {b for a, b in self.edges if a == u}
-
 
 def digraph(vertices: Iterable[Label], edges: Iterable[Edge]) -> LabelledDigraph:
     return LabelledDigraph(frozenset(vertices), frozenset(edges))

@@ -9,6 +9,7 @@ stable.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
@@ -186,9 +187,16 @@ def _dec_list(raw: Any, path: str) -> list:
     return raw
 
 
+# Exactly what ``_enc_rat`` writes.  ``Fraction`` alone would also take
+# decimals and exponents, and expands "1e4000000" into a huge integer.
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def _dec_rat(raw: Any, path: str) -> Fraction:
     if not isinstance(raw, str):
         raise SchemaError(path, f"expected a rational string, got {raw!r}")
+    if not _RATIONAL.fullmatch(raw):
+        raise SchemaError(path, f"bad rational {raw!r}: expected p or p/q in decimal digits")
     try:
         return Fraction(raw)
     except (ValueError, ZeroDivisionError) as exc:

@@ -4,13 +4,17 @@ Edge x -> y exists iff object x contains the distinguished point of
 object y (segment endpoint, sector apex, disk center).  Self-loops are
 excluded by convention, which keeps the output directly comparable with
 the reduction graphs.
+
+A segment can only contain points on its own line, so each segment is
+tested only against the points of that line; sectors and disks are tested
+against every point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 from .geometry import ArrangementObject, Disk, Point, Sector, Segment
@@ -59,11 +63,13 @@ def distinguished_point(obj: ArrangementObject) -> Point:
 
 
 def _scale_vec(v, factor: int) -> tuple[int, int]:
-    x = v.x * factor
-    y = v.y * factor
-    if x.denominator != 1 or y.denominator != 1:
-        raise ValueError(f"scaling by {factor} leaves ({x}, {y}) non-integral")
-    return (int(x), int(y))
+    x, y = v.x, v.y
+    if factor % x.denominator or factor % y.denominator:
+        raise ValueError(f"scaling ({x}, {y}) by {factor} leaves it non-integral")
+    return (
+        x.numerator * (factor // x.denominator),
+        y.numerator * (factor // y.denominator),
+    )
 
 
 def _cleared(x: Fraction, y: Fraction) -> tuple[int, int]:
@@ -79,8 +85,9 @@ def _scaled_tester(obj: ArrangementObject, scale: int) -> Callable[[int, int], b
     All tests are sign tests, so clearing denominators with positive
     factors changes nothing: one global factor for the points, one each
     for a sector's direction and for its half angle (c, s) in the tangent
-    test of ``geometry``.  This only exists because the all-pairs sweep is
-    the hot loop.
+    test of ``geometry``.  It exists because the sweep in
+    ``transmission_graph`` runs it once per candidate pair: every point
+    for a sector or disk, the points on its own line for a segment.
     """
     if isinstance(obj, Segment):
         px, py = _scale_vec(obj.p, scale)
@@ -144,17 +151,50 @@ def _coordinate_scale(inst: Instance) -> int:
     return lcm(*dens)
 
 
+def _line_direction(seg: Segment, scale: int) -> tuple[int, int]:
+    """The direction of ``seg``, reduced by the gcd and sign-normalised to
+    dx > 0, or dx = 0 and dy > 0, so parallel segments share it."""
+    px, py = _scale_vec(seg.p, scale)
+    qx, qy = _scale_vec(seg.q, scale)
+    dx, dy = qx - px, qy - py
+    g = gcd(dx, dy)
+    if dx < 0 or (dx == 0 and dy < 0):
+        g = -g
+    return (dx // g, dy // g)
+
+
 def transmission_graph(inst: Instance) -> LabelledDigraph:
-    """All-pairs containment sweep over the instance (O(m^2) exact tests)."""
+    """Containment sweep over the instance, with exact integer tests.
+
+    A sector or disk is tested against every other distinguished point.
+    The segments are grouped by direction (dx, dy); a point (x, y) lies on
+    the line through p exactly when ``dx*y - dy*x == dx*p.y - dy*p.x``, so
+    for each direction in turn the points are bucketed by that key and
+    each segment is tested only against its own bucket.  Skipped points
+    have a nonzero cross product and fail the segment test anyway.
+    """
     scale = _coordinate_scale(inst)
     labels = inst.labels()
-    testers = [_scaled_tester(obj, scale) for obj in inst.objects()]
-    points = [
-        _scale_vec(distinguished_point(obj), scale) for obj in inst.objects()
-    ]
+    objects = inst.objects()
+    points = [_scale_vec(distinguished_point(obj), scale) for obj in objects]
     edges = []
-    for i, test in enumerate(testers):
+    segments_by_direction: dict[tuple[int, int], list[int]] = {}
+    for i, obj in enumerate(objects):
+        if isinstance(obj, Segment):
+            segments_by_direction.setdefault(_line_direction(obj, scale), []).append(i)
+            continue
+        test = _scaled_tester(obj, scale)
         for j, (x, y) in enumerate(points):
             if i != j and test(x, y):
                 edges.append((labels[i], labels[j]))
+    for (dx, dy), members in segments_by_direction.items():
+        on_line: dict[int, list[int]] = {}
+        for j, (x, y) in enumerate(points):
+            on_line.setdefault(dx * y - dy * x, []).append(j)
+        for i in members:
+            test = _scaled_tester(objects[i], scale)
+            px, py = points[i]
+            for j in on_line[dx * py - dy * px]:
+                if i != j and test(*points[j]):
+                    edges.append((labels[i], labels[j]))
     return digraph(labels, edges)

@@ -121,6 +121,24 @@ def test_render_accepts_arrangement(arr_path, tmp_path):
     assert run("render", "--in", arr_path, "--out", svg) == 0
 
 
+def test_render_rejects_a_coordinate_too_large_for_a_float(tmp_path, capsys):
+    segment = {"type": "segment", "p": ["1" + "0" * 400, "0"], "q": ["0", "0"]}
+    body = {
+        "kind": "instance",
+        "formatVersion": 1,
+        "payload": {
+            "entries": [{"label": {"kind": "FREE", "text": "s"}, "object": segment}]
+        },
+    }
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(body))
+    svg = tmp_path / "out.svg"
+    assert run("render", "--in", inst, "--out", svg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not svg.exists()
+
+
 def test_missing_input_is_input_error(tmp_path):
     assert run("describe", "--in", tmp_path / "nope.json", "--out", tmp_path / "o") == 2
 

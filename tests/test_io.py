@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -104,6 +105,26 @@ def test_zero_denominator_rejected():
     body["payload"]["lines"][0][0] = "1/0"
     with pytest.raises(SchemaError):
         document_from_json(json.dumps(body))
+
+
+def _segment_document(x: str) -> str:
+    segment = {"type": "segment", "p": [x, "5"], "q": ["9", "9"]}
+    payload = {"entries": [{"label": {"kind": "FREE", "text": "s"}, "object": segment}]}
+    return json.dumps({"kind": "instance", "formatVersion": 1, "payload": payload})
+
+
+@pytest.mark.parametrize("raw", ["1e4000000", "1.5", " 3/4", "1_0"])
+def test_rational_outside_the_written_form_rejected(raw):
+    start = time.perf_counter()
+    with pytest.raises(SchemaError):
+        document_from_json(_segment_document(raw))
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("raw", ["-3/4", "7", "0"])
+def test_rational_in_the_written_form_accepted(raw):
+    (_, seg), = document_from_json(_segment_document(raw)).payload.entries
+    assert seg.p.x == Fraction(raw)
 
 
 def test_unknown_kind_rejected():

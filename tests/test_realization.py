@@ -250,7 +250,7 @@ def test_realize_segments_a_objects_are_sinks(three_lines):
     real = realize_segments(three_lines)
     for v in real.graph.vertices:
         if v.kind == "A":
-            assert not real.graph.out_neighbors(v)
+            assert not {b for a, b in real.graph.edges if a == v}
 
 
 def test_realize_segments_rejects_nonsimple(concurrent_lines):

@@ -180,8 +180,47 @@ def mixed_instances(draw):
     return instance((free(f"o{i}"), obj) for i, obj in enumerate(objs))
 
 
-@settings(max_examples=200, deadline=None)
-@given(mixed_instances())
+directions = st.one_of(
+    st.sampled_from([vec(1, 0), vec(0, 1), vec(1, 2), vec(2, -1)]),
+    points.filter(lambda v: not v.is_zero()),
+)
+small = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+
+
+@st.composite
+def line_instances(draw):
+    """Segments on one line (overlapping, nested, either way round, with
+    direction vectors of different lengths such as (2, 4) and (-1, -2)),
+    more on parallel lines a small rational offset away, and probe disks
+    at p, at q, inside, just past either end and on the parallel line.
+    Random points are almost never collinear; these are, so a segment that
+    misses a point of its own line, or tests one off it, changes the graph."""
+    base, d = draw(points), draw(directions)
+    normal = vec(-d.y, d.x)
+    offsets = [F(0), draw(st.sampled_from([F(1, 8), F(-1, 3), F(1, 2)]))]
+    objs = []
+    for _ in range(draw(st.integers(1, 5))):
+        foot = base + normal.scaled(draw(st.sampled_from(offsets)))
+        s, t = draw(small), draw(small.filter(lambda t: t != 0))
+        p = foot + d.scaled(s)
+        q = p + d.scaled(t)
+        objs.append(Segment(p, q))
+        for where in draw(st.lists(st.sampled_from(["p", "q", "in", "past", "before", "off"]), max_size=3)):
+            tiny = F(1, draw(st.integers(2, 64)))
+            centre = {
+                "p": p,
+                "q": q,
+                "in": p + (q - p).scaled(draw(st.fractions(0, 1, max_denominator=5))),
+                "past": q + (q - p).scaled(tiny),
+                "before": p - (q - p).scaled(tiny),
+                "off": p + normal.scaled(draw(st.sampled_from(offsets[1:] + [tiny]))),
+            }[where]
+            objs.append(Disk(centre, draw(radii_sq)))
+    return instance((free(f"o{i}"), obj) for i, obj in enumerate(objs))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(mixed_instances(), line_instances()))
 def test_integer_kernel_agrees_with_contains(inst):
     expected = {
         (x, y)
