@@ -3,14 +3,15 @@
 An arrangement is a slope-ordered list of pairwise non-parallel,
 non-vertical lines.  Its description records, per line, the left-to-right
 order in which the other lines cross it, with coincident crossings
-grouped into one block.
+grouped into one block.  Every crossing comes from ``intersections()``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .geometry import Line, Point, line_intersection
@@ -70,14 +71,24 @@ def slope_sorted(lines: Iterable[Line]) -> LineArrangement:
     return LineArrangement(tuple(lines))
 
 
+def _crossings_by_line(arr: LineArrangement) -> list[list[tuple[Fraction, int]]]:
+    """Per line, (x, j) for its crossing with each other line j."""
+    rows = [[] for _ in arr.lines]
+    for (i, j), pt in arr.intersections().items():
+        rows[i - 1].append((pt.x, j))
+        rows[j - 1].append((pt.x, i))
+    return rows
+
+
 def is_simple(arr: LineArrangement) -> bool:
-    """True iff no three lines pass through one point."""
-    pts = arr.intersections()
-    for (i, j), pt in pts.items():
-        for k in range(1, arr.n + 1):
-            if k != i and k != j and arr.line(k).contains(pt):
-                return False
-    return True
+    """True iff no three lines pass through one point.
+
+    No line is vertical, so this holds iff each line's crossings, read
+    from ``intersections()``, have distinct x values.
+    """
+    return all(
+        len({x for x, _ in row}) == len(row) for row in _crossings_by_line(arr)
+    )
 
 
 @dataclass(frozen=True)
@@ -188,28 +199,16 @@ def validate_description(desc: Description) -> ValidationReport:
 
 
 def extract_description(arr: LineArrangement) -> Description:
-    """Left-to-right crossing order of every line, ties grouped by point."""
-    orders = []
-    for i in range(1, arr.n + 1):
-        li = arr.line(i)
-        crossings = []
-        for j in range(1, arr.n + 1):
-            if j == i:
-                continue
-            crossings.append((line_intersection(li, arr.line(j)), j))
-        crossings.sort(key=lambda cj: cj[0].x)
-        row: list[Block] = []
-        current: list[int] = []
-        current_pt: Point | None = None
-        for pt, j in crossings:
-            if current_pt is not None and pt == current_pt:
-                current.append(j)
-            else:
-                if current:
-                    row.append(tuple(sorted(current)))
-                current = [j]
-                current_pt = pt
-        if current:
-            row.append(tuple(sorted(current)))
-        orders.append(tuple(row))
-    return Description(arr.n, tuple(orders))
+    """Left-to-right crossing order of every line, ties grouped by point.
+
+    Reads the crossings from ``intersections()``.  Each line's (x, j) pairs
+    are sorted, so equal x values are adjacent and every block is sorted.
+    """
+    orders = tuple(
+        tuple(
+            tuple(j for _, j in block)
+            for _, block in groupby(sorted(row), key=itemgetter(0))
+        )
+        for row in _crossings_by_line(arr)
+    )
+    return Description(arr.n, orders)

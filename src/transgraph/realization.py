@@ -331,15 +331,14 @@ def _normalized_lines(arr: LineArrangement) -> list[Line]:
 
 
 def _initial_parameters(
-    arr: LineArrangement, slab: Slab
+    lines: list[Line], crossings: dict[tuple[int, int], Point], slab: Slab
 ) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    lines = _normalized_lines(arr)
     slopes = [ln.slope() for ln in lines]
     # Band offset: below the vertical clearance of every intersection from
     # non-incident lines, and small against every slope difference so the
     # shifted crossings stay in order and inside the slab.
     v_clear = Fraction(1)
-    for (i, j), pt in arr.intersections().items():
+    for (i, j), pt in crossings.items():
         for k, ln in enumerate(lines, start=1):
             if k != i and k != j:
                 v_clear = min(v_clear, abs(ln.y_at(pt.x) - pt.y))
@@ -359,14 +358,13 @@ def _initial_parameters(
 
 
 def _build_sector_instance(
-    arr: LineArrangement,
+    lines: list[Line],
     slab: Slab,
     tau: Fraction,
     t: Fraction,
     delta: Fraction,
     eps: Fraction,
 ) -> Optional[tuple[Instance, Rotation, Fraction]]:
-    lines = _normalized_lines(arr)
     half = rotation_from_parameter(t)
     width = slab.width
     offsets = {1: tau, 2: Fraction(0), 3: -tau}
@@ -380,20 +378,19 @@ def _build_sector_instance(
     # (b, -a), so param = (x - x_left) / b).
     crossings: dict[tuple[int, int], list[tuple[Fraction, int, int]]] = {}
     min_gap = None
-    for i in range(1, arr.n + 1):
-        b_i = lines[i - 1].b
+    for i, ln in enumerate(lines, start=1):
         for m in (1, 2, 3):
             lm = shifted[(i, m)]
             row = []
-            for k in range(1, arr.n + 1):
+            for k in range(1, len(lines) + 1):
                 if k == i:
                     continue
                 for mp in (1, 2, 3):
                     pt = line_intersection(lm, shifted[(k, mp)])
-                    row.append(((pt.x - slab.x_left) / b_i, k, mp))
+                    row.append(((pt.x - slab.x_left) / ln.b, k, mp))
             row.sort()
             crossings[(i, m)] = row
-            end = width / b_i
+            end = width / ln.b
             params = [p for p, _, _ in row] + [end]
             if params[0] > 0:
                 gaps = [params[0]] + [
@@ -409,15 +406,13 @@ def _build_sector_instance(
     delta = min(delta, min_gap / 4)
 
     entries: list[tuple[Label, Sector]] = []
-    for i in range(1, arr.n + 1):
-        ln = lines[i - 1]
+    for i, ln in enumerate(lines, start=1):
         u = Vec2(ln.b, -ln.a)
         rsq = width * width * (ln.a * ln.a + ln.b * ln.b) / (ln.b * ln.b)
         for m in (1, 2, 3):
             apex = shifted[(i, m)].point_at_x(slab.x_left)
             entries.append((SC(i, m), Sector(apex, u, half, rsq)))
-    for i in range(1, arr.n + 1):
-        ln = lines[i - 1]
+    for i, ln in enumerate(lines, start=1):
         u = Vec2(ln.b, -ln.a)
         end = width / ln.b
         for m in (1, 2, 3):
@@ -492,7 +487,8 @@ def realize_sectors(arr: LineArrangement) -> SectorRealization:
     desc = extract_description(arr)
     target = reduce_sectors(desc)
     slab = containing_slab(arr)
-    tau0, t0, delta0, eps0 = _initial_parameters(arr, slab)
+    lines = _normalized_lines(arr)
+    tau0, t0, delta0, eps0 = _initial_parameters(lines, arr.intersections(), slab)
 
     last_detail = ""
     for rnd in range(MAX_SEARCH_ROUNDS):
@@ -502,7 +498,7 @@ def realize_sectors(arr: LineArrangement) -> SectorRealization:
         t = t0 / 8**rnd
         delta = delta0 / 64**rnd
         eps = eps0 / 2**rnd
-        built = _build_sector_instance(arr, slab, tau, t, delta, eps)
+        built = _build_sector_instance(lines, slab, tau, t, delta, eps)
         if built is None:
             last_detail = "shifted crossings left the slab"
             continue

@@ -36,7 +36,7 @@ def _check_simple_input(desc: Description) -> None:
     report = validate_description(desc)
     if not report.ok:
         raise InvalidDescription("; ".join(report.violations))
-    if not desc.is_simple():
+    if not report.simple:
         raise NonSimpleDescription("description has non-singleton blocks")
     if desc.n < 2:
         raise InvalidDescription("need at least 2 lines")

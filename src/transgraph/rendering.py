@@ -114,7 +114,10 @@ class _Canvas:
             y0, y1 = min(self.ys) - pad, max(self.ys) + pad
         else:
             x0, x1, y0, y1 = -pad, pad, -pad, pad
-        view = f"{_fmt(x0)} {_fmt(-y1)} {_fmt(x1 - x0)} {_fmt(y1 - y0)}"
+        box = (x0, -y1, x1 - x0, y1 - y0)
+        if not all(map(math.isfinite, box)):
+            raise OverflowError("the drawing's span does not fit a float")
+        view = " ".join(map(_fmt, box))
         head = (
             '<svg xmlns="http://www.w3.org/2000/svg" '
             f'viewBox="{view}" width="640" height="640" '

@@ -13,7 +13,7 @@ from transgraph.arrangement import (
     slope_sorted,
     validate_description,
 )
-from transgraph.geometry import Line, line_from_slope_intercept, vec
+from transgraph.geometry import Line, line_from_slope_intercept, line_intersection, vec
 
 F = Fraction
 
@@ -186,10 +186,72 @@ def test_description_mirror_metamorphic(seed, n):
         assert dm.flat_order(relabel(i)) == expected
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.integers(0, 10**6), st.integers(2, 5))
-def test_simple_iff_singleton_blocks(seed, n):
-    desc = extract_description(random_arrangement(seed, n))
-    assert desc.is_simple() == all(
-        len(b) == 1 for order in desc.orders for b in order
-    )
+# --- reference for is_simple and extract_description ----------------------
+
+
+def _is_simple_by_sweep(arr):
+    """Test every crossing point against every third line."""
+    for (i, j), pt in arr.intersections().items():
+        for k in range(1, arr.n + 1):
+            if k != i and k != j and arr.line(k).contains(pt):
+                return False
+    return True
+
+
+def _orders_by_point(arr):
+    """Intersect line i with every other line, sort by x, group equal points."""
+    orders = []
+    for i in range(1, arr.n + 1):
+        crossings = sorted(
+            (
+                (line_intersection(arr.line(i), arr.line(j)), j)
+                for j in range(1, arr.n + 1)
+                if j != i
+            ),
+            key=lambda cj: cj[0].x,
+        )
+        row, current, current_pt = [], [], None
+        for pt, j in crossings:
+            if current_pt is not None and pt == current_pt:
+                current.append(j)
+            else:
+                if current:
+                    row.append(tuple(sorted(current)))
+                current, current_pt = [j], pt
+        if current:
+            row.append(tuple(sorted(current)))
+        orders.append(tuple(row))
+    return tuple(orders)
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def anchored_arrangements(draw):
+    """Lines with distinct slopes, each either free or forced through one of
+    two anchor points that share an x coordinate.
+
+    Three or more lines on one anchor are concurrent; two lines on each
+    anchor cross at two distinct points with the same x; a slope of 0 puts
+    every crossing of that line at the same y.
+    """
+    ax = draw(small_rationals)
+    anchors = draw(st.lists(small_rationals, min_size=2, max_size=2, unique=True))
+    slopes = draw(st.lists(small_rationals, min_size=2, max_size=7, unique=True))
+    lines = []
+    for slope in slopes:
+        anchor = draw(st.sampled_from([None, *anchors]))
+        intercept = draw(small_rationals) if anchor is None else anchor - slope * ax
+        lines.append(line_from_slope_intercept(slope, intercept))
+    return slope_sorted(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(anchored_arrangements())
+def test_simple_iff_singleton_blocks(arr):
+    simple = is_simple(arr)
+    desc = extract_description(arr)
+    assert simple == _is_simple_by_sweep(arr)
+    assert desc.orders == _orders_by_point(arr)
+    assert desc.is_simple() == simple
