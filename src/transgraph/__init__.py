@@ -49,10 +49,8 @@ from .graphs import (
 )
 from .realization import (
     check_observation1,
-    check_observation2,
     check_ordering_gadget,
     is_equiangular,
-    is_mutual_couple,
     is_wide_spread,
     realize_sectors,
     realize_segments,

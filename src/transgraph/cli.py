@@ -1,7 +1,7 @@
 """Command-line surface for the toolkit.
 
 Exit codes: 0 success or verification pass, 1 verification failure,
-2 input error, 3 parameter search exhausted.
+2 input error or unwritable output, 3 parameter search exhausted.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .reductions import (
     reduce_segments,
 )
 from .rendering import RenderStyle, export_dot, render_svg
-from .serialization import Document, SchemaError, load_document, save_document
+from .serialization import Document, SchemaError, document_to_json, load_document
 from .transmission import transmission_graph
 from .verification import (
     RandomSpec,
@@ -57,6 +57,14 @@ def _load(path, *kinds) -> Document:
     return doc
 
 
+def _write(path, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
+
+
 def _cmd_gen(args) -> int:
     try:
         arr = random_simple_arrangement(
@@ -64,7 +72,7 @@ def _cmd_gen(args) -> int:
         )
     except (ValueError, SamplingExhausted) as exc:
         raise InputError(str(exc)) from None
-    save_document(Document("arrangement", arr), args.out)
+    _write(args.out, document_to_json(Document("arrangement", arr)))
     return EXIT_OK
 
 
@@ -72,7 +80,7 @@ def _cmd_describe(args) -> int:
     arr = _load(getattr(args, "in"), "arrangement").payload
     from .arrangement import extract_description
 
-    save_document(Document("description", extract_description(arr)), args.out)
+    _write(args.out, document_to_json(Document("description", extract_description(arr))))
     return EXIT_OK
 
 
@@ -96,7 +104,7 @@ def _cmd_reduce(args) -> int:
         graph = _reduce_fn(args.mode)(desc)
     except (InvalidDescription, NonSimpleDescription) as exc:
         raise InputError(str(exc)) from None
-    save_document(Document("graph", graph), args.out)
+    _write(args.out, document_to_json(Document("graph", graph)))
     return EXIT_OK
 
 
@@ -112,13 +120,13 @@ def _cmd_realize(args) -> int:
     except ParameterSearchExhausted as exc:
         print(f"parameter search exhausted: {exc.detail}", file=sys.stderr)
         return EXIT_SEARCH_EXHAUSTED
-    save_document(Document("instance", realized.instance), args.out)
+    _write(args.out, document_to_json(Document("instance", realized.instance)))
     return EXIT_OK
 
 
 def _cmd_tgraph(args) -> int:
     inst = _load(getattr(args, "in"), "instance").payload
-    save_document(Document("graph", transmission_graph(inst)), args.out)
+    _write(args.out, document_to_json(Document("graph", transmission_graph(inst))))
     return EXIT_OK
 
 
@@ -135,7 +143,7 @@ def _cmd_verify(args) -> int:
         print(f"parameter search exhausted: {exc.detail}", file=sys.stderr)
         return EXIT_SEARCH_EXHAUSTED
     if args.report:
-        save_document(Document("report", report), args.report)
+        _write(args.report, document_to_json(Document("report", report)))
     print(report.summary())
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
@@ -147,15 +155,13 @@ def _cmd_render(args) -> int:
         svg = render_svg(doc.payload, RenderStyle())
     except OverflowError:
         raise InputError(f"{path}: a coordinate is too large to draw") from None
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    _write(args.out, svg)
     return EXIT_OK
 
 
 def _cmd_export_dot(args) -> int:
     graph: LabelledDigraph = _load(getattr(args, "in"), "graph").payload
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(export_dot(graph))
+    _write(args.out, export_dot(graph))
     return EXIT_OK
 
 

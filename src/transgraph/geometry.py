@@ -200,12 +200,6 @@ class Sector:
         if self.half_angle.c < 0 or self.half_angle.s < 0:
             raise ValueError("sector half angle must lie in [0, pi/2]")
 
-    def boundary_rays(self) -> tuple[Vec2, Vec2]:
-        return (
-            self.half_angle.inverse().apply(self.direction),
-            self.half_angle.apply(self.direction),
-        )
-
     def opening_at_most_quarter_pi(self) -> bool:
         """Exact test for the opening-angle regime alpha <= pi/4.
 

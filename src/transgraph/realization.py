@@ -13,6 +13,12 @@ width) eventually holds.
 The containing disk of the source constructions is replaced by a
 vertical slab throughout; the slab boundaries play the role of the
 virtual vertical line, and the boundary crossings are exact rationals.
+
+The sector side checks (observation 1, the ordering gadget, wide spread)
+read containment from the transmission graph they are given, so each
+containment is decided once, by ``transmission_graph``.
+``Sector.contains`` remains the reference that kernel's tests compare
+against.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from .geometry import (
     project_param,
     rotation_from_parameter,
 )
-from .graphs import A, B, C, Label, LabelledDigraph, SA, SB, SC, graph_diff
+from .graphs import A, B, C, Edge, Label, LabelledDigraph, SA, SB, SC, graph_diff
 from .reductions import reduce_sectors, reduce_segments
 from .transmission import Instance, instance, transmission_graph
 
@@ -64,14 +70,6 @@ class ParameterSearchExhausted(Exception):
     def __init__(self, message: str, detail: str = ""):
         super().__init__(message)
         self.detail = detail
-
-
-class NotAMutualCouple(Exception):
-    pass
-
-
-class PreconditionViolated(Exception):
-    pass
 
 
 class NonSectorObject(Exception):
@@ -157,46 +155,28 @@ def realize_segments(arr: LineArrangement) -> SegmentRealization:
 
 
 # ---------------------------------------------------------------------------
-# Sector condition checkers
+# Sector condition checkers.  ``graph`` is the instance's transmission graph:
+# x contains the apex of y iff ``(x, y) in graph.edges``.
 
 
-def is_mutual_couple(x: Sector, y: Sector) -> bool:
-    return x.contains(y.apex) and y.contains(x.apex)
+def check_observation1(inst: Instance, graph: LabelledDigraph) -> list[Edge]:
+    """The mutual couples whose bisectors are not within
+    (alpha(x)+alpha(y))/2 of antipodal, as sorted (u, v) pairs with u < v.
 
-
-def _rotation_angle_leq(r1: Rotation, r2: Rotation) -> bool:
-    """angle(r1) <= angle(r2) for rotations with angles in [0, pi]."""
-    if r1.s < 0 or r2.s < 0:
-        raise ValueError("rotations must have angles in [0, pi]")
-    return r1.c >= r2.c
-
-
-def check_observation1(x: Sector, y: Sector) -> bool:
-    """Mutual couples have bisectors within (alpha(x)+alpha(y))/2 of
-    antipodal."""
-    if not is_mutual_couple(x, y):
-        raise NotAMutualCouple("check_observation1 needs a mutual couple")
-    bound = x.half_angle.compose(y.half_angle)
-    if bound.c < 0 or bound.s < 0:
-        raise ValueError("combined half-angles exceed pi/2")
-    return angle_at_most(x.direction, -y.direction, bound)
-
-
-def check_observation2(x: Sector, y: Sector, beta: Rotation) -> bool:
-    """Outer rays of x stay at least beta - max(alpha)/2 away from the
-    bisector of y (as acute angles between undirected lines)."""
-    if beta.s < 0 or beta.c < 0:
-        raise PreconditionViolated("beta must be an acute-angle rotation")
-    half_max = x.half_angle if x.half_angle.c <= y.half_angle.c else y.half_angle
-    if not _rotation_angle_leq(half_max, beta) or half_max.c == beta.c:
-        raise PreconditionViolated("beta must exceed the larger half-angle")
-    if not acute_angle_at_least(x.direction, y.direction, beta):
-        raise PreconditionViolated("bisectors meet at an angle below beta")
-    bound = beta.compose(half_max.inverse())
-    lo, hi = x.boundary_rays()
-    return acute_angle_at_least(lo, y.direction, bound) and acute_angle_at_least(
-        hi, y.direction, bound
-    )
+    A mutual couple is a pair with an edge each way in ``graph``.
+    """
+    objs = dict(inst.entries)
+    failures = []
+    for u, v in graph.edges:
+        if (v, u) not in graph.edges or not u < v:
+            continue
+        x, y = objs[u], objs[v]
+        bound = x.half_angle.compose(y.half_angle)
+        if bound.c < 0 or bound.s < 0:
+            raise ValueError("combined half-angles exceed pi/2")
+        if not angle_at_most(x.direction, -y.direction, bound):
+            failures.append((u, v))
+    return sorted(failures)
 
 
 def _require_sectors(inst: Instance) -> list[Sector]:
@@ -216,48 +196,45 @@ def is_equiangular(inst: Instance) -> bool:
     return all(s.half_angle == first for s in sectors)
 
 
-def is_wide_spread(inst: Instance) -> bool:
-    return _wide_spread_from_graph(inst, transmission_graph(inst))
-
-
-def _wide_spread_from_graph(inst: Instance, graph: LabelledDigraph) -> bool:
-    """Wide-spread test given the instance's transmission graph.
+def is_wide_spread(inst: Instance, graph: LabelledDigraph) -> bool:
+    """Wide-spread test.
 
     A pair (c, c') qualifies when some sector's apex lies in both and no
     sector forms a mutual couple with both; every sector counts as a
     couple of itself (its apex is in itself), which exempts pairs that
     couple with each other.  Qualifying pairs need an acute bisector
-    angle of at least twice the largest opening angle; the angle test runs
-    once per distinct pair of bisector directions.
+    angle of at least twice the largest opening angle.  The distinct
+    bisector directions are numbered once, and the angle test runs once
+    per distinct pair of direction numbers.
     """
     sectors = _require_sectors(inst)
     m = len(sectors)
     if m <= 1:
         return True
-    labels = inst.labels()
-    index = {label: i for i, label in enumerate(labels)}
+    index = {label: i for i, label in enumerate(inst.labels())}
+    numbers: dict[Vec2, int] = {}
+    direction = [numbers.setdefault(s.direction, len(numbers)) for s in sectors]
     containers: list[set[int]] = [{d} for d in range(m)]
-    edge_set = set()
+    couples: list[set[int]] = [{i} for i in range(m)]
     for u, v in graph.edges:
         containers[index[v]].add(index[u])
-        edge_set.add((index[u], index[v]))
-    couples: list[set[int]] = [{i} for i in range(m)]
-    for i, j in edge_set:
-        if (j, i) in edge_set:
-            couples[i].add(j)
-    qualifying = {pair for inside in containers for pair in combinations(sorted(inside), 2)}
-    directions = {
-        (sectors[a].direction, sectors[b].direction)
-        for a, b in qualifying
-        if not couples[a] & couples[b]
-    }
-    if not directions:
+        if (v, u) in graph.edges:
+            couples[index[u]].add(index[v])
+    pairs: set[tuple[int, int]] = set()
+    for inside in containers:
+        for a, b in combinations(inside, 2):
+            da, db = direction[a], direction[b]
+            key = (da, db) if da <= db else (db, da)
+            if key not in pairs and couples[a].isdisjoint(couples[b]):
+                pairs.add(key)
+    if not pairs:
         return True
     largest = min(sectors, key=lambda s: s.half_angle.c)
     if not largest.opening_at_most_quarter_pi():
         return False  # twice the opening angle already exceeds pi/2
     two_alpha = largest.half_angle.doubled().doubled()
-    return all(acute_angle_at_least(u, v, two_alpha) for u, v in directions)
+    vectors = list(numbers)
+    return all(acute_angle_at_least(vectors[a], vectors[b], two_alpha) for a, b in pairs)
 
 
 @dataclass
@@ -277,23 +254,25 @@ class GadgetReport:
         return (not self.hypotheses_hold) or self.order_ok
 
 
-def check_ordering_gadget(l: Sector, sectors: Sequence[Sector]) -> GadgetReport:
-    """Check the projection-order gadget: if every listed sector couples
-    with ``l`` and later sectors contain earlier apexes, the apexes
-    project onto the bisector of ``l`` in list order."""
+def check_ordering_gadget(
+    inst: Instance, graph: LabelledDigraph, base: Label, members: Sequence[Label]
+) -> GadgetReport:
+    """Check the projection-order gadget: if every member couples with
+    ``base`` and later members contain earlier apexes, the apexes project
+    onto the bisector of ``base`` in list order."""
     report = GadgetReport()
-    for i, s in enumerate(sectors):
-        if not l.contains(s.apex):
-            report.hypothesis_failures.append(f"apex of #{i} not in the base sector")
-        if not s.contains(l.apex):
-            report.hypothesis_failures.append(f"base apex not in sector #{i}")
-    for j, sj in enumerate(sectors):
-        for i in range(j):
-            if not sj.contains(sectors[i].apex):
-                report.hypothesis_failures.append(f"apex of #{i} not in sector #{j}")
-    report.params = [
-        project_param(l.apex, l.direction, s.apex) for s in sectors
-    ]
+    for s in members:
+        if (base, s) not in graph.edges:
+            report.hypothesis_failures.append(f"apex of {s} not in {base}")
+        if (s, base) not in graph.edges:
+            report.hypothesis_failures.append(f"apex of {base} not in {s}")
+    for j, later in enumerate(members):
+        for earlier in members[:j]:
+            if (later, earlier) not in graph.edges:
+                report.hypothesis_failures.append(f"apex of {earlier} not in {later}")
+    objs = dict(inst.entries)
+    l = objs[base]
+    report.params = [project_param(l.apex, l.direction, objs[s].apex) for s in members]
     for i in range(1, len(report.params)):
         if report.params[i] < report.params[i - 1]:
             report.order_ok = False
@@ -440,16 +419,7 @@ def _sector_side_conditions(
     Returns one (name, ok, detail) triple per checker, in report order; the
     detail of a failed sweep names the objects where it fails.
     """
-    objs = dict(inst.entries)
-    some = next(iter(objs.values()))
-    edge_set = set(graph.edges)
-    couple_failures = sorted(
-        f"({u}, {v})"
-        for u, v in edge_set
-        if (v, u) in edge_set
-        and u.sort_key() < v.sort_key()
-        and not check_observation1(objs[u], objs[v])
-    )
+    couple_failures = sorted(f"({u}, {v})" for u, v in check_observation1(inst, graph))
     gadget_failures = []
     for i in range(1, desc.n + 1):
         expected = []
@@ -458,19 +428,18 @@ def _sector_side_conditions(
             for mp in mps:
                 expected.append((ok, mp))
         for m in (1, 2, 3):
-            children = []
+            members = []
             for ok, mp in expected:
-                children.append(objs[SA(i, m, ok, mp)])
-                children.append(objs[SB(i, m, ok, mp)])
-            report = check_ordering_gadget(objs[SC(i, m)], children)
+                members += [SA(i, m, ok, mp), SB(i, m, ok, mp)]
+            report = check_ordering_gadget(inst, graph, SC(i, m), members)
             if not report.hypotheses_hold:
                 gadget_failures.append(f"hypotheses fail at {SC(i, m)}")
             elif not report.order_ok or report.ties:
                 gadget_failures.append(f"order fails at {SC(i, m)}")
     return (
         ("equiangular", is_equiangular(inst), ""),
-        ("alpha at most pi/4", some.opening_at_most_quarter_pi(), ""),
-        ("wide spread", _wide_spread_from_graph(inst, graph), ""),
+        ("alpha at most pi/4", inst.entries[0][1].opening_at_most_quarter_pi(), ""),
+        ("wide spread", is_wide_spread(inst, graph), ""),
         ("observation-1 sweep", not couple_failures, ", ".join(couple_failures)),
         ("ordering gadget sweep", not gadget_failures, ", ".join(gadget_failures)),
     )

@@ -19,11 +19,10 @@ from transgraph.geometry import (
     rotation_from_parameter,
     vec,
 )
-from transgraph.graphs import graph_diff
+from transgraph.graphs import free, graph_diff
 from transgraph.realization import (
     check_observation1,
     check_ordering_gadget,
-    is_mutual_couple,
     realize_sectors,
     realize_segments,
 )
@@ -35,6 +34,7 @@ from transgraph.reductions import (
     sector_vertex_count,
     segment_vertex_count,
 )
+from transgraph.transmission import instance, transmission_graph
 from transgraph.verification import (
     RandomSpec,
     random_simple_arrangement,
@@ -156,15 +156,16 @@ def test_criterion_4_couples_are_near_antipodal():
     probe_failures = 0
     for _ in range(10000):
         x, y = _random_sector_pair(rng)
-        if is_mutual_couple(x, y):
+        pair = instance([(free("x"), x), (free("y"), y)])
+        graph = transmission_graph(pair)
+        if len(graph.edges) == 2:  # an edge each way: a mutual couple
             couples += 1
-            if not check_observation1(x, y):
-                violations += 1
+            violations += len(check_observation1(pair, graph))
         # contrapositive probe: perpendicular bisectors can never couple
         perp = Sector(
             y.apex, rotate(x.direction, rotation_from_parameter(1)), x.half_angle, y.radius_sq
         )
-        if is_mutual_couple(x, perp):
+        if len(transmission_graph(instance([(free("x"), x), (free("p"), perp)])).edges) == 2:
             probe_failures += 1
     ok = couples >= 100 and violations == 0 and probe_failures == 0
     announce(
@@ -223,7 +224,10 @@ def test_criterion_5_ordering_gadget_universal():
         if sample is None:
             continue
         base, listed = sample
-        rep = check_ordering_gadget(base, listed)
+        labels = [free(f"s{k}") for k in range(len(listed))]
+        gadget = instance([(free("base"), base), *zip(labels, listed)])
+        rep = check_ordering_gadget(gadget, transmission_graph(gadget), free("base"), labels)
+        # the sampler accepted by ``Sector.contains``; the graph must agree
         assert rep.hypotheses_hold
         accepted += 1
         if not rep.order_ok:

@@ -122,6 +122,38 @@ def test_render_accepts_arrangement(arr_path, tmp_path):
     assert run("render", "--in", arr_path, "--out", svg) == 0
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("gen", "--n", 3, "--seed", 0, "--out"),
+        ("describe", "--in", "arr", "--out"),
+        ("reduce", "--mode", "sectors", "--in", "desc", "--out"),
+        ("realize", "--mode", "segments", "--in", "arr", "--out"),
+        ("tgraph", "--in", "inst", "--out"),
+        ("verify", "--mode", "segments", "--in", "arr", "--report"),
+        ("render", "--in", "inst", "--out"),
+        ("export-dot", "--in", "graph", "--out"),
+    ],
+    ids=lambda command: command[0],
+)
+def test_unwritable_output_is_input_error(command, arr_path, tmp_path, capsys):
+    inputs = {"arr": arr_path}
+    for name, step in [
+        ("desc", ("describe", "--in", arr_path)),
+        ("inst", ("realize", "--mode", "segments", "--in", arr_path)),
+        ("graph", ("tgraph", "--in", tmp_path / "inst.json")),
+    ]:
+        inputs[name] = tmp_path / f"{name}.json"
+        assert run(*step, "--out", inputs[name]) == 0
+    capsys.readouterr()
+    out = tmp_path / "missing" / "out"
+    assert run(*[inputs.get(a, a) for a in command], out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.parent.exists()
+
+
 HUGE = "17" + "0" * 307  # 1.7e308: fits a float, twice it does not
 
 

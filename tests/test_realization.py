@@ -1,4 +1,7 @@
+import re
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,27 +13,27 @@ from transgraph.geometry import (
     Rotation,
     Sector,
     Segment,
+    acute_angle_at_least,
+    angle_at_most,
+    project_param,
     rotation_from_parameter,
     vec,
 )
-from transgraph.graphs import free, graph_diff
+from transgraph.graphs import SA, SB, SC, digraph, free, graph_diff
 from transgraph.realization import (
     NonSectorObject,
     NonSimpleArrangement,
-    NotAMutualCouple,
     ParameterSearchExhausted,
-    PreconditionViolated,
     check_observation1,
-    check_observation2,
     check_ordering_gadget,
     is_equiangular,
-    is_mutual_couple,
     is_wide_spread,
     realize_sectors,
     realize_segments,
 )
 from transgraph.reductions import reduce_sectors, reduce_segments
-from transgraph.transmission import instance
+from transgraph.transmission import instance, transmission_graph
+from transgraph.verification import RandomSpec, random_simple_arrangement
 
 F = Fraction
 NARROW = rotation_from_parameter(F(1, 10))
@@ -40,51 +43,64 @@ def sector(ax, ay, dx, dy, half=NARROW, rsq=F(9)):
     return Sector(vec(ax, ay), vec(dx, dy), half, rsq)
 
 
+def labelled(*sectors):
+    """The sectors labelled s0, s1, ..., and their transmission graph."""
+    inst = instance([(free(f"s{k}"), s) for k, s in enumerate(sectors)])
+    return inst, transmission_graph(inst)
+
+
+def coupled(x, y):
+    return len(labelled(x, y)[1].edges) == 2
+
+
 # --- mutual couples --------------------------------------------------------
 
 
 def test_mutual_couple_head_on():
     x = sector(0, 0, 1, 0)
     y = sector(2, 0, -1, 0)
-    assert is_mutual_couple(x, y)
-    assert is_mutual_couple(y, x)
+    assert coupled(x, y)
+    assert coupled(y, x)
 
 
 def test_couple_fails_when_radius_short():
     x = sector(0, 0, 1, 0, rsq=F(1))
     y = sector(2, 0, -1, 0)
-    assert not is_mutual_couple(x, y)
+    assert not coupled(x, y)
 
 
 def test_couple_fails_when_facing_away():
     x = sector(0, 0, 1, 0)
     y = sector(2, 0, 1, 0)  # same direction: never sees x's apex
-    assert not is_mutual_couple(x, y)
+    assert not coupled(x, y)
 
 
 def test_couple_with_itself():
+    # Two copies of one sector: each contains the other's apex.
     x = sector(0, 0, 1, 0)
-    assert is_mutual_couple(x, x)
+    assert coupled(x, x)
 
 
 # --- bisectors of couples are near-antipodal -------------------------------
 
 
 def test_observation1_head_on():
-    assert check_observation1(sector(0, 0, 1, 0), sector(2, 0, -1, 0))
+    assert check_observation1(*labelled(sector(0, 0, 1, 0), sector(2, 0, -1, 0))) == []
 
 
 def test_observation1_tilted():
     wide = rotation_from_parameter(F(1, 5))  # cos 12/13
     x = sector(0, 0, 5, 1, half=wide)
     y = sector(2, 0, -5, 1, half=wide)
-    assert is_mutual_couple(x, y)
-    assert check_observation1(x, y)
+    assert coupled(x, y)
+    assert check_observation1(*labelled(x, y)) == []
 
 
 def test_observation1_needs_couple():
-    with pytest.raises(NotAMutualCouple):
-        check_observation1(sector(0, 0, 1, 0), sector(50, 0, -1, 0))
+    # Parallel bisectors fail the bound, but only a couple is examined.
+    x = sector(0, 0, 1, 0)
+    assert check_observation1(*labelled(x, sector(2, 0, 1, 0))) == []
+    assert check_observation1(*labelled(x, x)) == [(free("s0"), free("s1"))]
 
 
 def test_perpendicular_narrow_sectors_never_couple():
@@ -92,40 +108,7 @@ def test_perpendicular_narrow_sectors_never_couple():
     for ax, ay in [(2, 0), (1, 1), (3, -1), (0, 2)]:
         x = sector(0, 0, 1, 0)
         y = Sector(vec(ax, ay), vec(0, 1), NARROW, F(100))
-        assert not (is_mutual_couple(x, y) and check_observation1(x, y))
-
-
-# --- outer rays stay away from a far bisector ------------------------------
-
-
-def test_observation2_holds_at_boundary():
-    x = sector(0, 0, 1, 0)
-    y = sector(10, 10, 3, 4)
-    beta = Rotation(F(3, 5), F(4, 5))
-    assert check_observation2(x, y, beta)
-
-
-def test_observation2_rejects_obtuse_beta():
-    with pytest.raises(PreconditionViolated):
-        check_observation2(
-            sector(0, 0, 1, 0), sector(1, 1, 0, 1), Rotation(F(-3, 5), F(4, 5))
-        )
-
-
-def test_observation2_rejects_small_beta():
-    wide = rotation_from_parameter(F(1, 2))  # half angle larger than beta
-    with pytest.raises(PreconditionViolated):
-        check_observation2(
-            sector(0, 0, 1, 0, half=wide),
-            sector(1, 1, 0, 1, half=wide),
-            rotation_from_parameter(F(1, 10)),
-        )
-
-
-def test_observation2_rejects_close_bisectors():
-    beta = Rotation(F(3, 5), F(4, 5))
-    with pytest.raises(PreconditionViolated):
-        check_observation2(sector(0, 0, 1, 0), sector(5, 5, 1, 0), beta)
+        assert not coupled(x, y)
 
 
 # --- instance-level checks -------------------------------------------------
@@ -151,8 +134,12 @@ def test_equiangular_rejects_non_sectors():
         is_equiangular(instance([(free("s"), Segment(vec(0, 0), vec(1, 0)))]))
 
 
+def wide_spread(inst):
+    return is_wide_spread(inst, transmission_graph(inst))
+
+
 def test_wide_spread_single_sector():
-    assert is_wide_spread(instance([(free("a"), sector(0, 0, 1, 0))]))
+    assert wide_spread(instance([(free("a"), sector(0, 0, 1, 0))]))
 
 
 def test_wide_spread_exempts_coupled_pairs():
@@ -161,7 +148,7 @@ def test_wide_spread_exempts_coupled_pairs():
     b = sector(2, 0, -1, 0, rsq=F(100))
     d = sector(1, 0, -1, 0, rsq=F(100))  # couples with a
     inst = instance([(free("a"), a), (free("b"), b), (free("d"), d)])
-    assert is_wide_spread(inst)
+    assert wide_spread(inst)
 
 
 def test_wide_spread_fails_for_wide_parallel_pair():
@@ -170,7 +157,7 @@ def test_wide_spread_fails_for_wide_parallel_pair():
     b = Sector(vec(0, -10), vec(0, 1), wide, F(200))
     d = Sector(vec(0, 0), vec(1, 0), wide, F(1, 100))
     inst = instance([(free("a"), a), (free("b"), b), (free("d"), d)])
-    assert not is_wide_spread(inst)
+    assert not wide_spread(inst)
 
 
 @pytest.mark.parametrize(
@@ -183,7 +170,7 @@ def test_wide_spread_fails_when_twice_the_opening_wraps_past_a_turn(half):
     b = Sector(vec(-10, 0), vec(1, 0), half, F(200))
     d = Sector(vec(0, 0), vec(1, 0), half, F(1, 100))
     inst = instance([(free("a"), a), (free("b"), b), (free("d"), d)])
-    assert not is_wide_spread(inst)
+    assert not wide_spread(inst)
 
 
 def test_wide_spread_holds_for_perpendicular_pairs():
@@ -192,21 +179,24 @@ def test_wide_spread_holds_for_perpendicular_pairs():
     b = Sector(vec(-10, 0), vec(1, 0), NARROW, F(200))
     d = Sector(vec(0, 0), vec(0, 1), NARROW, F(200))  # couples with a
     inst = instance([(free("a"), a), (free("b"), b), (free("d"), d)])
-    assert is_wide_spread(inst)
+    assert wide_spread(inst)
 
 
 # --- ordering gadget -------------------------------------------------------
 
 
-def gadget_base():
-    return Sector(vec(0, 0), vec(1, 0), NARROW, F(10000))
+def gadget(*members):
+    """The ordering gadget on a base sector and ``members``, in list order."""
+    base = Sector(vec(0, 0), vec(1, 0), NARROW, F(10000))
+    labels = [free(f"a{k}") for k in range(1, len(members) + 1)]
+    inst = instance([(free("l"), base), *zip(labels, members)])
+    return check_ordering_gadget(inst, transmission_graph(inst), free("l"), labels)
 
 
 def test_gadget_orders_projections():
-    l = gadget_base()
     a1 = Sector(vec(1, 0), vec(-1, 0), NARROW, F(10000))
     a2 = Sector(vec(2, F(1, 10)), vec(-1, 0), NARROW, F(10000))
-    rep = check_ordering_gadget(l, [a1, a2])
+    rep = gadget(a1, a2)
     assert rep.hypotheses_hold
     assert rep.order_ok and rep.passed
     assert rep.params == [1, 2]
@@ -214,25 +204,23 @@ def test_gadget_orders_projections():
 
 
 def test_gadget_reports_ties():
-    l = gadget_base()
     a1 = Sector(vec(1, F(1, 20)), vec(-1, 0), NARROW, F(10000))
     a2 = Sector(vec(1, F(-1, 20)), vec(-1, 0), NARROW, F(10000))
-    rep = check_ordering_gadget(l, [a1, a2])
+    rep = gadget(a1, a2)
     assert rep.order_ok and rep.ties == [1]
 
 
 def test_gadget_broken_hypotheses_prove_nothing():
-    l = gadget_base()
     a1 = Sector(vec(2, 0), vec(-1, 0), NARROW, F(10000))
     a2 = Sector(vec(1, 0), vec(-1, 0), NARROW, F(1, 100))  # contains nothing
-    rep = check_ordering_gadget(l, [a1, a2])
-    assert not rep.hypotheses_hold
+    rep = gadget(a1, a2)
+    assert rep.hypothesis_failures == ["apex of l not in a2", "apex of a1 not in a2"]
     assert not rep.order_ok
     assert rep.passed  # the implication is vacuously true
 
 
 def test_gadget_empty_list():
-    rep = check_ordering_gadget(gadget_base(), [])
+    rep = gadget()
     assert rep.passed and rep.params == []
 
 
@@ -292,7 +280,7 @@ def test_realize_sectors_matches_reduction():
 def test_realize_sectors_instance_is_equiangular_and_spread():
     real = realize_sectors(two_lines())
     assert is_equiangular(real.instance)
-    assert is_wide_spread(real.instance)
+    assert is_wide_spread(real.instance, real.graph)
 
 
 def test_realize_sectors_parameters_positive():
@@ -338,5 +326,142 @@ def test_random_couples_satisfy_observation1(t, dist, skew):
     half = rotation_from_parameter(t)
     x = Sector(vec(0, 0), vec(1, 0), half, F(400))
     y = Sector(vec(dist, skew), vec(-dist, -skew), half, F(400))
-    if is_mutual_couple(x, y):
-        assert check_observation1(x, y)
+    inst, graph = labelled(x, y)
+    if len(graph.edges) == 2:
+        assert check_observation1(inst, graph) == []
+
+
+# --- side checks against the geometric sweep ------------------------------
+
+
+def _geometric_side_conditions(inst, graph, desc):
+    """The five side checks as they were computed before they read
+    containment from the graph: observation 1 and the gadget hypotheses
+    through ``Sector.contains``, wide spread over pairs of ``Fraction``
+    directions.  The reference for ``realization._sector_side_conditions``."""
+    objs = dict(inst.entries)
+    some = next(iter(objs.values()))
+    edge_set = set(graph.edges)
+
+    def observation1(x, y):
+        if not (x.contains(y.apex) and y.contains(x.apex)):
+            raise ValueError("not a mutual couple")
+        bound = x.half_angle.compose(y.half_angle)
+        return angle_at_most(x.direction, -y.direction, bound)
+
+    couple_failures = sorted(
+        f"({u}, {v})"
+        for u, v in edge_set
+        if (v, u) in edge_set
+        and u.sort_key() < v.sort_key()
+        and not observation1(objs[u], objs[v])
+    )
+    gadget_failures = []
+    for i in range(1, desc.n + 1):
+        expected = []
+        for ok in desc.flat_order(i):
+            for mp in (1, 2, 3) if ok > i else (3, 2, 1):
+                expected.append((ok, mp))
+        for m in (1, 2, 3):
+            l = objs[SC(i, m)]
+            children = []
+            for ok, mp in expected:
+                children.append(objs[SA(i, m, ok, mp)])
+                children.append(objs[SB(i, m, ok, mp)])
+            hypotheses = all(l.contains(s.apex) and s.contains(l.apex) for s in children)
+            hypotheses &= all(
+                sj.contains(children[i].apex)
+                for j, sj in enumerate(children)
+                for i in range(j)
+            )
+            params = [project_param(l.apex, l.direction, s.apex) for s in children]
+            if not hypotheses:
+                gadget_failures.append(f"hypotheses fail at {SC(i, m)}")
+            elif any(q <= p for p, q in zip(params, params[1:])):
+                gadget_failures.append(f"order fails at {SC(i, m)}")
+
+    sectors = inst.objects()
+    index = {label: i for i, label in enumerate(inst.labels())}
+    containers = [{d} for d in range(len(sectors))]
+    couples = [{d} for d in range(len(sectors))]
+    for u, v in edge_set:
+        containers[index[v]].add(index[u])
+        if (v, u) in edge_set:
+            couples[index[u]].add(index[v])
+    qualifying = {pair for inside in containers for pair in combinations(sorted(inside), 2)}
+    directions = {
+        (sectors[a].direction, sectors[b].direction)
+        for a, b in qualifying
+        if not couples[a] & couples[b]
+    }
+    largest = min(sectors, key=lambda s: s.half_angle.c)
+    two_alpha = largest.half_angle.doubled().doubled()
+    wide = not directions or (
+        largest.opening_at_most_quarter_pi()
+        and all(acute_angle_at_least(u, v, two_alpha) for u, v in directions)
+    )
+    return (
+        ("equiangular", is_equiangular(inst), ""),
+        ("alpha at most pi/4", some.opening_at_most_quarter_pi(), ""),
+        ("wide spread", wide, ""),
+        ("observation-1 sweep", not couple_failures, ", ".join(couple_failures)),
+        ("ordering gadget sweep", not gadget_failures, ", ".join(gadget_failures)),
+    )
+
+
+@lru_cache(maxsize=None)
+def _realized(n, seed):
+    return realize_sectors(random_simple_arrangement(RandomSpec(n=n, seed=seed)))
+
+
+SIDE_CHECK_INPUTS = [(n, seed) for n in (2, 3, 4) for seed in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("n, seed", SIDE_CHECK_INPUTS)
+def test_side_checks_match_the_geometric_sweep(n, seed):
+    real = _realized(n, seed)
+    assert real.checks == _geometric_side_conditions(
+        real.instance, real.graph, real.description
+    )
+
+
+def _without(graph, edge):
+    return digraph(graph.vertices, graph.edges - {edge})
+
+
+def _gadget_couple(n):
+    """A base and one member of its gadget; on a realized instance every
+    member couples with its base."""
+    return SC(n, 2), SA(n, 2, 1, 3)
+
+
+@pytest.mark.parametrize("n, seed", SIDE_CHECK_INPUTS)
+def test_a_dropped_base_edge_breaks_the_gadget_hypotheses(n, seed):
+    real = _realized(n, seed)
+    base, member = _gadget_couple(n)
+    graph = _without(real.graph, (base, member))
+    checks = realization._sector_side_conditions(real.instance, graph, real.description)
+    geometric = _geometric_side_conditions(real.instance, graph, real.description)
+    assert checks[:4] == geometric[:4]
+    # the geometric sweep still finds the apex inside the base sector
+    assert geometric[4] == ("ordering gadget sweep", True, "")
+    assert checks[4] == ("ordering gadget sweep", False, f"hypotheses fail at {base}")
+
+
+@pytest.mark.parametrize("n, seed", SIDE_CHECK_INPUTS)
+def test_a_dropped_couple_edge_leaves_the_observation1_sweep(n, seed, monkeypatch):
+    real = _realized(n, seed)
+    base, member = _gadget_couple(n)
+    pair = f"({base}, {member})"
+    # With the angle bound failing everywhere, the sweep's detail lists
+    # every pair it examined.
+    monkeypatch.setattr(realization, "angle_at_most", lambda u, v, bound: False)
+
+    def checks(graph):
+        return realization._sector_side_conditions(real.instance, graph, real.description)
+
+    before = re.findall(r"\([^)]*\)", checks(real.graph)[3][2])
+    assert pair in before
+    after = checks(_without(real.graph, (member, base)))
+    assert re.findall(r"\([^)]*\)", after[3][2]) == [p for p in before if p != pair]
+    assert after[4] == ("ordering gadget sweep", False, f"hypotheses fail at {base}")
