@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .arrangement import validate_description
+from .arrangement import extract_description, validate_description
 from .graphs import LabelledDigraph
 from .realization import (
     NonSimpleArrangement,
@@ -78,8 +78,6 @@ def _cmd_gen(args) -> int:
 
 def _cmd_describe(args) -> int:
     arr = _load(getattr(args, "in"), "arrangement").payload
-    from .arrangement import extract_description
-
     _write(args.out, document_to_json(Document("description", extract_description(arr))))
     return EXIT_OK
 

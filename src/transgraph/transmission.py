@@ -5,19 +5,31 @@ object y (segment endpoint, sector apex, disk center).  Self-loops are
 excluded by convention, which keeps the output directly comparable with
 the reduction graphs.
 
-A segment can only contain points on its own line, so each segment is
-tested only against the points of that line; sectors and disks are tested
-against every point.
+Every test is exact integer arithmetic on coordinates cleared of their
+denominators.  Segments and sectors run it only on the points that can
+pass it:
+
+- A segment can only contain points on its own line, so it is tested only
+  against the points of that line.
+- The sectors are grouped by (direction u, half angle (c, s)); a
+  construction has 2n groups.  A point in a sector's cone has both integer
+  keys ``k1 = s*(u.p) - c*(u x p)`` and ``k2 = s*(u.p) + c*(u x p)`` at
+  least those of the apex, because c, s >= 0.  A sweep in descending k1
+  with a list sorted by k2 finds the points that pass both keys, and the
+  exact test runs on those alone.
+
+A disk is tested against every point; no reduction builds disks.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .geometry import ArrangementObject, Disk, Point, Sector, Segment
+from .geometry import ArrangementObject, Disk, Point, Rotation, Sector, Segment, Vec2
 from .graphs import Label, LabelledDigraph, digraph
 
 
@@ -75,19 +87,18 @@ def _scale_vec(v, factor: int) -> tuple[int, int]:
 def _cleared(x: Fraction, y: Fraction) -> tuple[int, int]:
     """(x, y) times the least positive integer that makes both integral."""
     f = lcm(x.denominator, y.denominator)
-    return (int(x * f), int(y * f))
+    return (x.numerator * (f // x.denominator), y.numerator * (f // y.denominator))
 
 
 def _scaled_tester(obj: ArrangementObject, scale: int) -> Callable[[int, int], bool]:
-    """Integer containment kernel, equivalent to ``obj.contains`` on points
-    whose coordinates times ``scale`` are integers.
+    """Integer containment kernel of a segment or disk, equivalent to
+    ``obj.contains`` on points whose coordinates times ``scale`` are
+    integers.
 
-    All tests are sign tests, so clearing denominators with positive
-    factors changes nothing: one global factor for the points, one each
-    for a sector's direction and for its half angle (c, s) in the tangent
-    test of ``geometry``.  It exists because the sweep in
-    ``transmission_graph`` runs it once per candidate pair: every point
-    for a sector or disk, the points on its own line for a segment.
+    All tests are sign tests, so clearing denominators with one positive
+    global factor changes nothing.  ``transmission_graph`` runs it on the
+    points of a segment's own line and on every point for a disk; sectors
+    have their own kernel, ``_sector_tester``.
     """
     if isinstance(obj, Segment):
         px, py = _scale_vec(obj.p, scale)
@@ -104,23 +115,6 @@ def _scaled_tester(obj: ArrangementObject, scale: int) -> Callable[[int, int], b
 
         return test_segment
 
-    if isinstance(obj, Sector):
-        ax, ay = _scale_vec(obj.apex, scale)
-        ux, uy = _cleared(obj.direction.x, obj.direction.y)
-        c, s = _cleared(obj.half_angle.c, obj.half_angle.s)
-        rn = obj.radius_sq.numerator
-        rbound = rn * scale * scale
-        rd = obj.radius_sq.denominator
-
-        def test_sector(x: int, y: int) -> bool:
-            wx, wy = x - ax, y - ay
-            if (wx * wx + wy * wy) * rd > rbound:
-                return False
-            dot = ux * wx + uy * wy
-            return dot >= 0 and abs(ux * wy - uy * wx) * c <= dot * s
-
-        return test_sector
-
     if isinstance(obj, Disk):
         cx, cy = _scale_vec(obj.center, scale)
         rn = obj.radius_sq.numerator
@@ -133,7 +127,34 @@ def _scaled_tester(obj: ArrangementObject, scale: int) -> Callable[[int, int], b
 
         return test_disk
 
-    raise TypeError(f"not an arrangement object: {obj!r}")
+    raise TypeError(f"not a segment or disk: {obj!r}")
+
+
+def _sector_tester(
+    sec: Sector, scale: int, cone: tuple[int, int, int, int]
+) -> Callable[[int, int], bool]:
+    """Integer containment kernel of a sector, equivalent to
+    ``sec.contains`` on points whose coordinates times ``scale`` are
+    integers: the radius test plus the tangent test of ``geometry``.
+
+    ``cone`` is (ux, uy, c, s), the sector's direction and half angle each
+    times a positive integer that makes them integral.  Such factors
+    change no sign, and every sector of one cone group shares them, so the
+    group clears them once.
+    """
+    ax, ay = _scale_vec(sec.apex, scale)
+    ux, uy, c, s = cone
+    rbound = sec.radius_sq.numerator * scale * scale
+    rd = sec.radius_sq.denominator
+
+    def test_sector(x: int, y: int) -> bool:
+        wx, wy = x - ax, y - ay
+        if (wx * wx + wy * wy) * rd > rbound:
+            return False
+        dot = ux * wx + uy * wy
+        return dot >= 0 and abs(ux * wy - uy * wx) * c <= dot * s
+
+    return test_sector
 
 
 def _coordinate_scale(inst: Instance) -> int:
@@ -163,15 +184,64 @@ def _line_direction(seg: Segment, scale: int) -> tuple[int, int]:
     return (dx // g, dy // g)
 
 
+def _cone_edges(
+    group: list[int],
+    labels: Sequence[Label],
+    objects: Sequence[ArrangementObject],
+    points: Sequence[tuple[int, int]],
+    scale: int,
+) -> Iterator[tuple[Label, Label]]:
+    """Edges i -> j such that sector i of ``group`` contains point j.
+
+    Every sector of the group has the same direction u and half angle
+    (c, s), cleared to integers once.  For w = p - apex, the tangent test
+    ``u.w >= 0 and |u x w|*c <= (u.w)*s`` implies both
+    ``s*(u.w) - c*(u x w) >= 0`` and ``s*(u.w) + c*(u x w) >= 0``, because
+    c, s >= 0.  Both are linear in p, so with the keys
+    ``k1 = s*(u.p) - c*(u x p)`` and ``k2 = s*(u.p) + c*(u x p)`` a point
+    can lie in the cone at apex a only if ``k1(p) >= k1(a)`` and
+    ``k2(p) >= k2(a)``: a 2-D dominance query.  The sectors are taken in
+    descending k1 of their apex; the points whose k1 reaches it join a
+    list kept sorted by k2, and the exact kernel runs only on that list's
+    suffix with k2 at least the apex's.
+    """
+    first = objects[group[0]]
+    ux, uy = _cleared(first.direction.x, first.direction.y)
+    c, s = _cleared(first.half_angle.c, first.half_angle.s)
+    k1, k2 = [], []
+    for x, y in points:
+        along, across = ux * x + uy * y, ux * y - uy * x
+        k1.append(s * along - c * across)
+        k2.append(s * along + c * across)
+    by_k1 = sorted(range(len(points)), key=k1.__getitem__, reverse=True)
+    joined_k2: list[int] = []
+    joined: list[int] = []
+    nxt = 0
+    for i in sorted(group, key=k1.__getitem__, reverse=True):
+        while nxt < len(by_k1) and k1[by_k1[nxt]] >= k1[i]:
+            j = by_k1[nxt]
+            pos = bisect_right(joined_k2, k2[j])
+            joined_k2.insert(pos, k2[j])
+            joined.insert(pos, j)
+            nxt += 1
+        test = _sector_tester(objects[i], scale, (ux, uy, c, s))
+        for j in joined[bisect_left(joined_k2, k2[i]) :]:
+            if j != i and test(*points[j]):
+                yield labels[i], labels[j]
+
+
 def transmission_graph(inst: Instance) -> LabelledDigraph:
     """Containment sweep over the instance, with exact integer tests.
 
-    A sector or disk is tested against every other distinguished point.
+    The sectors are grouped by (direction, half angle), and each group is
+    swept as a dominance query on two integer keys (``_cone_edges``), so
+    a sector runs its exact test only on the points that pass both keys.
     The segments are grouped by direction (dx, dy); a point (x, y) lies on
     the line through p exactly when ``dx*y - dy*x == dx*p.y - dy*p.x``, so
     for each direction in turn the points are bucketed by that key and
     each segment is tested only against its own bucket.  Skipped points
-    have a nonzero cross product and fail the segment test anyway.
+    fail the exact test anyway.  A disk is tested against every other
+    distinguished point; no reduction builds disks.
     """
     scale = _coordinate_scale(inst)
     labels = inst.labels()
@@ -179,14 +249,19 @@ def transmission_graph(inst: Instance) -> LabelledDigraph:
     points = [_scale_vec(distinguished_point(obj), scale) for obj in objects]
     edges = []
     segments_by_direction: dict[tuple[int, int], list[int]] = {}
+    cone_groups: dict[tuple[Vec2, Rotation], list[int]] = {}
     for i, obj in enumerate(objects):
         if isinstance(obj, Segment):
             segments_by_direction.setdefault(_line_direction(obj, scale), []).append(i)
-            continue
-        test = _scaled_tester(obj, scale)
-        for j, (x, y) in enumerate(points):
-            if i != j and test(x, y):
-                edges.append((labels[i], labels[j]))
+        elif isinstance(obj, Sector):
+            cone_groups.setdefault((obj.direction, obj.half_angle), []).append(i)
+        else:
+            test = _scaled_tester(obj, scale)
+            for j, (x, y) in enumerate(points):
+                if i != j and test(x, y):
+                    edges.append((labels[i], labels[j]))
+    for group in cone_groups.values():
+        edges += _cone_edges(group, labels, objects, points, scale)
     for (dx, dy), members in segments_by_direction.items():
         on_line: dict[int, list[int]] = {}
         for j, (x, y) in enumerate(points):

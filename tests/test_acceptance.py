@@ -6,9 +6,12 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the status lines.
 import random
 import time
 from fractions import Fraction
+from itertools import product
+from math import lcm
 
 import pytest
 
+from transgraph import verification
 from transgraph.arrangement import LineArrangement, extract_description
 from transgraph.geometry import (
     Line,
@@ -19,7 +22,7 @@ from transgraph.geometry import (
     rotation_from_parameter,
     vec,
 )
-from transgraph.graphs import free, graph_diff
+from transgraph.graphs import digraph, free, graph_diff
 from transgraph.realization import (
     check_observation1,
     check_ordering_gadget,
@@ -34,7 +37,12 @@ from transgraph.reductions import (
     sector_vertex_count,
     segment_vertex_count,
 )
-from transgraph.transmission import instance, transmission_graph
+from transgraph.transmission import (
+    _coordinate_scale,
+    _scale_vec,
+    instance,
+    transmission_graph,
+)
 from transgraph.verification import (
     RandomSpec,
     random_simple_arrangement,
@@ -69,14 +77,24 @@ def segment_suite():
 
 @pytest.fixture(scope="module")
 def sector_suite():
+    # The realized instances are kept too, for the all-pairs reference.
+    instances = []
+
+    def recording_realize(arr):
+        realized = realize_sectors(arr)
+        instances.append(realized.instance)
+        return realized
+
     t0 = time.monotonic()
     cases = []
-    for n in SECTOR_NS:
-        for seed in SECTOR_SEEDS:
-            arr = random_simple_arrangement(RandomSpec(n=n, seed=seed))
-            rep = round_trip_sectors(arr)
-            cases.append((arr, rep))
-    return {"cases": cases, "elapsed": time.monotonic() - t0}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verification, "realize_sectors", recording_realize)
+        for n in SECTOR_NS:
+            for seed in SECTOR_SEEDS:
+                arr = random_simple_arrangement(RandomSpec(n=n, seed=seed))
+                rep = round_trip_sectors(arr)
+                cases.append((arr, rep))
+    return {"cases": cases, "instances": instances, "elapsed": time.monotonic() - t0}
 
 
 def test_criterion_1_segment_round_trips(segment_suite):
@@ -101,6 +119,46 @@ def test_criterion_2_sector_round_trips(sector_suite):
         f"{len(sector_suite['cases']) - len(failures)}/75 sector round trips with "
         f"all side-condition checks in {elapsed:.1f}s (budget 600s)",
     )
+
+
+def _all_pairs_sector_graph(inst):
+    """Reference for the cone sweep of ``transmission_graph``: every sector
+    against every distinguished point, with the exact integer test (radius
+    test plus tangent test), as the loop the sweep replaced did it."""
+    scale = _coordinate_scale(inst)
+    labels = inst.labels()
+    sectors = inst.objects()
+    points = [_scale_vec(sec.apex, scale) for sec in sectors]
+    edges = []
+    for i, sec in enumerate(sectors):
+        ax, ay = points[i]
+        f = lcm(sec.direction.x.denominator, sec.direction.y.denominator)
+        ux, uy = int(sec.direction.x * f), int(sec.direction.y * f)
+        f = lcm(sec.half_angle.c.denominator, sec.half_angle.s.denominator)
+        c, s = int(sec.half_angle.c * f), int(sec.half_angle.s * f)
+        rbound = sec.radius_sq.numerator * scale * scale
+        rd = sec.radius_sq.denominator
+        for j, (x, y) in enumerate(points):
+            wx, wy = x - ax, y - ay
+            if i == j or (wx * wx + wy * wy) * rd > rbound:
+                continue
+            dot = ux * wx + uy * wy
+            if dot >= 0 and abs(ux * wy - uy * wx) * c <= dot * s:
+                edges.append((labels[i], labels[j]))
+    return digraph(labels, edges)
+
+
+def test_sector_sweep_matches_all_pairs_reference(sector_suite):
+    instances = sector_suite["instances"]
+    assert len(instances) == len(sector_suite["cases"]) == 75
+    mismatched = [
+        spec
+        for spec, inst, (_, rep) in zip(
+            product(SECTOR_NS, SECTOR_SEEDS), instances, sector_suite["cases"]
+        )
+        if rep.graph_from_geometry != _all_pairs_sector_graph(inst)
+    ]
+    assert not mismatched
 
 
 def test_criterion_3_count_formulas():

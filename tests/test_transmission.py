@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from transgraph import transmission
 from transgraph.geometry import (
     Disk,
     Sector,
@@ -12,12 +13,14 @@ from transgraph.geometry import (
     vec,
 )
 from transgraph.graphs import free, graph_diff
+from transgraph.realization import realize_sectors
 from transgraph.transmission import (
     _scale_vec,
     distinguished_point,
     instance,
     transmission_graph,
 )
+from transgraph.verification import RandomSpec, random_simple_arrangement
 
 F = Fraction
 
@@ -219,8 +222,46 @@ def line_instances(draw):
     return instance((free(f"o{i}"), obj) for i, obj in enumerate(objs))
 
 
+@st.composite
+def cone_group_instances(draw):
+    """Sectors sharing one half angle (a ray, a generic cone or a
+    half-plane) whose directions are u, positive multiples of u and -u, so
+    several fall into one cone group of the sweep.  Probe points lie
+    exactly on either boundary ray, inside, at or just past a sector's
+    radius, and sectors sit on earlier apexes and probes, so distinguished
+    points coincide and the sweep keys of a point and an apex tie."""
+    half = rotation_from_parameter(draw(st.sampled_from([F(0), F(1, 3), F(1)])))
+    u = draw(directions)
+    multiples = st.sampled_from([F(1), F(2), F(1, 2), F(-1)])
+    taken = []
+    objs = []
+    for _ in range(draw(st.integers(2, 4))):
+        d = u.scaled(draw(multiples))
+        p = draw(st.sampled_from(taken)) if taken and draw(st.booleans()) else draw(points)
+        rsq = draw(radii_sq)
+        probes = []
+        for ray in draw(st.lists(st.sampled_from(["lo", "hi"]), max_size=3)):
+            w = (half if ray == "hi" else half.inverse()).apply(d)
+            w = w.scaled(draw(st.fractions(min_value=F(1, 4), max_value=2, max_denominator=4)))
+            where = draw(st.sampled_from(["inside", "at radius", "past radius"]))
+            if where != "inside":
+                rsq = w.norm_sq()
+            if where == "past radius":
+                w = w.scaled(1 + F(1, draw(st.integers(2, 64))))
+            probes.append(p + w)
+        objs.append(Sector(p, d, half, rsq))
+        taken.append(p)
+        for q in probes:
+            if draw(st.booleans()):
+                objs.append(Sector(q, u.scaled(draw(multiples)), half, draw(radii_sq)))
+            else:
+                objs.append(Disk(q, draw(radii_sq)))
+            taken.append(q)
+    return instance((free(f"o{i}"), obj) for i, obj in enumerate(objs))
+
+
 @settings(max_examples=400, deadline=None)
-@given(st.one_of(mixed_instances(), line_instances()))
+@given(st.one_of(mixed_instances(), line_instances(), cone_group_instances()))
 def test_integer_kernel_agrees_with_contains(inst):
     expected = {
         (x, y)
@@ -229,3 +270,27 @@ def test_integer_kernel_agrees_with_contains(inst):
         if x != y and ox.contains(distinguished_point(oy))
     }
     assert set(transmission_graph(inst).edges) == expected
+
+
+def test_sector_sweep_tests_only_candidates(monkeypatch):
+    """On the seed-1 n=5 sector realization the sweep runs the exact
+    sector test fewer than 2*E times, against m(m-1) = 140,250 pairs, so
+    a fallback to testing every sector against every point fails here."""
+    inst = realize_sectors(random_simple_arrangement(RandomSpec(n=5, seed=1))).instance
+    real = transmission._sector_tester
+    tests = 0
+
+    def counting_tester(*args):
+        test = real(*args)
+
+        def counted(x, y):
+            nonlocal tests
+            tests += 1
+            return test(x, y)
+
+        return counted
+
+    monkeypatch.setattr(transmission, "_sector_tester", counting_tester)
+    edges = transmission_graph(inst).edge_count
+    assert edges == 7200
+    assert tests < 2 * edges
