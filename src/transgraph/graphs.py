@@ -12,11 +12,24 @@ from typing import Iterable
 KIND_ORDER = {"C": 0, "A": 1, "B": 2, "SC": 3, "SA": 4, "SB": 5, "FREE": 6}
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, order=False, slots=True)
 class Label:
     kind: str
     indices: tuple[int, ...] = ()
     text: str = ""
+    # Graphs hash every label many times; a frozen dataclass would rebuild
+    # and hash the field tuple on each call.
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.kind, self.indices, self.text)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild from the fields: a string hash differs between processes.
+        return (Label, (self.kind, self.indices, self.text))
 
     def __str__(self) -> str:
         if self.kind == "FREE":
@@ -24,7 +37,8 @@ class Label:
         return "_".join([self.kind] + [str(i) for i in self.indices])
 
     def sort_key(self) -> tuple:
-        return (KIND_ORDER.get(self.kind, 99), self.indices, self.text)
+        """A total order: known kinds by rank, any other kind by name."""
+        return (KIND_ORDER.get(self.kind, 99), self.kind, self.indices, self.text)
 
     def __lt__(self, other: "Label") -> bool:
         return self.sort_key() < other.sort_key()
@@ -95,7 +109,11 @@ class LabelledDigraph:
         return sorted(self.vertices, key=Label.sort_key)
 
     def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges, key=lambda e: (e[0].sort_key(), e[1].sort_key()))
+        """Edges by (tail, head) in vertex order; ``sort_key`` is total, so
+        ranks compare exactly as the key pairs would."""
+        rank = {v: i for i, v in enumerate(self.sorted_vertices())}
+        n = len(rank)
+        return sorted(self.edges, key=lambda e: rank[e[0]] * n + rank[e[1]])
 
 
 def digraph(vertices: Iterable[Label], edges: Iterable[Edge]) -> LabelledDigraph:

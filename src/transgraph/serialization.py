@@ -4,11 +4,21 @@ Rationals travel as exact "num/den" strings, labels as structured
 objects, edges as label pairs.  Serialization is deterministic (sorted
 keys, canonical vertex/edge order), so byte-identical goldens are
 stable.
+
+The text is exactly ``json.dumps(body, sort_keys=True, separators=(",",
+": "), indent=1)``, but written by ``_write``: with an indent, CPython's
+``json`` falls back to its pure-Python encoder, which would render the
+same few hundred vertex labels again in each of a sector graph's
+Theta(n^3) edges.  A graph's body holds one dict per distinct label, shared by its
+vertex entry and its edges, and ``_write`` renders each container once per
+indentation depth.  The decoder likewise validates every edge endpoint
+and then maps it to its decoded vertex, so equal labels are one object.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -95,9 +105,11 @@ def _enc_object(obj: ArrangementObject) -> dict:
 
 
 def _enc_graph(g: LabelledDigraph) -> dict:
+    # One dict per vertex, shared by every edge: ``_write`` renders it once.
+    encoded = {v: _enc_label(v) for v in g.sorted_vertices()}
     return {
-        "vertices": [_enc_label(v) for v in g.sorted_vertices()],
-        "edges": [[_enc_label(u), _enc_label(v)] for u, v in g.sorted_edges()],
+        "vertices": list(encoded.values()),
+        "edges": [[encoded[u], encoded[v]] for u, v in g.sorted_edges()],
     }
 
 
@@ -158,13 +170,65 @@ def _enc_parameter(value: Any) -> Any:
     return value
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _write_float(x: float) -> str:
+    if math.isnan(x):
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def _write(value: Any, depth: int, memo: dict) -> str:
+    """``json.dumps(value, sort_keys=True, separators=(",", ": "), indent=1)``
+    for a value nested ``depth`` levels deep; dict keys must be strings.
+
+    ``memo`` maps (id, depth) of each container already written to its text.
+    The caller keeps the whole tree alive, so no id is reused within a call.
+    """
+    if isinstance(value, (list, tuple, dict)):
+        key = (id(value), depth)
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = _write_container(value, depth, memo)
+        return text
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _write_float(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write_container(value: list | tuple | dict, depth: int, memo: dict) -> str:
+    if isinstance(value, dict):
+        items = [_quote(k) + ": " + _write(value[k], depth + 1, memo) for k in sorted(value)]
+        opening, closing = "{", "}"
+    else:
+        items = [_write(item, depth + 1, memo) for item in value]
+        opening, closing = "[", "]"
+    if not items:
+        return opening + closing
+    inner = "\n" + " " * (depth + 1)
+    return opening + inner + ("," + inner).join(items) + "\n" + " " * depth + closing
+
+
 def document_to_json(doc: Document) -> str:
     body = {
         "kind": doc.kind,
         "formatVersion": doc.format_version,
         "payload": _enc_payload(doc.kind, doc.payload),
     }
-    return json.dumps(body, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    return _write(body, 0, {}) + "\n"
 
 
 def save_document(doc: Document, path) -> None:
@@ -209,16 +273,35 @@ def _dec_point(raw: Any, path: str) -> Vec2:
     return Vec2(_dec_rat(raw[0], path + "[0]"), _dec_rat(raw[1], path + "[1]"))
 
 
-def _dec_label(raw: Any, path: str) -> Label:
+# JSON ``true`` decodes to ``True``, which ``isinstance(x, int)`` accepts.
+def _is_int(x: Any) -> bool:
+    return type(x) is int
+
+
+def _all_ints(xs: list) -> bool:
+    return set(map(type, xs)) <= {int}
+
+
+def _at(path: str, at: tuple[int, ...]) -> str:
+    return path + "".join(f"[{i}]" for i in at)
+
+
+def _label_fields(raw: Any, path: str, *at: int) -> tuple[str, tuple[int, ...], str]:
+    """The (kind, indices, text) of a label object at ``path`` followed by
+    the list positions ``at``; the error path is built only to raise."""
     if not isinstance(raw, dict) or not isinstance(raw.get("kind"), str):
-        raise SchemaError(path, "expected a label object with a kind")
+        raise SchemaError(_at(path, at), "expected a label object with a kind")
     kind = raw["kind"]
     if kind == "FREE":
-        return Label("FREE", (), str(raw.get("text", "")))
+        return ("FREE", (), str(raw.get("text", "")))
     indices = raw.get("indices")
-    if not isinstance(indices, list) or not all(isinstance(i, int) for i in indices):
-        raise SchemaError(path, "label indices must be a list of integers")
-    return Label(kind, tuple(indices))
+    if not isinstance(indices, list) or not _all_ints(indices):
+        raise SchemaError(_at(path, at), "label indices must be a list of integers")
+    return (kind, tuple(indices), "")
+
+
+def _dec_label(raw: Any, path: str) -> Label:
+    return Label(*_label_fields(raw, path))
 
 
 def _dec_object(raw: Any, path: str) -> ArrangementObject:
@@ -252,35 +335,43 @@ def _dec_object(raw: Any, path: str) -> ArrangementObject:
 
 def _dec_labels(raw: dict, key: str, path: str) -> list[Label]:
     path = f"{path}.{key}"
-    return [_dec_label(v, f"{path}[{i}]") for i, v in enumerate(_dec_list(raw.get(key, []), path))]
+    return [Label(*_label_fields(v, path, i)) for i, v in enumerate(_dec_list(raw.get(key, []), path))]
 
 
-def _dec_edges(raw: dict, key: str, path: str) -> list[tuple[Label, Label]]:
+def _edge_fields(raw: dict, key: str, path: str):
+    """(i, tail fields, head fields) for each label pair i in ``raw[key]``."""
     path = f"{path}.{key}"
-    edges = []
     for i, pair in enumerate(_dec_list(raw.get(key, []), path)):
         if not isinstance(pair, list) or len(pair) != 2:
             raise SchemaError(f"{path}[{i}]", "expected a label pair")
-        u = _dec_label(pair[0], f"{path}[{i}][0]")
-        v = _dec_label(pair[1], f"{path}[{i}][1]")
-        edges.append((u, v))
-    return edges
+        yield i, _label_fields(pair[0], path, i, 0), _label_fields(pair[1], path, i, 1)
+
+
+def _dec_edges(raw: dict, key: str, path: str) -> list[tuple[Label, Label]]:
+    return [(Label(*tail), Label(*head)) for _, tail, head in _edge_fields(raw, key, path)]
 
 
 def _dec_graph(raw: Any, path: str) -> LabelledDigraph:
     raw = _dec_dict(raw, path)
-    vertices = _dec_labels(raw, "vertices", path)
-    vertex_set = set(vertices)
-    edges = _dec_edges(raw, "edges", path)
-    for i, (u, v) in enumerate(edges):
-        for lab in (u, v):
-            if lab not in vertex_set:
-                raise SchemaError(
-                    f"{path}.edges[{i}]", f"dangling edge endpoint {lab}"
-                )
-        if u == v:
-            raise SchemaError(f"{path}.edges[{i}]", f"self-loop at {u}")
-    return digraph(vertices, edges)
+    vertices: dict[tuple, Label] = {}
+    for label in _dec_labels(raw, "vertices", path):
+        vertices.setdefault((label.kind, label.indices, label.text), label)
+    # Each endpoint maps to its vertex's Label object.  Every endpoint is
+    # validated before the first dangling endpoint or self-loop is raised.
+    edges = []
+    problem = None
+    for i, tail, head in _edge_fields(raw, "edges", path):
+        u, v = vertices.get(tail), vertices.get(head)
+        if problem is None:
+            if u is None or v is None:
+                missing = Label(*(tail if u is None else head))
+                problem = SchemaError(f"{path}.edges[{i}]", f"dangling edge endpoint {missing}")
+            elif u is v:
+                problem = SchemaError(f"{path}.edges[{i}]", f"self-loop at {u}")
+        edges.append((u, v))
+    if problem is not None:
+        raise problem
+    return digraph(vertices.values(), edges)
 
 
 def _dec_payload(kind: str, raw: Any, path: str = "payload") -> Any:
@@ -306,16 +397,14 @@ def _dec_payload(kind: str, raw: Any, path: str = "payload") -> Any:
             raise SchemaError(f"{path}.lines", str(exc)) from None
     if kind == "description":
         n = raw.get("n")
-        if not isinstance(n, int) or n < 1:
+        if not _is_int(n) or n < 1:
             raise SchemaError(f"{path}.n", "expected a positive integer")
         orders = _dec_list(raw.get("orders"), f"{path}.orders")
         rows = []
         for i, row in enumerate(orders):
             blocks = []
             for j, block in enumerate(_dec_list(row, f"{path}.orders[{i}]")):
-                if not isinstance(block, list) or not all(
-                    isinstance(x, int) for x in block
-                ):
+                if not isinstance(block, list) or not _all_ints(block):
                     raise SchemaError(
                         f"{path}.orders[{i}][{j}]", "expected a list of integers"
                     )
@@ -375,7 +464,7 @@ def document_from_json(text: str) -> Document:
     if kind not in KINDS:
         raise SchemaError("kind", f"unknown document kind {kind!r}")
     version = body.get("formatVersion")
-    if version != FORMAT_VERSION:
+    if not _is_int(version) or version != FORMAT_VERSION:
         raise SchemaError("formatVersion", f"unsupported version {version!r}")
     return Document(kind, _dec_payload(kind, body.get("payload", {})), version)
 

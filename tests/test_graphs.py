@@ -1,5 +1,12 @@
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import transgraph
 from transgraph.graphs import (
     A,
     B,
@@ -75,3 +82,68 @@ def test_graph_diff_reports_direction():
     assert d.missing_edges == [(C(1), C(2))]
     assert d.extra_edges == [(C(2), C(1))]
     assert "C_3" in d.summary()
+
+
+# --- cached hash and total order -------------------------------------------
+
+
+def test_equal_labels_built_apart_are_equal_with_equal_hashes():
+    a, b = SC(2, 3), Label("SC", (2, 3))
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert free("x") == Label("FREE", (), "x") and hash(free("x")) == hash(Label("FREE", (), "x"))
+
+
+def test_label_is_not_equal_to_a_tuple():
+    label = C(1)
+    assert label != ("C", (1,), "")
+    assert ("C", (1,), "") != label
+    assert label not in {("C", (1,), "")}
+
+
+def test_pickle_rebuilds_the_label_from_its_fields():
+    label = SA(1, 2, 3, 1)
+    assert label.__reduce__() == (Label, ("SA", (1, 2, 3, 1), ""))
+    assert pickle.loads(pickle.dumps(label)) == label
+
+
+# Unpickles labels and looks each up in a set of freshly built equal labels;
+# exits 1 if any is missing.
+_LOOKUP = """
+import pickle, sys
+from transgraph.graphs import A, C, SA, SC, free
+labels = pickle.loads(sys.stdin.buffer.read())
+fresh = {C(1), A(1, 2), SC(2, 3), SA(1, 2, 3, 1), free("widget")}
+sys.exit(0 if all(label in fresh for label in labels) else 1)
+"""
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_pickled_label_is_found_under_another_hash_seed(seed):
+    labels = [C(1), A(2, 1), SC(2, 3), SA(1, 2, 3, 1), free("widget")]
+    src = str(Path(transgraph.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOOKUP], input=pickle.dumps(labels), env=env, capture_output=True
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_sort_key_orders_unknown_kinds_by_name_after_known_kinds():
+    labels = [Label(k, (1,)) for k in "XYZWQ"] + [free("a"), C(2), SB(1, 1, 2, 1)]
+    assert [str(v) for v in sorted(labels)] == [
+        "C_2", "SB_1_1_2_1", "a", "Q_1", "W_1", "X_1", "Y_1", "Z_1",
+    ]
+
+
+def test_sorted_edges_follow_the_sort_keys_of_their_ends():
+    vertices = [Label(k, (i,)) for k in ("C", "SC", "X", "W") for i in (2, 1)]
+    edges = [
+        (u, v)
+        for i, u in enumerate(vertices)
+        for j, v in enumerate(vertices)
+        if i != j and (i + 2 * j) % 3
+    ]
+    g = digraph(vertices, edges)
+    assert g.sorted_edges() == sorted(edges, key=lambda e: (e[0].sort_key(), e[1].sort_key()))

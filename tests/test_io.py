@@ -1,14 +1,22 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import transgraph
+from transgraph import serialization
 from transgraph.arrangement import extract_description
+from transgraph.cli import main
 from transgraph.geometry import Disk, Sector, Segment, rotation_from_parameter, vec
-from transgraph.graphs import A, C, digraph, free
+from transgraph.graphs import A, C, digraph, free, graph_diff
 from transgraph.realization import realize_sectors, realize_segments
-from transgraph.reductions import reduce_segments
+from transgraph.reductions import reduce_sectors, reduce_segments
 from transgraph.rendering import export_dot, render_svg
 from transgraph.serialization import (
     Document,
@@ -234,3 +242,193 @@ def test_render_arrangement_svg(three_lines):
 def test_render_deterministic(three_lines):
     inst = realize_segments(three_lines).instance
     assert render_svg(inst) == render_svg(inst)
+
+
+# --- the writer --------------------------------------------------------------
+
+
+def dumps(value):
+    return json.dumps(value, sort_keys=True, separators=(",", ": "), indent=1)
+
+
+awkward_text = st.text() | st.sampled_from(['"', "\\", "\x00", "\x1f\n\t", "é", " ", "😀", "a\"b"])
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**60), 10**60)
+    | st.floats()
+    | awkward_text
+)
+
+
+def json_containers(inner):
+    return (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(awkward_text, inner, max_size=4)
+    )
+
+
+json_trees = st.recursive(json_scalars, json_containers, max_leaves=12)
+
+
+@st.composite
+def trees_with_a_shared_container(draw):
+    """A tree holding one container object twice at one depth and once at
+    another, beside an unshared tree."""
+    shared = draw(json_containers(json_trees))
+    return {"twice": [shared, shared], "once": shared, "other": draw(json_trees)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_trees | trees_with_a_shared_container())
+def test_writer_matches_json_dumps(tree):
+    assert serialization._write(tree, 0, {}) == dumps(tree)
+
+
+def _mismatched_report():
+    g = digraph([C(1), C(2), free("x")], [(C(1), C(2)), (free("x"), C(1))])
+    h = digraph([C(1), C(2), A(1, 2)], [(C(2), C(1)), (A(1, 2), C(1))])
+    rep = round_trip_segments(random_simple_arrangement(RandomSpec(n=3, seed=2)))
+    rep.graph_from_reduction, rep.graph_from_geometry, rep.diff = g, h, graph_diff(g, h)
+    rep.checker_results = [("wide spread", False, "detail \"quoted\""), ("couple", True, "")]
+    assert not rep.diff.empty
+    return rep
+
+
+def _every_kind_of_document():
+    arr = random_simple_arrangement(RandomSpec(n=3, seed=5))
+    desc = extract_description(arr)
+    mixed = instance(
+        [
+            (free("seg"), Segment(vec(0, 0), vec(1, F(1, 3)))),
+            (free("cone"), Sector(vec(2, 2), vec(-1, 0), rotation_from_parameter(F(1, 7)), F(5, 3))),
+            (free("disk é"), Disk(vec(-1, F(2, 7)), F(4))),
+        ]
+    )
+    return [
+        Document("arrangement", arr),
+        Document("description", desc),
+        Document("instance", mixed),
+        Document("instance", realize_sectors(arr).instance),
+        Document("graph", reduce_sectors(desc)),
+        Document("graph", digraph([free("a b"), free('q"'), C(1)], [(free("a b"), free('q"')), (C(1), free("a b"))])),
+        Document("report", _mismatched_report()),
+    ]
+
+
+@pytest.mark.parametrize("doc", _every_kind_of_document(), ids=lambda d: d.kind)
+def test_document_text_is_json_dumps_of_its_tree(doc):
+    body = {
+        "kind": doc.kind,
+        "formatVersion": doc.format_version,
+        "payload": serialization._enc_payload(doc.kind, doc.payload),
+    }
+    assert document_to_json(doc) == dumps(body) + "\n"
+
+
+# Prints the SHA-256 of the document and DOT text of a graph whose vertex
+# kinds are all outside the known kinds.
+_UNKNOWN_KINDS = """
+import hashlib
+from transgraph.graphs import Label, digraph
+from transgraph.rendering import export_dot
+from transgraph.serialization import Document, document_to_json
+x, y, z, w, q = (Label(k, (1,)) for k in "XYZWQ")
+g = digraph([x, y, z, w, q], [(x, y), (q, w), (z, x), (w, q), (y, z)])
+text = document_to_json(Document("graph", g)) + export_dot(g)
+print(hashlib.sha256(text.encode()).hexdigest())
+"""
+
+
+def test_unknown_kinds_write_the_same_bytes_under_any_hash_seed():
+    src = str(Path(transgraph.__file__).resolve().parent.parent)
+    digests = {
+        subprocess.run(
+            [sys.executable, "-c", _UNKNOWN_KINDS],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for seed in ("0", "1")
+    }
+    assert len(digests) == 1
+
+
+# --- booleans are not integers -------------------------------------------------
+
+GRAPH_OF_TWO = {"vertices": [{"kind": "SC", "indices": [1, 2]}, {"kind": "C", "indices": [1]}]}
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        {"kind": "graph", "formatVersion": 1, "payload": {"vertices": [{"kind": "SC", "indices": [True, 2]}]}},
+        {
+            "kind": "graph",
+            "formatVersion": 1,
+            "payload": {**GRAPH_OF_TWO, "edges": [[{"kind": "C", "indices": [True]}, {"kind": "SC", "indices": [1, 2]}]]},
+        },
+        {"kind": "description", "formatVersion": 1, "payload": {"n": True, "orders": [[]]}},
+        {"kind": "description", "formatVersion": 1, "payload": {"n": 2, "orders": [[[True]], [[1]]]}},
+        {"kind": "graph", "formatVersion": True, "payload": GRAPH_OF_TWO},
+        {"kind": "graph", "formatVersion": 1.0, "payload": GRAPH_OF_TWO},
+    ],
+    ids=["label indices", "edge endpoint indices", "description n", "description block", "formatVersion", "formatVersion float"],
+)
+def test_boolean_or_float_where_an_integer_belongs_is_rejected(tmp_path, capsys, body):
+    text = json.dumps(body)
+    with pytest.raises(SchemaError):
+        document_from_json(text)
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert main(["export-dot", "--in", str(path), "--out", str(tmp_path / "g.dot")]) == 2
+    assert "error: " in capsys.readouterr().err
+
+
+# --- edge endpoints are looked up among the vertices ----------------------------
+
+C1 = {"kind": "C", "indices": [1]}
+C2 = {"kind": "C", "indices": [2]}
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([[C1, {"kind": ["C"], "indices": [2]}]], "payload.edges[0][1]: expected a label object with a kind"),
+        ([[{"kind": "C", "indices": [[2]]}, C1]], "payload.edges[0][0]: label indices must be a list of integers"),
+        ([[C2, {"kind": "C", "indices": [1.0]}]], "payload.edges[0][1]: label indices must be a list of integers"),
+        ([[C1, {"kind": "C", "indices": [3]}]], "payload.edges[0]: dangling edge endpoint C_3"),
+        ([[{"kind": "FREE", "text": "y"}, C1]], "payload.edges[0]: dangling edge endpoint y"),
+        ([[C1, C2], [C2, C2]], "payload.edges[1]: self-loop at C_2"),
+        # Every endpoint is checked before a dangling endpoint is reported.
+        ([[C1, {"kind": "C", "indices": [3]}], [C1, 7]], "payload.edges[1][1]: expected a label object with a kind"),
+    ],
+    ids=["kind is a list", "list in indices", "float in indices", "missing", "missing free", "self-loop", "shape first"],
+)
+def test_bad_edge_endpoint_is_rejected_with_its_path(tmp_path, capsys, edges, message):
+    vertices = [C1, C2, {"kind": "FREE", "text": "x"}]
+    text = json.dumps({"kind": "graph", "formatVersion": 1, "payload": {"vertices": vertices, "edges": edges}})
+    with pytest.raises(SchemaError) as exc:
+        document_from_json(text)
+    assert str(exc.value) == message
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert main(["export-dot", "--in", str(path), "--out", str(tmp_path / "g.dot")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_edge_endpoints_ignore_fields_their_kind_does_not_use():
+    vertices = [C1, {"kind": "FREE", "text": "5"}, {"kind": "FREE", "text": "x"}, C1]
+    edges = [
+        [{"kind": "C", "indices": [1], "text": "ignored"}, {"kind": "FREE", "text": 5}],
+        [{"kind": "FREE", "text": "x", "indices": [9]}, C1],
+    ]
+    text = json.dumps({"kind": "graph", "formatVersion": 1, "payload": {"vertices": vertices, "edges": edges}})
+    g = document_from_json(text).payload
+    assert g == digraph([C(1), free("5"), free("x")], [(C(1), free("5")), (free("x"), C(1))])
+    # Equal labels decode to one object.
+    by_value = {v: v for v in g.vertices}
+    assert all(u is by_value[u] and v is by_value[v] for u, v in g.edges)
