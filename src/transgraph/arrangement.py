@@ -3,7 +3,9 @@
 An arrangement is a slope-ordered list of pairwise non-parallel,
 non-vertical lines.  Its description records, per line, the left-to-right
 order in which the other lines cross it, with coincident crossings
-grouped into one block.  Every crossing comes from ``intersections()``.
+grouped into one block.  Every crossing comes from ``intersections()``,
+which solves each pair of lines on their cleared integer coefficients and
+builds a ``Fraction`` only for each output coordinate.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from itertools import combinations, groupby
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .geometry import Line, Point, line_intersection
+from .geometry import Line, Point, Vec2, cleared
 
 
 class ArrangementError(Exception):
@@ -51,10 +53,24 @@ class LineArrangement:
         return self.lines[index - 1]
 
     def intersections(self) -> dict[tuple[int, int], Point]:
-        """All pairwise intersection points, keyed by 1-based index pairs."""
+        """All pairwise intersection points, keyed by 1-based index pairs.
+
+        Each line's (a, b, c) is cleared to integers once, and each crossing
+        is Cramer's rule on those integers, with one ``Fraction`` per
+        coordinate; a positive factor on a line changes neither quotient.
+        No lines are parallel, so no determinant is 0.  The table is built
+        on each call, not stored on the arrangement: a stored table was
+        measured to raise peak resident memory, and the build is cheap.
+        """
+        rows = [cleared(ln.a, ln.b, ln.c) for ln in self.lines]
         out = {}
-        for (i, li), (j, lj) in combinations(enumerate(self.lines, start=1), 2):
-            out[(i, j)] = line_intersection(li, lj)
+        for (i, (a1, b1, c1)), (j, (a2, b2, c2)) in combinations(
+            enumerate(rows, start=1), 2
+        ):
+            det = a1 * b2 - a2 * b1
+            out[(i, j)] = Vec2(
+                Fraction(c1 * b2 - c2 * b1, det), Fraction(a1 * c2 - a2 * c1, det)
+            )
         return out
 
 

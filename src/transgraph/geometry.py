@@ -16,9 +16,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
 RationalLike = Union[Fraction, int, str]
+
+
+def cleared(*values: Union[Fraction, int]) -> tuple[int, ...]:
+    """The values times the least positive integer that makes them all
+    integral.
+
+    A positive factor changes no sign and no ratio, so sign tests and
+    quotients of the results equal those of the values.  Passing 1 first
+    returns the factor itself as the first entry.
+    """
+    f = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (f // v.denominator) for v in values)
 
 
 class ParallelLines(Exception):

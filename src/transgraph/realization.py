@@ -10,6 +10,15 @@ shrink on any mismatch.  The shrink rates differ per parameter so that
 every ratio constraint (cone width vs. band offset, apex offset vs. cone
 width) eventually holds.
 
+The segment realization's hot arithmetic runs on integers cleared of
+their denominators (``geometry.cleared``), with a ``Fraction`` built only
+for each output coordinate: the tilt scan tests each candidate rotation
+as an integer pair against the cleared line directions, and each
+A-segment compares its ray's hits with the cleared lines as integer
+quotients.  The crossings come from ``LineArrangement.intersections()``,
+which is called again where needed rather than stored: a stored table
+was measured to raise peak resident memory.
+
 The containing disk of the source constructions is replaced by a
 vertical slab throughout; the slab boundaries play the role of the
 virtual vertical line, and the boundary crossings are exact rationals.
@@ -45,6 +54,7 @@ from .geometry import (
     Vec2,
     acute_angle_at_least,
     angle_at_most,
+    cleared,
     line_intersection,
     project_param,
     rotation_from_parameter,
@@ -91,21 +101,51 @@ class SegmentRealization:
 
 def _pick_tilt(arr: LineArrangement) -> Rotation:
     """A rotation making every tilted line direction non-parallel to every
-    line; deterministic scan of the rational rotation family."""
-    dirs = [arr.line(i).rightward_direction() for i in range(1, arr.n + 1)]
+    line; deterministic scan of the rational rotation family.
+
+    Candidate k is ``rotation_from_parameter(1/k)``, whose (c, s) times
+    k^2 + 1 is the integer pair (k^2 - 1, 2k).  The rightward directions
+    are cleared once, and every parallelism test runs on integers.
+    """
+    dirs = [cleared(d.x, d.y) for d in map(Line.rightward_direction, arr.lines)]
     for k in range(3, 3 + 2 * arr.n * arr.n + 4):
-        rot = rotation_from_parameter(Fraction(1, k))
-        if all(rot.apply(u).cross(v) != 0 for u in dirs for v in dirs):
-            return rot
+        c, s = k * k - 1, 2 * k
+        tilted = [(c * ux - s * uy, s * ux + c * uy) for ux, uy in dirs]
+        if all(tx * vy != ty * vx for tx, ty in tilted for vx, vy in dirs):
+            return rotation_from_parameter(Fraction(1, k))
     raise RealizationError("no usable tilt rotation found")  # pragma: no cover
 
 
-def _ray_line_param(origin: Point, d: Vec2, line: Line) -> Optional[Fraction]:
-    """Parameter t with origin + t*d on the line, or None if parallel."""
-    den = line.a * d.x + line.b * d.y
-    if den == 0:
-        return None
-    return (line.c - line.a * origin.x - line.b * origin.y) / den
+def _a_segment_end(
+    apex: Point, tilted: tuple[int, int, int], lines: list[tuple[int, ...]]
+) -> Point:
+    """The far end of the A-segment from ``apex`` along the tilted direction
+    d = (dx, dy)/Q, given as (Q, dx, dy).
+
+    It lies halfway to the nearest line the ray hits, or at apex + d when
+    the ray hits none.  With the apex as (px, py)/P and a cleared line
+    (a, b, c), the ray meets the line at apex + (num/den)/P * (dx, dy), with
+    num = c*P - a*px - b*py and den = a*dx + b*dy.  The hits are compared
+    as int pairs; only the endpoint's two coordinates are ``Fraction``s.
+    """
+    P, px, py = cleared(1, apex.x, apex.y)
+    Q, dx, dy = tilted
+    best = None
+    for a, b, c in lines:
+        den = a * dx + b * dy
+        if den == 0:
+            continue
+        num = c * P - a * px - b * py
+        if den < 0:
+            num, den = -num, -den
+        if num > 0 and (best is None or num * best[1] < best[0] * den):
+            best = (num, den)
+    # No hit: the end is apex + d, which is the hit num/den = 2P/Q.
+    num, den = best or (2 * P, Q)
+    return Vec2(
+        Fraction(2 * den * px + num * dx, 2 * den * P),
+        Fraction(2 * den * py + num * dy, 2 * den * P),
+    )
 
 
 def realize_segments(arr: LineArrangement) -> SegmentRealization:
@@ -127,15 +167,14 @@ def realize_segments(arr: LineArrangement) -> SegmentRealization:
         entries.append(
             (C(i), Segment(li.point_at_x(slab.x_left), li.point_at_x(slab.x_right)))
         )
+    lines = [cleared(ln.a, ln.b, ln.c) for ln in arr.lines]
+    tilted = [
+        cleared(1, d.x, d.y)
+        for d in (tilt.apply(ln.rightward_direction()) for ln in arr.lines)
+    ]
     for (i, k), apex in sorted(crossings.items()):
-        d = tilt.apply(arr.line(i).rightward_direction())
-        params = []
-        for j in range(1, arr.n + 1):
-            t = _ray_line_param(apex, d, arr.line(j))
-            if t is not None and t > 0:
-                params.append(t)
-        length = min(params) / 2 if params else Fraction(1)
-        entries.append((A(i, k), Segment(apex, apex + d.scaled(length))))
+        end = _a_segment_end(apex, tilted[i - 1], lines)
+        entries.append((A(i, k), Segment(apex, end)))
     for i in range(1, arr.n + 1):
         li = arr.line(i)
         far = li.point_at_x(slab.x_left - 1)

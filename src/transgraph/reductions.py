@@ -54,31 +54,29 @@ def reduce_segments(
     omit = frozenset(omit)
     if not omit <= set(SEGMENT_FAMILIES):
         raise ValueError(f"unknown families: {sorted(omit - set(SEGMENT_FAMILIES))}")
-    n = desc.n
-    vertices: list[Label] = [C(i) for i in range(1, n + 1)]
-    vertices += [A(i, k) for i, k in combinations(range(1, n + 1), 2)]
-    vertices += [
-        B(i, k) for i in range(1, n + 1) for k in range(1, n + 1) if k != i
-    ]
+    lines = range(1, desc.n + 1)
+    # One label object per vertex, shared by every edge that names it.
+    c = {i: C(i) for i in lines}
+    a = {(i, k): A(i, k) for i, k in combinations(lines, 2)}
+    b = {(i, k): B(i, k) for i in lines for k in lines if k != i}
+    vertices: list[Label] = [*c.values(), *a.values(), *b.values()]
+    a.update({(k, i): label for (i, k), label in a.items()})
     edges: set[tuple[Label, Label]] = set()
-    for i in range(1, n + 1):
-        for k in range(1, n + 1):
-            if k == i:
-                continue
-            if "CA" not in omit:
-                edges.add((C(i), A(i, k)))
-            if "CB" not in omit:
-                edges.add((C(i), B(i, k)))
-            if "BC" not in omit:
-                edges.add((B(i, k), C(i)))
+    for i, k in b:
+        if "CA" not in omit:
+            edges.add((c[i], a[i, k]))
+        if "CB" not in omit:
+            edges.add((c[i], b[i, k]))
+        if "BC" not in omit:
+            edges.add((b[i, k], c[i]))
     if "BORDER" not in omit:
-        for i in range(1, n + 1):
+        for i in lines:
             order = desc.flat_order(i)
             for k in range(len(order)):
                 for l in range(k + 1):
                     if l < k:
-                        edges.add((B(i, order[k]), B(i, order[l])))
-                    edges.add((B(i, order[k]), A(i, order[l])))
+                        edges.add((b[i, order[k]], b[i, order[l]]))
+                    edges.add((b[i, order[k]], a[i, order[l]]))
     return digraph(vertices, edges)
 
 
@@ -99,33 +97,32 @@ def reduce_sectors(
     omit = frozenset(omit)
     if not omit <= set(SECTOR_FAMILIES):
         raise ValueError(f"unknown families: {sorted(omit - set(SECTOR_FAMILIES))}")
-    n = desc.n
-    vertices: list[Label] = [SC(i, m) for i in range(1, n + 1) for m in MS]
-    for i in range(1, n + 1):
-        for k in range(1, n + 1):
-            if k == i:
-                continue
-            for m in MS:
-                for mp in MS:
-                    vertices.append(SA(i, m, k, mp))
-                    vertices.append(SB(i, m, k, mp))
+    lines = range(1, desc.n + 1)
+    # One label object per vertex, shared by every edge that names it.
+    sc = {(i, m): SC(i, m) for i in lines for m in MS}
+    parts = [
+        (i, m, k, mp) for i in lines for k in lines if k != i for m in MS for mp in MS
+    ]
+    sa = {part: SA(*part) for part in parts}
+    sb = {part: SB(*part) for part in parts}
+    vertices: list[Label] = [*sc.values(), *sa.values(), *sb.values()]
     edges: set[tuple[Label, Label]] = set()
 
-    for i in range(1, n + 1):
-        for k in range(1, n + 1):
+    for i in lines:
+        for k in lines:
             if k == i:
                 continue
             for m in MS:
                 for mp in MS:
                     if "EI" not in omit:
-                        edges.add((SC(i, m), SA(i, m, k, mp)))
-                        edges.add((SC(i, m), SA(k, mp, i, m)))
+                        edges.add((sc[i, m], sa[i, m, k, mp]))
+                        edges.add((sc[i, m], sa[k, mp, i, m]))
                     if "EC" not in omit:
-                        edges.add((SA(i, m, k, mp), SC(i, m)))
-                        edges.add((SC(i, m), SB(i, m, k, mp)))
-                        edges.add((SB(i, m, k, mp), SC(i, m)))
+                        edges.add((sa[i, m, k, mp], sc[i, m]))
+                        edges.add((sc[i, m], sb[i, m, k, mp]))
+                        edges.add((sb[i, m, k, mp], sc[i, m]))
 
-    for i in range(1, n + 1):
+    for i in lines:
         order = desc.flat_order(i)
         for m in MS:
             # Global order between distinct crossing groups (positions k > l).
@@ -136,13 +133,13 @@ def reduce_sectors(
                     for mp in MS:
                         for mpp in MS:
                             if "EGO" not in omit:
-                                edges.add((SA(i, m, ok, mp), SA(i, m, ol, mpp)))
-                                edges.add((SA(i, m, ok, mp), SA(ol, mpp, i, m)))
-                                edges.add((SA(i, m, ok, mp), SB(i, m, ol, mpp)))
-                                edges.add((SB(i, m, ok, mp), SA(i, m, ol, mpp)))
-                                edges.add((SB(i, m, ok, mp), SA(ol, mpp, i, m)))
+                                edges.add((sa[i, m, ok, mp], sa[i, m, ol, mpp]))
+                                edges.add((sa[i, m, ok, mp], sa[ol, mpp, i, m]))
+                                edges.add((sa[i, m, ok, mp], sb[i, m, ol, mpp]))
+                                edges.add((sb[i, m, ok, mp], sa[i, m, ol, mpp]))
+                                edges.add((sb[i, m, ok, mp], sa[ol, mpp, i, m]))
                             if "EGO_BB" not in omit:
-                                edges.add((SB(i, m, ok, mp), SB(i, m, ol, mpp)))
+                                edges.add((sb[i, m, ok, mp], sb[i, m, ol, mpp]))
             # Local order within one crossing group: ascending part indices
             # when the crossing line has the larger slope, else descending.
             for ok in order:
@@ -154,13 +151,13 @@ def reduce_sectors(
                     for mpp in MS:
                         before = mpp < mp if ascending else mpp > mp
                         if before:
-                            edges.add((SA(i, m, ok, mp), SA(i, m, ok, mpp)))
-                            edges.add((SA(i, m, ok, mp), SA(ok, mpp, i, m)))
-                            edges.add((SA(i, m, ok, mp), SB(i, m, ok, mpp)))
-                            edges.add((SB(i, m, ok, mp), SB(i, m, ok, mpp)))
+                            edges.add((sa[i, m, ok, mp], sa[i, m, ok, mpp]))
+                            edges.add((sa[i, m, ok, mp], sa[ok, mpp, i, m]))
+                            edges.add((sa[i, m, ok, mp], sb[i, m, ok, mpp]))
+                            edges.add((sb[i, m, ok, mp], sb[i, m, ok, mpp]))
                         if before or mpp == mp:
-                            edges.add((SB(i, m, ok, mp), SA(i, m, ok, mpp)))
-                            edges.add((SB(i, m, ok, mp), SA(ok, mpp, i, m)))
+                            edges.add((sb[i, m, ok, mp], sa[i, m, ok, mpp]))
+                            edges.add((sb[i, m, ok, mp], sa[ok, mpp, i, m]))
     return digraph(vertices, edges)
 
 

@@ -25,11 +25,19 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .geometry import ArrangementObject, Disk, Point, Rotation, Sector, Segment, Vec2
+from .geometry import (
+    ArrangementObject,
+    Disk,
+    Point,
+    Rotation,
+    Sector,
+    Segment,
+    Vec2,
+    cleared,
+)
 from .graphs import Label, LabelledDigraph, digraph
 
 
@@ -82,12 +90,6 @@ def _scale_vec(v, factor: int) -> tuple[int, int]:
         x.numerator * (factor // x.denominator),
         y.numerator * (factor // y.denominator),
     )
-
-
-def _cleared(x: Fraction, y: Fraction) -> tuple[int, int]:
-    """(x, y) times the least positive integer that makes both integral."""
-    f = lcm(x.denominator, y.denominator)
-    return (x.numerator * (f // x.denominator), y.numerator * (f // y.denominator))
 
 
 def _scaled_tester(obj: ArrangementObject, scale: int) -> Callable[[int, int], bool]:
@@ -206,8 +208,8 @@ def _cone_edges(
     suffix with k2 at least the apex's.
     """
     first = objects[group[0]]
-    ux, uy = _cleared(first.direction.x, first.direction.y)
-    c, s = _cleared(first.half_angle.c, first.half_angle.s)
+    ux, uy = cleared(first.direction.x, first.direction.y)
+    c, s = cleared(first.half_angle.c, first.half_angle.s)
     k1, k2 = [], []
     for x, y in points:
         along, across = ux * x + uy * y, ux * y - uy * x

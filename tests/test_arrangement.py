@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,6 +62,45 @@ def test_intersections_keyed_by_index_pair(three_lines):
     assert pts[(1, 2)] == vec(0, 0)
     assert pts[(1, 3)] == vec(1, 0)
     assert pts[(2, 3)] == vec(2, 2)
+
+
+def _intersections_by_fractions(arr):
+    """Every crossing from ``line_intersection``'s ``Fraction`` solve."""
+    return {
+        (i, j): line_intersection(li, lj)
+        for (i, li), (j, lj) in combinations(enumerate(arr.lines, start=1), 2)
+    }
+
+
+wide_rationals = st.fractions(
+    min_value=-(10**6), max_value=10**6, max_denominator=10**12
+)
+line_scales = st.fractions(
+    min_value=-(10**3), max_value=10**3, max_denominator=10**9
+).filter(bool)
+
+
+@st.composite
+def rescaled_arrangements(draw):
+    """Distinct slopes; each line's (a, b, c) times a nonzero rational, so b
+    may be negative and the coefficients carry large denominators."""
+    slopes = draw(st.lists(wide_rationals, min_size=2, max_size=7, unique=True))
+    lines = []
+    for slope in sorted(slopes):
+        intercept, k = draw(wide_rationals), draw(line_scales)
+        lines.append(Line(-slope * k, k, intercept * k))
+    return LineArrangement(tuple(lines))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rescaled_arrangements())
+def test_intersections_match_pairwise_line_intersection(arr):
+    crossings = arr.intersections()
+    assert crossings == _intersections_by_fractions(arr)
+    doubled = LineArrangement(
+        tuple(Line(2 * l.a, 2 * l.b, 2 * l.c) for l in arr.lines)
+    )
+    assert doubled.intersections() == crossings
 
 
 # --- simplicity ------------------------------------------------------------

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +13,7 @@ from transgraph.geometry import (
     ZeroVector,
     acute_angle_at_least,
     angle_at_most,
+    cleared,
     contains_point,
     line_from_slope_intercept,
     line_intersection,
@@ -268,3 +270,28 @@ def test_rightward_direction_points_right():
     d = l.rightward_direction()
     assert d.x > 0
     assert d.y * d.x == 3 * d.x * d.x  # slope 3
+
+
+# --- clearing denominators -------------------------------------------------
+
+
+def test_cleared_values():
+    assert cleared(F(1, 2), F(-2, 3)) == (3, -4)
+    assert cleared(F(-3, 4), -5) == (-3, -20)
+    assert cleared(0, F(0), F(5, 6)) == (0, 0, 5)
+    assert cleared(0, 0) == (0, 0)
+    assert cleared(3, -4) == (3, -4)
+    assert cleared(F(7, 9)) == (7,)
+    assert cleared(F(-7, 9)) == (-7,)
+    assert cleared(1, F(1, 6), F(-1, 4)) == (12, 2, -3)
+    assert all(type(v) is int for v in cleared(F(1, 2), 3, F(4)))
+
+
+@given(st.lists(rationals, min_size=1, max_size=6))
+def test_cleared_uses_the_least_positive_factor(values):
+    out = cleared(*values)
+    nonzero = [(r, v) for r, v in zip(out, values) if v != 0]
+    factor = nonzero[0][0] / nonzero[0][1] if nonzero else F(1)
+    assert factor.denominator == 1 and factor > 0
+    assert out == tuple(v * factor for v in values)
+    assert gcd(int(factor), *out) == 1

@@ -19,7 +19,7 @@ from transgraph.geometry import (
     rotation_from_parameter,
     vec,
 )
-from transgraph.graphs import SA, SB, SC, digraph, free, graph_diff
+from transgraph.graphs import A, SA, SB, SC, digraph, free, graph_diff
 from transgraph.realization import (
     NonSectorObject,
     NonSimpleArrangement,
@@ -253,6 +253,83 @@ def test_realize_segments_scale_equivariant(three_lines):
     g1 = realize_segments(three_lines).graph
     g2 = realize_segments(scaled).graph
     assert g1 == g2
+
+
+def _pick_tilt_by_fractions(arr):
+    """The tilt scan with every direction rotated in ``Fraction``s."""
+    dirs = [ln.rightward_direction() for ln in arr.lines]
+    for k in range(3, 3 + 2 * arr.n * arr.n + 4):
+        rot = rotation_from_parameter(Fraction(1, k))
+        if all(rot.apply(u).cross(v) != 0 for u in dirs for v in dirs):
+            return rot
+    raise AssertionError("no tilt found")
+
+
+def _a_segment_ends_by_fractions(arr, tilt):
+    """Each A-segment's far end, from a ``Fraction`` ray-line parameter
+    per line: halfway to the nearest line hit, or one tilted step."""
+    ends = {}
+    for (i, k), apex in arr.intersections().items():
+        d = tilt.apply(arr.line(i).rightward_direction())
+        params = []
+        for ln in arr.lines:
+            den = ln.a * d.x + ln.b * d.y
+            if den != 0:
+                t = (ln.c - ln.a * apex.x - ln.b * apex.y) / den
+                if t > 0:
+                    params.append(t)
+        length = min(params) / 2 if params else Fraction(1)
+        ends[A(i, k)] = apex + d.scaled(length)
+    return ends
+
+
+line_scales = st.fractions(
+    min_value=-(10**3), max_value=10**3, max_denominator=10**9
+).filter(bool)
+
+
+@st.composite
+def rescaled_simple_arrangements(draw):
+    """A simple arrangement of 2 to 7 lines, each line's (a, b, c) times a
+    nonzero rational, so b may be negative."""
+    n = draw(st.integers(2, 7))
+    arr = random_simple_arrangement(RandomSpec(n, draw(st.integers(0, 10**6))))
+    scales = draw(st.lists(line_scales, min_size=n, max_size=n))
+    return LineArrangement(
+        tuple(Line(k * ln.a, k * ln.b, k * ln.c) for ln, k in zip(arr.lines, scales))
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(rescaled_simple_arrangements())
+def test_tilt_and_a_segment_ends_match_the_fraction_reference(arr):
+    real = realize_segments(arr)
+    assert real.tilt == _pick_tilt_by_fractions(arr)
+    ends = {label: seg.q for label, seg in real.instance.entries if label.kind == "A"}
+    assert ends == _a_segment_ends_by_fractions(arr, real.tilt)
+
+
+def test_a_segment_at_n2_is_one_tilted_step():
+    # The ray from the only crossing meets no other line, so its length is 1:
+    # the tilt (4/5, 3/5) turns the direction (1, 0) of y = 0 to (4/5, 3/5).
+    real = realize_segments(two_lines())
+    assert real.tilt == rotation_from_parameter(F(1, 3))
+    a_segment = dict(real.instance.entries)[A(1, 2)]
+    assert a_segment == Segment(vec(0, 0), vec(F(4, 5), F(3, 5)))
+
+
+def test_a_segment_end_skips_parallel_and_backward_lines():
+    origin, along_x = vec(0, 0), (1, 1, 0)
+    # y = 1 is parallel to the ray, x = -4 is behind it (written with a < 0
+    # too, so its denominator is negative): one step along (1, 0).
+    behind = [(0, 1, 1), (1, 0, -4), (-1, 0, 4)]
+    assert realization._a_segment_end(origin, along_x, behind) == vec(1, 0)
+    # x = 4 and x = 6 (as -x = -6) are hit at 4 and 6: halfway to the nearer.
+    ahead = behind + [(-1, 0, -6), (1, 0, 4)]
+    assert realization._a_segment_end(origin, along_x, ahead) == vec(2, 0)
+    # The direction (2, 1)/5, given with Q = 5, meets y = 1 at (2, 1).
+    end = realization._a_segment_end(origin, (5, 2, 1), [(0, 1, 1)])
+    assert end == vec(1, F(1, 2))
 
 
 # --- sector realization ----------------------------------------------------

@@ -93,6 +93,14 @@ DESC2 = description(2, [[[2]], [[1]]])
 DESC3 = description(3, [[[2], [3]], [[1], [3]], [[1], [2]]])
 
 
+@pytest.mark.parametrize("reduce", [reduce_segments, reduce_sectors])
+def test_edges_share_the_vertex_label_objects(reduce):
+    desc = extract_description(random_simple_arrangement(RandomSpec(4, 1)))
+    g = reduce(desc)
+    vertex_ids = {id(v) for v in g.vertices}
+    assert all(id(u) in vertex_ids and id(v) in vertex_ids for u, v in g.edges)
+
+
 # --- segments --------------------------------------------------------------
 
 
