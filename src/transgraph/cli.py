@@ -23,7 +23,7 @@ from .reductions import (
     reduce_sectors,
     reduce_segments,
 )
-from .rendering import RenderStyle, export_dot, render_svg
+from .rendering import export_dot, render_svg
 from .serialization import Document, SchemaError, document_to_json, load_document
 from .transmission import transmission_graph
 from .verification import (
@@ -150,7 +150,7 @@ def _cmd_render(args) -> int:
     path = getattr(args, "in")
     doc = _load(path, "instance", "arrangement")
     try:
-        svg = render_svg(doc.payload, RenderStyle())
+        svg = render_svg(doc.payload)
     except OverflowError:
         raise InputError(f"{path}: a coordinate is too large to draw") from None
     _write(args.out, svg)

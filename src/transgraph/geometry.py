@@ -101,18 +101,6 @@ class Rotation:
     def identity() -> "Rotation":
         return Rotation(Fraction(1), Fraction(0))
 
-    @staticmethod
-    def from_parameter(t: RationalLike) -> "Rotation":
-        """Rotation by the angle whose half-tangent is ``t``.
-
-        (c, s) = ((1-t^2)/(1+t^2), 2t/(1+t^2)); the angle tends to 0 as
-        t -> 0+ and covers all rational points of the circle except
-        (-1, 0).
-        """
-        t = Fraction(t)
-        den = 1 + t * t
-        return Rotation((1 - t * t) / den, 2 * t / den)
-
     def compose(self, other: "Rotation") -> "Rotation":
         return Rotation(
             self.c * other.c - self.s * other.s,
@@ -130,7 +118,14 @@ class Rotation:
 
 
 def rotation_from_parameter(t: RationalLike) -> Rotation:
-    return Rotation.from_parameter(t)
+    """Rotation by the angle whose half-tangent is ``t``.
+
+    (c, s) = ((1-t^2)/(1+t^2), 2t/(1+t^2)); the angle tends to 0 as
+    t -> 0+ and covers all rational points of the circle except (-1, 0).
+    """
+    t = Fraction(t)
+    den = 1 + t * t
+    return Rotation((1 - t * t) / den, 2 * t / den)
 
 
 def rotate(v: Vec2, r: Rotation, sign: int = +1) -> Vec2:

@@ -19,6 +19,11 @@ quotients.  The crossings come from ``LineArrangement.intersections()``,
 which is called again where needed rather than stored: a stored table
 was measured to raise peak resident memory.
 
+The sector realization reads its band crossings from the same table:
+shifting line i up by o and line k up by o' moves their crossing by
+(o' - o)/(s_i - s_k) in x, so each crossing of two shifted lines is an
+arrangement crossing plus a multiple of the band offset.
+
 The containing disk of the source constructions is replaced by a
 vertical slab throughout; the slab boundaries play the role of the
 virtual vertical line, and the boundary crossings are exact rationals.
@@ -55,7 +60,6 @@ from .geometry import (
     acute_angle_at_least,
     angle_at_most,
     cleared,
-    line_intersection,
     project_param,
     rotation_from_parameter,
 )
@@ -377,6 +381,7 @@ def _initial_parameters(
 
 def _build_sector_instance(
     lines: list[Line],
+    crossings: dict[tuple[int, int], Point],
     slab: Slab,
     tau: Fraction,
     t: Fraction,
@@ -385,57 +390,46 @@ def _build_sector_instance(
 ) -> Optional[tuple[Instance, Rotation, Fraction]]:
     half = rotation_from_parameter(t)
     width = slab.width
-    offsets = {1: tau, 2: Fraction(0), 3: -tau}
-
-    shifted: dict[tuple[int, int], Line] = {}
-    for i, ln in enumerate(lines, start=1):
-        for m in (1, 2, 3):
-            shifted[(i, m)] = ln.shifted_up(offsets[m])
+    offsets = (tau, Fraction(0), -tau)  # band m = 1, 2, 3
+    slopes = [ln.slope() for ln in lines]
 
     # Crossing parameters along each bisector (unit = the direction vector
-    # (b, -a), so param = (x - x_left) / b).
-    crossings: dict[tuple[int, int], list[tuple[Fraction, int, int]]] = {}
-    min_gap = None
-    for i, ln in enumerate(lines, start=1):
-        for m in (1, 2, 3):
-            lm = shifted[(i, m)]
-            row = []
-            for k in range(1, len(lines) + 1):
-                if k == i:
-                    continue
-                for mp in (1, 2, 3):
-                    pt = line_intersection(lm, shifted[(k, mp)])
-                    row.append(((pt.x - slab.x_left) / ln.b, k, mp))
-            row.sort()
-            crossings[(i, m)] = row
-            end = width / ln.b
-            params = [p for p, _, _ in row] + [end]
-            if params[0] > 0:
-                gaps = [params[0]] + [
-                    q - p for p, q in zip(params, params[1:])
-                ]
-                local = min(gaps)
-                min_gap = local if min_gap is None else min(min_gap, local)
-            else:
-                min_gap = Fraction(0)
-    if min_gap is None or min_gap <= 0:
+    # (b, -a), so param = (x - x_left) / b).  Shifting line i up by o_m and
+    # line k up by o_mp moves their crossing by (o_mp - o_m)/(s_i - s_k) in
+    # x, and o_mp - o_m = (m - mp) * tau.
+    rows: dict[tuple[int, int], list[tuple[Fraction, int, int]]] = {
+        (i, m): [] for i in range(1, len(lines) + 1) for m in (1, 2, 3)
+    }
+    for pair, pt in crossings.items():
+        for i, k in (pair, pair[::-1]):
+            b = lines[i - 1].b
+            at = (pt.x - slab.x_left) / b
+            step = tau / ((slopes[i - 1] - slopes[k - 1]) * b)
+            for m in (1, 2, 3):
+                rows[(i, m)] += [(at + (m - mp) * step, k, mp) for mp in (1, 2, 3)]
+    gaps = []
+    for (i, _), row in rows.items():
+        row.sort()
+        params = [0] + [p for p, _, _ in row] + [width / lines[i - 1].b]
+        gaps += [q - p for p, q in zip(params, params[1:])]
+    min_gap = min(gaps)
+    if min_gap <= 0:
         # A shifted crossing escaped the slab or collided; caller shrinks tau.
         return None
     delta = min(delta, min_gap / 4)
 
-    entries: list[tuple[Label, Sector]] = []
+    cones: list[tuple[Label, Sector]] = []
+    bands: list[tuple[Label, Sector]] = []
     for i, ln in enumerate(lines, start=1):
         u = Vec2(ln.b, -ln.a)
-        rsq = width * width * (ln.a * ln.a + ln.b * ln.b) / (ln.b * ln.b)
-        for m in (1, 2, 3):
-            apex = shifted[(i, m)].point_at_x(slab.x_left)
-            entries.append((SC(i, m), Sector(apex, u, half, rsq)))
-    for i, ln in enumerate(lines, start=1):
-        u = Vec2(ln.b, -ln.a)
+        usq = u.norm_sq()
+        grow = usq * (1 + eps)
         end = width / ln.b
-        for m in (1, 2, 3):
-            apex_c = shifted[(i, m)].point_at_x(slab.x_left)
-            row = crossings[(i, m)]
+        left = ln.point_at_x(slab.x_left)
+        for m, o in enumerate(offsets, start=1):
+            apex_c = Vec2(left.x, left.y + o)
+            cones.append((SC(i, m), Sector(apex_c, u, half, end * end * usq)))
+            row = rows[(i, m)]
             for pos, (param, k, mp) in enumerate(row):
                 nxt = row[pos + 1][0] if pos + 1 < len(row) else end
                 for label, at in (
@@ -443,11 +437,8 @@ def _build_sector_instance(
                     (SB(i, m, k, mp), (param + nxt) / 2),
                 ):
                     apex = apex_c + u.scaled(at)
-                    dist_sq = (apex - apex_c).norm_sq()
-                    entries.append(
-                        (label, Sector(apex, -u, half, dist_sq * (1 + eps)))
-                    )
-    return instance(entries), half, delta
+                    bands.append((label, Sector(apex, -u, half, at * at * grow)))
+    return instance(cones + bands), half, delta
 
 
 def _sector_side_conditions(
@@ -496,7 +487,8 @@ def realize_sectors(arr: LineArrangement) -> SectorRealization:
     target = reduce_sectors(desc)
     slab = containing_slab(arr)
     lines = _normalized_lines(arr)
-    tau0, t0, delta0, eps0 = _initial_parameters(lines, arr.intersections(), slab)
+    crossings = arr.intersections()
+    tau0, t0, delta0, eps0 = _initial_parameters(lines, crossings, slab)
 
     last_detail = ""
     for rnd in range(MAX_SEARCH_ROUNDS):
@@ -506,7 +498,7 @@ def realize_sectors(arr: LineArrangement) -> SectorRealization:
         t = t0 / 8**rnd
         delta = delta0 / 64**rnd
         eps = eps0 / 2**rnd
-        built = _build_sector_instance(lines, slab, tau, t, delta, eps)
+        built = _build_sector_instance(lines, crossings, slab, tau, t, delta, eps)
         if built is None:
             last_detail = "shifted crossings left the slab"
             continue

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from typing import Union
 
 from .arrangement import LineArrangement, containing_slab
@@ -40,7 +39,9 @@ def export_dot(graph: LabelledDigraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-DEFAULT_COLORS = {
+STROKE_WIDTH = 0.02
+PADDING = 1.0
+COLORS = {
     "C": "#1f77b4",
     "A": "#d62728",
     "B": "#2ca02c",
@@ -52,27 +53,12 @@ DEFAULT_COLORS = {
 }
 
 
-@dataclass(frozen=True)
-class RenderStyle:
-    stroke_width: float = 0.02
-    colors: dict = field(default_factory=lambda: dict(DEFAULT_COLORS))
-    padding: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.stroke_width <= 0 or self.padding < 0:
-            raise ValueError("style needs positive dimensions")
-
-    def color_for(self, label) -> str:
-        return self.colors.get(label.kind, "#000000")
-
-
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
 class _Canvas:
-    def __init__(self, style: RenderStyle):
-        self.style = style
+    def __init__(self) -> None:
         self.elements: list[str] = []
         self.xs: list[float] = []
         self.ys: list[float] = []
@@ -86,12 +72,12 @@ class _Canvas:
         self.track(x2, y2)
         self.elements.append(
             f'<line x1="{_fmt(x1)}" y1="{_fmt(-y1)}" x2="{_fmt(x2)}" y2="{_fmt(-y2)}" '
-            f'stroke="{color}" stroke-width="{_fmt(self.style.stroke_width)}"/>'
+            f'stroke="{color}" stroke-width="{_fmt(STROKE_WIDTH)}"/>'
         )
 
     def marker(self, x, y, color) -> None:
         self.track(x, y)
-        r = self.style.stroke_width * 2.5
+        r = STROKE_WIDTH * 2.5
         self.elements.append(
             f'<circle cx="{_fmt(x)}" cy="{_fmt(-y)}" r="{_fmt(r)}" fill="{color}"/>'
         )
@@ -104,11 +90,11 @@ class _Canvas:
         cmds.append("Z")
         self.elements.append(
             f'<path d="{" ".join(cmds)}" fill="{color}" fill-opacity="0.25" '
-            f'stroke="{color}" stroke-width="{_fmt(self.style.stroke_width)}"/>'
+            f'stroke="{color}" stroke-width="{_fmt(STROKE_WIDTH)}"/>'
         )
 
     def svg(self) -> str:
-        pad = self.style.padding
+        pad = PADDING
         if self.xs:
             x0, x1 = min(self.xs) - pad, max(self.xs) + pad
             y0, y1 = min(self.ys) - pad, max(self.ys) + pad
@@ -152,17 +138,15 @@ def _render_disk(canvas: _Canvas, disk: Disk, color: str) -> None:
     canvas.elements.append(
         f'<circle cx="{_fmt(cx)}" cy="{_fmt(-cy)}" r="{_fmt(r)}" fill="{color}" '
         f'fill-opacity="0.25" stroke="{color}" '
-        f'stroke-width="{_fmt(canvas.style.stroke_width)}"/>'
+        f'stroke-width="{_fmt(STROKE_WIDTH)}"/>'
     )
     canvas.marker(cx, cy, color)
 
 
-def render_svg(
-    subject: Union[Instance, LineArrangement], style: RenderStyle = RenderStyle()
-) -> str:
-    canvas = _Canvas(style)
+def render_svg(subject: Union[Instance, LineArrangement]) -> str:
+    canvas = _Canvas()
     if isinstance(subject, LineArrangement):
-        color = style.colors.get("line", "#444444")
+        color = COLORS["line"]
         if subject.n >= 2:
             slab = containing_slab(subject)
             x0, x1 = slab.x_left, slab.x_right
@@ -175,7 +159,7 @@ def render_svg(
             )
     else:
         for label, obj in subject.entries:
-            color = style.color_for(label)
+            color = COLORS.get(label.kind, "#000000")
             if isinstance(obj, Segment):
                 _render_segment(canvas, obj, color)
             elif isinstance(obj, Sector):

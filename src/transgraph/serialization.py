@@ -293,7 +293,10 @@ def _label_fields(raw: Any, path: str, *at: int) -> tuple[str, tuple[int, ...], 
         raise SchemaError(_at(path, at), "expected a label object with a kind")
     kind = raw["kind"]
     if kind == "FREE":
-        return ("FREE", (), str(raw.get("text", "")))
+        text = raw.get("text", "")
+        if not isinstance(text, str):
+            raise SchemaError(_at(path, at), "FREE label text must be a string")
+        return ("FREE", (), text)
     indices = raw.get("indices")
     if not isinstance(indices, list) or not _all_ints(indices):
         raise SchemaError(_at(path, at), "label indices must be a list of integers")

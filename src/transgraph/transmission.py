@@ -10,7 +10,8 @@ denominators.  Segments and sectors run it only on the points that can
 pass it:
 
 - A segment can only contain points on its own line, so it is tested only
-  against the points of that line.
+  against the points of that line.  Sharing the line already proves a
+  point collinear, so the test left is the range ``0 <= d.w <= |d|^2``.
 - The sectors are grouped by (direction u, half angle (c, s)); a
   construction has 2n groups.  A point in a sector's cone has both integer
   keys ``k1 = s*(u.p) - c*(u x p)`` and ``k2 = s*(u.p) + c*(u x p)`` at
@@ -92,44 +93,25 @@ def _scale_vec(v, factor: int) -> tuple[int, int]:
     )
 
 
-def _scaled_tester(obj: ArrangementObject, scale: int) -> Callable[[int, int], bool]:
-    """Integer containment kernel of a segment or disk, equivalent to
-    ``obj.contains`` on points whose coordinates times ``scale`` are
+def _scaled_tester(disk: Disk, scale: int) -> Callable[[int, int], bool]:
+    """Integer containment kernel of a disk, equivalent to
+    ``disk.contains`` on points whose coordinates times ``scale`` are
     integers.
 
     All tests are sign tests, so clearing denominators with one positive
-    global factor changes nothing.  ``transmission_graph`` runs it on the
-    points of a segment's own line and on every point for a disk; sectors
-    have their own kernel, ``_sector_tester``.
+    global factor changes nothing.  Sectors have their own kernel,
+    ``_sector_tester``; segments are tested inline by
+    ``transmission_graph``.
     """
-    if isinstance(obj, Segment):
-        px, py = _scale_vec(obj.p, scale)
-        qx, qy = _scale_vec(obj.q, scale)
-        dx, dy = qx - px, qy - py
-        dd = dx * dx + dy * dy
+    cx, cy = _scale_vec(disk.center, scale)
+    rbound = disk.radius_sq.numerator * scale * scale
+    rd = disk.radius_sq.denominator
 
-        def test_segment(x: int, y: int) -> bool:
-            wx, wy = x - px, y - py
-            if dx * wy - dy * wx != 0:
-                return False
-            t = dx * wx + dy * wy
-            return 0 <= t <= dd
+    def test_disk(x: int, y: int) -> bool:
+        wx, wy = x - cx, y - cy
+        return (wx * wx + wy * wy) * rd <= rbound
 
-        return test_segment
-
-    if isinstance(obj, Disk):
-        cx, cy = _scale_vec(obj.center, scale)
-        rn = obj.radius_sq.numerator
-        rbound = rn * scale * scale
-        rd = obj.radius_sq.denominator
-
-        def test_disk(x: int, y: int) -> bool:
-            wx, wy = x - cx, y - cy
-            return (wx * wx + wy * wy) * rd <= rbound
-
-        return test_disk
-
-    raise TypeError(f"not a segment or disk: {obj!r}")
+    return test_disk
 
 
 def _sector_tester(
@@ -172,18 +154,6 @@ def _coordinate_scale(inst: Instance) -> int:
             dens.append(pt.x.denominator)
             dens.append(pt.y.denominator)
     return lcm(*dens)
-
-
-def _line_direction(seg: Segment, scale: int) -> tuple[int, int]:
-    """The direction of ``seg``, reduced by the gcd and sign-normalised to
-    dx > 0, or dx = 0 and dy > 0, so parallel segments share it."""
-    px, py = _scale_vec(seg.p, scale)
-    qx, qy = _scale_vec(seg.q, scale)
-    dx, dy = qx - px, qy - py
-    g = gcd(dx, dy)
-    if dx < 0 or (dx == 0 and dy < 0):
-        g = -g
-    return (dx // g, dy // g)
 
 
 def _cone_edges(
@@ -238,11 +208,13 @@ def transmission_graph(inst: Instance) -> LabelledDigraph:
     The sectors are grouped by (direction, half angle), and each group is
     swept as a dominance query on two integer keys (``_cone_edges``), so
     a sector runs its exact test only on the points that pass both keys.
-    The segments are grouped by direction (dx, dy); a point (x, y) lies on
-    the line through p exactly when ``dx*y - dy*x == dx*p.y - dy*p.x``, so
-    for each direction in turn the points are bucketed by that key and
-    each segment is tested only against its own bucket.  Skipped points
-    fail the exact test anyway.  A disk is tested against every other
+    A segment from p to q is grouped by its direction d = q - p, reduced
+    by the gcd and sign-normalised (ex > 0, or ex = 0 and ey > 0), so
+    parallel segments share a group.  A point (x, y) lies on the line
+    through p exactly when ``ex*y - ey*x == ex*p.y - ey*p.x``, so for each
+    direction in turn the points are bucketed by that key, and a point of
+    the segment's own bucket is in the segment iff ``0 <= d.w <= |d|^2``
+    for w = point - p.  A disk is tested against every other
     distinguished point; no reduction builds disks.
     """
     scale = _coordinate_scale(inst)
@@ -250,11 +222,16 @@ def transmission_graph(inst: Instance) -> LabelledDigraph:
     objects = inst.objects()
     points = [_scale_vec(distinguished_point(obj), scale) for obj in objects]
     edges = []
-    segments_by_direction: dict[tuple[int, int], list[int]] = {}
+    segments_by_direction: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     cone_groups: dict[tuple[Vec2, Rotation], list[int]] = {}
     for i, obj in enumerate(objects):
         if isinstance(obj, Segment):
-            segments_by_direction.setdefault(_line_direction(obj, scale), []).append(i)
+            (px, py), (qx, qy) = points[i], _scale_vec(obj.q, scale)
+            dx, dy = qx - px, qy - py
+            g = gcd(dx, dy)
+            if dx < 0 or (dx == 0 and dy < 0):
+                g = -g
+            segments_by_direction.setdefault((dx // g, dy // g), []).append((i, dx, dy))
         elif isinstance(obj, Sector):
             cone_groups.setdefault((obj.direction, obj.half_angle), []).append(i)
         else:
@@ -264,14 +241,15 @@ def transmission_graph(inst: Instance) -> LabelledDigraph:
                     edges.append((labels[i], labels[j]))
     for group in cone_groups.values():
         edges += _cone_edges(group, labels, objects, points, scale)
-    for (dx, dy), members in segments_by_direction.items():
+    for (ex, ey), members in segments_by_direction.items():
         on_line: dict[int, list[int]] = {}
         for j, (x, y) in enumerate(points):
-            on_line.setdefault(dx * y - dy * x, []).append(j)
-        for i in members:
-            test = _scaled_tester(objects[i], scale)
+            on_line.setdefault(ex * y - ey * x, []).append(j)
+        for i, dx, dy in members:
             px, py = points[i]
-            for j in on_line[dx * py - dy * px]:
-                if i != j and test(*points[j]):
+            dd = dx * dx + dy * dy
+            for j in on_line[ex * py - ey * px]:
+                x, y = points[j]
+                if i != j and 0 <= dx * (x - px) + dy * (y - py) <= dd:
                     edges.append((labels[i], labels[j]))
     return digraph(labels, edges)

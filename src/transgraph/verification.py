@@ -37,6 +37,26 @@ class RandomSpec:
             raise ValueError("need n >= 2")
         if self.coord_bound < 1:
             raise ValueError("need a positive coordinate bound")
+        # The 2*bound + 1 integer slopes are always available.
+        if self.n > 2 * self.coord_bound + 1:
+            count = _slope_count(self.coord_bound)
+            if self.n > count:
+                raise ValueError(
+                    f"n = {self.n} exceeds the {count} distinct slopes "
+                    f"with coordinate bound {self.coord_bound}"
+                )
+
+
+def _slope_count(bound: int) -> int:
+    """The number of distinct slopes p/q with |p| <= bound and
+    1 <= q <= bound: 0 and, each with both signs, the reduced fractions
+    of the positive ones, 4 * (phi(1) + ... + phi(bound)) - 1."""
+    phi = list(range(bound + 1))
+    for k in range(2, bound + 1):
+        if phi[k] == k:  # k is prime
+            for j in range(k, bound + 1, k):
+                phi[j] -= phi[j] // k
+    return 4 * sum(phi[1:]) - 1
 
 
 MAX_SAMPLING_ATTEMPTS = 1000

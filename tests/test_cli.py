@@ -39,6 +39,16 @@ def test_gen_writes_arrangement(arr_path):
     assert doc.payload.n == 3
 
 
+def test_gen_rejects_more_lines_than_distinct_slopes(tmp_path, capsys):
+    # bound 1 allows the slopes -1, 0 and 1 only.
+    assert run("gen", "--n", 4, "--seed", 0, "--bound", 1, "--out", tmp_path / "a.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "a.json").exists()
+    assert run("gen", "--n", 3, "--seed", 0, "--bound", 1, "--out", tmp_path / "b.json") == 0
+    assert load_document(tmp_path / "b.json").payload.n == 3
+
+
 def test_describe_validate(arr_path, tmp_path, capsys):
     desc = tmp_path / "desc.json"
     assert run("describe", "--in", arr_path, "--out", desc) == 0

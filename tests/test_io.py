@@ -420,10 +420,23 @@ def test_bad_edge_endpoint_is_rejected_with_its_path(tmp_path, capsys, edges, me
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
+@pytest.mark.parametrize("text", [5, ["a"], None])
+def test_free_label_text_must_be_a_string(tmp_path, capsys, text):
+    vertices = [C1, {"kind": "FREE", "text": text}]
+    body = {"kind": "graph", "formatVersion": 1, "payload": {"vertices": vertices}}
+    with pytest.raises(SchemaError) as exc:
+        document_from_json(json.dumps(body))
+    assert str(exc.value) == "payload.vertices[1]: FREE label text must be a string"
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(body))
+    assert main(["export-dot", "--in", str(path), "--out", str(tmp_path / "g.dot")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {exc.value}\n"
+
+
 def test_edge_endpoints_ignore_fields_their_kind_does_not_use():
     vertices = [C1, {"kind": "FREE", "text": "5"}, {"kind": "FREE", "text": "x"}, C1]
     edges = [
-        [{"kind": "C", "indices": [1], "text": "ignored"}, {"kind": "FREE", "text": 5}],
+        [{"kind": "C", "indices": [1], "text": "ignored"}, {"kind": "FREE", "text": "5"}],
         [{"kind": "FREE", "text": "x", "indices": [9]}, C1],
     ]
     text = json.dumps({"kind": "graph", "formatVersion": 1, "payload": {"vertices": vertices, "edges": edges}})

@@ -11,10 +11,12 @@ from transgraph.arrangement import LineArrangement, extract_description
 from transgraph.geometry import (
     Line,
     Rotation,
+    Vec2,
     Sector,
     Segment,
     acute_angle_at_least,
     angle_at_most,
+    line_intersection,
     project_param,
     rotation_from_parameter,
     vec,
@@ -388,6 +390,38 @@ def test_realize_sectors_three_lines(three_lines):
     real = realize_sectors(three_lines)
     expected = reduce_sectors(extract_description(three_lines))
     assert graph_diff(real.graph, expected).empty
+
+
+def test_band_apexes_sit_at_the_shifted_line_crossings():
+    """Every SA apex is delta before a crossing of two shifted lines, and
+    every SB apex is halfway to the next crossing or the slab end, with
+    ``line_intersection`` of the shifted lines as the reference."""
+    arr = random_simple_arrangement(RandomSpec(n=5, seed=1))
+    real = realize_sectors(arr)
+    objs = dict(real.instance.entries)
+    offsets = {1: real.tau, 2: F(0), 3: -real.tau}
+    checked = 0
+    for i in range(1, arr.n + 1):
+        for m in (1, 2, 3):
+            band = arr.line(i).shifted_up(offsets[m])
+            u = objs[SC(i, m)].direction
+            assert u.x > 0  # crossings are met in x order along the bisector
+            hits = sorted(
+                (
+                    (line_intersection(band, arr.line(k).shifted_up(offsets[mp])), k, mp)
+                    for k in range(1, arr.n + 1)
+                    if k != i
+                    for mp in (1, 2, 3)
+                ),
+                key=lambda hit: hit[0].x,
+            )
+            ends = [h[0] for h in hits[1:]] + [band.point_at_x(real.slab.x_right)]
+            for (pt, k, mp), nxt in zip(hits, ends):
+                assert objs[SA(i, m, k, mp)].apex + u.scaled(real.delta) == pt
+                mid = Vec2((pt.x + nxt.x) / 2, (pt.y + nxt.y) / 2)
+                assert objs[SB(i, m, k, mp)].apex == mid
+                checked += 1
+    assert checked == 9 * arr.n * (arr.n - 1)
 
 
 # --- randomized couple soundness ------------------------------------------

@@ -1,6 +1,8 @@
 """Quality rules for the package source, checked on its syntax tree: no
-module imports another module's private names, and correctness checks
-raise instead of using ``assert``, which ``python -O`` strips."""
+module imports another module's private names, correctness checks raise
+instead of using ``assert``, which ``python -O`` strips, and crossings
+come from ``LineArrangement.intersections()`` rather than a fresh
+``line_intersection`` solve."""
 
 import ast
 from pathlib import Path
@@ -34,3 +36,15 @@ def test_no_assert_statement(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_line_intersection_call(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "line_intersection"
+    ]
+    assert not calls
