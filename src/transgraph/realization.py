@@ -22,7 +22,12 @@ was measured to raise peak resident memory.
 The sector realization reads its band crossings from the same table:
 shifting line i up by o and line k up by o' moves their crossing by
 (o' - o)/(s_i - s_k) in x, so each crossing of two shifted lines is an
-arrangement crossing plus a multiple of the band offset.
+arrangement crossing plus a multiple of the band offset.  Each search
+round clears every line's crossing parameters, band steps and slab end
+to integers over one denominator, sorts and spaces the band rows on those
+integers, and builds one ``Fraction`` per output coordinate.  The
+candidate carries the label objects of the target graph, so comparing
+the two graphs matches every label by identity.
 
 The containing disk of the source constructions is replaced by a
 vertical slab throughout; the slab boundaries play the role of the
@@ -30,7 +35,10 @@ virtual vertical line, and the boundary crossings are exact rationals.
 
 The sector side checks (observation 1, the ordering gadget, wide spread)
 read containment from the transmission graph they are given, so each
-containment is decided once, by ``transmission_graph``.
+containment is decided once, by ``transmission_graph``.  Observation 1
+tests its bound once per class of couples with equal directions and half
+angles; wide spread runs its angle test first, once per pair of distinct
+directions, and looks for a qualifying pair only where that test fails.
 ``Sector.contains`` remains the reference that kernel's tests compare
 against.
 """
@@ -39,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 from typing import Optional, Sequence
 
 from .arrangement import (
@@ -202,23 +210,42 @@ def realize_segments(arr: LineArrangement) -> SegmentRealization:
 # x contains the apex of y iff ``(x, y) in graph.edges``.
 
 
+def _arcs(inst: Instance, graph: LabelledDigraph) -> set[tuple[int, int]]:
+    """The edges of ``graph`` as pairs of entry positions in ``inst``."""
+    index = {label: i for i, label in enumerate(inst.labels())}
+    return {(index[u], index[v]) for u, v in graph.edges}
+
+
 def check_observation1(inst: Instance, graph: LabelledDigraph) -> list[Edge]:
     """The mutual couples whose bisectors are not within
     (alpha(x)+alpha(y))/2 of antipodal, as sorted (u, v) pairs with u < v.
 
-    A mutual couple is a pair with an edge each way in ``graph``.
+    A mutual couple is a pair with an edge each way in ``graph``.  The
+    test reads only the two directions and half angles, and it is
+    symmetric in x and y, so it runs once per distinct class of those four
+    values.
     """
-    objs = dict(inst.entries)
+    labels, objs = inst.labels(), inst.objects()
+    arcs = _arcs(inst, graph)
+    couples = [(i, j) for i, j in arcs if i < j and (j, i) in arcs]
+    classes: dict[tuple[Vec2, Rotation], int] = {}
+    number = {
+        i: classes.setdefault((objs[i].direction, objs[i].half_angle), len(classes))
+        for i in {i for couple in couples for i in couple}
+    }
+    verdicts: dict[tuple[int, int], bool] = {}
     failures = []
-    for u, v in graph.edges:
-        if (v, u) not in graph.edges or not u < v:
-            continue
-        x, y = objs[u], objs[v]
-        bound = x.half_angle.compose(y.half_angle)
-        if bound.c < 0 or bound.s < 0:
-            raise ValueError("combined half-angles exceed pi/2")
-        if not angle_at_most(x.direction, -y.direction, bound):
-            failures.append((u, v))
+    for i, j in couples:
+        key = (min(number[i], number[j]), max(number[i], number[j]))
+        if key not in verdicts:
+            x, y = objs[i], objs[j]
+            bound = x.half_angle.compose(y.half_angle)
+            if bound.c < 0 or bound.s < 0:
+                raise ValueError("combined half-angles exceed pi/2")
+            verdicts[key] = angle_at_most(x.direction, -y.direction, bound)
+        if not verdicts[key]:
+            u, v = labels[i], labels[j]
+            failures.append((u, v) if u < v else (v, u))
     return sorted(failures)
 
 
@@ -246,38 +273,54 @@ def is_wide_spread(inst: Instance, graph: LabelledDigraph) -> bool:
     sector forms a mutual couple with both; every sector counts as a
     couple of itself (its apex is in itself), which exempts pairs that
     couple with each other.  Qualifying pairs need an acute bisector
-    angle of at least twice the largest opening angle.  The distinct
-    bisector directions are numbered once, and the angle test runs once
-    per distinct pair of direction numbers.
+    angle of at least twice the largest opening angle.
+
+    The angle test runs first, once per distinct pair of bisector
+    directions, and a qualifying pair is looked for only among the
+    direction pairs that fail it.  Within one container set, when all the
+    members of such a direction pair share a couple partner, no pair of
+    them qualifies, and only otherwise are they tested pair by pair.
     """
     sectors = _require_sectors(inst)
     m = len(sectors)
     if m <= 1:
         return True
-    index = {label: i for i, label in enumerate(inst.labels())}
     numbers: dict[Vec2, int] = {}
     direction = [numbers.setdefault(s.direction, len(numbers)) for s in sectors]
-    containers: list[set[int]] = [{d} for d in range(m)]
-    couples: list[set[int]] = [{i} for i in range(m)]
-    for u, v in graph.edges:
-        containers[index[v]].add(index[u])
-        if (v, u) in graph.edges:
-            couples[index[u]].add(index[v])
-    pairs: set[tuple[int, int]] = set()
-    for inside in containers:
-        for a, b in combinations(inside, 2):
-            da, db = direction[a], direction[b]
-            key = (da, db) if da <= db else (db, da)
-            if key not in pairs and couples[a].isdisjoint(couples[b]):
-                pairs.add(key)
-    if not pairs:
-        return True
-    largest = min(sectors, key=lambda s: s.half_angle.c)
-    if not largest.opening_at_most_quarter_pi():
-        return False  # twice the opening angle already exceeds pi/2
-    two_alpha = largest.half_angle.doubled().doubled()
     vectors = list(numbers)
-    return all(acute_angle_at_least(vectors[a], vectors[b], two_alpha) for a, b in pairs)
+    pairs = list(combinations_with_replacement(range(len(vectors)), 2))
+    largest = min(sectors, key=lambda s: s.half_angle.c)
+    if largest.opening_at_most_quarter_pi():
+        two_alpha = largest.half_angle.doubled().doubled()
+        narrow = {
+            (a, b)
+            for a, b in pairs
+            if not acute_angle_at_least(vectors[a], vectors[b], two_alpha)
+        }
+    else:
+        narrow = set(pairs)  # twice the opening angle already exceeds pi/2
+    # The sectors containing the apex of sector d, by direction number.
+    containers: list[dict[int, list[int]]] = [{direction[d]: [d]} for d in range(m)]
+    couples: list[set[int]] = [{i} for i in range(m)]
+    arcs = _arcs(inst, graph)
+    for u, v in arcs:
+        containers[v].setdefault(direction[u], []).append(u)
+        if (v, u) in arcs:
+            couples[u].add(v)
+    for groups in containers:
+        for da, db in combinations_with_replacement(sorted(groups), 2):
+            if (da, db) not in narrow:
+                continue
+            first, second = groups[da], groups[db]
+            members = first if da == db else first + second
+            if len(members) < 2 or set.intersection(*[couples[a] for a in members]):
+                continue
+            # Built only here: each iterator copies its inputs into tuples,
+            # and building them for every class raised peak memory.
+            candidates = combinations(first, 2) if da == db else product(first, second)
+            if any(couples[a].isdisjoint(couples[b]) for a, b in candidates):
+                return False
+    return True
 
 
 @dataclass
@@ -383,61 +426,98 @@ def _build_sector_instance(
     lines: list[Line],
     crossings: dict[tuple[int, int], Point],
     slab: Slab,
+    own: dict[tuple[str, tuple[int, ...]], Label],
     tau: Fraction,
     t: Fraction,
     delta: Fraction,
     eps: Fraction,
 ) -> Optional[tuple[Instance, Rotation, Fraction]]:
-    half = rotation_from_parameter(t)
-    width = slab.width
-    offsets = (tau, Fraction(0), -tau)  # band m = 1, 2, 3
-    slopes = [ln.slope() for ln in lines]
+    """One search round's candidate instance, or None when a shifted
+    crossing escapes the slab or two of them collide.
 
-    # Crossing parameters along each bisector (unit = the direction vector
-    # (b, -a), so param = (x - x_left) / b).  Shifting line i up by o_m and
-    # line k up by o_mp moves their crossing by (o_mp - o_m)/(s_i - s_k) in
-    # x, and o_mp - o_m = (m - mp) * tau.
-    rows: dict[tuple[int, int], list[tuple[Fraction, int, int]]] = {
-        (i, m): [] for i in range(1, len(lines) + 1) for m in (1, 2, 3)
+    Each object is labelled with the object ``own`` holds for its
+    (kind, indices), so that the target graph and the realized one share
+    their labels.
+
+    Positions along the bisector of line i are parameters in units of its
+    direction u = (b, -a), so param = (x - x_left)/b.  Shifting line i up
+    by o_m and line k up by o_mp moves their crossing by
+    (o_mp - o_m)/(s_i - s_k) in x, and o_mp - o_m = (m - mp) * tau.  Each
+    line's crossing parameters, band steps tau/((s_i - s_k) * b) and slab
+    end width/b are cleared to integers over one denominator D; the rows
+    are sorted and their gaps taken on those integers.  Each band apex and
+    squared radius is then one ``Fraction`` per coordinate, built from an
+    integer parameter num/den.
+    """
+    half = rotation_from_parameter(t)
+    slopes = [ln.slope() for ln in lines]
+    partners: dict[int, list[tuple[int, Fraction]]] = {
+        i: [] for i in range(1, len(lines) + 1)
     }
-    for pair, pt in crossings.items():
-        for i, k in (pair, pair[::-1]):
-            b = lines[i - 1].b
-            at = (pt.x - slab.x_left) / b
-            step = tau / ((slopes[i - 1] - slopes[k - 1]) * b)
-            for m in (1, 2, 3):
-                rows[(i, m)] += [(at + (m - mp) * step, k, mp) for mp in (1, 2, 3)]
+    for (i, k), pt in crossings.items():
+        partners[i].append((k, pt.x))
+        partners[k].append((i, pt.x))
+
+    # Per line: D, the slab end E/D and the three sorted band rows of
+    # (P, k, mp), the crossing of band mp of line k at P/D.
+    cleared_lines = []
     gaps = []
-    for (i, _), row in rows.items():
-        row.sort()
-        params = [0] + [p for p, _, _ in row] + [width / lines[i - 1].b]
-        gaps += [q - p for p, q in zip(params, params[1:])]
-    min_gap = min(gaps)
-    if min_gap <= 0:
-        # A shifted crossing escaped the slab or collided; caller shrinks tau.
-        return None
-    delta = min(delta, min_gap / 4)
+    for i, ln in enumerate(lines, start=1):
+        ks, xs = zip(*partners[i])
+        D, E, *values = cleared(
+            1,
+            slab.width / ln.b,
+            *((x - slab.x_left) / ln.b for x in xs),
+            *(tau / ((slopes[i - 1] - slopes[k - 1]) * ln.b) for k in ks),
+        )
+        at, step = values[: len(ks)], values[len(ks) :]
+        rows = []
+        for m in (1, 2, 3):
+            row = sorted(
+                (p + (m - mp) * d, k, mp)
+                for k, p, d in zip(ks, at, step)
+                for mp in (1, 2, 3)
+            )
+            params = [0, *(p for p, _, _ in row), E]
+            gap = min(q - p for p, q in zip(params, params[1:]))
+            if gap <= 0:
+                return None
+            gaps.append(Fraction(gap, D))
+            rows.append(row)
+        cleared_lines.append((D, E, rows))
+    delta = min(delta, min(gaps) / 4)
+    dn, dd = delta.numerator, delta.denominator
 
     cones: list[tuple[Label, Sector]] = []
     bands: list[tuple[Label, Sector]] = []
-    for i, ln in enumerate(lines, start=1):
+    for i, (ln, (D, E, rows)) in enumerate(zip(lines, cleared_lines), start=1):
         u = Vec2(ln.b, -ln.a)
+        back = -u
         usq = u.norm_sq()
         grow = usq * (1 + eps)
-        end = width / ln.b
-        left = ln.point_at_x(slab.x_left)
-        for m, o in enumerate(offsets, start=1):
-            apex_c = Vec2(left.x, left.y + o)
-            cones.append((SC(i, m), Sector(apex_c, u, half, end * end * usq)))
-            row = rows[(i, m)]
-            for pos, (param, k, mp) in enumerate(row):
-                nxt = row[pos + 1][0] if pos + 1 < len(row) else end
-                for label, at in (
-                    (SA(i, m, k, mp), param - delta),
-                    (SB(i, m, k, mp), (param + nxt) / 2),
+        gn, gd = grow.numerator, grow.denominator
+        cone_rsq = Fraction(E * E, D * D) * usq
+        left_y = ln.y_at(slab.x_left)
+        Q, ux, uy, cx, *cys = cleared(
+            1, u.x, u.y, slab.x_left, left_y + tau, left_y, left_y - tau
+        )
+        for m, cy, row in zip((1, 2, 3), cys, rows):
+            apex_c = Vec2(Fraction(cx, Q), Fraction(cy, Q))
+            cones.append((own["SC", (i, m)], Sector(apex_c, u, half, cone_rsq)))
+            for pos, (p, k, mp) in enumerate(row):
+                nxt = row[pos + 1][0] if pos + 1 < len(row) else E
+                # SA sits delta before the crossing, SB halfway to the next.
+                for kind, num, den in (
+                    ("SA", p * dd - dn * D, D * dd),
+                    ("SB", p + nxt, 2 * D),
                 ):
-                    apex = apex_c + u.scaled(at)
-                    bands.append((label, Sector(apex, -u, half, at * at * grow)))
+                    apex = Vec2(
+                        Fraction(cx * den + ux * num, Q * den),
+                        Fraction(cy * den + uy * num, Q * den),
+                    )
+                    rsq = Fraction(num * num * gn, den * den * gd)
+                    sector = Sector(apex, back, half, rsq)
+                    bands.append((own[kind, (i, m, k, mp)], sector))
     return instance(cones + bands), half, delta
 
 
@@ -485,6 +565,7 @@ def realize_sectors(arr: LineArrangement) -> SectorRealization:
         raise NonSimpleArrangement("arrangement has three concurrent lines")
     desc = extract_description(arr)
     target = reduce_sectors(desc)
+    own = {(v.kind, v.indices): v for v in target.vertices}
     slab = containing_slab(arr)
     lines = _normalized_lines(arr)
     crossings = arr.intersections()
@@ -498,7 +579,9 @@ def realize_sectors(arr: LineArrangement) -> SectorRealization:
         t = t0 / 8**rnd
         delta = delta0 / 64**rnd
         eps = eps0 / 2**rnd
-        built = _build_sector_instance(lines, crossings, slab, tau, t, delta, eps)
+        built = _build_sector_instance(
+            lines, crossings, slab, own, tau, t, delta, eps
+        )
         if built is None:
             last_detail = "shifted crossings left the slab"
             continue

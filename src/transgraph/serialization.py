@@ -293,7 +293,7 @@ def _label_fields(raw: Any, path: str, *at: int) -> tuple[str, tuple[int, ...], 
         raise SchemaError(_at(path, at), "expected a label object with a kind")
     kind = raw["kind"]
     if kind == "FREE":
-        text = raw.get("text", "")
+        text = raw.get("text")
         if not isinstance(text, str):
             raise SchemaError(_at(path, at), "FREE label text must be a string")
         return ("FREE", (), text)

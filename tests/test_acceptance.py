@@ -6,12 +6,12 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the status lines.
 import random
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import lcm
 
 import pytest
 
-from transgraph import verification
+from transgraph import realization, verification
 from transgraph.arrangement import LineArrangement, extract_description
 from transgraph.geometry import (
     Line,
@@ -26,6 +26,7 @@ from transgraph.graphs import digraph, free, graph_diff
 from transgraph.realization import (
     check_observation1,
     check_ordering_gadget,
+    is_wide_spread,
     realize_sectors,
     realize_segments,
 )
@@ -159,6 +160,82 @@ def test_sector_sweep_matches_all_pairs_reference(sector_suite):
         if rep.graph_from_geometry != _all_pairs_sector_graph(inst)
     ]
     assert not mismatched
+
+
+def _observation1_per_edge(inst, graph):
+    """Reference for ``check_observation1``: the bound tested once per
+    mutual couple, as the checker did before it tested once per class.
+    The predicate is read from ``realization`` so that a test can replace
+    it in both."""
+    objs = dict(inst.entries)
+    failures = []
+    for u, v in graph.edges:
+        if (v, u) not in graph.edges or not u < v:
+            continue
+        x, y = objs[u], objs[v]
+        bound = x.half_angle.compose(y.half_angle)
+        if not realization.angle_at_most(x.direction, -y.direction, bound):
+            failures.append((u, v))
+    return sorted(failures)
+
+
+def _wide_spread_pairwise(inst, graph):
+    """Reference for ``is_wide_spread``: every pair of sectors in every
+    container set tested for a shared couple partner, and the angle test
+    run on the direction pairs of the qualifying pairs, as the checker did
+    before it ran the angle test first."""
+    sectors = inst.objects()
+    index = {label: i for i, label in enumerate(inst.labels())}
+    numbers = {}
+    direction = [numbers.setdefault(s.direction, len(numbers)) for s in sectors]
+    containers = [{d} for d in range(len(sectors))]
+    couples = [{i} for i in range(len(sectors))]
+    for u, v in graph.edges:
+        containers[index[v]].add(index[u])
+        if (v, u) in graph.edges:
+            couples[index[u]].add(index[v])
+    pairs = {
+        tuple(sorted((direction[a], direction[b])))
+        for inside in containers
+        for a, b in combinations(inside, 2)
+        if couples[a].isdisjoint(couples[b])
+    }
+    if not pairs:
+        return True
+    largest = min(sectors, key=lambda s: s.half_angle.c)
+    if not largest.opening_at_most_quarter_pi():
+        return False
+    two_alpha = largest.half_angle.doubled().doubled()
+    vectors = list(numbers)
+    return all(
+        realization.acute_angle_at_least(vectors[a], vectors[b], two_alpha)
+        for a, b in pairs
+    )
+
+
+def test_side_checkers_match_their_per_pair_references(sector_suite, monkeypatch):
+    """Observation 1 and wide spread agree with their references on every
+    criterion-2 realization: as realized, and with every angle test made
+    to fail, so that observation 1 lists every mutual couple and wide
+    spread holds only where no pair qualifies."""
+    realized = [
+        (inst, rep.graph_from_geometry)
+        for inst, (_, rep) in zip(sector_suite["instances"], sector_suite["cases"])
+    ]
+
+    def verdicts(check):
+        return [check(inst, graph) for inst, graph in realized]
+
+    assert verdicts(check_observation1) == verdicts(_observation1_per_edge) == [[]] * 75
+    assert verdicts(is_wide_spread) == verdicts(_wide_spread_pairwise) == [True] * 75
+    monkeypatch.setattr(realization, "angle_at_most", lambda u, v, bound: False)
+    monkeypatch.setattr(realization, "acute_angle_at_least", lambda u, v, bound: False)
+    couples = verdicts(check_observation1)
+    assert couples == verdicts(_observation1_per_edge)
+    assert all(couples)
+    spread = verdicts(is_wide_spread)
+    assert spread == verdicts(_wide_spread_pairwise)
+    assert not any(spread)
 
 
 def test_criterion_3_count_formulas():

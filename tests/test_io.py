@@ -420,10 +420,15 @@ def test_bad_edge_endpoint_is_rejected_with_its_path(tmp_path, capsys, edges, me
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
-@pytest.mark.parametrize("text", [5, ["a"], None])
+MISSING = object()
+
+
+# A missing text must not default to "": that would decode to free("") and
+# re-encode with a text key the document never had.
+@pytest.mark.parametrize("text", [5, ["a"], None, MISSING])
 def test_free_label_text_must_be_a_string(tmp_path, capsys, text):
-    vertices = [C1, {"kind": "FREE", "text": text}]
-    body = {"kind": "graph", "formatVersion": 1, "payload": {"vertices": vertices}}
+    free = {"kind": "FREE"} if text is MISSING else {"kind": "FREE", "text": text}
+    body = {"kind": "graph", "formatVersion": 1, "payload": {"vertices": [C1, free]}}
     with pytest.raises(SchemaError) as exc:
         document_from_json(json.dumps(body))
     assert str(exc.value) == "payload.vertices[1]: FREE label text must be a string"

@@ -21,7 +21,7 @@ from transgraph.geometry import (
     rotation_from_parameter,
     vec,
 )
-from transgraph.graphs import A, SA, SB, SC, digraph, free, graph_diff
+from transgraph.graphs import A, SA, SB, SC, Label, digraph, free, graph_diff
 from transgraph.realization import (
     NonSectorObject,
     NonSimpleArrangement,
@@ -105,6 +105,50 @@ def test_observation1_needs_couple():
     assert check_observation1(*labelled(x, x)) == [(free("s0"), free("s1"))]
 
 
+def test_observation1_reports_only_the_failing_class():
+    # Two couples with the same directions, whose bisectors are atan(1/5),
+    # about 11.3 degrees, from antipodal.  The half angles of the first
+    # (t = 1/40, about 2.9 degrees) sum to less than that, those of the
+    # second (t = 1/10, about 11.4 degrees) to more.  No geometry makes
+    # such a first couple (criterion 4), so the graph is written by hand.
+    tight, loose = rotation_from_parameter(F(1, 40)), rotation_from_parameter(F(1, 10))
+    objs = [
+        sector(0, 0, 1, 0, half=tight),
+        sector(2, 0, -5, 1, half=tight),
+        sector(0, 5, 1, 0, half=loose),
+        sector(2, 5, -5, 1, half=loose),
+    ]
+    x1, y1, x2, y2 = labels = [free(name) for name in ("x1", "y1", "x2", "y2")]
+    inst = instance(zip(labels, objs))
+    graph = digraph(labels, [(x1, y1), (y1, x1), (x2, y2), (y2, x2)])
+    assert check_observation1(inst, graph) == [(x1, y1)]
+
+
+def test_observation1_tests_each_unordered_class_once(monkeypatch):
+    # The couples of the test above with tight half angles, the second
+    # listing its two classes in the other order; the test is symmetric in
+    # the pair, so one angle test decides both.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return angle_at_most(*args)
+
+    monkeypatch.setattr(realization, "angle_at_most", counted)
+    tight = rotation_from_parameter(F(1, 40))
+    objs = [
+        sector(0, 0, 1, 0, half=tight),
+        sector(2, 0, -5, 1, half=tight),
+        sector(2, 5, -5, 1, half=tight),
+        sector(0, 5, 1, 0, half=tight),
+    ]
+    x1, y1, y2, x2 = labels = [free(name) for name in ("x1", "y1", "y2", "x2")]
+    inst = instance(zip(labels, objs))
+    graph = digraph(labels, [(x1, y1), (y1, x1), (x2, y2), (y2, x2)])
+    assert check_observation1(inst, graph) == [(x1, y1), (x2, y2)]
+    assert len(calls) == 1
+
+
 def test_perpendicular_narrow_sectors_never_couple():
     # contrapositive: bisectors at a right angle cannot form a couple
     for ax, ay in [(2, 0), (1, 1), (3, -1), (0, 2)]:
@@ -182,6 +226,37 @@ def test_wide_spread_holds_for_perpendicular_pairs():
     d = Sector(vec(0, 0), vec(0, 1), NARROW, F(200))  # couples with a
     inst = instance([(free("a"), a), (free("b"), b), (free("d"), d)])
     assert wide_spread(inst)
+
+
+@pytest.mark.parametrize("t, spread", [(F(1, 6), False), (F(1, 20), True)])
+def test_wide_spread_decides_a_qualifying_pair_that_is_not_parallel(t, spread):
+    # a and b contain the apex of d and share no couple partner; their
+    # bisectors are 45 degrees apart.  At t = 1/6 twice the opening angle
+    # is about 76 degrees, at t = 1/20 about 23 degrees.
+    half = rotation_from_parameter(t)
+    a = Sector(vec(0, 10), vec(0, -1), half, F(200))
+    b = Sector(vec(-10, 10), vec(1, -1), half, F(300))
+    d = Sector(vec(0, 0), vec(1, 0), half, F(1, 100))
+    inst = instance([(free("a"), a), (free("b"), b), (free("d"), d)])
+    graph = transmission_graph(inst)
+    assert graph.edges == {(free("a"), free("d")), (free("b"), free("d"))}
+    assert is_wide_spread(inst, graph) is spread
+
+
+@pytest.mark.parametrize("couple_b_r, spread", [(True, True), (False, False)])
+def test_wide_spread_tests_pairs_when_a_class_has_no_common_partner(couple_b_r, spread):
+    """a, b and c share a direction and contain the apex of d.  Each two
+    of them share a couple partner (p, q or r), but no partner is common
+    to all three; without the couple b <-> r, b and c share none.  The
+    graph is written by hand to fix the couples."""
+    names = ("a", "b", "c", "d", "p", "q", "r")
+    a, b, c, d, p, q, r = labels = [free(name) for name in names]
+    objs = [sector(k, 0, 1, 0) for k in range(3)]
+    objs += [sector(0, 5, 0, 1), *(sector(k, 9, -1, 0) for k in range(3))]
+    couples = [(a, p), (a, q), (b, p), (c, q), (c, r)] + [(b, r)] * couple_b_r
+    edges = [(a, d), (b, d), (c, d)] + [e for x, y in couples for e in ((x, y), (y, x))]
+    inst = instance(zip(labels, objs))
+    assert is_wide_spread(inst, digraph(labels, edges)) is spread
 
 
 # --- ordering gadget -------------------------------------------------------
@@ -422,6 +497,117 @@ def test_band_apexes_sit_at_the_shifted_line_crossings():
                 assert objs[SB(i, m, k, mp)].apex == mid
                 checked += 1
     assert checked == 9 * arr.n * (arr.n - 1)
+
+
+def _build_sector_instance_by_fractions(lines, crossings, slab, tau, t, delta, eps):
+    """The sector builder as it was before it cleared each line to
+    integers: every row parameter, gap, apex and squared radius in
+    ``Fraction``s, with fresh labels.  The reference for
+    ``realization._build_sector_instance``."""
+    half = rotation_from_parameter(t)
+    width = slab.width
+    offsets = (tau, F(0), -tau)
+    slopes = [ln.slope() for ln in lines]
+    rows = {(i, m): [] for i in range(1, len(lines) + 1) for m in (1, 2, 3)}
+    for pair, pt in crossings.items():
+        for i, k in (pair, pair[::-1]):
+            b = lines[i - 1].b
+            at = (pt.x - slab.x_left) / b
+            step = tau / ((slopes[i - 1] - slopes[k - 1]) * b)
+            for m in (1, 2, 3):
+                rows[(i, m)] += [(at + (m - mp) * step, k, mp) for mp in (1, 2, 3)]
+    gaps = []
+    for (i, _), row in rows.items():
+        row.sort()
+        params = [0] + [p for p, _, _ in row] + [width / lines[i - 1].b]
+        gaps += [q - p for p, q in zip(params, params[1:])]
+    min_gap = min(gaps)
+    if min_gap <= 0:
+        return None
+    delta = min(delta, min_gap / 4)
+    cones, bands = [], []
+    for i, ln in enumerate(lines, start=1):
+        u = Vec2(ln.b, -ln.a)
+        usq = u.norm_sq()
+        grow = usq * (1 + eps)
+        end = width / ln.b
+        left = ln.point_at_x(slab.x_left)
+        for m, o in enumerate(offsets, start=1):
+            apex_c = Vec2(left.x, left.y + o)
+            cones.append((SC(i, m), Sector(apex_c, u, half, end * end * usq)))
+            row = rows[(i, m)]
+            for pos, (param, k, mp) in enumerate(row):
+                nxt = row[pos + 1][0] if pos + 1 < len(row) else end
+                for label, at in (
+                    (SA(i, m, k, mp), param - delta),
+                    (SB(i, m, k, mp), (param + nxt) / 2),
+                ):
+                    apex = apex_c + u.scaled(at)
+                    bands.append((label, Sector(apex, -u, half, at * at * grow)))
+    return instance(cones + bands), half, delta
+
+
+@pytest.mark.parametrize("n, seed", [(n, seed) for n in range(2, 8) for seed in (0, 1, 2)])
+def test_integer_build_matches_the_fraction_reference(n, seed):
+    """Every search round up to the accepted one builds the instance the
+    ``Fraction`` builder builds, and so do a band offset large enough to
+    push shifted crossings out of the slab and an apex offset large enough
+    to be clamped to a quarter of the smallest gap."""
+    # The clamp never binds and no crossing leaves the slab in the search
+    # rounds of these inputs; the last two calls reach both branches.
+    real = _realized(n, seed)
+    arr = random_simple_arrangement(RandomSpec(n=n, seed=seed))
+    lines = realization._normalized_lines(arr)
+    crossings = arr.intersections()
+    own = {(v.kind, v.indices): v for v in reduce_sectors(real.description).vertices}
+    tau0, t0, delta0, eps0 = realization._initial_parameters(lines, crossings, real.slab)
+
+    def both(*params):
+        built = realization._build_sector_instance(lines, crossings, real.slab, own, *params)
+        reference = _build_sector_instance_by_fractions(lines, crossings, real.slab, *params)
+        assert built == reference
+        return built
+
+    for rnd in range(realization.MAX_SEARCH_ROUNDS):
+        params = (tau0 / 2**rnd, t0 / 8**rnd, delta0 / 64**rnd, eps0 / 2**rnd)
+        built = both(*params)
+        if params[0] == real.tau:
+            break
+    assert built[0] == real.instance and built[2] == real.delta
+    assert both(tau0 * 10**6, t0, delta0, eps0) is None
+    clamped = both(tau0, t0, F(1), eps0)
+    assert clamped[2] < 1
+
+
+def test_realized_sectors_carry_the_target_labels(monkeypatch):
+    """Every label of the realized instance is the target graph's own
+    object, so the accepted round's ``graph_diff`` matches every vertex
+    and edge by identity and calls ``Label.__eq__`` not once."""
+    targets, diffs, eq_calls = [], [], []
+    reduce, label_eq = realization.reduce_sectors, Label.__eq__
+
+    def recording_reduce(desc):
+        targets.append(reduce(desc))
+        return targets[-1]
+
+    def counting_eq(self, other):
+        eq_calls.append(1)
+        return label_eq(self, other)
+
+    def counting_diff(g, h):
+        before = len(eq_calls)
+        report = graph_diff(g, h)
+        diffs.append((report.empty, len(eq_calls) - before))
+        return report
+
+    monkeypatch.setattr(realization, "reduce_sectors", recording_reduce)
+    monkeypatch.setattr(realization, "graph_diff", counting_diff)
+    monkeypatch.setattr(Label, "__eq__", counting_eq)
+    real = realize_sectors(random_simple_arrangement(RandomSpec(n=3, seed=1)))
+    (target,) = targets
+    assert diffs[-1] == (True, 0)
+    by_value = {v: v for v in target.vertices}
+    assert all(label is by_value[label] for label in real.instance.labels())
 
 
 # --- randomized couple soundness ------------------------------------------
