@@ -1,34 +1,62 @@
 """Structured vertex labels and labelled directed graphs.
 
-Labels are canonical, so graph comparison is plain set equality of
-labels and label pairs; no isomorphism search is ever needed.
+Labels are interned: ``Label(kind, indices, text)`` returns the one live
+object with those fields, held in a weak-valued table, so equal labels are
+the same object.  A label therefore compares and hashes by identity, in C,
+and graph comparison is plain set equality of labels and label pairs; no
+isomorphism search is ever needed.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
+from itertools import chain, starmap
+from operator import is_
 from typing import Iterable
 
 KIND_ORDER = {"C": 0, "A": 1, "B": 2, "SC": 3, "SA": 4, "SB": 5, "FREE": 6}
 
+# (kind, indices, text) -> the live label with those fields.  An entry
+# leaves the table when its label is no longer referenced.
+_INTERNED: weakref.WeakValueDictionary[tuple, Label] = weakref.WeakValueDictionary()
 
-@dataclass(frozen=True, order=False, slots=True)
+
 class Label:
+    """An immutable, interned vertex label.
+
+    Equal fields give the same object, so ``==`` and ``hash`` are the
+    identity comparison and hash that ``object`` provides.
+    """
+
+    __slots__ = ("kind", "indices", "text", "__weakref__")
+
     kind: str
-    indices: tuple[int, ...] = ()
-    text: str = ""
-    # Graphs hash every label many times; a frozen dataclass would rebuild
-    # and hash the field tuple on each call.
-    _hash: int = field(init=False, repr=False, compare=False)
+    indices: tuple[int, ...]
+    text: str
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.kind, self.indices, self.text)))
+    def __new__(cls, kind: str, indices: tuple[int, ...] = (), text: str = "") -> Label:
+        key = (kind, indices, text)
+        label = _INTERNED.get(key)
+        if label is None:
+            label = object.__new__(cls)
+            object.__setattr__(label, "kind", kind)
+            object.__setattr__(label, "indices", indices)
+            object.__setattr__(label, "text", text)
+            _INTERNED[key] = label
+        return label
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"Label(kind={self.kind!r}, indices={self.indices!r}, text={self.text!r})"
 
     def __reduce__(self):
-        # Rebuild from the fields: a string hash differs between processes.
+        # Rebuild from the fields, which returns this process's own object.
         return (Label, (self.kind, self.indices, self.text))
 
     def __str__(self) -> str:
@@ -91,11 +119,16 @@ class LabelledDigraph:
     edges: frozenset[Edge]
 
     def __post_init__(self) -> None:
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop at {u}")
-            if u not in self.vertices or v not in self.vertices:
-                raise ValueError(f"dangling edge {u} -> {v}")
+        # Labels compare by identity, so both tests run in C; the loop only
+        # names the first offending edge.
+        if any(starmap(is_, self.edges)) or not self.vertices.issuperset(
+            chain.from_iterable(self.edges)
+        ):
+            for u, v in self.edges:
+                if u is v:
+                    raise ValueError(f"self-loop at {u}")
+                if u not in self.vertices or v not in self.vertices:
+                    raise ValueError(f"dangling edge {u} -> {v}")
 
     @property
     def vertex_count(self) -> int:

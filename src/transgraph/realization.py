@@ -25,9 +25,10 @@ shifting line i up by o and line k up by o' moves their crossing by
 arrangement crossing plus a multiple of the band offset.  Each search
 round clears every line's crossing parameters, band steps and slab end
 to integers over one denominator, sorts and spaces the band rows on those
-integers, and builds one ``Fraction`` per output coordinate.  The
-candidate carries the label objects of the target graph, so comparing
-the two graphs matches every label by identity.
+integers, and builds one ``Fraction`` per output coordinate.  Labels are
+interned (``graphs.Label``), so the candidate's labels are the target
+graph's own objects and comparing the two graphs matches every label by
+identity; the same holds for the segment realization.
 
 The containing disk of the source constructions is replaced by a
 vertical slab throughout; the slab boundaries play the role of the
@@ -426,7 +427,6 @@ def _build_sector_instance(
     lines: list[Line],
     crossings: dict[tuple[int, int], Point],
     slab: Slab,
-    own: dict[tuple[str, tuple[int, ...]], Label],
     tau: Fraction,
     t: Fraction,
     delta: Fraction,
@@ -434,10 +434,6 @@ def _build_sector_instance(
 ) -> Optional[tuple[Instance, Rotation, Fraction]]:
     """One search round's candidate instance, or None when a shifted
     crossing escapes the slab or two of them collide.
-
-    Each object is labelled with the object ``own`` holds for its
-    (kind, indices), so that the target graph and the realized one share
-    their labels.
 
     Positions along the bisector of line i are parameters in units of its
     direction u = (b, -a), so param = (x - x_left)/b.  Shifting line i up
@@ -503,13 +499,13 @@ def _build_sector_instance(
         )
         for m, cy, row in zip((1, 2, 3), cys, rows):
             apex_c = Vec2(Fraction(cx, Q), Fraction(cy, Q))
-            cones.append((own["SC", (i, m)], Sector(apex_c, u, half, cone_rsq)))
+            cones.append((SC(i, m), Sector(apex_c, u, half, cone_rsq)))
             for pos, (p, k, mp) in enumerate(row):
                 nxt = row[pos + 1][0] if pos + 1 < len(row) else E
                 # SA sits delta before the crossing, SB halfway to the next.
-                for kind, num, den in (
-                    ("SA", p * dd - dn * D, D * dd),
-                    ("SB", p + nxt, 2 * D),
+                for make, num, den in (
+                    (SA, p * dd - dn * D, D * dd),
+                    (SB, p + nxt, 2 * D),
                 ):
                     apex = Vec2(
                         Fraction(cx * den + ux * num, Q * den),
@@ -517,7 +513,7 @@ def _build_sector_instance(
                     )
                     rsq = Fraction(num * num * gn, den * den * gd)
                     sector = Sector(apex, back, half, rsq)
-                    bands.append((own[kind, (i, m, k, mp)], sector))
+                    bands.append((make(i, m, k, mp), sector))
     return instance(cones + bands), half, delta
 
 
@@ -565,7 +561,6 @@ def realize_sectors(arr: LineArrangement) -> SectorRealization:
         raise NonSimpleArrangement("arrangement has three concurrent lines")
     desc = extract_description(arr)
     target = reduce_sectors(desc)
-    own = {(v.kind, v.indices): v for v in target.vertices}
     slab = containing_slab(arr)
     lines = _normalized_lines(arr)
     crossings = arr.intersections()
@@ -580,7 +575,7 @@ def realize_sectors(arr: LineArrangement) -> SectorRealization:
         delta = delta0 / 64**rnd
         eps = eps0 / 2**rnd
         built = _build_sector_instance(
-            lines, crossings, slab, own, tau, t, delta, eps
+            lines, crossings, slab, tau, t, delta, eps
         )
         if built is None:
             last_detail = "shifted crossings left the slab"

@@ -55,7 +55,7 @@ def reduce_segments(
     if not omit <= set(SEGMENT_FAMILIES):
         raise ValueError(f"unknown families: {sorted(omit - set(SEGMENT_FAMILIES))}")
     lines = range(1, desc.n + 1)
-    # One label object per vertex, shared by every edge that names it.
+    # Each label is built once; an edge end is a dict lookup, not a call.
     c = {i: C(i) for i in lines}
     a = {(i, k): A(i, k) for i, k in combinations(lines, 2)}
     b = {(i, k): B(i, k) for i in lines for k in lines if k != i}
@@ -98,7 +98,7 @@ def reduce_sectors(
     if not omit <= set(SECTOR_FAMILIES):
         raise ValueError(f"unknown families: {sorted(omit - set(SECTOR_FAMILIES))}")
     lines = range(1, desc.n + 1)
-    # One label object per vertex, shared by every edge that names it.
+    # Each label is built once; an edge end is a dict lookup, not a call.
     sc = {(i, m): SC(i, m) for i in lines for m in MS}
     parts = [
         (i, m, k, mp) for i in lines for k in lines if k != i for m in MS for mp in MS

@@ -11,8 +11,8 @@ The text is exactly ``json.dumps(body, sort_keys=True, separators=(",",
 same few hundred vertex labels again in each of a sector graph's
 Theta(n^3) edges.  A graph's body holds one dict per distinct label, shared by its
 vertex entry and its edges, and ``_write`` renders each container once per
-indentation depth.  The decoder likewise validates every edge endpoint
-and then maps it to its decoded vertex, so equal labels are one object.
+indentation depth.  The decoder validates every edge endpoint and builds
+its label, which ``graphs.Label`` interns, so equal labels are one object.
 """
 
 from __future__ import annotations
@@ -286,9 +286,9 @@ def _at(path: str, at: tuple[int, ...]) -> str:
     return path + "".join(f"[{i}]" for i in at)
 
 
-def _label_fields(raw: Any, path: str, *at: int) -> tuple[str, tuple[int, ...], str]:
-    """The (kind, indices, text) of a label object at ``path`` followed by
-    the list positions ``at``; the error path is built only to raise."""
+def _dec_label(raw: Any, path: str, *at: int) -> Label:
+    """The label object at ``path`` followed by the list positions ``at``;
+    the error path is built only to raise."""
     if not isinstance(raw, dict) or not isinstance(raw.get("kind"), str):
         raise SchemaError(_at(path, at), "expected a label object with a kind")
     kind = raw["kind"]
@@ -296,15 +296,11 @@ def _label_fields(raw: Any, path: str, *at: int) -> tuple[str, tuple[int, ...], 
         text = raw.get("text")
         if not isinstance(text, str):
             raise SchemaError(_at(path, at), "FREE label text must be a string")
-        return ("FREE", (), text)
+        return Label("FREE", (), text)
     indices = raw.get("indices")
     if not isinstance(indices, list) or not _all_ints(indices):
         raise SchemaError(_at(path, at), "label indices must be a list of integers")
-    return (kind, tuple(indices), "")
-
-
-def _dec_label(raw: Any, path: str) -> Label:
-    return Label(*_label_fields(raw, path))
+    return Label(kind, tuple(indices))
 
 
 def _dec_object(raw: Any, path: str) -> ArrangementObject:
@@ -338,43 +334,40 @@ def _dec_object(raw: Any, path: str) -> ArrangementObject:
 
 def _dec_labels(raw: dict, key: str, path: str) -> list[Label]:
     path = f"{path}.{key}"
-    return [Label(*_label_fields(v, path, i)) for i, v in enumerate(_dec_list(raw.get(key, []), path))]
+    return [_dec_label(v, path, i) for i, v in enumerate(_dec_list(raw.get(key, []), path))]
 
 
-def _edge_fields(raw: dict, key: str, path: str):
-    """(i, tail fields, head fields) for each label pair i in ``raw[key]``."""
+def _edge_labels(raw: dict, key: str, path: str):
+    """(i, tail, head) for each label pair i in ``raw[key]``."""
     path = f"{path}.{key}"
     for i, pair in enumerate(_dec_list(raw.get(key, []), path)):
         if not isinstance(pair, list) or len(pair) != 2:
             raise SchemaError(f"{path}[{i}]", "expected a label pair")
-        yield i, _label_fields(pair[0], path, i, 0), _label_fields(pair[1], path, i, 1)
+        yield i, _dec_label(pair[0], path, i, 0), _dec_label(pair[1], path, i, 1)
 
 
 def _dec_edges(raw: dict, key: str, path: str) -> list[tuple[Label, Label]]:
-    return [(Label(*tail), Label(*head)) for _, tail, head in _edge_fields(raw, key, path)]
+    return [(u, v) for _, u, v in _edge_labels(raw, key, path)]
 
 
 def _dec_graph(raw: Any, path: str) -> LabelledDigraph:
     raw = _dec_dict(raw, path)
-    vertices: dict[tuple, Label] = {}
-    for label in _dec_labels(raw, "vertices", path):
-        vertices.setdefault((label.kind, label.indices, label.text), label)
-    # Each endpoint maps to its vertex's Label object.  Every endpoint is
-    # validated before the first dangling endpoint or self-loop is raised.
+    vertices = frozenset(_dec_labels(raw, "vertices", path))
+    # Every endpoint is validated before the first dangling endpoint or
+    # self-loop is raised.
     edges = []
     problem = None
-    for i, tail, head in _edge_fields(raw, "edges", path):
-        u, v = vertices.get(tail), vertices.get(head)
+    for i, u, v in _edge_labels(raw, "edges", path):
         if problem is None:
-            if u is None or v is None:
-                missing = Label(*(tail if u is None else head))
+            if u not in vertices or v not in vertices:
+                missing = u if u not in vertices else v
                 problem = SchemaError(f"{path}.edges[{i}]", f"dangling edge endpoint {missing}")
             elif u is v:
                 problem = SchemaError(f"{path}.edges[{i}]", f"self-loop at {u}")
         edges.append((u, v))
     if problem is not None:
         raise problem
-    return digraph(vertices.values(), edges)
+    return digraph(vertices, edges)
 
 
 def _dec_payload(kind: str, raw: Any, path: str = "payload") -> Any:

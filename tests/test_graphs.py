@@ -1,3 +1,5 @@
+import copy
+import gc
 import os
 import pickle
 import subprocess
@@ -7,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import transgraph
+from transgraph import graphs
 from transgraph.graphs import (
     A,
     B,
@@ -33,6 +36,7 @@ def test_label_text():
 
 def test_a_label_is_unordered():
     assert A(2, 1) == A(1, 2)
+    assert A(2, 1) is A(1, 2)
 
 
 def test_b_label_is_ordered():
@@ -84,15 +88,34 @@ def test_graph_diff_reports_direction():
     assert "C_3" in d.summary()
 
 
-# --- cached hash and total order -------------------------------------------
+# --- interning and total order ---------------------------------------------
 
 
 def test_equal_labels_built_apart_are_equal_with_equal_hashes():
     a, b = SC(2, 3), Label("SC", (2, 3))
-    assert a is not b
+    assert a is b
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
     assert free("x") == Label("FREE", (), "x") and hash(free("x")) == hash(Label("FREE", (), "x"))
+
+
+def test_the_intern_table_holds_only_live_labels():
+    key = ("FREE", (), "a label no other test builds")
+    label = free(key[2])
+    assert graphs._INTERNED[key] is label
+    del label
+    gc.collect()
+    assert key not in graphs._INTERNED
+
+
+@pytest.mark.parametrize("field", ["kind", "indices", "text"])
+def test_label_fields_cannot_be_set_or_deleted(field):
+    label = SA(1, 2, 3, 1)
+    with pytest.raises(AttributeError):
+        setattr(label, field, getattr(label, field))
+    with pytest.raises(AttributeError):
+        delattr(label, field)
+    assert label is SA(1, 2, 3, 1) and str(label) == "SA_1_2_3_1"
 
 
 def test_label_is_not_equal_to_a_tuple():
@@ -106,6 +129,8 @@ def test_pickle_rebuilds_the_label_from_its_fields():
     label = SA(1, 2, 3, 1)
     assert label.__reduce__() == (Label, ("SA", (1, 2, 3, 1), ""))
     assert pickle.loads(pickle.dumps(label)) == label
+    assert pickle.loads(pickle.dumps(label)) is label
+    assert copy.deepcopy(label) is label
 
 
 # Unpickles labels and looks each up in a set of freshly built equal labels;

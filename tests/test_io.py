@@ -55,10 +55,12 @@ def test_description_document_roundtrip():
 
 
 def test_graph_document_roundtrip():
-    g = reduce_segments(
-        extract_description(random_simple_arrangement(RandomSpec(n=3, seed=0)))
-    )
-    assert roundtrip(Document("graph", g)).payload == g
+    desc = extract_description(random_simple_arrangement(RandomSpec(n=3, seed=0)))
+    for g in (reduce_segments(desc), reduce_sectors(desc)):
+        back = roundtrip(Document("graph", g)).payload
+        assert back == g
+        # Labels are interned: the decoded labels are the reduction's objects.
+        assert sorted(map(id, back.vertices)) == sorted(map(id, g.vertices))
 
 
 def test_instance_document_roundtrip_segments(three_lines):

@@ -559,11 +559,10 @@ def test_integer_build_matches_the_fraction_reference(n, seed):
     arr = random_simple_arrangement(RandomSpec(n=n, seed=seed))
     lines = realization._normalized_lines(arr)
     crossings = arr.intersections()
-    own = {(v.kind, v.indices): v for v in reduce_sectors(real.description).vertices}
     tau0, t0, delta0, eps0 = realization._initial_parameters(lines, crossings, real.slab)
 
     def both(*params):
-        built = realization._build_sector_instance(lines, crossings, real.slab, own, *params)
+        built = realization._build_sector_instance(lines, crossings, real.slab, *params)
         reference = _build_sector_instance_by_fractions(lines, crossings, real.slab, *params)
         assert built == reference
         return built

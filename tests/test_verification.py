@@ -1,10 +1,12 @@
+import inspect
+import sys
 from fractions import Fraction
 
 import pytest
 
-from transgraph import realization
+from transgraph import graphs, realization
 from transgraph.arrangement import is_simple
-from transgraph.graphs import B, graph_diff
+from transgraph.graphs import B, DiffReport, Label, graph_diff
 from transgraph.realization import realize_segments
 from transgraph.transmission import instance, transmission_graph
 from transgraph.verification import (
@@ -84,6 +86,46 @@ def test_round_trip_sectors_checks_side_conditions_once(monkeypatch):
 def test_round_trip_sectors_n3():
     rep = round_trip_sectors(random_simple_arrangement(RandomSpec(n=3, seed=1)))
     assert rep.passed, rep.summary()
+
+
+def _label_calls_in_graph_code(run):
+    """Python-level calls into ``Label`` methods made inside ``digraph``
+    and inside every ``graph_diff`` that finds the graphs equal, during
+    ``run()``.  A diff that finds differences sorts them for its report,
+    so a rejected search round's diff is not counted."""
+    label_code = {
+        f.__code__ for f in (getattr(Label, name) for name in vars(Label)) if inspect.isfunction(f)
+    }
+    graph_code = {graphs.graph_diff.__code__, graphs.digraph.__code__}
+    open_counts = []
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            if frame.f_code in graph_code:
+                open_counts.append(0)
+            elif open_counts and frame.f_code in label_code:
+                open_counts[-1] += 1
+        elif event == "return" and frame.f_code in graph_code:
+            made = open_counts.pop()
+            if not isinstance(arg, DiffReport) or arg.empty:
+                calls += made
+
+    sys.setprofile(profile)
+    try:
+        assert run().passed
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("trip, n", [(round_trip_segments, 8), (round_trip_sectors, 3)])
+def test_graphs_are_built_and_compared_without_calling_label_methods(trip, n):
+    """Labels are interned, so building and diffing the round trip's graphs
+    hashes and compares every label by identity, in C."""
+    arr = random_simple_arrangement(RandomSpec(n=n, seed=1))
+    assert _label_calls_in_graph_code(lambda: trip(arr)) == 0
 
 
 def test_fault_injection_missing_object_is_detected(three_lines):
