@@ -25,13 +25,9 @@ from .geometry import (
     Segment,
     Vec2,
     angle_at_most,
-    contains_point,
     line_from_slope_intercept,
     line_intersection,
-    line_through,
-    orientation,
     project_param,
-    rotate,
     rotation_from_parameter,
     vec,
 )

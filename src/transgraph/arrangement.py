@@ -150,9 +150,6 @@ class Description:
         """1-based access to O^i."""
         return self.orders[i - 1]
 
-    def is_simple(self) -> bool:
-        return all(len(block) == 1 for row in self.orders for block in row)
-
     def flat_order(self, i: int) -> tuple[int, ...]:
         """O^i flattened to a plain index sequence (simple descriptions)."""
         return tuple(k for block in self.order(i) for k in block)

@@ -1,9 +1,13 @@
-"""Exact rational points, rotations, and containment predicates.
+"""Exact rational points, rotations, lines, and the arrangement objects.
 
 Every value is an immutable exact quantity: coordinates are
 ``fractions.Fraction``, rotations are exact (cos, sin) pairs on the unit
-circle.  All predicates below are decided by sign tests on rational
-expressions, so there is no rounding anywhere in the pipeline.
+circle, and a line is the locus a*x + b*y = c.  Each object (segment,
+sector, disk) has one exact containment test, ``contains``.  All
+predicates below are decided by sign tests on rational expressions, so
+there is no rounding anywhere in the pipeline.  ``cleared`` is the
+package's one routine for clearing denominators; the integer kernels of
+``arrangement``, ``realization`` and ``transmission`` run on its output.
 
 Every cone and angle predicate is one tangent test.  For an angle bound
 (c, s) with c, s >= 0, i.e. an angle in [0, pi/2], the angle between u and
@@ -97,18 +101,11 @@ class Rotation:
         if self.c * self.c + self.s * self.s != 1:
             raise ValueError(f"({self.c}, {self.s}) is not on the unit circle")
 
-    @staticmethod
-    def identity() -> "Rotation":
-        return Rotation(Fraction(1), Fraction(0))
-
     def compose(self, other: "Rotation") -> "Rotation":
         return Rotation(
             self.c * other.c - self.s * other.s,
             self.s * other.c + self.c * other.s,
         )
-
-    def inverse(self) -> "Rotation":
-        return Rotation(self.c, -self.s)
 
     def doubled(self) -> "Rotation":
         return self.compose(self)
@@ -126,19 +123,6 @@ def rotation_from_parameter(t: RationalLike) -> Rotation:
     t = Fraction(t)
     den = 1 + t * t
     return Rotation((1 - t * t) / den, 2 * t / den)
-
-
-def rotate(v: Vec2, r: Rotation, sign: int = +1) -> Vec2:
-    """Rotate ``v`` by the angle of ``r`` (counter-clockwise for +1)."""
-    if sign >= 0:
-        return r.apply(v)
-    return r.inverse().apply(v)
-
-
-def orientation(a: Point, b: Point, c: Point) -> int:
-    """Sign of the cross product (b-a) x (c-a): +1 ccw, -1 cw, 0 collinear."""
-    d = (b - a).cross(c - a)
-    return (d > 0) - (d < 0)
 
 
 def _within(dot: Fraction, cross: Fraction, bound: Rotation) -> bool:
@@ -171,9 +155,6 @@ class Segment:
     def __post_init__(self) -> None:
         if self.p == self.q:
             raise ValueError("degenerate segment: p == q")
-
-    def direction(self) -> Vec2:
-        return self.q - self.p
 
     def contains(self, pt: Point) -> bool:
         d = self.q - self.p
@@ -241,11 +222,6 @@ class Disk:
 ArrangementObject = Union[Segment, Sector, Disk]
 
 
-def contains_point(obj: ArrangementObject, pt: Point) -> bool:
-    """Closed-set membership for any arrangement object."""
-    return obj.contains(pt)
-
-
 def project_param(origin: Point, u: Vec2, pt: Point) -> Fraction:
     """Parameter of ``pt`` projected onto the directed line origin + t*u.
 
@@ -292,23 +268,6 @@ class Line:
             raise ValueError("vertical line has no rightward direction")
         d = Vec2(self.b, -self.a)
         return d if d.x > 0 else -d
-
-    def contains(self, pt: Point) -> bool:
-        return self.a * pt.x + self.b * pt.y == self.c
-
-    def shifted_up(self, dy: RationalLike) -> "Line":
-        """The line translated vertically by ``dy`` (non-vertical only)."""
-        if self.b == 0:
-            raise ValueError("cannot vertically shift a vertical line")
-        return Line(self.a, self.b, self.c + self.b * Fraction(dy))
-
-
-def line_through(p: Point, q: Point) -> Line:
-    if p == q:
-        raise ValueError("need two distinct points")
-    a = q.y - p.y
-    b = p.x - q.x
-    return Line(a, b, a * p.x + b * p.y)
 
 
 def line_from_slope_intercept(slope: RationalLike, intercept: RationalLike) -> Line:

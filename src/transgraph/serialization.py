@@ -56,7 +56,6 @@ class SchemaError(Exception):
 class Document:
     kind: str
     payload: Any
-    format_version: int = FORMAT_VERSION
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -225,7 +224,7 @@ def _write_container(value: list | tuple | dict, depth: int, memo: dict) -> str:
 def document_to_json(doc: Document) -> str:
     body = {
         "kind": doc.kind,
-        "formatVersion": doc.format_version,
+        "formatVersion": FORMAT_VERSION,
         "payload": _enc_payload(doc.kind, doc.payload),
     }
     return _write(body, 0, {}) + "\n"
@@ -393,8 +392,8 @@ def _dec_payload(kind: str, raw: Any, path: str = "payload") -> Any:
             raise SchemaError(f"{path}.lines", str(exc)) from None
     if kind == "description":
         n = raw.get("n")
-        if not _is_int(n) or n < 1:
-            raise SchemaError(f"{path}.n", "expected a positive integer")
+        if not _is_int(n) or n < 0:
+            raise SchemaError(f"{path}.n", "expected a non-negative integer")
         orders = _dec_list(raw.get("orders"), f"{path}.orders")
         rows = []
         for i, row in enumerate(orders):
@@ -462,7 +461,7 @@ def document_from_json(text: str) -> Document:
     version = body.get("formatVersion")
     if not _is_int(version) or version != FORMAT_VERSION:
         raise SchemaError("formatVersion", f"unsupported version {version!r}")
-    return Document(kind, _dec_payload(kind, body.get("payload", {})), version)
+    return Document(kind, _dec_payload(kind, body.get("payload", {})))
 
 
 def load_document(path) -> Document:

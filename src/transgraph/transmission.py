@@ -6,8 +6,10 @@ excluded by convention, which keeps the output directly comparable with
 the reduction graphs.
 
 Every test is exact integer arithmetic on coordinates cleared of their
-denominators.  Segments and sectors run it only on the points that can
-pass it:
+denominators: one ``geometry.cleared`` call scales every distinguished
+point and every segment's far end by one common factor, and each kernel
+takes its object's point from that result.  Segments and sectors run the
+test only on the points that can pass it:
 
 - A segment can only contain points on its own line, so it is tested only
   against the points of that line.  Sharing the line already proves a
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .geometry import (
@@ -83,27 +85,19 @@ def distinguished_point(obj: ArrangementObject) -> Point:
     raise TypeError(f"not an arrangement object: {obj!r}")
 
 
-def _scale_vec(v, factor: int) -> tuple[int, int]:
-    x, y = v.x, v.y
-    if factor % x.denominator or factor % y.denominator:
-        raise ValueError(f"scaling ({x}, {y}) by {factor} leaves it non-integral")
-    return (
-        x.numerator * (factor // x.denominator),
-        y.numerator * (factor // y.denominator),
-    )
-
-
-def _scaled_tester(disk: Disk, scale: int) -> Callable[[int, int], bool]:
+def _scaled_tester(
+    disk: Disk, scale: int, center: tuple[int, int]
+) -> Callable[[int, int], bool]:
     """Integer containment kernel of a disk, equivalent to
     ``disk.contains`` on points whose coordinates times ``scale`` are
-    integers.
+    integers; ``center`` is the disk's centre times ``scale``.
 
     All tests are sign tests, so clearing denominators with one positive
     global factor changes nothing.  Sectors have their own kernel,
     ``_sector_tester``; segments are tested inline by
     ``transmission_graph``.
     """
-    cx, cy = _scale_vec(disk.center, scale)
+    cx, cy = center
     rbound = disk.radius_sq.numerator * scale * scale
     rd = disk.radius_sq.denominator
 
@@ -115,18 +109,19 @@ def _scaled_tester(disk: Disk, scale: int) -> Callable[[int, int], bool]:
 
 
 def _sector_tester(
-    sec: Sector, scale: int, cone: tuple[int, int, int, int]
+    sec: Sector, scale: int, apex: tuple[int, int], cone: tuple[int, int, int, int]
 ) -> Callable[[int, int], bool]:
     """Integer containment kernel of a sector, equivalent to
     ``sec.contains`` on points whose coordinates times ``scale`` are
     integers: the radius test plus the tangent test of ``geometry``.
+    ``apex`` is the sector's apex times ``scale``.
 
     ``cone`` is (ux, uy, c, s), the sector's direction and half angle each
     times a positive integer that makes them integral.  Such factors
     change no sign, and every sector of one cone group shares them, so the
     group clears them once.
     """
-    ax, ay = _scale_vec(sec.apex, scale)
+    ax, ay = apex
     ux, uy, c, s = cone
     rbound = sec.radius_sq.numerator * scale * scale
     rd = sec.radius_sq.denominator
@@ -139,21 +134,6 @@ def _sector_tester(
         return dot >= 0 and abs(ux * wy - uy * wx) * c <= dot * s
 
     return test_sector
-
-
-def _coordinate_scale(inst: Instance) -> int:
-    dens = [1]
-    for _, obj in inst.entries:
-        if isinstance(obj, Segment):
-            pts = (obj.p, obj.q)
-        elif isinstance(obj, Sector):
-            pts = (obj.apex,)
-        else:
-            pts = (obj.center,)
-        for pt in pts:
-            dens.append(pt.x.denominator)
-            dens.append(pt.y.denominator)
-    return lcm(*dens)
 
 
 def _cone_edges(
@@ -196,7 +176,7 @@ def _cone_edges(
             joined_k2.insert(pos, k2[j])
             joined.insert(pos, j)
             nxt += 1
-        test = _sector_tester(objects[i], scale, (ux, uy, c, s))
+        test = _sector_tester(objects[i], scale, points[i], (ux, uy, c, s))
         for j in joined[bisect_left(joined_k2, k2[i]) :]:
             if j != i and test(*points[j]):
                 yield labels[i], labels[j]
@@ -217,16 +197,19 @@ def transmission_graph(inst: Instance) -> LabelledDigraph:
     for w = point - p.  A disk is tested against every other
     distinguished point; no reduction builds disks.
     """
-    scale = _coordinate_scale(inst)
     labels = inst.labels()
     objects = inst.objects()
-    points = [_scale_vec(distinguished_point(obj), scale) for obj in objects]
+    pts = [distinguished_point(obj) for obj in objects]
+    pts += [obj.q for obj in objects if isinstance(obj, Segment)]
+    scale, *coords = cleared(1, *(v for pt in pts for v in (pt.x, pt.y)))
+    scaled = list(zip(coords[::2], coords[1::2]))
+    points, far_ends = scaled[: len(objects)], iter(scaled[len(objects) :])
     edges = []
     segments_by_direction: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     cone_groups: dict[tuple[Vec2, Rotation], list[int]] = {}
     for i, obj in enumerate(objects):
         if isinstance(obj, Segment):
-            (px, py), (qx, qy) = points[i], _scale_vec(obj.q, scale)
+            (px, py), (qx, qy) = points[i], next(far_ends)
             dx, dy = qx - px, qy - py
             g = gcd(dx, dy)
             if dx < 0 or (dx == 0 and dy < 0):
@@ -235,7 +218,7 @@ def transmission_graph(inst: Instance) -> LabelledDigraph:
         elif isinstance(obj, Sector):
             cone_groups.setdefault((obj.direction, obj.half_angle), []).append(i)
         else:
-            test = _scaled_tester(obj, scale)
+            test = _scaled_tester(obj, scale, points[i])
             for j, (x, y) in enumerate(points):
                 if i != j and test(x, y):
                     edges.append((labels[i], labels[j]))

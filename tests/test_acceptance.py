@@ -16,9 +16,7 @@ from transgraph.arrangement import LineArrangement, extract_description
 from transgraph.geometry import (
     Line,
     Sector,
-    contains_point,
     project_param,
-    rotate,
     rotation_from_parameter,
     vec,
 )
@@ -38,12 +36,7 @@ from transgraph.reductions import (
     sector_vertex_count,
     segment_vertex_count,
 )
-from transgraph.transmission import (
-    _coordinate_scale,
-    _scale_vec,
-    instance,
-    transmission_graph,
-)
+from transgraph.transmission import instance, transmission_graph
 from transgraph.verification import (
     RandomSpec,
     random_simple_arrangement,
@@ -126,10 +119,10 @@ def _all_pairs_sector_graph(inst):
     """Reference for the cone sweep of ``transmission_graph``: every sector
     against every distinguished point, with the exact integer test (radius
     test plus tangent test), as the loop the sweep replaced did it."""
-    scale = _coordinate_scale(inst)
     labels = inst.labels()
     sectors = inst.objects()
-    points = [_scale_vec(sec.apex, scale) for sec in sectors]
+    scale = lcm(*(v.denominator for sec in sectors for v in (sec.apex.x, sec.apex.y)))
+    points = [(int(sec.apex.x * scale), int(sec.apex.y * scale)) for sec in sectors]
     edges = []
     for i, sec in enumerate(sectors):
         ax, ay = points[i]
@@ -273,7 +266,7 @@ def _random_sector_pair(rng):
         ay = vec(coord(), coord())
     else:
         # aim y back at x's apex so couples actually occur
-        ay = ax + rotate(x.direction, rotation_from_parameter(F(rng.randint(-8, 8), 100))).scaled(
+        ay = ax + rotation_from_parameter(F(rng.randint(-8, 8), 100)).apply(x.direction).scaled(
             F(rng.randint(1, 40), 8)
         )
     if ay == ax:
@@ -298,7 +291,7 @@ def test_criterion_4_couples_are_near_antipodal():
             violations += len(check_observation1(pair, graph))
         # contrapositive probe: perpendicular bisectors can never couple
         perp = Sector(
-            y.apex, rotate(x.direction, rotation_from_parameter(1)), x.half_angle, y.radius_sq
+            y.apex, rotation_from_parameter(1).apply(x.direction), x.half_angle, y.radius_sq
         )
         if len(transmission_graph(instance([(free("x"), x), (free("p"), perp)])).edges) == 2:
             probe_failures += 1
@@ -329,20 +322,20 @@ def _random_gadget(rng):
         apex = (base.apex + base.direction.scaled(p / F(10))
                 + vec(-base.direction.y, base.direction.x).scaled(lateral))
         tilt = rotation_from_parameter(F(rng.randint(-100, 100), 10**4))
-        members.append(Sector(apex, rotate(-base.direction, tilt), half, F(10**10)))
-    if not all(contains_point(base, s.apex) for s in members):
+        members.append(Sector(apex, tilt.apply(-base.direction), half, F(10**10)))
+    if not all(base.contains(s.apex) for s in members):
         return None
-    if not all(contains_point(s, base.apex) for s in members):
+    if not all(s.contains(base.apex) for s in members):
         return None
     # derive a candidate order purely from who contains whose apex
     scores = [
-        sum(contains_point(t, s.apex) for t in members if t is not s) for s in members
+        sum(t.contains(s.apex) for t in members if t is not s) for s in members
     ]
     order = sorted(range(k), key=lambda i: -scores[i])
     listed = [members[i] for i in order]
     for j in range(k):
         for i in range(j):
-            if not contains_point(listed[j], listed[i].apex):
+            if not listed[j].contains(listed[i].apex):
                 return None
     params = [project_param(base.apex, base.direction, s.apex) for s in listed]
     if len(set(params)) != k:

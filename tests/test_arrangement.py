@@ -131,13 +131,13 @@ def test_containing_slab_covers_crossings(three_lines):
 
 def test_extract_description_simple(three_lines):
     desc = extract_description(three_lines)
-    assert desc.is_simple()
+    assert validate_description(desc).simple
     assert desc.orders == (((2,), (3,)), ((1,), (3,)), ((1,), (2,)))
 
 
 def test_extract_description_ties(concurrent_lines):
     desc = extract_description(concurrent_lines)
-    assert not desc.is_simple()
+    assert not validate_description(desc).simple
     assert desc.orders == (((2, 3),), ((1, 3),), ((1, 2),))
 
 
@@ -233,7 +233,8 @@ def _is_simple_by_sweep(arr):
     """Test every crossing point against every third line."""
     for (i, j), pt in arr.intersections().items():
         for k in range(1, arr.n + 1):
-            if k != i and k != j and arr.line(k).contains(pt):
+            ln = arr.line(k)
+            if k != i and k != j and ln.a * pt.x + ln.b * pt.y == ln.c:
                 return False
     return True
 
@@ -294,4 +295,4 @@ def test_simple_iff_singleton_blocks(arr):
     desc = extract_description(arr)
     assert simple == _is_simple_by_sweep(arr)
     assert desc.orders == _orders_by_point(arr)
-    assert desc.is_simple() == simple
+    assert validate_description(desc).simple == simple

@@ -5,7 +5,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from transgraph.arrangement import extract_description
+from transgraph.arrangement import LineArrangement, extract_description
 from transgraph.cli import main
 from transgraph.realization import realize_sectors, realize_segments
 from transgraph.reductions import reduce_sectors
@@ -70,6 +70,14 @@ def test_validate_rejects_bad_description(tmp_path):
         )
     )
     assert run("validate", "--in", desc) == 1
+
+
+def test_describe_then_validate_an_empty_arrangement(tmp_path, capsys):
+    arr, desc = tmp_path / "arr.json", tmp_path / "desc.json"
+    save_document(Document("arrangement", LineArrangement(())), arr)
+    assert run("describe", "--in", arr, "--out", desc) == 0
+    assert run("validate", "--in", desc) == 1
+    assert "n must be positive" in capsys.readouterr().out
 
 
 def test_reduce_modes(arr_path, tmp_path):

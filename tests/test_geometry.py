@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from transgraph.geometry import (
     Disk,
+    Line,
     ParallelLines,
     Rotation,
     Sector,
@@ -14,13 +15,9 @@ from transgraph.geometry import (
     acute_angle_at_least,
     angle_at_most,
     cleared,
-    contains_point,
     line_from_slope_intercept,
     line_intersection,
-    line_through,
-    orientation,
     project_param,
-    rotate,
     rotation_from_parameter,
     vec,
 )
@@ -29,16 +26,6 @@ F = Fraction
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
 small_rationals = st.fractions(min_value=-100, max_value=100, max_denominator=100)
-
-
-# --- orientation -----------------------------------------------------------
-
-
-def test_orientation_signs():
-    a, b = vec(0, 0), vec(1, 0)
-    assert orientation(a, b, vec(0, 1)) == 1
-    assert orientation(a, b, vec(0, -1)) == -1
-    assert orientation(a, b, vec(5, 0)) == 0
 
 
 # --- rotations -------------------------------------------------------------
@@ -65,13 +52,13 @@ def test_rotation_parameter_lands_on_unit_circle(t):
 def test_rotate_preserves_norm(t, x, y):
     r = rotation_from_parameter(t)
     v = vec(x, y)
-    assert rotate(v, r).norm_sq() == v.norm_sq()
+    assert r.apply(v).norm_sq() == v.norm_sq()
 
 
 @given(rationals)
 def test_rotation_inverse_composes_to_identity(t):
     r = rotation_from_parameter(t)
-    assert r.compose(r.inverse()) == Rotation(F(1), F(0))
+    assert r.compose(Rotation(r.c, -r.s)) == Rotation(F(1), F(0))
 
 
 def test_rotation_doubled():
@@ -79,12 +66,6 @@ def test_rotation_doubled():
     d = r.doubled()
     assert d == r.compose(r)
     assert (d.c, d.s) == (F(7, 25), F(24, 25))
-
-
-def test_rotate_sign_reverses():
-    r = rotation_from_parameter(F(1, 3))
-    v = vec(2, 1)
-    assert rotate(rotate(v, r), r, sign=-1) == v
 
 
 # --- angle comparisons -----------------------------------------------------
@@ -135,7 +116,7 @@ def _in_rotated_cone(u, v, bound, strict=False):
     side of the perpendicular; closed, or open with ``strict``.  The open
     cone holds the directions strictly within angle(bound) of u.
     """
-    lo, hi = bound.inverse().apply(u), bound.apply(u)
+    lo, hi = Rotation(bound.c, -bound.s).apply(u), bound.apply(u)
     signs = (lo.cross(v), v.cross(hi), u.dot(v))
     return all(x > 0 for x in signs) if strict else all(x >= 0 for x in signs)
 
@@ -159,7 +140,7 @@ def test_predicates_match_rotated_cone(u, v, t, where, radius_offset, ax, ay):
     if where == "upper ray":
         v = bound.apply(u).scaled(v.norm_sq())
     elif where == "lower ray":
-        v = bound.inverse().apply(u).scaled(v.norm_sq())
+        v = Rotation(bound.c, -bound.s).apply(u).scaled(v.norm_sq())
     assert angle_at_most(u, v, bound) == _in_rotated_cone(u, v, bound)
     assert acute_angle_at_least(u, v, bound) == (
         not _in_rotated_cone(u, v, bound, strict=True)
@@ -180,29 +161,29 @@ def test_predicates_match_rotated_cone(u, v, t, where, radius_offset, ax, ay):
 
 def test_segment_contains():
     s = Segment(vec(0, 0), vec(4, 2))
-    assert contains_point(s, vec(2, 1))
-    assert contains_point(s, vec(0, 0))
-    assert contains_point(s, vec(4, 2))
-    assert not contains_point(s, vec(6, 3))  # collinear but past the end
-    assert not contains_point(s, vec(2, 2))
+    assert s.contains(vec(2, 1))
+    assert s.contains(vec(0, 0))
+    assert s.contains(vec(4, 2))
+    assert not s.contains(vec(6, 3))  # collinear but past the end
+    assert not s.contains(vec(2, 2))
 
 
 def test_sector_contains():
     sec = Sector(vec(0, 0), vec(1, 0), rotation_from_parameter(F(1, 3)), F(25))
-    assert contains_point(sec, vec(0, 0))  # apex belongs to the sector
-    assert contains_point(sec, vec(4, 3))  # on the boundary ray, radius 5
-    assert contains_point(sec, vec(4, -3))
-    assert contains_point(sec, vec(3, 0))
-    assert not contains_point(sec, vec(3, 4))  # outside the cone
-    assert not contains_point(sec, vec(5, 1))  # past the radius
-    assert not contains_point(sec, vec(-1, 0))
+    assert sec.contains(vec(0, 0))  # apex belongs to the sector
+    assert sec.contains(vec(4, 3))  # on the boundary ray, radius 5
+    assert sec.contains(vec(4, -3))
+    assert sec.contains(vec(3, 0))
+    assert not sec.contains(vec(3, 4))  # outside the cone
+    assert not sec.contains(vec(5, 1))  # past the radius
+    assert not sec.contains(vec(-1, 0))
 
 
 def test_disk_contains():
     d = Disk(vec(1, 1), F(4))
-    assert contains_point(d, vec(3, 1))
-    assert contains_point(d, vec(1, 1))
-    assert not contains_point(d, vec(3, 2))
+    assert d.contains(vec(3, 1))
+    assert d.contains(vec(1, 1))
+    assert not d.contains(vec(3, 2))
 
 
 def test_sector_opening_regime():
@@ -242,7 +223,7 @@ def test_project_param_translation_invariant(ox, oy, px, py):
 
 
 def test_line_through_and_slope():
-    l = line_through(vec(0, 1), vec(2, 5))
+    l = Line(F(4), F(-2), F(-2))  # through (0, 1) and (2, 5)
     assert l.slope() == 2
     assert l.y_at(F(3)) == 7
 
@@ -260,13 +241,8 @@ def test_parallel_lines_raise():
         line_intersection(l1, l2)
 
 
-def test_line_shifted_up():
-    l = line_from_slope_intercept(F(1, 2), F(3))
-    assert l.shifted_up(F(1, 4)).y_at(F(0)) == F(13, 4)
-
-
 def test_rightward_direction_points_right():
-    l = line_through(vec(0, 0), vec(-2, -6))
+    l = Line(F(6), F(-2), F(0))  # y = 3x, written with b < 0
     d = l.rightward_direction()
     assert d.x > 0
     assert d.y * d.x == 3 * d.x * d.x  # slope 3

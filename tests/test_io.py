@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import transgraph
 from transgraph import serialization
-from transgraph.arrangement import extract_description
+from transgraph.arrangement import LineArrangement, extract_description
 from transgraph.cli import main
 from transgraph.geometry import Disk, Sector, Segment, rotation_from_parameter, vec
 from transgraph.graphs import A, C, digraph, free, graph_diff
@@ -19,6 +19,7 @@ from transgraph.realization import realize_sectors, realize_segments
 from transgraph.reductions import reduce_sectors, reduce_segments
 from transgraph.rendering import export_dot, render_svg
 from transgraph.serialization import (
+    FORMAT_VERSION,
     Document,
     SchemaError,
     document_from_json,
@@ -49,9 +50,9 @@ def test_arrangement_document_roundtrip():
 
 
 def test_description_document_roundtrip():
-    arr = random_simple_arrangement(RandomSpec(n=4, seed=3))
-    desc = extract_description(arr)
-    assert roundtrip(Document("description", desc)).payload == desc
+    for arr in (random_simple_arrangement(RandomSpec(n=4, seed=3)), LineArrangement(())):
+        desc = extract_description(arr)
+        assert roundtrip(Document("description", desc)).payload == desc
 
 
 def test_graph_document_roundtrip():
@@ -174,6 +175,7 @@ ONE_LINE = {"n": 1, "orders": [[]]}
         ("instance", {"entries": 5}),
         ("report", {"description": ONE_LINE, "checkers": [5]}),
         ("report", {"description": ONE_LINE, "diff": {"missing_edges": [7]}}),
+        ("description", {"n": -1, "orders": []}),
     ],
 )
 def test_malformed_payload_shape_rejected(kind, payload):
@@ -324,7 +326,7 @@ def _every_kind_of_document():
 def test_document_text_is_json_dumps_of_its_tree(doc):
     body = {
         "kind": doc.kind,
-        "formatVersion": doc.format_version,
+        "formatVersion": FORMAT_VERSION,
         "payload": serialization._enc_payload(doc.kind, doc.payload),
     }
     assert document_to_json(doc) == dumps(body) + "\n"

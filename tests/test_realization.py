@@ -467,6 +467,11 @@ def test_realize_sectors_three_lines(three_lines):
     assert graph_diff(real.graph, expected).empty
 
 
+def _shifted_up(ln, dy):
+    """The line translated vertically by ``dy``."""
+    return Line(ln.a, ln.b, ln.c + ln.b * dy)
+
+
 def test_band_apexes_sit_at_the_shifted_line_crossings():
     """Every SA apex is delta before a crossing of two shifted lines, and
     every SB apex is halfway to the next crossing or the slab end, with
@@ -478,12 +483,12 @@ def test_band_apexes_sit_at_the_shifted_line_crossings():
     checked = 0
     for i in range(1, arr.n + 1):
         for m in (1, 2, 3):
-            band = arr.line(i).shifted_up(offsets[m])
+            band = _shifted_up(arr.line(i), offsets[m])
             u = objs[SC(i, m)].direction
             assert u.x > 0  # crossings are met in x order along the bisector
             hits = sorted(
                 (
-                    (line_intersection(band, arr.line(k).shifted_up(offsets[mp])), k, mp)
+                    (line_intersection(band, _shifted_up(arr.line(k), offsets[mp])), k, mp)
                     for k in range(1, arr.n + 1)
                     if k != i
                     for mp in (1, 2, 3)

@@ -1,8 +1,9 @@
 """Quality rules for the package source, checked on its syntax tree: no
 module imports another module's private names, correctness checks raise
-instead of using ``assert``, which ``python -O`` strips, and crossings
+instead of using ``assert``, which ``python -O`` strips, crossings
 come from ``LineArrangement.intersections()`` rather than a fresh
-``line_intersection`` solve."""
+``line_intersection`` solve, and every private module-level function is
+used by the package itself, not only by tests."""
 
 import ast
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "transgraph"
 MODULES = sorted(SOURCE.glob("*.py"))
+TREES = {path: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in MODULES}
 
 
 def test_the_package_has_modules():
@@ -48,3 +50,31 @@ def test_no_line_intersection_call(path):
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "line_intersection"
     ]
     assert not calls
+
+
+def _names_in(node):
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_function_is_used_by_the_package(path):
+    private = [
+        stmt
+        for stmt in TREES[path].body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and stmt.name.startswith("_")
+        and not stmt.name.startswith("__")
+    ]
+    used = set().union(
+        *(
+            _names_in(stmt) - ({stmt.name} if stmt in private else set())
+            for tree in TREES.values()
+            for stmt in tree.body
+        )
+    )
+    unused = [f"line {stmt.lineno}: {stmt.name}" for stmt in private if stmt.name not in used]
+    assert not unused
