@@ -9,10 +9,18 @@ The text is exactly ``json.dumps(body, sort_keys=True, separators=(",",
 ": "), indent=1)``, but written by ``_write``: with an indent, CPython's
 ``json`` falls back to its pure-Python encoder, which would render the
 same few hundred vertex labels again in each of a sector graph's
-Theta(n^3) edges.  A graph's body holds one dict per distinct label, shared by its
-vertex entry and its edges, and ``_write`` renders each container once per
-indentation depth.  The decoder validates every edge endpoint and builds
-its label, which ``graphs.Label`` interns, so equal labels are one object.
+Theta(n^3) edges.  A graph's body holds one dict per distinct label, shared
+by its vertex entry and its edges.  ``_write`` renders each container once
+per indentation depth, and writes a list of equal-length rows, such as the
+edges, as one ``str.join`` of its rows' element texts, with no Python call
+per edge.
+
+The decoder checks every edge endpoint's shape and types in C-level passes
+over the whole edge list, then maps each endpoint to its vertex through
+one dict keyed by the raw fields (kind, indices or text).  Only if those
+passes find a fault does it walk the edges one endpoint at a time, to
+raise the first offender with its path.  ``graphs.Label`` interns labels,
+so equal labels are one object.
 """
 
 from __future__ import annotations
@@ -22,7 +30,9 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from itertools import chain, repeat, starmap
+from operator import is_, itemgetter
+from typing import Any, Iterator
 
 from .arrangement import Description, LineArrangement
 from .geometry import (
@@ -104,12 +114,13 @@ def _enc_object(obj: ArrangementObject) -> dict:
 
 
 def _enc_graph(g: LabelledDigraph) -> dict:
-    # One dict per vertex, shared by every edge: ``_write`` renders it once.
+    # One dict per vertex, shared by every edge: ``_write`` renders it once
+    # per depth.  The edge pairs are tuples, made in C.
     encoded = {v: _enc_label(v) for v in g.sorted_vertices()}
-    return {
-        "vertices": list(encoded.values()),
-        "edges": [[encoded[u], encoded[v]] for u, v in g.sorted_edges()],
-    }
+    edges = g.sorted_edges()
+    tails = map(encoded.__getitem__, map(itemgetter(0), edges))
+    heads = map(encoded.__getitem__, map(itemgetter(1), edges))
+    return {"vertices": list(encoded.values()), "edges": list(zip(tails, heads))}
 
 
 def _enc_payload(kind: str, payload: Any) -> Any:
@@ -210,15 +221,47 @@ def _write(value: Any, depth: int, memo: dict) -> str:
 
 def _write_container(value: list | tuple | dict, depth: int, memo: dict) -> str:
     if isinstance(value, dict):
-        items = [_quote(k) + ": " + _write(value[k], depth + 1, memo) for k in sorted(value)]
+        keys = sorted(value)
+        texts = map(_write, map(value.__getitem__, keys), repeat(depth + 1), repeat(memo))
+        items = list(map(": ".join, zip(map(_quote, keys), texts)))
         opening, closing = "{", "}"
     else:
-        items = [_write(item, depth + 1, memo) for item in value]
+        types = set(map(type, value))
+        if types and types <= {list, tuple}:
+            text = _write_rows(value, depth, memo)
+            if text is not None:
+                return text
+        if types == {int}:
+            items = list(map(int.__repr__, value))
+        else:
+            items = list(map(_write, value, repeat(depth + 1), repeat(memo)))
         opening, closing = "[", "]"
     if not items:
         return opening + closing
     inner = "\n" + " " * (depth + 1)
-    return opening + inner + ("," + inner).join(items) + "\n" + " " * depth + closing
+    # One join copies a long text once; a chain of ``+`` copies it per step.
+    return "".join((opening, inner, ("," + inner).join(items), "\n", " " * depth, closing))
+
+
+def _write_rows(rows: list, depth: int, memo: dict) -> str | None:
+    """``_write_container(rows, depth, memo)`` when ``rows`` holds lists or
+    tuples of one nonzero length, such as a graph's edges, else None.
+
+    Each distinct element is written once; the text of every row, and of
+    the whole list, is then one ``str.join`` in C, with no call per row.
+    """
+    width = len(rows[0])
+    if not width or set(map(len, rows)) != {width}:
+        return None
+    cells = list(chain.from_iterable(rows))
+    ids = list(map(id, cells))
+    distinct = dict(zip(ids, cells))
+    text = dict(zip(distinct, map(_write, distinct.values(), repeat(depth + 2), repeat(memo))))
+    outer = "\n" + " " * (depth + 1)
+    inner = "\n" + " " * (depth + 2)
+    by_row = zip(*[map(text.__getitem__, ids)] * width)
+    body = (outer + "]," + outer + "[" + inner).join(map(("," + inner).join, by_row))
+    return "".join(("[", outer, "[", inner, body, outer, "]\n", " " * depth, "]"))
 
 
 def document_to_json(doc: Document) -> str:
@@ -349,11 +392,59 @@ def _dec_edges(raw: dict, key: str, path: str) -> list[tuple[Label, Label]]:
     return [(u, v) for _, u, v in _edge_labels(raw, key, path)]
 
 
-def _dec_graph(raw: Any, path: str) -> LabelledDigraph:
-    raw = _dec_dict(raw, path)
-    vertices = frozenset(_dec_labels(raw, "vertices", path))
-    # Every endpoint is validated before the first dangling endpoint or
-    # self-loop is raised.
+# The field that tells apart the labels of a kind, and its JSON type: the
+# text for FREE, the indices for every other kind.
+_FIELD = {"FREE": "text"}
+_FIELD_TYPE = {"text": str, "indices": list}
+
+
+def _label_keys(objs: list) -> Iterator[tuple] | None:
+    """(kind, field as a tuple) for each label object in ``objs``, or None
+    if a C-level pass over the whole list finds an object that is not a
+    dict, a kind that is not a string, a field of the wrong type, or an
+    index that is neither an exact integer nor a string.
+
+    JSON true and 1.0 are refused because they equal 1 as dict keys.  The
+    characters of a FREE text are strings; a string index makes a key that
+    no vertex has, so its lookup misses.  The keys are made as they are
+    consumed, so none outlives its lookup.
+    """
+    if not set(map(type, objs)) <= {dict}:
+        return None
+    kinds = list(map(dict.get, objs, repeat("kind")))
+    if not set(map(type, kinds)) <= {str}:
+        return None
+    names = list(map(_FIELD.get, kinds, repeat("indices")))
+    fields = list(map(dict.get, objs, names))
+    if list(map(type, fields)) != list(map(_FIELD_TYPE.__getitem__, names)):
+        return None
+    if not set(map(type, chain.from_iterable(fields))) <= {int, str}:
+        return None
+    return zip(kinds, map(tuple, fields))
+
+
+def _bulk_edges(pairs: list, by_key: dict) -> list[tuple[Label, Label]] | None:
+    """The edges named by the label pairs ``pairs``, each endpoint found
+    in ``by_key`` by its ``_label_keys`` key, with no call per edge; None if
+    any pair is malformed, dangles or is a self-loop."""
+    if not set(map(type, pairs)) <= {list} or not set(map(len, pairs)) <= {2}:
+        return None
+    keys = _label_keys(list(chain.from_iterable(pairs)))
+    if keys is None:
+        return None
+    ends = list(map(by_key.get, keys))
+    if None in ends:
+        return None
+    ends = iter(ends)
+    edges = list(zip(ends, ends))
+    return None if any(starmap(is_, edges)) else edges
+
+
+def _checked_edges(raw: dict, vertices: frozenset[Label], path: str) -> list[tuple[Label, Label]]:
+    """The edges, one endpoint at a time: run only when ``_bulk_edges``
+    found a fault, to raise it with the path of the first offender.  Every
+    endpoint is validated before the first dangling endpoint or self-loop
+    is raised."""
     edges = []
     problem = None
     for i, u, v in _edge_labels(raw, "edges", path):
@@ -366,6 +457,17 @@ def _dec_graph(raw: Any, path: str) -> LabelledDigraph:
         edges.append((u, v))
     if problem is not None:
         raise problem
+    return edges
+
+
+def _dec_graph(raw: Any, path: str) -> LabelledDigraph:
+    raw = _dec_dict(raw, path)
+    labels = _dec_labels(raw, "vertices", path)
+    vertices = frozenset(labels)
+    by_key = dict(zip(_label_keys(raw.get("vertices", [])), labels))
+    edges = _bulk_edges(_dec_list(raw.get("edges", []), path + ".edges"), by_key)
+    if edges is None:
+        edges = _checked_edges(raw, vertices, path)
     return digraph(vertices, edges)
 
 

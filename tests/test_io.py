@@ -31,6 +31,7 @@ from transgraph.transmission import instance
 from transgraph.verification import (
     RandomSpec,
     random_simple_arrangement,
+    round_trip_sectors,
     round_trip_segments,
 )
 
@@ -302,6 +303,7 @@ def _mismatched_report():
 
 
 def _every_kind_of_document():
+    """Test id -> document."""
     arr = random_simple_arrangement(RandomSpec(n=3, seed=5))
     desc = extract_description(arr)
     mixed = instance(
@@ -311,18 +313,25 @@ def _every_kind_of_document():
             (free("disk é"), Disk(vec(-1, F(2, 7)), F(4))),
         ]
     )
-    return [
-        Document("arrangement", arr),
-        Document("description", desc),
-        Document("instance", mixed),
-        Document("instance", realize_sectors(arr).instance),
-        Document("graph", reduce_sectors(desc)),
-        Document("graph", digraph([free("a b"), free('q"'), C(1)], [(free("a b"), free('q"')), (C(1), free("a b"))])),
-        Document("report", _mismatched_report()),
-    ]
+    return {
+        "arrangement": Document("arrangement", arr),
+        "description": Document("description", desc),
+        "instance0": Document("instance", mixed),
+        "instance1": Document("instance", realize_sectors(arr).instance),
+        "graph0": Document("graph", reduce_sectors(desc)),
+        "graph1": Document("graph", digraph([free("a b"), free('q"'), C(1)], [(free("a b"), free('q"')), (C(1), free("a b"))])),
+        "graph without edges": Document("graph", digraph([C(1), free("x")], [])),
+        "empty graph": Document("graph", digraph([], [])),
+        "report": Document("report", _mismatched_report()),
+        # Two 1,188-edge graphs, one depth deeper than a graph document's.
+        "sector report": Document("report", round_trip_sectors(arr)),
+    }
 
 
-@pytest.mark.parametrize("doc", _every_kind_of_document(), ids=lambda d: d.kind)
+_DOCUMENTS = _every_kind_of_document()
+
+
+@pytest.mark.parametrize("doc", _DOCUMENTS.values(), ids=_DOCUMENTS)
 def test_document_text_is_json_dumps_of_its_tree(doc):
     body = {
         "kind": doc.kind,
@@ -396,6 +405,9 @@ def test_boolean_or_float_where_an_integer_belongs_is_rejected(tmp_path, capsys,
 
 C1 = {"kind": "C", "indices": [1]}
 C2 = {"kind": "C", "indices": [2]}
+X = {"kind": "FREE", "text": "x"}
+# Valid edges before a fault, which the bulk pass over all edges must find.
+VALID = [[C1, C2], [C2, C1], [X, C1]]
 
 
 @pytest.mark.parametrize(
@@ -409,11 +421,35 @@ C2 = {"kind": "C", "indices": [2]}
         ([[C1, C2], [C2, C2]], "payload.edges[1]: self-loop at C_2"),
         # Every endpoint is checked before a dangling endpoint is reported.
         ([[C1, {"kind": "C", "indices": [3]}], [C1, 7]], "payload.edges[1][1]: expected a label object with a kind"),
+        # True and 1.0 are equal to 1, the index of the vertex C_1.
+        (VALID + [[C2, {"kind": "C", "indices": [True]}]], "payload.edges[3][1]: label indices must be a list of integers"),
+        (VALID + [[{"kind": "C", "indices": [1.0]}, C2]], "payload.edges[3][0]: label indices must be a list of integers"),
+        (VALID + [[C2, {"kind": "C", "indices": "1"}]], "payload.edges[3][1]: label indices must be a list of integers"),
+        (VALID + [[{"kind": "C"}, C2]], "payload.edges[3][0]: label indices must be a list of integers"),
+        (VALID + [[C1, C2, X]], "payload.edges[3]: expected a label pair"),
+        # ["x"] has the characters of the text "x" as its items.
+        (VALID + [[C2, {"kind": "FREE", "text": ["x"]}]], "payload.edges[3][1]: FREE label text must be a string"),
+        ({"3": [C1, C2]}, "payload.edges: expected a list"),
     ],
-    ids=["kind is a list", "list in indices", "float in indices", "missing", "missing free", "self-loop", "shape first"],
+    ids=[
+        "kind is a list",
+        "list in indices",
+        "float in indices",
+        "missing",
+        "missing free",
+        "self-loop",
+        "shape first",
+        "true for 1",
+        "1.0 for 1",
+        "string indices",
+        "no indices",
+        "three labels",
+        "free text not a string",
+        "edges not a list",
+    ],
 )
 def test_bad_edge_endpoint_is_rejected_with_its_path(tmp_path, capsys, edges, message):
-    vertices = [C1, C2, {"kind": "FREE", "text": "x"}]
+    vertices = [C1, C2, X]
     text = json.dumps({"kind": "graph", "formatVersion": 1, "payload": {"vertices": vertices, "edges": edges}})
     with pytest.raises(SchemaError) as exc:
         document_from_json(text)
@@ -440,6 +476,28 @@ def test_free_label_text_must_be_a_string(tmp_path, capsys, text):
     path.write_text(json.dumps(body))
     assert main(["export-dot", "--in", str(path), "--out", str(tmp_path / "g.dot")]) == 2
     assert capsys.readouterr().err == f"error: {path}: {exc.value}\n"
+
+
+def test_graph_document_is_written_and_read_without_a_call_per_edge():
+    """Edges are written and read in C-level passes, so the Python-level
+    calls for a sector graph document grow with its vertices, not its
+    edges."""
+    g = reduce_sectors(extract_description(random_simple_arrangement(RandomSpec(n=5, seed=1))))
+    assert (g.vertex_count, g.edge_count) == (375, 7200)
+    doc = Document("graph", g)
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        back = document_from_json(document_to_json(doc))
+    finally:
+        sys.setprofile(None)
+    assert back == doc
+    assert calls < g.edge_count
 
 
 def test_edge_endpoints_ignore_fields_their_kind_does_not_use():
