@@ -258,10 +258,6 @@ class Line:
             raise ValueError("vertical line is not a function of x")
         return (self.c - self.a * x) / self.b
 
-    def point_at_x(self, x: RationalLike) -> Point:
-        x = Fraction(x)
-        return Vec2(x, self.y_at(x))
-
     def rightward_direction(self) -> Vec2:
         """Direction along the line with positive x component."""
         if self.b == 0:

@@ -142,7 +142,13 @@ class LabelledDigraph:
         return sorted(self.vertices, key=Label.sort_key)
 
     def sorted_edges(self) -> list[Edge]:
-        """Edges by (tail, head) in vertex order; ``sort_key`` is total, so
+        return self.sorted_vertices_and_edges()[1]
+
+    def sorted_vertices_and_edges(self) -> tuple[list[Label], list[Edge]]:
+        """``sorted_vertices()`` and ``sorted_edges()`` from one sort of the
+        vertices, for a writer that needs both.
+
+        Edges go by (tail, head) in vertex order; ``sort_key`` is total, so
         ranks compare exactly as the key pairs would.  Each edge's key,
         rank(tail) * V + rank(head), is made in C, with no call per edge."""
         order = self.sorted_vertices()
@@ -150,7 +156,7 @@ class LabelledDigraph:
         row = {v: i * len(order) for i, v in enumerate(order)}.__getitem__
         edges = list(self.edges)
         key = list(map(add, map(row, map(itemgetter(0), edges)), map(rank, map(itemgetter(1), edges))))
-        return list(map(edges.__getitem__, sorted(range(len(edges)), key=key.__getitem__)))
+        return order, list(map(edges.__getitem__, sorted(range(len(edges)), key=key.__getitem__)))
 
 
 def digraph(vertices: Iterable[Label], edges: Iterable[Edge]) -> LabelledDigraph:

@@ -13,9 +13,11 @@ width) eventually holds.
 The segment realization's hot arithmetic runs on integers cleared of
 their denominators (``geometry.cleared``), with a ``Fraction`` built only
 for each output coordinate: the tilt scan tests each candidate rotation
-as an integer pair against the cleared line directions, and each
-A-segment compares its ray's hits with the cleared lines as integer
-quotients.  The crossings come from ``LineArrangement.intersections()``,
+as an integer pair against the cleared line directions, each A-segment
+compares its ray's hits with the cleared lines as integer quotients, and
+each line's C ends, B midpoints and shared far point come from its cleared
+(a, b, c) and one ``cleared`` call over the slab ends and the x values of
+its crossings.  The crossings come from ``LineArrangement.intersections()``,
 which is called again where needed rather than stored: a stored table
 was measured to raise peak resident memory.
 
@@ -161,6 +163,13 @@ def _a_segment_end(
     )
 
 
+def _line_point(line: tuple[int, int, int], x: int, den: int) -> Point:
+    """The point at abscissa x/den of the cleared line a*x + b*y = c, given
+    as (a, b, c): its ordinate is (c*den - a*x)/(b*den)."""
+    a, b, c = line
+    return Vec2(Fraction(x, den), Fraction(c * den - a * x, b * den))
+
+
 def realize_segments(arr: LineArrangement) -> SegmentRealization:
     if arr.n < 2:
         raise NonSimpleArrangement("need at least 2 lines")
@@ -170,17 +179,20 @@ def realize_segments(arr: LineArrangement) -> SegmentRealization:
     slab = containing_slab(arr)
     tilt = _pick_tilt(arr)
     crossings = arr.intersections()
-
-    def crossing(i: int, k: int) -> Point:
-        return crossings[(min(i, k), max(i, k))]
-
-    entries: list[tuple[Label, Segment]] = []
-    for i in range(1, arr.n + 1):
-        li = arr.line(i)
-        entries.append(
-            (C(i), Segment(li.point_at_x(slab.x_left), li.point_at_x(slab.x_right)))
-        )
     lines = [cleared(ln.a, ln.b, ln.c) for ln in arr.lines]
+    entries: list[tuple[Label, Segment]] = []
+    b_entries: list[tuple[Label, Segment]] = []
+    for i, line in enumerate(lines, start=1):
+        order = desc.flat_order(i)
+        den, left, right, *xs = cleared(
+            1, slab.x_left, slab.x_right, *(crossings[min(i, k), max(i, k)].x for k in order)
+        )
+        entries.append(
+            (C(i), Segment(_line_point(line, left, den), _line_point(line, right, den)))
+        )
+        far = _line_point(line, left - den, den)
+        for k, x, nxt in zip(order, xs, xs[1:] + [right]):
+            b_entries.append((B(i, k), Segment(_line_point(line, x + nxt, 2 * den), far)))
     tilted = [
         cleared(1, d.x, d.y)
         for d in (tilt.apply(ln.rightward_direction()) for ln in arr.lines)
@@ -188,15 +200,7 @@ def realize_segments(arr: LineArrangement) -> SegmentRealization:
     for (i, k), apex in sorted(crossings.items()):
         end = _a_segment_end(apex, tilted[i - 1], lines)
         entries.append((A(i, k), Segment(apex, end)))
-    for i in range(1, arr.n + 1):
-        li = arr.line(i)
-        far = li.point_at_x(slab.x_left - 1)
-        order = desc.flat_order(i)
-        xs = [crossing(i, k).x for k in order]
-        for pos, k in enumerate(order):
-            nxt = xs[pos + 1] if pos + 1 < len(xs) else slab.x_right
-            mid_x = (xs[pos] + nxt) / 2
-            entries.append((B(i, k), Segment(li.point_at_x(mid_x), far)))
+    entries += b_entries
 
     inst = instance(entries)
     graph = transmission_graph(inst)

@@ -10,11 +10,17 @@ Both constructions also amend the b -> a family bound to l <= k: a
 b-sector sitting between the k-th and (k+1)-th crossing geometrically
 covers the first k crossing points, not k - 1.  The realizers follow the
 same convention, and the round-trip tests enforce the consistency.
+
+The segment BORDER family has Theta(n^3) edges: B(i, k) points at the B
+labels of the crossings before k on line i and at the A labels up to its
+own.  Each line's labels are listed once in crossing order, and each B's
+edges are added as two prefixes of those lists, zipped in C, with no
+Python step per edge.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import FrozenSet, Iterable
 
 from .arrangement import Description, validate_description
@@ -72,11 +78,11 @@ def reduce_segments(
     if "BORDER" not in omit:
         for i in lines:
             order = desc.flat_order(i)
-            for k in range(len(order)):
-                for l in range(k + 1):
-                    if l < k:
-                        edges.add((b[i, order[k]], b[i, order[l]]))
-                    edges.add((b[i, order[k]], a[i, order[l]]))
+            bs = [b[i, k] for k in order]
+            as_ = [a[i, k] for k in order]
+            for k, b_k in enumerate(bs):
+                edges.update(zip(repeat(b_k), bs[:k]))
+                edges.update(zip(repeat(b_k), as_[: k + 1]))
     return digraph(vertices, edges)
 
 

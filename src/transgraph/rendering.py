@@ -31,9 +31,10 @@ def _dot_name(label) -> str:
 
 def export_dot(graph: LabelledDigraph) -> str:
     lines = ["digraph G {"]
-    for v in graph.sorted_vertices():
+    vertices, edges = graph.sorted_vertices_and_edges()
+    for v in vertices:
         lines.append(f"  {_dot_name(v)};")
-    for u, v in graph.sorted_edges():
+    for u, v in edges:
         lines.append(f"  {_dot_name(u)} -> {_dot_name(v)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -116,8 +116,8 @@ def _enc_object(obj: ArrangementObject) -> dict:
 def _enc_graph(g: LabelledDigraph) -> dict:
     # One dict per vertex, shared by every edge: ``_write`` renders it once
     # per depth.  The edge pairs are tuples, made in C.
-    encoded = {v: _enc_label(v) for v in g.sorted_vertices()}
-    edges = g.sorted_edges()
+    vertices, edges = g.sorted_vertices_and_edges()
+    encoded = {v: _enc_label(v) for v in vertices}
     tails = map(encoded.__getitem__, map(itemgetter(0), edges))
     heads = map(encoded.__getitem__, map(itemgetter(1), edges))
     return {"vertices": list(encoded.values()), "edges": list(zip(tails, heads))}
@@ -553,7 +553,9 @@ def _dec_payload(kind: str, raw: Any, path: str = "payload") -> Any:
 def document_from_json(text: str) -> Document:
     try:
         body = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # ``JSONDecodeError`` is a ``ValueError``; so is the refusal of an
+        # integer literal longer than ``sys.get_int_max_str_digits()``.
         raise SchemaError("<document>", f"not valid JSON: {exc}") from None
     if not isinstance(body, dict):
         raise SchemaError("<document>", "expected a JSON object")

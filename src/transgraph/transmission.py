@@ -11,9 +11,10 @@ point and every segment's far end by one common factor, and each kernel
 takes its object's point from that result.  Segments and sectors run the
 test only on the points that can pass it:
 
-- A segment can only contain points on its own line, so it is tested only
-  against the points of that line.  Sharing the line already proves a
-  point collinear, so the test left is the range ``0 <= d.w <= |d|^2``.
+- A segment can only contain points on its own line.  The points of each
+  line that holds a segment are sorted along it, once per line, and the
+  points a segment contains are one contiguous run of that order: a
+  ``bisect`` slice, emitted as edges in C with no test per point.
 - The sectors are grouped by (direction u, half angle (c, s)); a
   construction has 2n groups.  A point in a sector's cone has both integer
   keys ``k1 = s*(u.p) - c*(u x p)`` and ``k2 = s*(u.p) + c*(u x p)`` at
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import compress, count, repeat
 from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -94,8 +96,8 @@ def _scaled_tester(
 
     All tests are sign tests, so clearing denominators with one positive
     global factor changes nothing.  Sectors have their own kernel,
-    ``_sector_tester``; segments are tested inline by
-    ``transmission_graph``.
+    ``_sector_tester``; a segment needs no kernel, because
+    ``transmission_graph`` takes its points as a range of its line.
     """
     cx, cy = center
     rbound = disk.radius_sq.numerator * scale * scale
@@ -189,23 +191,27 @@ def transmission_graph(inst: Instance) -> LabelledDigraph:
     swept as a dominance query on two integer keys (``_cone_edges``), so
     a sector runs its exact test only on the points that pass both keys.
     A segment from p to q is grouped by its direction d = q - p, reduced
-    by the gcd and sign-normalised (ex > 0, or ex = 0 and ey > 0), so
-    parallel segments share a group.  A point (x, y) lies on the line
-    through p exactly when ``ex*y - ey*x == ex*p.y - ey*p.x``, so for each
-    direction in turn the points are bucketed by that key, and a point of
-    the segment's own bucket is in the segment iff ``0 <= d.w <= |d|^2``
-    for w = point - p.  A disk is tested against every other
-    distinguished point; no reduction builds disks.
+    by the gcd and sign-normalised to (ex, ey) with ex > 0, or ex = 0 and
+    ey > 0, so parallel segments share a group.  A point (x, y) lies on
+    the line through p exactly when ``ex*y - ey*x == ex*p.y - ey*p.x``;
+    for each direction in turn the points whose key is a member's line
+    are kept, and each line's points are sorted by ``t = ex*x + ey*y``.
+    Since d = g*(ex, ey), a point of the line is in the segment iff its t
+    lies between t(p) and t(q), in either order, so the segment's edges
+    are one ``bisect`` slice of its line's run, less its own position,
+    emitted in C.  A disk is tested against every other distinguished
+    point; no reduction builds disks.
     """
     labels = inst.labels()
     objects = inst.objects()
+    m = len(objects)
     pts = [distinguished_point(obj) for obj in objects]
     pts += [obj.q for obj in objects if isinstance(obj, Segment)]
     scale, *coords = cleared(1, *(v for pt in pts for v in (pt.x, pt.y)))
     scaled = list(zip(coords[::2], coords[1::2]))
-    points, far_ends = scaled[: len(objects)], iter(scaled[len(objects) :])
+    points, far_ends = scaled[:m], iter(scaled[m:])
     edges = []
-    segments_by_direction: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    segments_by_direction: dict[tuple[int, int], list[tuple[int, int]]] = {}
     cone_groups: dict[tuple[Vec2, Rotation], list[int]] = {}
     for i, obj in enumerate(objects):
         if isinstance(obj, Segment):
@@ -214,7 +220,8 @@ def transmission_graph(inst: Instance) -> LabelledDigraph:
             g = gcd(dx, dy)
             if dx < 0 or (dx == 0 and dy < 0):
                 g = -g
-            segments_by_direction.setdefault((dx // g, dy // g), []).append((i, dx, dy))
+            ex, ey = dx // g, dy // g
+            segments_by_direction.setdefault((ex, ey), []).append((i, ex * qx + ey * qy))
         elif isinstance(obj, Sector):
             cone_groups.setdefault((obj.direction, obj.half_angle), []).append(i)
         else:
@@ -225,14 +232,22 @@ def transmission_graph(inst: Instance) -> LabelledDigraph:
     for group in cone_groups.values():
         edges += _cone_edges(group, labels, objects, points, scale)
     for (ex, ey), members in segments_by_direction.items():
-        on_line: dict[int, list[int]] = {}
-        for j, (x, y) in enumerate(points):
-            on_line.setdefault(ex * y - ey * x, []).append(j)
-        for i, dx, dy in members:
-            px, py = points[i]
-            dd = dx * dx + dy * dy
-            for j in on_line[ex * py - ey * px]:
+        keys = [ex * y - ey * x for x, y in points]
+        on_line: dict[int, list[int]] = {keys[i]: [] for i, _ in members}
+        for j in compress(range(m), map(on_line.__contains__, keys)):
+            on_line[keys[j]].append(j)
+        t, position, runs = {}, {}, {}
+        for key, run in on_line.items():
+            for j in run:
                 x, y = points[j]
-                if i != j and 0 <= dx * (x - px) + dy * (y - py) <= dd:
-                    edges.append((labels[i], labels[j]))
+                t[j] = ex * x + ey * y
+            run.sort(key=t.__getitem__)
+            position.update(zip(run, count()))
+            runs[key] = (list(map(t.__getitem__, run)), list(map(labels.__getitem__, run)))
+        for i, tq in members:
+            ts, run_labels = runs[keys[i]]
+            lo, hi = sorted((t[i], tq))
+            k, tail = position[i], repeat(labels[i])
+            edges += zip(tail, run_labels[bisect_left(ts, lo) : k])
+            edges += zip(tail, run_labels[k + 1 : bisect_right(ts, hi)])
     return digraph(labels, edges)

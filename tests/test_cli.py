@@ -10,6 +10,7 @@ from transgraph.cli import main
 from transgraph.realization import realize_sectors, realize_segments
 from transgraph.reductions import reduce_sectors
 from transgraph.serialization import (
+    FORMAT_VERSION,
     Document,
     document_to_json,
     load_document,
@@ -213,6 +214,22 @@ def test_corrupt_json_is_input_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     assert run("validate", "--in", bad) == 2
+
+
+def test_an_integer_too_long_for_the_json_reader_is_input_error(tmp_path, capsys):
+    """``json.loads`` refuses an integer literal of more than 4,300 digits
+    with a plain ``ValueError``, not a ``JSONDecodeError``."""
+    index = "7" * 5000
+    bad = tmp_path / "graph.json"
+    bad.write_text(
+        f'{{"formatVersion": {FORMAT_VERSION}, "kind": "graph", "payload": '
+        f'{{"vertices": [{{"kind": "C", "indices": [{index}]}}], "edges": []}}}}'
+    )
+    assert run("export-dot", "--in", bad, "--out", tmp_path / "g.dot") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not valid JSON" in err
+    assert not (tmp_path / "g.dot").exists()
 
 
 def test_tgraph_rejects_sector_half_angle_past_a_quarter_turn(tmp_path, capsys):

@@ -14,7 +14,7 @@ from transgraph import serialization
 from transgraph.arrangement import LineArrangement, extract_description
 from transgraph.cli import main
 from transgraph.geometry import Disk, Sector, Segment, rotation_from_parameter, vec
-from transgraph.graphs import A, C, digraph, free, graph_diff
+from transgraph.graphs import A, C, Label, digraph, free, graph_diff
 from transgraph.realization import realize_sectors, realize_segments
 from transgraph.reductions import reduce_sectors, reduce_segments
 from transgraph.rendering import export_dot, render_svg
@@ -498,6 +498,29 @@ def test_graph_document_is_written_and_read_without_a_call_per_edge():
         sys.setprofile(None)
     assert back == doc
     assert calls < g.edge_count
+
+
+@pytest.mark.parametrize(
+    "write", [lambda g: document_to_json(Document("graph", g)), export_dot], ids=["json", "dot"]
+)
+def test_writing_a_graph_sorts_its_vertices_once(write):
+    """Each vertex's ``sort_key`` is taken once per write: the edge order
+    reuses the vertex order instead of sorting the vertices again."""
+    g = reduce_sectors(extract_description(random_simple_arrangement(RandomSpec(n=5, seed=1))))
+    expected = write(g)
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code is Label.sort_key.__code__
+
+    sys.setprofile(profile)
+    try:
+        text = write(g)
+    finally:
+        sys.setprofile(None)
+    assert text == expected
+    assert calls == g.vertex_count == 375
 
 
 def test_edge_endpoints_ignore_fields_their_kind_does_not_use():

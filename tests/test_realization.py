@@ -495,7 +495,8 @@ def test_band_apexes_sit_at_the_shifted_line_crossings():
                 ),
                 key=lambda hit: hit[0].x,
             )
-            ends = [h[0] for h in hits[1:]] + [band.point_at_x(real.slab.x_right)]
+            right = real.slab.x_right
+            ends = [h[0] for h in hits[1:]] + [Vec2(right, band.y_at(right))]
             for (pt, k, mp), nxt in zip(hits, ends):
                 assert objs[SA(i, m, k, mp)].apex + u.scaled(real.delta) == pt
                 mid = Vec2((pt.x + nxt.x) / 2, (pt.y + nxt.y) / 2)
@@ -536,7 +537,7 @@ def _build_sector_instance_by_fractions(lines, crossings, slab, tau, t, delta, e
         usq = u.norm_sq()
         grow = usq * (1 + eps)
         end = width / ln.b
-        left = ln.point_at_x(slab.x_left)
+        left = Vec2(slab.x_left, ln.y_at(slab.x_left))
         for m, o in enumerate(offsets, start=1):
             apex_c = Vec2(left.x, left.y + o)
             cones.append((SC(i, m), Sector(apex_c, u, half, end * end * usq)))

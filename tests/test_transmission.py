@@ -12,8 +12,8 @@ from transgraph.geometry import (
     rotation_from_parameter,
     vec,
 )
-from transgraph.graphs import free, graph_diff
-from transgraph.realization import realize_sectors
+from transgraph.graphs import C, free, graph_diff
+from transgraph.realization import realize_sectors, realize_segments
 from transgraph.transmission import distinguished_point, instance, transmission_graph
 from transgraph.verification import RandomSpec, random_simple_arrangement
 
@@ -183,18 +183,28 @@ def line_instances(draw):
     direction vectors of different lengths such as (2, 4) and (-1, -2)),
     more on parallel lines a small rational offset away, and probe disks
     at p, at q, inside, just past either end and on the parallel line.
+    A segment may start at an earlier segment's p, so two distinguished
+    points coincide and tie in their place along the line, or at an
+    earlier segment's far end q, so its p sits on that segment's boundary.
+    With few probes a segment's ends are often the first and last points
+    of its line's run, so a range can start or stop at either end of it.
     Random points are almost never collinear; these are, so a segment that
     misses a point of its own line, or tests one off it, changes the graph."""
     base, d = draw(points), draw(directions)
     normal = vec(-d.y, d.x)
     offsets = [F(0), draw(st.sampled_from([F(1, 8), F(-1, 3), F(1, 2)]))]
     objs = []
+    ends = []
     for _ in range(draw(st.integers(1, 5))):
-        foot = base + normal.scaled(draw(st.sampled_from(offsets)))
-        s, t = draw(small), draw(small.filter(lambda t: t != 0))
-        p = foot + d.scaled(s)
-        q = p + d.scaled(t)
+        start = draw(st.sampled_from(["new", "shared p", "far end"])) if ends else "new"
+        if start == "new":
+            foot = base + normal.scaled(draw(st.sampled_from(offsets)))
+            p = foot + d.scaled(draw(small))
+        else:
+            p = draw(st.sampled_from(ends))[start == "far end"]
+        q = p + d.scaled(draw(small.filter(lambda t: t != 0)))
         objs.append(Segment(p, q))
+        ends.append((p, q))
         for where in draw(st.lists(st.sampled_from(["p", "q", "in", "past", "before", "off"]), max_size=3)):
             tiny = F(1, draw(st.integers(2, 64)))
             centre = {
@@ -257,6 +267,23 @@ def test_integer_kernel_agrees_with_contains(inst):
         if x != y and ox.contains(distinguished_point(oy))
     }
     assert set(transmission_graph(inst).edges) == expected
+
+
+def test_segment_runs_match_all_pairs_contains_on_a_realization():
+    """The seed-1 n=16 segment realization's graph equals the all-pairs
+    ``Segment.contains`` graph.  Each A apex is a crossing, so it lies on
+    the runs of two lines, and both C segments through it contain it."""
+    inst = realize_segments(random_simple_arrangement(RandomSpec(n=16, seed=1))).instance
+    points = [(y, distinguished_point(oy)) for y, oy in inst.entries]
+    expected = {
+        (x, y) for x, ox in inst.entries for y, pt in points if x != y and ox.contains(pt)
+    }
+    graph = transmission_graph(inst)
+    assert set(graph.edges) == expected
+    for y in inst.labels():
+        if y.kind == "A":
+            i, k = y.indices
+            assert (C(i), y) in graph.edges and (C(k), y) in graph.edges
 
 
 def test_sector_sweep_tests_only_candidates(monkeypatch):
