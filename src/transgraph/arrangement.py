@@ -3,20 +3,25 @@
 An arrangement is a slope-ordered list of pairwise non-parallel,
 non-vertical lines.  Its description records, per line, the left-to-right
 order in which the other lines cross it, with coincident crossings
-grouped into one block.  Every crossing comes from ``intersections()``,
-which solves each pair of lines on their cleared integer coefficients and
-builds a ``Fraction`` only for each output coordinate.
+grouped into one block.  ``LineArrangement.crossings_by_line()`` solves
+and orders every crossing on integers; the other readers read its rows,
+so ``is_simple`` and ``extract_description`` compare no ``Fraction``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, groupby
+from itertools import groupby
+from math import lcm
 from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .geometry import Line, Point, Vec2, cleared
+
+
+# Per line, (D, [(X, j), ...]): see ``LineArrangement.crossings_by_line``.
+CrossingTable = list[tuple[int, list[tuple[int, int]]]]
 
 
 class ArrangementError(Exception):
@@ -52,26 +57,36 @@ class LineArrangement:
             raise IndexError(f"line index {index} out of range 1..{len(self.lines)}")
         return self.lines[index - 1]
 
-    def intersections(self) -> dict[tuple[int, int], Point]:
-        """All pairwise intersection points, keyed by 1-based index pairs.
-
-        Each line's (a, b, c) is cleared to integers once, and each crossing
-        is Cramer's rule on those integers, with one ``Fraction`` per
-        coordinate; a positive factor on a line changes neither quotient.
-        No lines are parallel, so no determinant is 0.  The table is built
-        on each call, not stored on the arrangement: a stored table was
-        measured to raise peak resident memory, and the build is cheap.
+    def crossings_by_line(self) -> CrossingTable:
+        """Per line i, ``(D, [(X, j), ...])`` sorted: its crossing with line j
+        is at x = X/D, by Cramer's rule on the lines' cleared integer
+        (a, b, c), and D is the lcm of the row's determinants (none is 0, as
+        no lines are parallel).  The table is built on each call, not stored
+        on the arrangement: a stored table was measured to raise peak
+        resident memory, and the build is cheap.
         """
-        rows = [cleared(ln.a, ln.b, ln.c) for ln in self.lines]
-        out = {}
-        for (i, (a1, b1, c1)), (j, (a2, b2, c2)) in combinations(
-            enumerate(rows, start=1), 2
-        ):
-            det = a1 * b2 - a2 * b1
-            out[(i, j)] = Vec2(
-                Fraction(c1 * b2 - c2 * b1, det), Fraction(a1 * c2 - a2 * c1, det)
-            )
-        return out
+        lines = [cleared(ln.a, ln.b, ln.c) for ln in self.lines]
+        table = []
+        for i, (a1, b1, c1) in enumerate(lines, start=1):
+            solved = [
+                (c1 * b2 - c2 * b1, a1 * b2 - a2 * b1, j)
+                for j, (a2, b2, c2) in enumerate(lines, start=1)
+                if j != i
+            ]
+            D = lcm(*(det for _, det, _ in solved))
+            table.append((D, sorted((num * (D // det), j) for num, det, j in solved)))
+        return table
+
+    def intersections(self) -> dict[tuple[int, int], Point]:
+        """All pairwise intersection points, keyed by 1-based index pairs
+        (i, j) with i < j, read from ``crossings_by_line()``."""
+        points = [
+            ((i, j), Vec2(Fraction(X, D), ln.y_at(Fraction(X, D))))
+            for i, (ln, (D, row)) in enumerate(zip(self.lines, self.crossings_by_line()), 1)
+            for X, j in row
+            if j > i
+        ]
+        return dict(sorted(points))
 
 
 def slope_sorted(lines: Iterable[Line]) -> LineArrangement:
@@ -87,23 +102,14 @@ def slope_sorted(lines: Iterable[Line]) -> LineArrangement:
     return LineArrangement(tuple(lines))
 
 
-def _crossings_by_line(arr: LineArrangement) -> list[list[tuple[Fraction, int]]]:
-    """Per line, (x, j) for its crossing with each other line j."""
-    rows = [[] for _ in arr.lines]
-    for (i, j), pt in arr.intersections().items():
-        rows[i - 1].append((pt.x, j))
-        rows[j - 1].append((pt.x, i))
-    return rows
-
-
 def is_simple(arr: LineArrangement) -> bool:
     """True iff no three lines pass through one point.
 
-    No line is vertical, so this holds iff each line's crossings, read
-    from ``intersections()``, have distinct x values.
+    No line is vertical, so this holds iff no line has two crossings at one
+    x: no two adjacent Xs of a ``crossings_by_line()`` row are equal.
     """
     return all(
-        len({x for x, _ in row}) == len(row) for row in _crossings_by_line(arr)
+        x != y for _, row in arr.crossings_by_line() for (x, _), (y, _) in zip(row, row[1:])
     )
 
 
@@ -127,13 +133,19 @@ class Slab:
     def width(self) -> Fraction:
         return self.x_right - self.x_left
 
+    @classmethod
+    def around(cls, table: CrossingTable) -> Slab:
+        """Slab with margin at least 1 around the crossings of a table of at
+        least 2 lines: each row's first and last entry."""
+        xs = [Fraction(row[end][0], D) for D, row in table for end in (0, -1)]
+        return cls(min(xs) - 2, max(xs) + 2)
+
 
 def containing_slab(arr: LineArrangement) -> Slab:
     """Slab with margin at least 1 around all intersection abscissae."""
     if arr.n < 2:
         raise ArrangementError("containing_slab needs at least 2 lines")
-    xs = [pt.x for pt in arr.intersections().values()]
-    return Slab(min(xs) - 2, max(xs) + 2)
+    return Slab.around(arr.crossings_by_line())
 
 
 Block = tuple[int, ...]
@@ -214,14 +226,11 @@ def validate_description(desc: Description) -> ValidationReport:
 def extract_description(arr: LineArrangement) -> Description:
     """Left-to-right crossing order of every line, ties grouped by point.
 
-    Reads the crossings from ``intersections()``.  Each line's (x, j) pairs
-    are sorted, so equal x values are adjacent and every block is sorted.
+    Reads the rows of ``crossings_by_line()``, which are sorted by (X, j),
+    so equal Xs are adjacent and every block is sorted.
     """
     orders = tuple(
-        tuple(
-            tuple(j for _, j in block)
-            for _, block in groupby(sorted(row), key=itemgetter(0))
-        )
-        for row in _crossings_by_line(arr)
+        tuple(tuple(j for _, j in block) for _, block in groupby(row, key=itemgetter(0)))
+        for _, row in arr.crossings_by_line()
     )
     return Description(arr.n, orders)

@@ -10,27 +10,24 @@ shrink on any mismatch.  The shrink rates differ per parameter so that
 every ratio constraint (cone width vs. band offset, apex offset vs. cone
 width) eventually holds.
 
-The segment realization's hot arithmetic runs on integers cleared of
-their denominators (``geometry.cleared``), with a ``Fraction`` built only
-for each output coordinate: the tilt scan tests each candidate rotation
-as an integer pair against the cleared line directions, each A-segment
-compares its ray's hits with the cleared lines as integer quotients, and
-each line's C ends, B midpoints and shared far point come from its cleared
-(a, b, c) and one ``cleared`` call over the slab ends and the x values of
-its crossings.  The crossings come from ``LineArrangement.intersections()``,
-which is called again where needed rather than stored: a stored table
-was measured to raise peak resident memory.
+Both realizations read the arrangement's crossings from one table,
+``LineArrangement.crossings_by_line()``, built once in their body: each
+line's crossings as integers X over one denominator D, in order along the
+line.  The slab, each line's ordered crossings and the A apexes come from
+its rows.  The segment realization runs on integers cleared of their
+denominators (``geometry.cleared``), with a ``Fraction`` built only for
+each output coordinate: the tilt scan, the A-segment ray hits, and each
+line's C ends, B midpoints and shared far point, placed on its cleared
+(a, b, c) at the row's Xs and the slab ends over one denominator.
 
-The sector realization reads its band crossings from the same table:
-shifting line i up by o and line k up by o' moves their crossing by
-(o' - o)/(s_i - s_k) in x, so each crossing of two shifted lines is an
-arrangement crossing plus a multiple of the band offset.  Each search
-round clears every line's crossing parameters, band steps and slab end
-to integers over one denominator, sorts and spaces the band rows on those
-integers, and builds one ``Fraction`` per output coordinate.  Labels are
-interned (``graphs.Label``), so the candidate's labels are the target
-graph's own objects and comparing the two graphs matches every label by
-identity; the same holds for the segment realization.
+The sector realization shifts line i up by o and line k up by o', which
+moves their crossing by (o' - o)/(s_i - s_k) in x, so each band crossing
+is a row entry plus a multiple of the band offset.  Each search round
+clears every line's crossing parameters, band steps and slab end to
+integers over one denominator and sorts and spaces the band rows on
+them.  Labels are interned (``graphs.Label``), so the candidate's labels
+are the target graph's own objects and comparing the two graphs matches
+every label by identity; the same holds for the segment realization.
 
 The containing disk of the source constructions is replaced by a
 vertical slab throughout; the slab boundaries play the role of the
@@ -54,10 +51,10 @@ from itertools import combinations, combinations_with_replacement, product
 from typing import Optional, Sequence
 
 from .arrangement import (
+    CrossingTable,
     Description,
     LineArrangement,
     Slab,
-    containing_slab,
     extract_description,
     is_simple,
 )
@@ -176,31 +173,32 @@ def realize_segments(arr: LineArrangement) -> SegmentRealization:
     if not is_simple(arr):
         raise NonSimpleArrangement("arrangement has three concurrent lines")
     desc = extract_description(arr)
-    slab = containing_slab(arr)
+    table = arr.crossings_by_line()
+    slab = Slab.around(table)
     tilt = _pick_tilt(arr)
-    crossings = arr.intersections()
     lines = [cleared(ln.a, ln.b, ln.c) for ln in arr.lines]
-    entries: list[tuple[Label, Segment]] = []
-    b_entries: list[tuple[Label, Segment]] = []
-    for i, line in enumerate(lines, start=1):
-        order = desc.flat_order(i)
-        den, left, right, *xs = cleared(
-            1, slab.x_left, slab.x_right, *(crossings[min(i, k), max(i, k)].x for k in order)
-        )
-        entries.append(
-            (C(i), Segment(_line_point(line, left, den), _line_point(line, right, den)))
-        )
-        far = _line_point(line, left - den, den)
-        for k, x, nxt in zip(order, xs, xs[1:] + [right]):
-            b_entries.append((B(i, k), Segment(_line_point(line, x + nxt, 2 * den), far)))
     tilted = [
         cleared(1, d.x, d.y)
         for d in (tilt.apply(ln.rightward_direction()) for ln in arr.lines)
     ]
-    for (i, k), apex in sorted(crossings.items()):
-        end = _a_segment_end(apex, tilted[i - 1], lines)
-        entries.append((A(i, k), Segment(apex, end)))
-    entries += b_entries
+    entries: list[tuple[Label, Segment]] = []
+    a_entries: list[tuple[Label, Segment]] = []
+    b_entries: list[tuple[Label, Segment]] = []
+    for i, (line, (D, row)) in enumerate(zip(lines, table), start=1):
+        # The row's crossings and the slab ends over one denominator den.
+        scale, left, right = cleared(Fraction(1, D), slab.x_left, slab.x_right)
+        den, xs = scale * D, [x * scale for x, _ in row]
+        entries.append(
+            (C(i), Segment(_line_point(line, left, den), _line_point(line, right, den)))
+        )
+        far = _line_point(line, left - den, den)
+        for (_, k), x, nxt in zip(row, xs, xs[1:] + [right]):
+            b_entries.append((B(i, k), Segment(_line_point(line, x + nxt, 2 * den), far)))
+        for k, x in sorted((k, x) for x, k in row if k > i):
+            apex = _line_point(line, x, D)
+            end = _a_segment_end(apex, tilted[i - 1], lines)
+            a_entries.append((A(i, k), Segment(apex, end)))
+    entries += a_entries + b_entries
 
     inst = instance(entries)
     graph = transmission_graph(inst)
@@ -401,17 +399,18 @@ def _normalized_lines(arr: LineArrangement) -> list[Line]:
 
 
 def _initial_parameters(
-    lines: list[Line], crossings: dict[tuple[int, int], Point], slab: Slab
+    lines: list[Line], table: CrossingTable, slab: Slab
 ) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     slopes = [ln.slope() for ln in lines]
     # Band offset: below the vertical clearance of every intersection from
     # non-incident lines, and small against every slope difference so the
-    # shifted crossings stay in order and inside the slab.
+    # shifted crossings stay in order and inside the slab.  Crossing (i, j)
+    # clears line k by |s_k - s_i| * |x_ij - x_ik|, least for j next to k.
     v_clear = Fraction(1)
-    for (i, j), pt in crossings.items():
-        for k, ln in enumerate(lines, start=1):
-            if k != i and k != j:
-                v_clear = min(v_clear, abs(ln.y_at(pt.x) - pt.y))
+    for s, (D, row) in zip(slopes, table):
+        for (x, j), (y, k) in zip(row, row[1:]):
+            gap = Fraction(y - x, D)
+            v_clear = min(v_clear, abs(slopes[j - 1] - s) * gap, abs(slopes[k - 1] - s) * gap)
     slope_gap = min(
         (abs(s - t) for s, t in zip(slopes, slopes[1:])), default=Fraction(1)
     )
@@ -429,7 +428,7 @@ def _initial_parameters(
 
 def _build_sector_instance(
     lines: list[Line],
-    crossings: dict[tuple[int, int], Point],
+    table: CrossingTable,
     slab: Slab,
     tau: Fraction,
     t: Fraction,
@@ -451,31 +450,24 @@ def _build_sector_instance(
     """
     half = rotation_from_parameter(t)
     slopes = [ln.slope() for ln in lines]
-    partners: dict[int, list[tuple[int, Fraction]]] = {
-        i: [] for i in range(1, len(lines) + 1)
-    }
-    for (i, k), pt in crossings.items():
-        partners[i].append((k, pt.x))
-        partners[k].append((i, pt.x))
 
     # Per line: D, the slab end E/D and the three sorted band rows of
     # (P, k, mp), the crossing of band mp of line k at P/D.
     cleared_lines = []
     gaps = []
-    for i, ln in enumerate(lines, start=1):
-        ks, xs = zip(*partners[i])
+    for i, (ln, (den, crossings)) in enumerate(zip(lines, table), start=1):
         D, E, *values = cleared(
             1,
             slab.width / ln.b,
-            *((x - slab.x_left) / ln.b for x in xs),
-            *(tau / ((slopes[i - 1] - slopes[k - 1]) * ln.b) for k in ks),
+            *((Fraction(x, den) - slab.x_left) / ln.b for x, _ in crossings),
+            *(tau / ((slopes[i - 1] - slopes[k - 1]) * ln.b) for _, k in crossings),
         )
-        at, step = values[: len(ks)], values[len(ks) :]
+        at, step = values[: len(crossings)], values[len(crossings) :]
         rows = []
         for m in (1, 2, 3):
             row = sorted(
                 (p + (m - mp) * d, k, mp)
-                for k, p, d in zip(ks, at, step)
+                for (_, k), p, d in zip(crossings, at, step)
                 for mp in (1, 2, 3)
             )
             params = [0, *(p for p, _, _ in row), E]
@@ -565,10 +557,10 @@ def realize_sectors(arr: LineArrangement) -> SectorRealization:
         raise NonSimpleArrangement("arrangement has three concurrent lines")
     desc = extract_description(arr)
     target = reduce_sectors(desc)
-    slab = containing_slab(arr)
+    table = arr.crossings_by_line()
+    slab = Slab.around(table)
     lines = _normalized_lines(arr)
-    crossings = arr.intersections()
-    tau0, t0, delta0, eps0 = _initial_parameters(lines, crossings, slab)
+    tau0, t0, delta0, eps0 = _initial_parameters(lines, table, slab)
 
     last_detail = ""
     for rnd in range(MAX_SEARCH_ROUNDS):
@@ -578,9 +570,7 @@ def realize_sectors(arr: LineArrangement) -> SectorRealization:
         t = t0 / 8**rnd
         delta = delta0 / 64**rnd
         eps = eps0 / 2**rnd
-        built = _build_sector_instance(
-            lines, crossings, slab, tau, t, delta, eps
-        )
+        built = _build_sector_instance(lines, table, slab, tau, t, delta, eps)
         if built is None:
             last_detail = "shifted crossings left the slab"
             continue

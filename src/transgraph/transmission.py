@@ -19,8 +19,8 @@ test only on the points that can pass it:
   construction has 2n groups.  A point in a sector's cone has both integer
   keys ``k1 = s*(u.p) - c*(u x p)`` and ``k2 = s*(u.p) + c*(u x p)`` at
   least those of the apex, because c, s >= 0.  A sweep in descending k1
-  with a list sorted by k2 finds the points that pass both keys, and the
-  exact test runs on those alone.
+  with a list sorted by k2 finds the points that pass both keys, which
+  decides the tangent test, and the radius test runs on those alone.
 
 A disk is tested against every point; no reduction builds disks.
 """
@@ -114,26 +114,27 @@ def _sector_tester(
     sec: Sector, scale: int, apex: tuple[int, int], cone: tuple[int, int, int, int]
 ) -> Callable[[int, int], bool]:
     """Integer containment kernel of a sector, equivalent to
-    ``sec.contains`` on points whose coordinates times ``scale`` are
-    integers: the radius test plus the tangent test of ``geometry``.
-    ``apex`` is the sector's apex times ``scale``.
+    ``sec.contains`` on the points ``_cone_edges`` hands it: coordinates
+    times ``scale`` are integers, and both cone keys are at least the
+    apex's.  ``apex`` is the sector's apex times ``scale``.
 
     ``cone`` is (ux, uy, c, s), the sector's direction and half angle each
     times a positive integer that makes them integral.  Such factors
     change no sign, and every sector of one cone group shares them, so the
     group clears them once.
+
+    The key bounds give ``s*dot >= c*|cross|``: for s > 0 that is the
+    whole tangent test, so only the radius test is left.  For s = 0 they
+    give ``cross == 0``, and ``dot >= 0`` is still tested.
     """
     ax, ay = apex
-    ux, uy, c, s = cone
+    ux, uy, _, s = cone
     rbound = sec.radius_sq.numerator * scale * scale
     rd = sec.radius_sq.denominator
 
     def test_sector(x: int, y: int) -> bool:
         wx, wy = x - ax, y - ay
-        if (wx * wx + wy * wy) * rd > rbound:
-            return False
-        dot = ux * wx + uy * wy
-        return dot >= 0 and abs(ux * wy - uy * wx) * c <= dot * s
+        return (wx * wx + wy * wy) * rd <= rbound and (s > 0 or ux * wx + uy * wy >= 0)
 
     return test_sector
 

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -15,6 +16,7 @@ from transgraph.arrangement import (
     validate_description,
 )
 from transgraph.geometry import Line, line_from_slope_intercept, line_intersection, vec
+from transgraph.verification import RandomSpec, random_simple_arrangement
 
 F = Fraction
 
@@ -101,6 +103,42 @@ def test_intersections_match_pairwise_line_intersection(arr):
         tuple(Line(2 * l.a, 2 * l.b, 2 * l.c) for l in arr.lines)
     )
     assert doubled.intersections() == crossings
+
+
+@settings(max_examples=100, deadline=None)
+@given(rescaled_arrangements())
+def test_crossing_rows_are_sorted_integers_over_one_denominator(arr):
+    """Row i lists (X, j) for every other line j, sorted, with X/D the x of
+    the ``Fraction`` solve of lines i and j."""
+    reference = _intersections_by_fractions(arr)
+    for i, (D, row) in enumerate(arr.crossings_by_line(), start=1):
+        assert D > 0 and row == sorted(row)
+        assert sorted(j for _, j in row) == [j for j in range(1, arr.n + 1) if j != i]
+        for X, j in row:
+            assert F(X, D) == reference[min(i, j), max(i, j)].x
+
+
+def test_simplicity_and_description_compare_no_fraction():
+    """``is_simple`` and ``extract_description`` order each line's
+    crossings on integers: not one ``Fraction`` comparison runs in them."""
+    arr = random_simple_arrangement(RandomSpec(n=10, seed=1))
+    comparisons = {
+        getattr(Fraction, name).__code__
+        for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__", "_richcmp")
+    }
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code in comparisons
+
+    sys.setprofile(profile)
+    try:
+        simple, desc = is_simple(arr), extract_description(arr)
+    finally:
+        sys.setprofile(None)
+    assert simple and desc.n == 10
+    assert calls == 0
 
 
 # --- simplicity ------------------------------------------------------------

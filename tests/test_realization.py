@@ -565,10 +565,11 @@ def test_integer_build_matches_the_fraction_reference(n, seed):
     arr = random_simple_arrangement(RandomSpec(n=n, seed=seed))
     lines = realization._normalized_lines(arr)
     crossings = arr.intersections()
-    tau0, t0, delta0, eps0 = realization._initial_parameters(lines, crossings, real.slab)
+    table = arr.crossings_by_line()
+    tau0, t0, delta0, eps0 = realization._initial_parameters(lines, table, real.slab)
 
     def both(*params):
-        built = realization._build_sector_instance(lines, crossings, real.slab, *params)
+        built = realization._build_sector_instance(lines, table, real.slab, *params)
         reference = _build_sector_instance_by_fractions(lines, crossings, real.slab, *params)
         assert built == reference
         return built
@@ -582,6 +583,24 @@ def test_integer_build_matches_the_fraction_reference(n, seed):
     assert both(tau0 * 10**6, t0, delta0, eps0) is None
     clamped = both(tau0, t0, F(1), eps0)
     assert clamped[2] < 1
+
+
+@pytest.mark.parametrize("realize, n", [(realize_segments, 8), (realize_sectors, 3)])
+def test_a_realization_solves_the_crossings_at_most_three_times(realize, n, monkeypatch):
+    """``crossings_by_line`` is the package's one crossing solve: the
+    realizer builds its table once, and ``is_simple`` and
+    ``extract_description`` build one each."""
+    arr = random_simple_arrangement(RandomSpec(n=n, seed=1))
+    solve = LineArrangement.crossings_by_line
+    solves = []
+
+    def counting_solve(arr):
+        solves.append(arr)
+        return solve(arr)
+
+    monkeypatch.setattr(LineArrangement, "crossings_by_line", counting_solve)
+    realize(arr)
+    assert 1 <= len(solves) <= 3
 
 
 def test_realized_sectors_carry_the_target_labels(monkeypatch):

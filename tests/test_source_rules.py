@@ -1,9 +1,11 @@
 """Quality rules for the package source, checked on its syntax tree: no
 module imports another module's private names, correctness checks raise
-instead of using ``assert``, which ``python -O`` strips, crossings
-come from ``LineArrangement.intersections()`` rather than a fresh
-``line_intersection`` solve, and every private module-level function is
-used by the package itself, not only by tests."""
+instead of using ``assert``, which ``python -O`` strips, crossings come
+from ``LineArrangement.crossings_by_line()`` rather than a fresh
+``line_intersection`` solve, no module but ``arrangement`` calls
+``intersections()``, whose points are read from that table, and every
+private module-level function is used by the package itself, not only by
+tests."""
 
 import ast
 from pathlib import Path
@@ -48,6 +50,18 @@ def test_no_line_intersection_call(path):
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "line_intersection"
+    ]
+    assert not calls
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "arrangement.py"], ids=lambda p: p.name
+)
+def test_no_intersections_call_outside_arrangement(path):
+    calls = [
+        node.lineno
+        for node in ast.walk(TREES[path])
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "intersections"
     ]
     assert not calls
 
