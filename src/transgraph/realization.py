@@ -25,9 +25,24 @@ moves their crossing by (o' - o)/(s_i - s_k) in x, so each band crossing
 is a row entry plus a multiple of the band offset.  Each search round
 clears every line's crossing parameters, band steps and slab end to
 integers over one denominator and sorts and spaces the band rows on
-them.  Labels are interned (``graphs.Label``), so the candidate's labels
-are the target graph's own objects and comparing the two graphs matches
-every label by identity; the same holds for the segment realization.
+them (``_sector_layout``).
+
+A screen then tests the round on those rows before any sector is built
+(``_screen_round``).  For every band crossing, ``reduce_sectors`` emits
+the edge SB(i, m, k, mp) -> SA(k, mp, i, m), and the screen evaluates
+the cone half of ``Sector.contains`` for it on integers.  The cone test is
+necessary for containment, so a failure proves that this round's graph
+lacks a target edge and that the full verification would reject it; the
+round is rejected unbuilt, with the pair named in the search detail.  A
+pass proves nothing: the round is built (``_build_sector_instance``) and
+verified in full, and only that verification accepts a round.  The screen
+therefore never changes which round is accepted or what it returns; it
+saves the rejected rounds' object build, ``transmission_graph`` and
+``graph_diff``.
+
+Labels are interned (``graphs.Label``), so the candidate's labels are the
+target graph's own objects and comparing the two graphs matches every
+label by identity; the same holds for the segment realization.
 
 The containing disk of the source constructions is replaced by a
 vertical slab throughout; the slab boundaries play the role of the
@@ -426,16 +441,15 @@ def _initial_parameters(
     return tau, t0, delta, eps
 
 
-def _build_sector_instance(
-    lines: list[Line],
-    table: CrossingTable,
-    slab: Slab,
-    tau: Fraction,
-    t: Fraction,
-    delta: Fraction,
-    eps: Fraction,
-) -> Optional[tuple[Instance, Rotation, Fraction]]:
-    """One search round's candidate instance, or None when a shifted
+# Per line: D, the slab end E/D and the three sorted band rows of (P, k, mp),
+# the crossing of band mp of line k at P/D.
+BandRows = tuple[int, int, list[list[tuple[int, int, int]]]]
+
+
+def _sector_layout(
+    lines: list[Line], table: CrossingTable, slab: Slab, tau: Fraction, delta: Fraction
+) -> Optional[tuple[list[BandRows], Fraction]]:
+    """One search round's band rows and apex offset, or None when a shifted
     crossing escapes the slab or two of them collide.
 
     Positions along the bisector of line i are parameters in units of its
@@ -444,16 +458,11 @@ def _build_sector_instance(
     (o_mp - o_m)/(s_i - s_k) in x, and o_mp - o_m = (m - mp) * tau.  Each
     line's crossing parameters, band steps tau/((s_i - s_k) * b) and slab
     end width/b are cleared to integers over one denominator D; the rows
-    are sorted and their gaps taken on those integers.  Each band apex and
-    squared radius is then one ``Fraction`` per coordinate, built from an
-    integer parameter num/den.
+    are sorted and their gaps taken on those integers.  The apex offset is
+    ``delta`` clamped to a quarter of the smallest gap.
     """
-    half = rotation_from_parameter(t)
     slopes = [ln.slope() for ln in lines]
-
-    # Per line: D, the slab end E/D and the three sorted band rows of
-    # (P, k, mp), the crossing of band mp of line k at P/D.
-    cleared_lines = []
+    bands = []
     gaps = []
     for i, (ln, (den, crossings)) in enumerate(zip(lines, table), start=1):
         D, E, *values = cleared(
@@ -476,13 +485,67 @@ def _build_sector_instance(
                 return None
             gaps.append(Fraction(gap, D))
             rows.append(row)
-        cleared_lines.append((D, E, rows))
-    delta = min(delta, min(gaps) / 4)
-    dn, dd = delta.numerator, delta.denominator
+        bands.append((D, E, rows))
+    return bands, min(delta, min(gaps) / 4)
 
+
+def _screen_round(
+    lines: list[Line], bands: list[BandRows], half: Rotation, delta: Fraction
+) -> Optional[tuple[Label, Label]]:
+    """The first (SB(i, m, k, mp), SA(k, mp, i, m)) whose SB cone misses
+    the SA apex, or None when every such cone test passes.
+
+    Both apexes sit by the crossing of band m of line i with band mp of
+    line k: SB at h = (nxt - p)/(2D) after it along u_i = (b_i, -a_i), SA
+    at delta before it along u_k.  Seen from the SB apex along its bisector
+    -u_i, the SA apex has dot = delta*(u_i.u_k) + h*|u_i|^2 and
+    cross = delta*|u_i x u_k|, and it lies in the cone iff dot >= 0 and
+    cross*c <= dot*s.  With delta = dn/dd and the vector products cleared
+    to integers by one positive factor per line, both sides times 2*D*dd
+    and that factor give the test g*dd*|u_i|^2*s >= 2*D*dn*(cross*c -
+    dot*s) on the gap g = nxt - p, which a negative dot fails too.
+
+    The radius half of ``Sector.contains`` is not tested, so a pass proves
+    nothing, but a miss proves that the edge SB -> SA, which
+    ``reduce_sectors`` emits for every crossing, is absent from this
+    round's graph.
+    """
+    c, s = cleared(half.c, half.s)
+    dn, dd = delta.numerator, delta.denominator
+    us = [Vec2(ln.b, -ln.a) for ln in lines]
+    for i, (u, (D, E, rows)) in enumerate(zip(us, bands), start=1):
+        usq, *products = cleared(
+            u.norm_sq(), *map(u.dot, us), *(abs(u.cross(v)) for v in us)
+        )
+        step = dd * usq * s
+        bound = [
+            2 * D * dn * (cross * c - dot * s)
+            for dot, cross in zip(products, products[len(us) :])
+        ]
+        for m, row in enumerate(rows, start=1):
+            ends = [p for p, _, _ in row[1:]] + [E]
+            for (p, k, mp), nxt in zip(row, ends):
+                if (nxt - p) * step < bound[k - 1]:
+                    return SB(i, m, k, mp), SA(k, mp, i, m)
+    return None
+
+
+def _build_sector_instance(
+    lines: list[Line],
+    slab: Slab,
+    bands: list[BandRows],
+    tau: Fraction,
+    half: Rotation,
+    delta: Fraction,
+    eps: Fraction,
+) -> Instance:
+    """One search round's candidate instance on its band rows: each band
+    apex and squared radius is one ``Fraction`` per coordinate, built from
+    an integer parameter num/den."""
+    dn, dd = delta.numerator, delta.denominator
     cones: list[tuple[Label, Sector]] = []
-    bands: list[tuple[Label, Sector]] = []
-    for i, (ln, (D, E, rows)) in enumerate(zip(lines, cleared_lines), start=1):
+    entries: list[tuple[Label, Sector]] = []
+    for i, (ln, (D, E, rows)) in enumerate(zip(lines, bands), start=1):
         u = Vec2(ln.b, -ln.a)
         back = -u
         usq = u.norm_sq()
@@ -509,8 +572,8 @@ def _build_sector_instance(
                     )
                     rsq = Fraction(num * num * gn, den * den * gd)
                     sector = Sector(apex, back, half, rsq)
-                    bands.append((make(i, m, k, mp), sector))
-    return instance(cones + bands), half, delta
+                    entries.append((make(i, m, k, mp), sector))
+    return instance(cones + entries)
 
 
 def _sector_side_conditions(
@@ -567,14 +630,18 @@ def realize_sectors(arr: LineArrangement) -> SectorRealization:
         # Different shrink rates: every ratio constraint (half-angle vs.
         # band offset, apex offset vs. cone width) tends to zero.
         tau = tau0 / 2**rnd
-        t = t0 / 8**rnd
-        delta = delta0 / 64**rnd
+        half = rotation_from_parameter(t0 / 8**rnd)
         eps = eps0 / 2**rnd
-        built = _build_sector_instance(lines, table, slab, tau, t, delta, eps)
-        if built is None:
+        layout = _sector_layout(lines, table, slab, tau, delta0 / 64**rnd)
+        if layout is None:
             last_detail = "shifted crossings left the slab"
             continue
-        inst, half, delta_used = built
+        bands, delta = layout
+        missed = _screen_round(lines, bands, half, delta)
+        if missed is not None:
+            last_detail = "{} misses the apex of {}".format(*missed)
+            continue
+        inst = _build_sector_instance(lines, slab, bands, tau, half, delta, eps)
         graph = transmission_graph(inst)
         diff = graph_diff(target, graph)
         if not diff.empty:
@@ -589,9 +656,7 @@ def realize_sectors(arr: LineArrangement) -> SectorRealization:
         if failed:
             last_detail = "; ".join(failed)
             continue
-        return SectorRealization(
-            inst, slab, tau, delta_used, eps, half, graph, desc, checks
-        )
+        return SectorRealization(inst, slab, tau, delta, eps, half, graph, desc, checks)
     raise ParameterSearchExhausted(
         f"no parameters found in {MAX_SEARCH_ROUNDS} rounds", last_detail
     )

@@ -26,7 +26,6 @@ so equal labels are one object.
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -183,12 +182,13 @@ def _enc_parameter(value: Any) -> Any:
 _quote = json.encoder.encode_basestring_ascii
 
 
+# ``json.dumps`` writes the floats that ``float.__repr__`` spells these ways.
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _write_float(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return float.__repr__(x)
+    text = float.__repr__(x)
+    return _NONFINITE.get(text, text)
 
 
 def _write(value: Any, depth: int, memo: dict) -> str:

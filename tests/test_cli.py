@@ -5,6 +5,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from transgraph import realization
 from transgraph.arrangement import LineArrangement, extract_description
 from transgraph.cli import main
 from transgraph.realization import realize_sectors, realize_segments
@@ -110,6 +111,18 @@ def test_verify_segments(arr_path, tmp_path, capsys):
 
 def test_verify_sectors(arr_path):
     assert run("verify", "--mode", "sectors", "--in", arr_path) == 0
+
+
+def test_realize_sectors_names_the_missed_pair_when_the_search_is_exhausted(
+    arr_path, tmp_path, capsys, monkeypatch
+):
+    # Round 0 of this input is rejected by its cone screen.
+    monkeypatch.setattr(realization, "MAX_SEARCH_ROUNDS", 1)
+    out = tmp_path / "inst.json"
+    assert run("realize", "--mode", "sectors", "--in", arr_path, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err == "parameter search exhausted: SB_2_1_1_3 misses the apex of SA_1_3_2_1\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mode", ["segments", "sectors"])

@@ -1,7 +1,7 @@
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -569,7 +569,14 @@ def test_integer_build_matches_the_fraction_reference(n, seed):
     tau0, t0, delta0, eps0 = realization._initial_parameters(lines, table, real.slab)
 
     def both(*params):
-        built = realization._build_sector_instance(lines, table, real.slab, *params)
+        tau, t, delta, eps = params
+        half = rotation_from_parameter(t)
+        layout = realization._sector_layout(lines, table, real.slab, tau, delta)
+        built = layout and (
+            realization._build_sector_instance(lines, real.slab, layout[0], tau, half, layout[1], eps),
+            half,
+            layout[1],
+        )
         reference = _build_sector_instance_by_fractions(lines, crossings, real.slab, *params)
         assert built == reference
         return built
@@ -583,6 +590,105 @@ def test_integer_build_matches_the_fraction_reference(n, seed):
     assert both(tau0 * 10**6, t0, delta0, eps0) is None
     clamped = both(tau0, t0, F(1), eps0)
     assert clamped[2] < 1
+
+
+SEARCH_INPUTS = [(n, seed) for n in range(2, 8) for seed in (0, 1, 2)]
+
+
+def _first_cone_miss(inst):
+    """The first (SB(i, m, k, mp), SA(k, mp, i, m)) in instance order whose
+    SB cone, radius aside, misses the SA apex, decided in ``Fraction``s."""
+    objs = dict(inst.entries)
+    for label, sb in inst.entries:
+        if label.kind == "SB":
+            i, m, k, mp = label.indices
+            w = objs[SA(k, mp, i, m)].apex - sb.apex
+            if not angle_at_most(sb.direction, w, sb.half_angle):
+                return label, SA(k, mp, i, m)
+    return None
+
+
+@pytest.mark.parametrize("n, seed", SEARCH_INPUTS)
+def test_a_screened_round_misses_an_edge_of_the_target(n, seed):
+    """In every round up to the accepted one, the screen names the first
+    pair whose cone test fails on the built instance, or none when none
+    fails.  Where it names one, ``Sector.contains`` confirms the SB misses
+    the SA apex and the target has that edge, so the full verification
+    would have rejected the round too."""
+    real = _realized(n, seed)
+    arr = random_simple_arrangement(RandomSpec(n=n, seed=seed))
+    lines = realization._normalized_lines(arr)
+    table = arr.crossings_by_line()
+    tau0, t0, delta0, eps0 = realization._initial_parameters(lines, table, real.slab)
+    target = reduce_sectors(real.description)
+    for rnd in range(realization.MAX_SEARCH_ROUNDS):
+        tau, half, eps = tau0 / 2**rnd, rotation_from_parameter(t0 / 8**rnd), eps0 / 2**rnd
+        bands, delta = realization._sector_layout(lines, table, real.slab, tau, delta0 / 64**rnd)
+        missed = realization._screen_round(lines, bands, half, delta)
+        inst = realization._build_sector_instance(lines, real.slab, bands, tau, half, delta, eps)
+        assert missed == _first_cone_miss(inst)
+        if tau == real.tau:
+            assert missed is None
+            break
+        if missed is not None:
+            sb, sa = missed
+            assert (sb, sa) in target.edges
+            objs = dict(inst.entries)
+            assert not objs[sb].contains(objs[sa].apex)
+    # Wide cones and an apex offset clamped to a quarter gap, where the dot
+    # product's delta term and the sine side of the test count too.
+    for t, offset in product((t0, F(1, 4), F(3, 4)), (delta0, F(1))):
+        half = rotation_from_parameter(t)
+        bands, delta = realization._sector_layout(lines, table, real.slab, tau0, offset)
+        inst = realization._build_sector_instance(lines, real.slab, bands, tau0, half, delta, eps0)
+        assert realization._screen_round(lines, bands, half, delta) == _first_cone_miss(inst)
+
+
+@pytest.mark.parametrize("n, seed", SEARCH_INPUTS)
+def test_the_screen_never_changes_the_accepted_round(n, seed, monkeypatch):
+    real = _realized(n, seed)
+    monkeypatch.setattr(realization, "_screen_round", lambda *args: None)
+    unscreened = realize_sectors(random_simple_arrangement(RandomSpec(n=n, seed=seed)))
+    # Equality covers the instance, slab, tau, delta, epsilon and alpha.
+    assert unscreened == real
+    assert unscreened.checks == real.checks
+    assert unscreened.graph == real.graph
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_every_round_makes_one_rotation_and_only_built_rounds_a_graph(n, monkeypatch):
+    """A benchmark trace counts one search round per
+    ``rotation_from_parameter`` call inside ``realize_sectors``, screened
+    or built, and one verified round per ``transmission_graph`` call."""
+    calls = dict.fromkeys(
+        ("rotation_from_parameter", "_sector_layout", "_build_sector_instance", "transmission_graph"), 0
+    )
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(realization, name, counting(name, getattr(realization, name)))
+    arr = random_simple_arrangement(RandomSpec(n=n, seed=1))
+    real = realize_sectors(arr)
+    lines = realization._normalized_lines(arr)
+    tau0 = realization._initial_parameters(lines, arr.crossings_by_line(), real.slab)[0]
+    # Round r uses tau0 / 2**r.
+    rounds = (tau0 / real.tau).numerator.bit_length()
+    assert rounds > 1
+    assert calls["rotation_from_parameter"] == calls["_sector_layout"] == rounds
+    assert calls["transmission_graph"] == calls["_build_sector_instance"] == 1
+
+
+def test_a_screened_round_names_its_missed_pair_in_the_search_detail(monkeypatch):
+    monkeypatch.setattr(realization, "MAX_SEARCH_ROUNDS", 1)
+    with pytest.raises(ParameterSearchExhausted) as exc:
+        realize_sectors(random_simple_arrangement(RandomSpec(n=3, seed=0)))
+    assert exc.value.detail == f"{SB(2, 1, 1, 3)} misses the apex of {SA(1, 3, 2, 1)}"
 
 
 @pytest.mark.parametrize("realize, n", [(realize_segments, 8), (realize_sectors, 3)])

@@ -3,9 +3,11 @@ module imports another module's private names, correctness checks raise
 instead of using ``assert``, which ``python -O`` strips, crossings come
 from ``LineArrangement.crossings_by_line()`` rather than a fresh
 ``line_intersection`` solve, no module but ``arrangement`` calls
-``intersections()``, whose points are read from that table, and every
+``intersections()``, whose points are read from that table, every
 private module-level function is used by the package itself, not only by
-tests."""
+tests, and no float reaches a predicate: outside ``rendering``, which
+converts to floats for drawing, no module calls ``float(...)``, writes a
+float literal or imports ``math``, except its integer functions."""
 
 import ast
 from pathlib import Path
@@ -92,3 +94,28 @@ def test_every_private_function_is_used_by_the_package(path):
     )
     unused = [f"line {stmt.lineno}: {stmt.name}" for stmt in private if stmt.name not in used]
     assert not unused
+
+
+# The functions of ``math`` that take and return integers only.
+INTEGER_MATH = {"gcd", "lcm", "isqrt"}
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "rendering.py"], ids=lambda p: p.name
+)
+def test_no_float_outside_rendering(path):
+    found = []
+    for node in ast.walk(TREES[path]):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float":
+            found.append(f"line {node.lineno}: float(...)")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append(f"line {node.lineno}: literal {node.value!r}")
+        elif isinstance(node, ast.Import):
+            found += [f"line {node.lineno}: import math" for a in node.names if a.name == "math"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "math" and node.level == 0:
+            found += [
+                f"line {node.lineno}: from math import {a.name}"
+                for a in node.names
+                if a.name not in INTEGER_MATH
+            ]
+    assert not found
