@@ -54,6 +54,8 @@ containment is decided once, by ``transmission_graph``.  Observation 1
 tests its bound once per class of couples with equal directions and half
 angles; wide spread runs its angle test first, once per pair of distinct
 directions, and looks for a qualifying pair only where that test fails.
+The ordering gadget of band (i, m) takes its members in
+``reductions.sector_order``, the order the reduction's order edges follow.
 ``Sector.contains`` remains the reference that kernel's tests compare
 against.
 """
@@ -87,7 +89,7 @@ from .geometry import (
     rotation_from_parameter,
 )
 from .graphs import A, B, C, Edge, Label, LabelledDigraph, SA, SB, SC, graph_diff
-from .reductions import reduce_sectors, reduce_segments
+from .reductions import reduce_sectors, reduce_segments, sector_order
 from .transmission import Instance, instance, transmission_graph
 
 
@@ -587,15 +589,9 @@ def _sector_side_conditions(
     couple_failures = sorted(f"({u}, {v})" for u, v in check_observation1(inst, graph))
     gadget_failures = []
     for i in range(1, desc.n + 1):
-        expected = []
-        for ok in desc.flat_order(i):
-            mps = (1, 2, 3) if ok > i else (3, 2, 1)
-            for mp in mps:
-                expected.append((ok, mp))
+        order = sector_order(desc, i)
         for m in (1, 2, 3):
-            members = []
-            for ok, mp in expected:
-                members += [SA(i, m, ok, mp), SB(i, m, ok, mp)]
+            members = [make(i, m, k, mp) for k, mp in order for make in (SA, SB)]
             report = check_ordering_gadget(inst, graph, SC(i, m), members)
             if not report.hypotheses_hold:
                 gadget_failures.append(f"hypotheses fail at {SC(i, m)}")

@@ -16,15 +16,31 @@ labels of the crossings before k on line i and at the A labels up to its
 own.  Each line's labels are listed once in crossing order, and each B's
 edges are added as two prefixes of those lists, zipped in C, with no
 Python step per edge.
+
+The sector order families are one prefix relation.  ``sector_order``
+lists the parts (k, mp) of a band (i, m) in the order their apexes
+project onto the bisector of SC(i, m): crossings in description order,
+then part indices ascending or descending.  EGO and EGO_BB point each part
+at the parts of every earlier crossing, and ELOI/ELOD at the earlier parts
+of its own crossing in that same ascending or descending order, so
+together a part's SA points at the SA(i, m, k, mp), partner
+SA(k, mp, i, m) and SB(i, m, k, mp) of every earlier part in the list, and
+its SB at those and, by the l <= k amendment, at its own SA and partner
+SA.  So each band keeps ``run``, those three labels of every part so far,
+and each part's edges are prefixes of it.
+
+``omit`` drops whole edge families, for mutation testing of the
+verification pipeline: every edge is built, and the omitted ones are then
+filtered out by a classifier that names an edge's family from its labels.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, repeat
-from typing import FrozenSet, Iterable
+from typing import Iterable
 
 from .arrangement import Description, validate_description
-from .graphs import A, B, C, Label, LabelledDigraph, SA, SB, SC, digraph
+from .graphs import A, B, C, Edge, Label, LabelledDigraph, SA, SB, SC, digraph
 
 SEGMENT_FAMILIES = ("CA", "CB", "BC", "BORDER")
 SECTOR_FAMILIES = ("EI", "EC", "EGO", "ELOI", "ELOD", "EGO_BB")
@@ -48,18 +64,25 @@ def _check_simple_input(desc: Description) -> None:
         raise InvalidDescription("need at least 2 lines")
 
 
+def _omitted(omit: Iterable[str], families: tuple[str, ...]) -> frozenset[str]:
+    omit = frozenset(omit)
+    if not omit <= set(families):
+        raise ValueError(f"unknown families: {sorted(omit - set(families))}")
+    return omit
+
+
+def _segment_family(tail: Label, head: Label) -> str:
+    """CA, CB or BC for an edge at a C hub, else BORDER (B -> A, B -> B)."""
+    kinds = tail.kind + head.kind
+    return kinds if "C" in kinds else "BORDER"
+
+
 def reduce_segments(
     desc: Description, *, omit: Iterable[str] = ()
 ) -> LabelledDigraph:
-    """Description -> candidate segment transmission graph.
-
-    ``omit`` drops whole edge families and exists only for mutation
-    testing of the verification pipeline.
-    """
+    """Description -> candidate segment transmission graph."""
     _check_simple_input(desc)
-    omit = frozenset(omit)
-    if not omit <= set(SEGMENT_FAMILIES):
-        raise ValueError(f"unknown families: {sorted(omit - set(SEGMENT_FAMILIES))}")
+    omit = _omitted(omit, SEGMENT_FAMILIES)
     lines = range(1, desc.n + 1)
     # Each label is built once; an edge end is a dict lookup, not a call.
     c = {i: C(i) for i in lines}
@@ -67,26 +90,43 @@ def reduce_segments(
     b = {(i, k): B(i, k) for i in lines for k in lines if k != i}
     vertices: list[Label] = [*c.values(), *a.values(), *b.values()]
     a.update({(k, i): label for (i, k), label in a.items()})
-    edges: set[tuple[Label, Label]] = set()
+    edges: set[Edge] = set()
     for i, k in b:
-        if "CA" not in omit:
-            edges.add((c[i], a[i, k]))
-        if "CB" not in omit:
-            edges.add((c[i], b[i, k]))
-        if "BC" not in omit:
-            edges.add((b[i, k], c[i]))
-    if "BORDER" not in omit:
-        for i in lines:
-            order = desc.flat_order(i)
-            bs = [b[i, k] for k in order]
-            as_ = [a[i, k] for k in order]
-            for k, b_k in enumerate(bs):
-                edges.update(zip(repeat(b_k), bs[:k]))
-                edges.update(zip(repeat(b_k), as_[: k + 1]))
+        edges.update(((c[i], a[i, k]), (c[i], b[i, k]), (b[i, k], c[i])))
+    for i in lines:
+        order = desc.flat_order(i)
+        bs = [b[i, k] for k in order]
+        as_ = [a[i, k] for k in order]
+        for k, b_k in enumerate(bs):
+            edges.update(zip(repeat(b_k), bs[:k]))
+            edges.update(zip(repeat(b_k), as_[: k + 1]))
+    if omit:
+        edges = {e for e in edges if _segment_family(*e) not in omit}
     return digraph(vertices, edges)
 
 
 MS = (1, 2, 3)
+
+
+def sector_order(desc: Description, i: int) -> list[tuple[int, int]]:
+    """The parts (k, mp) of each band of line i in the order their apexes
+    project onto the band's bisector: crossings in description order, part
+    indices ascending when line k has the larger slope, else descending."""
+    return [(k, mp) for k in desc.flat_order(i) for mp in (MS if k > i else MS[::-1])]
+
+
+def _sector_family(tail: Label, head: Label) -> str:
+    if tail.kind == "SC":
+        return "EI" if head.kind == "SA" else "EC"
+    if head.kind == "SC":
+        return "EC"
+    # An order edge on band (i, m): the head sits on crossing line h[2] when
+    # it is a label of this band, else it is a partner SA(k, mp, i, m).
+    i, m, k, _ = tail.indices
+    h = head.indices
+    if (h[2] if h[:2] == (i, m) else h[0]) == k:
+        return "ELOI" if k > i else "ELOD"
+    return "EGO_BB" if tail.kind == head.kind == "SB" else "EGO"
 
 
 def reduce_sectors(
@@ -97,73 +137,33 @@ def reduce_sectors(
     Edge categories: EI (intersection enforcement), EC (mutual couples),
     EGO (global projection order), ELOI/ELOD (local order within one
     crossing group, ascending or descending), EGO_BB (the amended
-    inter-group b -> b family).
+    inter-group b -> b family).  Each band walks its parts in
+    ``sector_order``, and each part's order edges are prefixes of ``run``.
     """
     _check_simple_input(desc)
-    omit = frozenset(omit)
-    if not omit <= set(SECTOR_FAMILIES):
-        raise ValueError(f"unknown families: {sorted(omit - set(SECTOR_FAMILIES))}")
+    omit = _omitted(omit, SECTOR_FAMILIES)
     lines = range(1, desc.n + 1)
     # Each label is built once; an edge end is a dict lookup, not a call.
     sc = {(i, m): SC(i, m) for i in lines for m in MS}
-    parts = [
-        (i, m, k, mp) for i in lines for k in lines if k != i for m in MS for mp in MS
-    ]
+    parts = [(i, m, k, mp) for i in lines for k in lines if k != i for m in MS for mp in MS]
     sa = {part: SA(*part) for part in parts}
     sb = {part: SB(*part) for part in parts}
     vertices: list[Label] = [*sc.values(), *sa.values(), *sb.values()]
-    edges: set[tuple[Label, Label]] = set()
-
+    edges: set[Edge] = set()
     for i in lines:
-        for k in lines:
-            if k == i:
-                continue
-            for m in MS:
-                for mp in MS:
-                    if "EI" not in omit:
-                        edges.add((sc[i, m], sa[i, m, k, mp]))
-                        edges.add((sc[i, m], sa[k, mp, i, m]))
-                    if "EC" not in omit:
-                        edges.add((sa[i, m, k, mp], sc[i, m]))
-                        edges.add((sc[i, m], sb[i, m, k, mp]))
-                        edges.add((sb[i, m, k, mp], sc[i, m]))
-
-    for i in lines:
-        order = desc.flat_order(i)
+        order = sector_order(desc, i)
         for m in MS:
-            # Global order between distinct crossing groups (positions k > l).
-            for kpos in range(len(order)):
-                ok = order[kpos]
-                for lpos in range(kpos):
-                    ol = order[lpos]
-                    for mp in MS:
-                        for mpp in MS:
-                            if "EGO" not in omit:
-                                edges.add((sa[i, m, ok, mp], sa[i, m, ol, mpp]))
-                                edges.add((sa[i, m, ok, mp], sa[ol, mpp, i, m]))
-                                edges.add((sa[i, m, ok, mp], sb[i, m, ol, mpp]))
-                                edges.add((sb[i, m, ok, mp], sa[i, m, ol, mpp]))
-                                edges.add((sb[i, m, ok, mp], sa[ol, mpp, i, m]))
-                            if "EGO_BB" not in omit:
-                                edges.add((sb[i, m, ok, mp], sb[i, m, ol, mpp]))
-            # Local order within one crossing group: ascending part indices
-            # when the crossing line has the larger slope, else descending.
-            for ok in order:
-                ascending = ok > i
-                family = "ELOI" if ascending else "ELOD"
-                if family in omit:
-                    continue
-                for mp in MS:
-                    for mpp in MS:
-                        before = mpp < mp if ascending else mpp > mp
-                        if before:
-                            edges.add((sa[i, m, ok, mp], sa[i, m, ok, mpp]))
-                            edges.add((sa[i, m, ok, mp], sa[ok, mpp, i, m]))
-                            edges.add((sa[i, m, ok, mp], sb[i, m, ok, mpp]))
-                            edges.add((sb[i, m, ok, mp], sb[i, m, ok, mpp]))
-                        if before or mpp == mp:
-                            edges.add((sb[i, m, ok, mp], sa[i, m, ok, mpp]))
-                            edges.add((sb[i, m, ok, mp], sa[ok, mpp, i, m]))
+            hub = sc[i, m]
+            run: list[Label] = []
+            for k, mp in order:
+                own, partner, b = sa[i, m, k, mp], sa[k, mp, i, m], sb[i, m, k, mp]
+                edges.update(((hub, own), (hub, partner), (own, hub), (hub, b), (b, hub)))
+                edges.update(zip(repeat(own), run))
+                run += (own, partner)
+                edges.update(zip(repeat(b), run))
+                run.append(b)
+    if omit:
+        edges = {e for e in edges if _sector_family(*e) not in omit}
     return digraph(vertices, edges)
 
 

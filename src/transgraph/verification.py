@@ -45,6 +45,15 @@ class RandomSpec:
                     f"n = {self.n} exceeds the {count} distinct slopes "
                     f"with coordinate bound {self.coord_bound}"
                 )
+        # With more than two lines per integer intercept b, three of them
+        # meet at (0, b), so no draw is simple.
+        intercepts = 2 * self.coord_bound + 1
+        if self.n > 2 * intercepts:
+            raise ValueError(
+                f"n = {self.n} exceeds {2 * intercepts}: with coordinate bound "
+                f"{self.coord_bound}, three lines always share one of the "
+                f"{intercepts} intercepts"
+            )
 
 
 def _slope_count(bound: int) -> int:

@@ -51,6 +51,28 @@ def test_gen_rejects_more_lines_than_distinct_slopes(tmp_path, capsys):
     assert load_document(tmp_path / "b.json").payload.n == 3
 
 
+@pytest.mark.parametrize("args", [("--n", 51), ("--n", 15, "--bound", 3)], ids=["n51", "n15-bound3"])
+def test_gen_rejects_three_lines_per_intercept_at_once(args, tmp_path, capsys):
+    # 2*bound + 1 integer intercepts hold at most two lines each without
+    # three lines meeting at (0, b), so every draw would fail.
+    assert run("gen", *args, "--seed", 0, "--out", tmp_path / "a.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "a.json").exists()
+
+
+def test_random_spec_rejects_three_lines_per_intercept():
+    # The specs at the limit are not sampled: at n = 50 the sampler takes
+    # seconds to give up.
+    assert RandomSpec(n=50, seed=0).n == 50
+    assert RandomSpec(n=14, seed=0, coord_bound=3).n == 14
+    with pytest.raises(ValueError, match="intercepts"):
+        RandomSpec(n=51, seed=0)
+    with pytest.raises(ValueError, match="intercepts"):
+        RandomSpec(n=15, seed=0, coord_bound=3)
+
+
 def test_describe_validate(arr_path, tmp_path, capsys):
     desc = tmp_path / "desc.json"
     assert run("describe", "--in", arr_path, "--out", desc) == 0

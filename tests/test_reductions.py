@@ -26,37 +26,37 @@ from transgraph.verification import RandomSpec, random_simple_arrangement
 MS = (1, 2, 3)
 
 
-def oracle_segment_edges(desc):
-    edges = set()
+def oracle_segment_families(desc):
+    fam = {f: set() for f in SEGMENT_FAMILIES}
     n = desc.n
     for i in range(1, n + 1):
         for k in range(1, n + 1):
             if k == i:
                 continue
-            edges.add((C(i), A(i, k)))
-            edges.add((C(i), B(i, k)))
-            edges.add((B(i, k), C(i)))
+            fam["CA"].add((C(i), A(i, k)))
+            fam["CB"].add((C(i), B(i, k)))
+            fam["BC"].add((B(i, k), C(i)))
         order = desc.flat_order(i)
         for kpos in range(len(order)):
             for lpos in range(kpos + 1):
                 if lpos < kpos:
-                    edges.add((B(i, order[kpos]), B(i, order[lpos])))
-                edges.add((B(i, order[kpos]), A(i, order[lpos])))
-    return edges
+                    fam["BORDER"].add((B(i, order[kpos]), B(i, order[lpos])))
+                fam["BORDER"].add((B(i, order[kpos]), A(i, order[lpos])))
+    return fam
 
 
-def oracle_sector_edges(desc):
+def oracle_sector_families(desc):
     n = desc.n
-    edges = set()
+    fam = {f: set() for f in SECTOR_FAMILIES}
     pairs = [(i, k) for i in range(1, n + 1) for k in range(1, n + 1) if i != k]
     for i, k in pairs:
         for m in MS:
             for mp in MS:
-                edges.add((SC(i, m), SA(i, m, k, mp)))
-                edges.add((SC(i, m), SA(k, mp, i, m)))
-                edges.add((SA(i, m, k, mp), SC(i, m)))
-                edges.add((SC(i, m), SB(i, m, k, mp)))
-                edges.add((SB(i, m, k, mp), SC(i, m)))
+                fam["EI"].add((SC(i, m), SA(i, m, k, mp)))
+                fam["EI"].add((SC(i, m), SA(k, mp, i, m)))
+                fam["EC"].add((SA(i, m, k, mp), SC(i, m)))
+                fam["EC"].add((SC(i, m), SB(i, m, k, mp)))
+                fam["EC"].add((SB(i, m, k, mp), SC(i, m)))
     for i in range(1, n + 1):
         order = desc.flat_order(i)
         for lpos, kpos in combinations(range(len(order)), 2):
@@ -64,13 +64,14 @@ def oracle_sector_edges(desc):
             for m in MS:
                 for mp in MS:
                     for mpp in MS:
-                        edges.add((SA(i, m, ol, mp), SA(i, m, ok, mpp)))
-                        edges.add((SA(i, m, ol, mp), SA(ok, mpp, i, m)))
-                        edges.add((SA(i, m, ol, mp), SB(i, m, ok, mpp)))
-                        edges.add((SB(i, m, ol, mp), SA(i, m, ok, mpp)))
-                        edges.add((SB(i, m, ol, mp), SA(ok, mpp, i, m)))
-                        edges.add((SB(i, m, ol, mp), SB(i, m, ok, mpp)))
+                        fam["EGO"].add((SA(i, m, ol, mp), SA(i, m, ok, mpp)))
+                        fam["EGO"].add((SA(i, m, ol, mp), SA(ok, mpp, i, m)))
+                        fam["EGO"].add((SA(i, m, ol, mp), SB(i, m, ok, mpp)))
+                        fam["EGO"].add((SB(i, m, ol, mp), SA(i, m, ok, mpp)))
+                        fam["EGO"].add((SB(i, m, ol, mp), SA(ok, mpp, i, m)))
+                        fam["EGO_BB"].add((SB(i, m, ol, mp), SB(i, m, ok, mpp)))
         for ok in order:
+            local = fam["ELOI"] if ok > i else fam["ELOD"]
             for m in MS:
                 for mp in MS:
                     for mpp in MS:
@@ -79,14 +80,22 @@ def oracle_sector_edges(desc):
                         else:
                             strict, weak = mpp > mp, mpp >= mp
                         if strict:
-                            edges.add((SA(i, m, ok, mp), SA(i, m, ok, mpp)))
-                            edges.add((SA(i, m, ok, mp), SA(ok, mpp, i, m)))
-                            edges.add((SA(i, m, ok, mp), SB(i, m, ok, mpp)))
-                            edges.add((SB(i, m, ok, mp), SB(i, m, ok, mpp)))
+                            local.add((SA(i, m, ok, mp), SA(i, m, ok, mpp)))
+                            local.add((SA(i, m, ok, mp), SA(ok, mpp, i, m)))
+                            local.add((SA(i, m, ok, mp), SB(i, m, ok, mpp)))
+                            local.add((SB(i, m, ok, mp), SB(i, m, ok, mpp)))
                         if weak:
-                            edges.add((SB(i, m, ok, mp), SA(i, m, ok, mpp)))
-                            edges.add((SB(i, m, ok, mp), SA(ok, mpp, i, m)))
-    return edges
+                            local.add((SB(i, m, ok, mp), SA(i, m, ok, mpp)))
+                            local.add((SB(i, m, ok, mp), SA(ok, mpp, i, m)))
+    return fam
+
+
+def oracle_segment_edges(desc):
+    return set().union(*oracle_segment_families(desc).values())
+
+
+def oracle_sector_edges(desc):
+    return set().union(*oracle_sector_families(desc).values())
 
 
 DESC2 = description(2, [[[2]], [[1]]])
@@ -269,3 +278,26 @@ def test_unknown_family_rejected():
         reduce_segments(DESC2, omit=("NOPE",))
     with pytest.raises(ValueError):
         reduce_sectors(DESC2, omit=("NOPE",))
+
+
+OMIT_DESCS = {
+    "n3": DESC3,
+    "n4": extract_description(random_simple_arrangement(RandomSpec(n=4, seed=0))),
+    "n5": extract_description(random_simple_arrangement(RandomSpec(n=5, seed=1))),
+}
+REDUCTIONS = {
+    "segments": (reduce_segments, SEGMENT_FAMILIES, oracle_segment_families),
+    "sectors": (reduce_sectors, SECTOR_FAMILIES, oracle_sector_families),
+}
+
+
+@pytest.mark.parametrize("desc", OMIT_DESCS.values(), ids=OMIT_DESCS.keys())
+@pytest.mark.parametrize("mode", REDUCTIONS)
+def test_omitting_a_family_drops_exactly_its_oracle_edges(mode, desc):
+    reduce, families, oracle = REDUCTIONS[mode]
+    full = reduce(desc)
+    expected = oracle(desc)
+    for family in families:
+        assert full.edges - reduce(desc, omit=(family,)).edges == expected[family], family
+    bare = reduce(desc, omit=families)
+    assert bare.vertices == full.vertices and not bare.edges

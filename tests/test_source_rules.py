@@ -5,9 +5,11 @@ from ``LineArrangement.crossings_by_line()`` rather than a fresh
 ``line_intersection`` solve, no module but ``arrangement`` calls
 ``intersections()``, whose points are read from that table, every
 private module-level function is used by the package itself, not only by
-tests, and no float reaches a predicate: outside ``rendering``, which
-converts to floats for drawing, no module calls ``float(...)``, writes a
-float literal or imports ``math``, except its integer functions."""
+tests, ``reductions`` emits its edges in bulk (no ``edges.add(...)``, one
+Python step per edge), and no float reaches a predicate: outside
+``rendering``, which converts to floats for drawing, no module calls
+``float(...)``, writes a float literal or imports ``math``, except its
+integer functions."""
 
 import ast
 from pathlib import Path
@@ -94,6 +96,18 @@ def test_every_private_function_is_used_by_the_package(path):
     )
     unused = [f"line {stmt.lineno}: {stmt.name}" for stmt in private if stmt.name not in used]
     assert not unused
+
+
+def test_reductions_emit_edges_in_bulk():
+    calls = [
+        node.lineno
+        for node in ast.walk(TREES[SOURCE / "reductions.py"])
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "add"
+        and getattr(node.func.value, "id", None) == "edges"
+    ]
+    assert not calls
 
 
 # The functions of ``math`` that take and return integers only.
