@@ -22,10 +22,11 @@ line's C ends, B midpoints and shared far point, placed on its cleared
 
 The sector realization shifts line i up by o and line k up by o', which
 moves their crossing by (o' - o)/(s_i - s_k) in x, so each band crossing
-is a row entry plus a multiple of the band offset.  Each search round
-clears every line's crossing parameters, band steps and slab end to
-integers over one denominator and sorts and spaces the band rows on
-them (``_sector_layout``).
+is a row entry plus a multiple of the band offset.  Each line's crossing
+parameters, slab end and band step units are cleared to integers once per
+realization (``_layout_units``); each search round scales the steps by the
+band offset, brings them over one denominator with the rest, and sorts
+and spaces the band rows on them (``_sector_layout``).
 
 A screen then tests the round on those rows before any sector is built
 (``_screen_round``).  For every band crossing, ``reduce_sectors`` emits
@@ -50,14 +51,16 @@ virtual vertical line, and the boundary crossings are exact rationals.
 
 The sector side checks (observation 1, the ordering gadget, wide spread)
 read containment from the transmission graph they are given, so each
-containment is decided once, by ``transmission_graph``.  Observation 1
-tests its bound once per class of couples with equal directions and half
-angles; wide spread runs its angle test first, once per pair of distinct
-directions, and looks for a qualifying pair only where that test fails.
-The ordering gadget of band (i, m) takes its members in
-``reductions.sector_order``, the order the reduction's order edges follow.
-``Sector.contains`` remains the reference that kernel's tests compare
-against.
+containment is decided once, by ``transmission_graph``.  They look up
+edges and couples by the interned labels themselves and number their
+classes by integer keys, so the pass hashes no ``Fraction``.  Observation
+1 tests its bound once per class of couples with equal directions and
+half angles; wide spread runs its angle test first, once per pair of
+distinct directions, and looks for a qualifying pair only where that test
+fails.  The ordering gadget of band (i, m) takes its members in
+``reductions.sector_order``, the order the reduction's order edges follow,
+and compares their projections on cleared integers.  ``Sector.contains``
+remains the reference that kernel's tests compare against.
 """
 
 from __future__ import annotations
@@ -65,6 +68,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
+from math import gcd, lcm
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .arrangement import (
@@ -85,7 +90,6 @@ from .geometry import (
     acute_angle_at_least,
     angle_at_most,
     cleared,
-    project_param,
     rotation_from_parameter,
 )
 from .graphs import A, B, C, Edge, Label, LabelledDigraph, SA, SB, SC, graph_diff
@@ -230,41 +234,51 @@ def realize_segments(arr: LineArrangement) -> SegmentRealization:
 # x contains the apex of y iff ``(x, y) in graph.edges``.
 
 
-def _arcs(inst: Instance, graph: LabelledDigraph) -> set[tuple[int, int]]:
-    """The edges of ``graph`` as pairs of entry positions in ``inst``."""
-    index = {label: i for i, label in enumerate(inst.labels())}
-    return {(index[u], index[v]) for u, v in graph.edges}
+def _pair_key(pair: Vec2 | Rotation) -> tuple[int, int, int, int]:
+    """A key equal exactly for equal vectors or rotations: a ``Fraction`` is
+    kept in lowest terms with a positive denominator, so its numerator and
+    denominator name it."""
+    a, b = (pair.x, pair.y) if isinstance(pair, Vec2) else (pair.c, pair.s)
+    return a.numerator, a.denominator, b.numerator, b.denominator
+
+
+def _mutual(graph: LabelledDigraph) -> frozenset[Edge]:
+    """The edges of ``graph`` whose reverse is an edge too, found in C."""
+    edges = graph.edges
+    return edges.intersection(zip(map(itemgetter(1), edges), map(itemgetter(0), edges)))
 
 
 def check_observation1(inst: Instance, graph: LabelledDigraph) -> list[Edge]:
     """The mutual couples whose bisectors are not within
     (alpha(x)+alpha(y))/2 of antipodal, as sorted (u, v) pairs with u < v.
 
-    A mutual couple is a pair with an edge each way in ``graph``.  The
-    test reads only the two directions and half angles, and it is
-    symmetric in x and y, so it runs once per distinct class of those four
+    A mutual couple is a pair with an edge each way in ``graph``, taken
+    once: its two labels ordered by identity.  The test reads only the two
+    directions and half angles, and it is symmetric in x and y, so it runs
+    once per class of couples, numbered by the integer keys of those four
     values.
     """
-    labels, objs = inst.labels(), inst.objects()
-    arcs = _arcs(inst, graph)
-    couples = [(i, j) for i, j in arcs if i < j and (j, i) in arcs]
-    classes: dict[tuple[Vec2, Rotation], int] = {}
+    objs = dict(inst.entries)
+    couples = [(u, v) for u, v in _mutual(graph) if id(u) < id(v)]
+    classes: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     number = {
-        i: classes.setdefault((objs[i].direction, objs[i].half_angle), len(classes))
-        for i in {i for couple in couples for i in couple}
+        label: classes.setdefault(
+            (_pair_key(objs[label].direction), _pair_key(objs[label].half_angle)),
+            len(classes),
+        )
+        for label in {label for couple in couples for label in couple}
     }
     verdicts: dict[tuple[int, int], bool] = {}
     failures = []
-    for i, j in couples:
-        key = (min(number[i], number[j]), max(number[i], number[j]))
+    for u, v in couples:
+        key = (min(number[u], number[v]), max(number[u], number[v]))
         if key not in verdicts:
-            x, y = objs[i], objs[j]
+            x, y = objs[u], objs[v]
             bound = x.half_angle.compose(y.half_angle)
             if bound.c < 0 or bound.s < 0:
                 raise ValueError("combined half-angles exceed pi/2")
             verdicts[key] = angle_at_most(x.direction, -y.direction, bound)
         if not verdicts[key]:
-            u, v = labels[i], labels[j]
             failures.append((u, v) if u < v else (v, u))
     return sorted(failures)
 
@@ -295,19 +309,24 @@ def is_wide_spread(inst: Instance, graph: LabelledDigraph) -> bool:
     couple with each other.  Qualifying pairs need an acute bisector
     angle of at least twice the largest opening angle.
 
-    The angle test runs first, once per distinct pair of bisector
-    directions, and a qualifying pair is looked for only among the
-    direction pairs that fail it.  Within one container set, when all the
-    members of such a direction pair share a couple partner, no pair of
-    them qualifies, and only otherwise are they tested pair by pair.
+    Directions are numbered by their integer keys, and the angle test runs
+    first, once per pair of direction numbers; a qualifying pair is looked
+    for only among the direction pairs that fail it.  The container and
+    couple sets are keyed by label.  Within one container set, when all
+    the members of such a direction pair share a couple partner, no pair
+    of them qualifies, and only otherwise are they tested pair by pair.
     """
     sectors = _require_sectors(inst)
-    m = len(sectors)
-    if m <= 1:
+    if len(sectors) <= 1:
         return True
-    numbers: dict[Vec2, int] = {}
-    direction = [numbers.setdefault(s.direction, len(numbers)) for s in sectors]
-    vectors = list(numbers)
+    numbers: dict[tuple[int, ...], int] = {}
+    vectors: list[Vec2] = []
+    direction: dict[Label, int] = {}
+    for label, s in inst.entries:
+        number = numbers.setdefault(_pair_key(s.direction), len(numbers))
+        if number == len(vectors):
+            vectors.append(s.direction)
+        direction[label] = number
     pairs = list(combinations_with_replacement(range(len(vectors)), 2))
     largest = min(sectors, key=lambda s: s.half_angle.c)
     if largest.opening_at_most_quarter_pi():
@@ -320,14 +339,13 @@ def is_wide_spread(inst: Instance, graph: LabelledDigraph) -> bool:
     else:
         narrow = set(pairs)  # twice the opening angle already exceeds pi/2
     # The sectors containing the apex of sector d, by direction number.
-    containers: list[dict[int, list[int]]] = [{direction[d]: [d]} for d in range(m)]
-    couples: list[set[int]] = [{i} for i in range(m)]
-    arcs = _arcs(inst, graph)
-    for u, v in arcs:
+    containers = {d: {number: [d]} for d, number in direction.items()}
+    couples = {d: {d} for d in direction}
+    for u, v in graph.edges:
         containers[v].setdefault(direction[u], []).append(u)
-        if (v, u) in arcs:
-            couples[u].add(v)
-    for groups in containers:
+    for u, v in _mutual(graph):
+        couples[u].add(v)
+    for groups in containers.values():
         for da, db in combinations_with_replacement(sorted(groups), 2):
             if (da, db) not in narrow:
                 continue
@@ -348,7 +366,16 @@ class GadgetReport:
     hypothesis_failures: list[str] = field(default_factory=list)
     order_ok: bool = True
     ties: list[int] = field(default_factory=list)
-    params: list[Fraction] = field(default_factory=list)
+    # The projections onto the base bisector u on cleared integers: each
+    # member's key u.p, the base apex's key u.o and |u|^2, all times one
+    # positive factor, which ``params`` divides out again.
+    keys: list[int] = field(default_factory=list)
+    origin: int = 0
+    usq: int = 1
+
+    @property
+    def params(self) -> list[Fraction]:
+        return [Fraction(k - self.origin, self.usq) for k in self.keys]
 
     @property
     def hypotheses_hold(self) -> bool:
@@ -365,24 +392,36 @@ def check_ordering_gadget(
 ) -> GadgetReport:
     """Check the projection-order gadget: if every member couples with
     ``base`` and later members contain earlier apexes, the apexes project
-    onto the bisector of ``base`` in list order."""
+    onto the bisector of ``base`` in list order.
+
+    The bisector u and the apexes are cleared to integers by one
+    ``geometry.cleared`` call, and the members are ordered by their keys
+    ux*x + uy*y.  Each key is the member's ``project_param`` times the
+    positive |u|^2 and the squared factor, plus the origin's constant
+    term, so the keys give the same order and the same ties."""
     report = GadgetReport()
+    edges = graph.edges
     for s in members:
-        if (base, s) not in graph.edges:
+        if (base, s) not in edges:
             report.hypothesis_failures.append(f"apex of {s} not in {base}")
-        if (s, base) not in graph.edges:
+        if (s, base) not in edges:
             report.hypothesis_failures.append(f"apex of {base} not in {s}")
     for j, later in enumerate(members):
         for earlier in members[:j]:
-            if (later, earlier) not in graph.edges:
+            if (later, earlier) not in edges:
                 report.hypothesis_failures.append(f"apex of {earlier} not in {later}")
     objs = dict(inst.entries)
     l = objs[base]
-    report.params = [project_param(l.apex, l.direction, objs[s].apex) for s in members]
-    for i in range(1, len(report.params)):
-        if report.params[i] < report.params[i - 1]:
+    apexes = [objs[s].apex for s in members]
+    ux, uy, *xy = cleared(
+        l.direction.x, l.direction.y, l.apex.x, l.apex.y, *(c for p in apexes for c in (p.x, p.y))
+    )
+    keys = [ux * x + uy * y for x, y in zip(xy[::2], xy[1::2])]
+    report.origin, report.keys, report.usq = keys[0], keys[1:], ux * ux + uy * uy
+    for i in range(1, len(report.keys)):
+        if report.keys[i] < report.keys[i - 1]:
             report.order_ok = False
-        elif report.params[i] == report.params[i - 1]:
+        elif report.keys[i] == report.keys[i - 1]:
             report.ties.append(i)
     return report
 
@@ -443,13 +482,34 @@ def _initial_parameters(
     return tau, t0, delta, eps
 
 
+# Per line, the round-invariant part of its band layout: the slab end E0/D0
+# and the crossing parameters P/D0 over one denominator D0, the crossing
+# lines k, and the band step units 1/((s_i - s_k) * b) as S/Ds, with g the
+# gcd of the S.
+LineUnits = tuple[int, int, list[int], list[int], int, list[int], int]
+
 # Per line: D, the slab end E/D and the three sorted band rows of (P, k, mp),
 # the crossing of band mp of line k at P/D.
 BandRows = tuple[int, int, list[list[tuple[int, int, int]]]]
 
 
+def _layout_units(lines: list[Line], table: CrossingTable, slab: Slab) -> list[LineUnits]:
+    """Each line's crossing parameters, slab end and band step units, cleared
+    to integers once per realization (see ``_sector_layout``)."""
+    slopes = [ln.slope() for ln in lines]
+    units = []
+    for s, ln, (den, crossings) in zip(slopes, lines, table):
+        D0, E0, *at = cleared(
+            1, slab.width / ln.b, *((Fraction(x, den) - slab.x_left) / ln.b for x, _ in crossings)
+        )
+        ks = [k for _, k in crossings]
+        Ds, *steps = cleared(1, *(1 / ((s - slopes[k - 1]) * ln.b) for k in ks))
+        units.append((D0, E0, at, ks, Ds, steps, gcd(*steps)))
+    return units
+
+
 def _sector_layout(
-    lines: list[Line], table: CrossingTable, slab: Slab, tau: Fraction, delta: Fraction
+    units: list[LineUnits], tau: Fraction, delta: Fraction
 ) -> Optional[tuple[list[BandRows], Fraction]]:
     """One search round's band rows and apex offset, or None when a shifted
     crossing escapes the slab or two of them collide.
@@ -462,33 +522,35 @@ def _sector_layout(
     end width/b are cleared to integers over one denominator D; the rows
     are sorted and their gaps taken on those integers.  The apex offset is
     ``delta`` clamped to a quarter of the smallest gap.
+
+    Only the band steps depend on the round.  With tau = tn/td they are
+    tn*S/M over M = td*Ds, whose least common denominator is
+    M/gcd(M, tn*g), so D is its lcm with D0 and no ``Fraction`` is built
+    per crossing.
     """
-    slopes = [ln.slope() for ln in lines]
+    tn, td = tau.numerator, tau.denominator
     bands = []
-    gaps = []
-    for i, (ln, (den, crossings)) in enumerate(zip(lines, table), start=1):
-        D, E, *values = cleared(
-            1,
-            slab.width / ln.b,
-            *((Fraction(x, den) - slab.x_left) / ln.b for x, _ in crossings),
-            *(tau / ((slopes[i - 1] - slopes[k - 1]) * ln.b) for _, k in crossings),
-        )
-        at, step = values[: len(crossings)], values[len(crossings) :]
+    least = None  # the smallest gap, as (gap, D)
+    for D0, E0, at, ks, Ds, steps, g in units:
+        M = td * Ds
+        D = lcm(D0, M // gcd(M, tn * g))
+        up = D // D0
+        E = E0 * up
+        crossings = [(p * up, k, tn * s * D // M) for p, k, s in zip(at, ks, steps)]
         rows = []
         for m in (1, 2, 3):
             row = sorted(
-                (p + (m - mp) * d, k, mp)
-                for (_, k), p, d in zip(crossings, at, step)
-                for mp in (1, 2, 3)
+                (p + (m - mp) * d, k, mp) for p, k, d in crossings for mp in (1, 2, 3)
             )
             params = [0, *(p for p, _, _ in row), E]
             gap = min(q - p for p, q in zip(params, params[1:]))
             if gap <= 0:
                 return None
-            gaps.append(Fraction(gap, D))
+            if least is None or gap * least[1] < least[0] * D:
+                least = (gap, D)
             rows.append(row)
         bands.append((D, E, rows))
-    return bands, min(delta, min(gaps) / 4)
+    return bands, min(delta, Fraction(*least) / 4)
 
 
 def _screen_round(
@@ -620,6 +682,7 @@ def realize_sectors(arr: LineArrangement) -> SectorRealization:
     slab = Slab.around(table)
     lines = _normalized_lines(arr)
     tau0, t0, delta0, eps0 = _initial_parameters(lines, table, slab)
+    units = _layout_units(lines, table, slab)
 
     last_detail = ""
     for rnd in range(MAX_SEARCH_ROUNDS):
@@ -628,7 +691,7 @@ def realize_sectors(arr: LineArrangement) -> SectorRealization:
         tau = tau0 / 2**rnd
         half = rotation_from_parameter(t0 / 8**rnd)
         eps = eps0 / 2**rnd
-        layout = _sector_layout(lines, table, slab, tau, delta0 / 64**rnd)
+        layout = _sector_layout(units, tau, delta0 / 64**rnd)
         if layout is None:
             last_detail = "shifted crossings left the slab"
             continue

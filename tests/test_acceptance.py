@@ -10,6 +10,7 @@ from itertools import combinations, product
 from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from transgraph import realization, verification
 from transgraph.arrangement import LineArrangement, extract_description
@@ -20,7 +21,7 @@ from transgraph.geometry import (
     rotation_from_parameter,
     vec,
 )
-from transgraph.graphs import digraph, free, graph_diff
+from transgraph.graphs import SA, SB, SC, digraph, free, graph_diff
 from transgraph.realization import (
     check_observation1,
     check_ordering_gadget,
@@ -33,6 +34,7 @@ from transgraph.reductions import (
     SEGMENT_FAMILIES,
     reduce_sectors,
     reduce_segments,
+    sector_order,
     sector_vertex_count,
     segment_vertex_count,
 )
@@ -367,6 +369,71 @@ def test_criterion_5_ordering_gadget_universal():
         f"{accepted - failures}/1000 gadget instances project in hypothesis order "
         f"({attempts} samples drawn)",
     )
+
+
+def _projection_order(base, apexes):
+    """Reference for the order part of ``check_ordering_gadget``: each
+    apex's ``project_param`` onto the base bisector, in ``Fraction``s, and
+    the order and ties read from them, as the checker did before it
+    ordered on integers."""
+    params = [project_param(base.apex, base.direction, p) for p in apexes]
+    order_ok = all(q >= p for p, q in zip(params, params[1:]))
+    ties = [i for i in range(1, len(params)) if params[i] == params[i - 1]]
+    return order_ok, ties, params
+
+
+RATIONALS = st.fractions(min_value=-60, max_value=60, max_denominator=24)
+NARROW = rotation_from_parameter(F(1, 10))
+
+
+@st.composite
+def _gadget_draws(draw):
+    """A base sector and member apexes with rational coordinates, some of
+    them moved across the bisector from an earlier apex, so that their
+    projections tie, and sometimes listed in projection order."""
+    direction = draw(st.tuples(RATIONALS, RATIONALS).filter(any))
+    base = Sector(vec(draw(RATIONALS), draw(RATIONALS)), vec(*direction), NARROW, F(1))
+    across = vec(-base.direction.y, base.direction.x)
+    apexes = []
+    for _ in range(draw(st.integers(0, 9))):
+        if apexes and draw(st.booleans()):
+            apexes.append(draw(st.sampled_from(apexes)) + across.scaled(draw(RATIONALS)))
+        else:
+            apexes.append(vec(draw(RATIONALS), draw(RATIONALS)))
+    if draw(st.booleans()):
+        apexes.sort(key=lambda p: project_param(base.apex, base.direction, p))
+    return base, apexes
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gadget_draws())
+def test_gadget_orders_on_integers_as_project_param_does(drawn):
+    """The gadget's integer keys give the order, the ties and the exact
+    parameters of ``project_param``, with no member apex in the base and
+    the hypotheses failing; only the order part is compared."""
+    base, apexes = drawn
+    labels = [free(f"m{k}") for k in range(len(apexes))]
+    members = [Sector(p, -base.direction, NARROW, F(1)) for p in apexes]
+    inst = instance([(free("base"), base), *zip(labels, members)])
+    rep = check_ordering_gadget(inst, digraph(inst.labels(), []), free("base"), labels)
+    assert (rep.order_ok, rep.ties, rep.params) == _projection_order(base, apexes)
+
+
+def test_gadget_orders_every_realization_as_project_param_does(sector_suite):
+    """On every criterion-2 realization, each band's gadget over its
+    ``sector_order`` members has the order, ties and parameters of
+    ``project_param``."""
+    mismatched = []
+    for inst, (arr, rep) in zip(sector_suite["instances"], sector_suite["cases"]):
+        desc = extract_description(arr)
+        objs = dict(inst.entries)
+        for i, m in product(range(1, desc.n + 1), (1, 2, 3)):
+            members = [make(i, m, k, mp) for k, mp in sector_order(desc, i) for make in (SA, SB)]
+            got = check_ordering_gadget(inst, rep.graph_from_geometry, SC(i, m), members)
+            expected = _projection_order(objs[SC(i, m)], [objs[s].apex for s in members])
+            if (got.order_ok, got.ties, got.params) != expected:
+                mismatched.append((desc.n, str(SC(i, m))))
+    assert not mismatched
 
 
 def test_criterion_6_mutation_sensitivity():

@@ -1,4 +1,6 @@
 import re
+import sys
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -567,11 +569,12 @@ def test_integer_build_matches_the_fraction_reference(n, seed):
     crossings = arr.intersections()
     table = arr.crossings_by_line()
     tau0, t0, delta0, eps0 = realization._initial_parameters(lines, table, real.slab)
+    units = realization._layout_units(lines, table, real.slab)
 
     def both(*params):
         tau, t, delta, eps = params
         half = rotation_from_parameter(t)
-        layout = realization._sector_layout(lines, table, real.slab, tau, delta)
+        layout = realization._sector_layout(units, tau, delta)
         built = layout and (
             realization._build_sector_instance(lines, real.slab, layout[0], tau, half, layout[1], eps),
             half,
@@ -593,6 +596,75 @@ def test_integer_build_matches_the_fraction_reference(n, seed):
 
 
 SEARCH_INPUTS = [(n, seed) for n in range(2, 8) for seed in (0, 1, 2)]
+
+
+def _sector_layout_per_round(lines, table, slab, tau, delta):
+    """The band layout as it was computed before its round-invariant part
+    was hoisted: each line's crossing parameters, band steps and slab end
+    cleared afresh every round.  Returns the bands, the clamped apex
+    offset and each band's smallest gap as ``Fraction(gap, D)``; the
+    reference for ``realization._sector_layout``."""
+    slopes = [ln.slope() for ln in lines]
+    bands, gaps = [], []
+    for i, (ln, (den, crossings)) in enumerate(zip(lines, table), start=1):
+        D, E, *values = realization.cleared(
+            1,
+            slab.width / ln.b,
+            *((F(x, den) - slab.x_left) / ln.b for x, _ in crossings),
+            *(tau / ((slopes[i - 1] - slopes[k - 1]) * ln.b) for _, k in crossings),
+        )
+        at, step = values[: len(crossings)], values[len(crossings) :]
+        rows = []
+        for m in (1, 2, 3):
+            row = sorted(
+                (p + (m - mp) * d, k, mp)
+                for (_, k), p, d in zip(crossings, at, step)
+                for mp in (1, 2, 3)
+            )
+            params = [0, *(p for p, _, _ in row), E]
+            gap = min(q - p for p, q in zip(params, params[1:]))
+            if gap <= 0:
+                return None
+            gaps.append(F(gap, D))
+            rows.append(row)
+        bands.append((D, E, rows))
+    return bands, min(delta, min(gaps) / 4), gaps
+
+
+@pytest.mark.parametrize("n, seed", SEARCH_INPUTS)
+def test_the_hoisted_layout_matches_the_per_round_layout(n, seed):
+    """Clearing the crossing parameters and step units once per realization
+    gives every round the same denominators, rows, gaps and clamped apex
+    offset as clearing them afresh, in the search rounds and past the
+    accepted one, and with a band offset that pushes crossings out of the
+    slab or an apex offset that the smallest gap clamps."""
+    real = _realized(n, seed)
+    arr = random_simple_arrangement(RandomSpec(n=n, seed=seed))
+    lines = realization._normalized_lines(arr)
+    table = arr.crossings_by_line()
+    tau0, _, delta0, _ = realization._initial_parameters(lines, table, real.slab)
+    units = realization._layout_units(lines, table, real.slab)
+    rounds = (tau0 / real.tau).numerator.bit_length() + 3
+    cases = [(tau0 / 2**rnd, delta0 / 64**rnd) for rnd in range(rounds)]
+    cases += [(tau0 * 10**6, delta0), (tau0, F(1)), (tau0 / 7, F(1))]
+    outcomes = set()
+    for tau, delta in cases:
+        layout = realization._sector_layout(units, tau, delta)
+        reference = _sector_layout_per_round(lines, table, real.slab, tau, delta)
+        outcomes.add(layout is None)
+        if reference is None:
+            assert layout is None
+            continue
+        bands, clamped, gaps = reference
+        assert layout[0] == bands
+        assert layout[1] == clamped
+        smallest = []
+        for D, E, rows in layout[0]:
+            for row in rows:
+                params = [0, *(p for p, _, _ in row), E]
+                smallest.append(F(min(q - p for p, q in zip(params, params[1:])), D))
+        assert smallest == gaps
+    assert outcomes == {False, True}
 
 
 def _first_cone_miss(inst):
@@ -620,10 +692,11 @@ def test_a_screened_round_misses_an_edge_of_the_target(n, seed):
     lines = realization._normalized_lines(arr)
     table = arr.crossings_by_line()
     tau0, t0, delta0, eps0 = realization._initial_parameters(lines, table, real.slab)
+    units = realization._layout_units(lines, table, real.slab)
     target = reduce_sectors(real.description)
     for rnd in range(realization.MAX_SEARCH_ROUNDS):
         tau, half, eps = tau0 / 2**rnd, rotation_from_parameter(t0 / 8**rnd), eps0 / 2**rnd
-        bands, delta = realization._sector_layout(lines, table, real.slab, tau, delta0 / 64**rnd)
+        bands, delta = realization._sector_layout(units, tau, delta0 / 64**rnd)
         missed = realization._screen_round(lines, bands, half, delta)
         inst = realization._build_sector_instance(lines, real.slab, bands, tau, half, delta, eps)
         assert missed == _first_cone_miss(inst)
@@ -639,7 +712,7 @@ def test_a_screened_round_misses_an_edge_of_the_target(n, seed):
     # product's delta term and the sine side of the test count too.
     for t, offset in product((t0, F(1, 4), F(3, 4)), (delta0, F(1))):
         half = rotation_from_parameter(t)
-        bands, delta = realization._sector_layout(lines, table, real.slab, tau0, offset)
+        bands, delta = realization._sector_layout(units, tau0, offset)
         inst = realization._build_sector_instance(lines, real.slab, bands, tau0, half, delta, eps0)
         assert realization._screen_round(lines, bands, half, delta) == _first_cone_miss(inst)
 
@@ -850,6 +923,35 @@ def test_side_checks_match_the_geometric_sweep(n, seed):
     assert real.checks == _geometric_side_conditions(
         real.instance, real.graph, real.description
     )
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_the_side_pass_hashes_no_fraction_and_calls_no_label_method(n):
+    """The side checks number their classes by integer keys and key their
+    sets and dicts by interned labels: on a realization the pass hashes
+    not one ``Fraction`` and calls no ``Label`` method but the constructor
+    that builds the gadget members."""
+    real = _realized(n, 1)
+    watched = {Fraction.__hash__.__code__: "Fraction.__hash__"}
+    watched.update(
+        (fn.__code__, f"Label.{name}")
+        for name, fn in vars(Label).items()
+        if name != "__new__" and hasattr(fn, "__code__")
+    )
+    assert "Label.__lt__" in watched.values() and "Label.__str__" in watched.values()
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            calls[watched[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        checks = realization._sector_side_conditions(real.instance, real.graph, real.description)
+    finally:
+        sys.setprofile(None)
+    assert checks == real.checks
+    assert not calls
 
 
 def _without(graph, edge):

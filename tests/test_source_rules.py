@@ -5,11 +5,14 @@ from ``LineArrangement.crossings_by_line()`` rather than a fresh
 ``line_intersection`` solve, no module but ``arrangement`` calls
 ``intersections()``, whose points are read from that table, every
 private module-level function is used by the package itself, not only by
-tests, ``reductions`` emits its edges in bulk (no ``edges.add(...)``, one
-Python step per edge), and no float reaches a predicate: outside
-``rendering``, which converts to floats for drawing, no module calls
-``float(...)``, writes a float literal or imports ``math``, except its
-integer functions."""
+tests, ``reductions`` emits its edges in bulk (no ``edges.add(...)``,
+one Python step per edge), the sector side checks read the graph's edges
+by label (``realization`` defines no ``_arcs`` position map) and order
+the gadget on integers (no module calls ``project_param``, which stays a
+public helper and the tests' reference), and no float reaches a
+predicate: outside ``rendering``, which converts to floats for drawing,
+no module calls ``float(...)``, writes a float literal or imports
+``math``, except its integer functions."""
 
 import ast
 from pathlib import Path
@@ -106,6 +109,26 @@ def test_reductions_emit_edges_in_bulk():
         and isinstance(node.func, ast.Attribute)
         and node.func.attr == "add"
         and getattr(node.func.value, "id", None) == "edges"
+    ]
+    assert not calls
+
+
+def test_realization_defines_no_arcs_map():
+    names = [
+        stmt.name
+        for stmt in TREES[SOURCE / "realization.py"].body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    assert "_arcs" not in names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_project_param_call(path):
+    calls = [
+        node.lineno
+        for node in ast.walk(TREES[path])
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "project_param"
     ]
     assert not calls
 
