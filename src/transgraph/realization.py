@@ -309,12 +309,14 @@ def is_wide_spread(inst: Instance, graph: LabelledDigraph) -> bool:
     couple with each other.  Qualifying pairs need an acute bisector
     angle of at least twice the largest opening angle.
 
-    Directions are numbered by their integer keys, and the angle test runs
-    first, once per pair of direction numbers; a qualifying pair is looked
-    for only among the direction pairs that fail it.  The container and
-    couple sets are keyed by label.  Within one container set, when all
-    the members of such a direction pair share a couple partner, no pair
-    of them qualifies, and only otherwise are they tested pair by pair.
+    Directions are numbered by line class: u and -u share a number, since
+    the acute angle between undirected lines reads both |u x v| and |u.v|
+    and so ignores their signs.  The angle test runs first, once per pair
+    of class numbers; a qualifying pair is looked for only among the class
+    pairs that fail it.  The container and couple sets are keyed by label.
+    Within one container set, when all the members of such a class pair
+    share a couple partner, no pair of them qualifies, and only otherwise
+    are they tested pair by pair.
     """
     sectors = _require_sectors(inst)
     if len(sectors) <= 1:
@@ -323,7 +325,10 @@ def is_wide_spread(inst: Instance, graph: LabelledDigraph) -> bool:
     vectors: list[Vec2] = []
     direction: dict[Label, int] = {}
     for label, s in inst.entries:
-        number = numbers.setdefault(_pair_key(s.direction), len(numbers))
+        xn, xd, yn, yd = _pair_key(s.direction)
+        if (xn, yn) < (0, 0):
+            xn, yn = -xn, -yn
+        number = numbers.setdefault((xn, xd, yn, yd), len(numbers))
         if number == len(vectors):
             vectors.append(s.direction)
         direction[label] = number
@@ -338,7 +343,7 @@ def is_wide_spread(inst: Instance, graph: LabelledDigraph) -> bool:
         }
     else:
         narrow = set(pairs)  # twice the opening angle already exceeds pi/2
-    # The sectors containing the apex of sector d, by direction number.
+    # The sectors containing the apex of sector d, by class number.
     containers = {d: {number: [d]} for d, number in direction.items()}
     couples = {d: {d} for d in direction}
     for u, v in graph.edges:

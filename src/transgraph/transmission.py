@@ -15,12 +15,17 @@ test only on the points that can pass it:
   line that holds a segment are sorted along it, once per line, and the
   points a segment contains are one contiguous run of that order: a
   ``bisect`` slice, emitted as edges in C with no test per point.
-- The sectors are grouped by (direction u, half angle (c, s)); a
-  construction has 2n groups.  A point in a sector's cone has both integer
-  keys ``k1 = s*(u.p) - c*(u x p)`` and ``k2 = s*(u.p) + c*(u x p)`` at
-  least those of the apex, because c, s >= 0.  A sweep in descending k1
-  with a list sorted by k2 finds the points that pass both keys, which
-  decides the tangent test, and the radius test runs on those alone.
+- The sectors are grouped by their cone: direction u and half angle
+  (c, s), each cleared to integers once; a construction has 2n groups.  A
+  point in a sector's cone has both integer keys
+  ``k1 = s*(u.p) - c*(u x p)`` and ``k2 = s*(u.p) + c*(u x p)`` at least
+  those of the apex, because c, s >= 0.  A sweep in descending k1 with a
+  list sorted by k2 finds the points that pass both keys.  Together the
+  two bounds give ``s*(u.w) >= c*|u x w|`` for w = p - apex, which for
+  s > 0 is the whole tangent test; for s = 0 they give ``u x w == 0``,
+  and only such a group also tests ``u.w >= 0``.  The radius test runs
+  inline on the points that pass, and each sector's edges are emitted in
+  C.
 
 A disk is tested against every point; no reduction builds disks.
 """
@@ -29,18 +34,17 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import compress, count, repeat
 from math import gcd
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .geometry import (
     ArrangementObject,
     Disk,
     Point,
-    Rotation,
     Sector,
     Segment,
-    Vec2,
     cleared,
 )
 from .graphs import Label, LabelledDigraph, digraph
@@ -87,91 +91,68 @@ def distinguished_point(obj: ArrangementObject) -> Point:
     raise TypeError(f"not an arrangement object: {obj!r}")
 
 
-def _scaled_tester(
-    disk: Disk, scale: int, center: tuple[int, int]
-) -> Callable[[int, int], bool]:
-    """Integer containment kernel of a disk, equivalent to
-    ``disk.contains`` on points whose coordinates times ``scale`` are
-    integers; ``center`` is the disk's centre times ``scale``.
-
-    All tests are sign tests, so clearing denominators with one positive
-    global factor changes nothing.  Sectors have their own kernel,
-    ``_sector_tester``; a segment needs no kernel, because
-    ``transmission_graph`` takes its points as a range of its line.
-    """
-    cx, cy = center
-    rbound = disk.radius_sq.numerator * scale * scale
-    rd = disk.radius_sq.denominator
-
-    def test_disk(x: int, y: int) -> bool:
-        wx, wy = x - cx, y - cy
-        return (wx * wx + wy * wy) * rd <= rbound
-
-    return test_disk
-
-
-def _sector_tester(
-    sec: Sector, scale: int, apex: tuple[int, int], cone: tuple[int, int, int, int]
-) -> Callable[[int, int], bool]:
-    """Integer containment kernel of a sector, equivalent to
-    ``sec.contains`` on the points ``_cone_edges`` hands it: coordinates
-    times ``scale`` are integers, and both cone keys are at least the
-    apex's.  ``apex`` is the sector's apex times ``scale``.
-
-    ``cone`` is (ux, uy, c, s), the sector's direction and half angle each
-    times a positive integer that makes them integral.  Such factors
-    change no sign, and every sector of one cone group shares them, so the
-    group clears them once.
-
-    The key bounds give ``s*dot >= c*|cross|``: for s > 0 that is the
-    whole tangent test, so only the radius test is left.  For s = 0 they
-    give ``cross == 0``, and ``dot >= 0`` is still tested.
-    """
-    ax, ay = apex
-    ux, uy, _, s = cone
-    rbound = sec.radius_sq.numerator * scale * scale
-    rd = sec.radius_sq.denominator
-
-    def test_sector(x: int, y: int) -> bool:
-        wx, wy = x - ax, y - ay
-        return (wx * wx + wy * wy) * rd <= rbound and (s > 0 or ux * wx + uy * wy >= 0)
-
-    return test_sector
+def _radius_edges(
+    i: int,
+    candidates: Iterable[int],
+    radius_sq: Fraction,
+    labels: Sequence[Label],
+    points: Sequence[tuple[int, int]],
+    scale: int,
+) -> Iterator[tuple[Label, Label]]:
+    """Edges i -> j for the candidates j != i within ``radius_sq`` of
+    point i, tested inline on the points times ``scale`` and emitted in C.
+    This is a disk's whole test, and all that is left of a sector's once
+    the cone sweep has chosen its candidates."""
+    (ax, ay), rd = points[i], radius_sq.denominator
+    rbound = radius_sq.numerator * scale * scale
+    near = [
+        labels[j]
+        for j in candidates
+        for x, y in [points[j]]
+        if j != i and ((x - ax) * (x - ax) + (y - ay) * (y - ay)) * rd <= rbound
+    ]
+    return zip(repeat(labels[i]), near)
 
 
 def _cone_edges(
+    cone: tuple[int, int, int, int],
     group: list[int],
     labels: Sequence[Label],
     objects: Sequence[ArrangementObject],
     points: Sequence[tuple[int, int]],
     scale: int,
-) -> Iterator[tuple[Label, Label]]:
+) -> list[tuple[Label, Label]]:
     """Edges i -> j such that sector i of ``group`` contains point j.
 
-    Every sector of the group has the same direction u and half angle
-    (c, s), cleared to integers once.  For w = p - apex, the tangent test
-    ``u.w >= 0 and |u x w|*c <= (u.w)*s`` implies both
+    ``cone`` is (ux, uy, c, s): the direction u and half angle (c, s) that
+    every sector of the group shares, each cleared to integers.  A
+    positive factor changes no sign, so the tests below are those of
+    ``Sector.contains`` on the scaled points.  For w = p - apex, the
+    tangent test ``u.w >= 0 and |u x w|*c <= (u.w)*s`` implies both
     ``s*(u.w) - c*(u x w) >= 0`` and ``s*(u.w) + c*(u x w) >= 0``, because
     c, s >= 0.  Both are linear in p, so with the keys
     ``k1 = s*(u.p) - c*(u x p)`` and ``k2 = s*(u.p) + c*(u x p)`` a point
     can lie in the cone at apex a only if ``k1(p) >= k1(a)`` and
     ``k2(p) >= k2(a)``: a 2-D dominance query.  The sectors are taken in
     descending k1 of their apex; the points whose k1 reaches it join a
-    list kept sorted by k2, and the exact kernel runs only on that list's
-    suffix with k2 at least the apex's.
+    list kept sorted by k2, and the candidates are that list's suffix
+    with k2 at least the apex's.
+
+    The two key bounds add up to ``s*(u.w) >= c*|u x w|``.  For s > 0 that
+    is the whole tangent test, so a candidate only has to pass the radius
+    test.  For s = 0 they give ``u x w == 0``, so only a group with s = 0
+    also keeps the candidates with ``u.w >= 0``, that is ``u.p >= u.a``.
     """
-    first = objects[group[0]]
-    ux, uy = cleared(first.direction.x, first.direction.y)
-    c, s = cleared(first.half_angle.c, first.half_angle.s)
-    k1, k2 = [], []
-    for x, y in points:
-        along, across = ux * x + uy * y, ux * y - uy * x
-        k1.append(s * along - c * across)
-        k2.append(s * along + c * across)
+    ux, uy, c, s = cone
+    along = [ux * x + uy * y for x, y in points]
+    across = [ux * y - uy * x for x, y in points]
+    k1 = [s * a - c * b for a, b in zip(along, across)]
+    k2 = [s * a + c * b for a, b in zip(along, across)]
     by_k1 = sorted(range(len(points)), key=k1.__getitem__, reverse=True)
     joined_k2: list[int] = []
     joined: list[int] = []
     nxt = 0
+    edges: list[tuple[Label, Label]] = []
     for i in sorted(group, key=k1.__getitem__, reverse=True):
         while nxt < len(by_k1) and k1[by_k1[nxt]] >= k1[i]:
             j = by_k1[nxt]
@@ -179,18 +160,20 @@ def _cone_edges(
             joined_k2.insert(pos, k2[j])
             joined.insert(pos, j)
             nxt += 1
-        test = _sector_tester(objects[i], scale, points[i], (ux, uy, c, s))
-        for j in joined[bisect_left(joined_k2, k2[i]) :]:
-            if j != i and test(*points[j]):
-                yield labels[i], labels[j]
+        candidates = joined[bisect_left(joined_k2, k2[i]) :]
+        if not s:
+            candidates = [j for j in candidates if along[j] >= along[i]]
+        edges += _radius_edges(i, candidates, objects[i].radius_sq, labels, points, scale)
+    return edges
 
 
 def transmission_graph(inst: Instance) -> LabelledDigraph:
     """Containment sweep over the instance, with exact integer tests.
 
-    The sectors are grouped by (direction, half angle), and each group is
-    swept as a dominance query on two integer keys (``_cone_edges``), so
-    a sector runs its exact test only on the points that pass both keys.
+    The sectors are grouped by their cone cleared to integers, and each
+    group is swept as a dominance query on two integer keys
+    (``_cone_edges``), so a sector runs its radius test only on the points
+    that pass both keys.
     A segment from p to q is grouped by its direction d = q - p, reduced
     by the gcd and sign-normalised to (ex, ey) with ex > 0, or ex = 0 and
     ey > 0, so parallel segments share a group.  A point (x, y) lies on
@@ -213,7 +196,7 @@ def transmission_graph(inst: Instance) -> LabelledDigraph:
     points, far_ends = scaled[:m], iter(scaled[m:])
     edges = []
     segments_by_direction: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    cone_groups: dict[tuple[Vec2, Rotation], list[int]] = {}
+    cone_groups: dict[tuple[int, ...], list[int]] = {}
     for i, obj in enumerate(objects):
         if isinstance(obj, Segment):
             (px, py), (qx, qy) = points[i], next(far_ends)
@@ -224,14 +207,12 @@ def transmission_graph(inst: Instance) -> LabelledDigraph:
             ex, ey = dx // g, dy // g
             segments_by_direction.setdefault((ex, ey), []).append((i, ex * qx + ey * qy))
         elif isinstance(obj, Sector):
-            cone_groups.setdefault((obj.direction, obj.half_angle), []).append(i)
+            d, h = obj.direction, obj.half_angle
+            cone_groups.setdefault(cleared(d.x, d.y) + cleared(h.c, h.s), []).append(i)
         else:
-            test = _scaled_tester(obj, scale, points[i])
-            for j, (x, y) in enumerate(points):
-                if i != j and test(x, y):
-                    edges.append((labels[i], labels[j]))
-    for group in cone_groups.values():
-        edges += _cone_edges(group, labels, objects, points, scale)
+            edges += _radius_edges(i, range(m), obj.radius_sq, labels, points, scale)
+    for cone, group in cone_groups.items():
+        edges += _cone_edges(cone, group, labels, objects, points, scale)
     for (ex, ey), members in segments_by_direction.items():
         keys = [ex * y - ey * x for x, y in points]
         on_line: dict[int, list[int]] = {keys[i]: [] for i, _ in members}

@@ -261,6 +261,47 @@ def test_wide_spread_tests_pairs_when_a_class_has_no_common_partner(couple_b_r, 
     assert is_wide_spread(inst, digraph(labels, edges)) is spread
 
 
+def _counting_acute_angle(monkeypatch):
+    calls = []
+    real = realization.acute_angle_at_least
+
+    def counted(u, v, bound):
+        calls.append((u, v))
+        return real(u, v, bound)
+
+    monkeypatch.setattr(realization, "acute_angle_at_least", counted)
+    return calls
+
+
+@pytest.mark.parametrize("t, spread", [(F(0), True), (F(1, 20), False)])
+def test_wide_spread_puts_opposite_directions_in_one_line_class(t, spread, monkeypatch):
+    """a and b point along -u and u, contain the apex of d and share no
+    couple partner.  The acute angle between their undirected lines is 0,
+    so the pair is wide spread only for rays (half angle 0).  Along u and
+    -u there is one line class, so the angle test runs on the 3 pairs of
+    two classes, not the 6 pairs of three directions."""
+    half = rotation_from_parameter(t)
+    a = Sector(vec(0, 10), vec(0, -1), half, F(200))
+    b = Sector(vec(0, -10), vec(0, 1), half, F(200))
+    d = Sector(vec(0, 0), vec(1, 0), half, F(1, 100))
+    inst = instance([(free("a"), a), (free("b"), b), (free("d"), d)])
+    graph = transmission_graph(inst)
+    assert graph.edges == {(free("a"), free("d")), (free("b"), free("d"))}
+    calls = _counting_acute_angle(monkeypatch)
+    assert is_wide_spread(inst, graph) is spread
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_wide_spread_tests_each_pair_of_line_classes_once(seed, monkeypatch):
+    """An n=3 realization has 6 bisector directions on 3 lines, u_i and
+    -u_i for each: 6 pairs of line classes, not 21 pairs of directions."""
+    real = _realized(3, seed)
+    calls = _counting_acute_angle(monkeypatch)
+    assert is_wide_spread(real.instance, real.graph)
+    assert len(calls) == 6
+
+
 # --- ordering gadget -------------------------------------------------------
 
 

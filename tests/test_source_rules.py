@@ -9,7 +9,9 @@ tests, ``reductions`` emits its edges in bulk (no ``edges.add(...)``,
 one Python step per edge), the sector side checks read the graph's edges
 by label (``realization`` defines no ``_arcs`` position map) and order
 the gadget on integers (no module calls ``project_param``, which stays a
-public helper and the tests' reference), and no float reaches a
+public helper and the tests' reference), ``transmission`` defines no
+nested function or lambda, so its kernels build no closure per object,
+and no float reaches a
 predicate: outside ``rendering``, which converts to floats for drawing,
 no module calls ``float(...)``, writes a float literal or imports
 ``math``, except its integer functions."""
@@ -120,6 +122,20 @@ def test_realization_defines_no_arcs_map():
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
     ]
     assert "_arcs" not in names
+
+
+FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def test_transmission_defines_no_nested_function():
+    nested = [
+        f"line {inner.lineno}"
+        for outer in ast.walk(TREES[SOURCE / "transmission.py"])
+        if isinstance(outer, FUNCTION_NODES)
+        for inner in ast.walk(outer)
+        if inner is not outer and isinstance(inner, FUNCTION_NODES)
+    ]
+    assert not nested
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

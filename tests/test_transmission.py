@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -287,24 +288,45 @@ def test_segment_runs_match_all_pairs_contains_on_a_realization():
 
 
 def test_sector_sweep_tests_only_candidates(monkeypatch):
-    """On the seed-1 n=5 sector realization the sweep runs the exact
-    sector test fewer than 2*E times, against m(m-1) = 140,250 pairs, so
-    a fallback to testing every sector against every point fails here."""
+    """On the seed-1 n=5 sector realization the sweep hands fewer than
+    2*E candidates to the radius test, against m(m-1) = 140,250 pairs, so
+    a fallback to testing every sector against every point fails here.
+    Each sector's candidates are the suffix of the joined list that the
+    kernel's ``bisect_left`` call starts; a sector instance has no segment
+    runs, which call it too."""
     inst = realize_sectors(random_simple_arrangement(RandomSpec(n=5, seed=1))).instance
-    real = transmission._sector_tester
-    tests = 0
+    real = transmission.bisect_left
+    candidates = 0
 
-    def counting_tester(*args):
-        test = real(*args)
+    def counting_bisect_left(a, x, *args, **kwargs):
+        nonlocal candidates
+        start = real(a, x, *args, **kwargs)
+        candidates += len(a) - start
+        return start
 
-        def counted(x, y):
-            nonlocal tests
-            tests += 1
-            return test(x, y)
-
-        return counted
-
-    monkeypatch.setattr(transmission, "_sector_tester", counting_tester)
+    monkeypatch.setattr(transmission, "bisect_left", counting_bisect_left)
     edges = transmission_graph(inst).edge_count
     assert edges == 7200
-    assert tests < 2 * edges
+    assert edges <= candidates < 2 * edges
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_the_sector_kernel_hashes_no_fraction(n):
+    """The cone groups are keyed by cleared integers, not by the sectors'
+    ``Vec2`` and ``Rotation`` values, so building the graph of a sector
+    realization hashes not one ``Fraction``."""
+    inst = realize_sectors(random_simple_arrangement(RandomSpec(n=n, seed=1))).instance
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is Fraction.__hash__.__code__:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        graph = transmission_graph(inst)
+    finally:
+        sys.setprofile(None)
+    assert graph.edge_count > 0
+    assert calls == 0
