@@ -17,7 +17,7 @@ from math import lcm
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .geometry import Line, Point, Vec2, cleared
+from .geometry import Line, cleared
 
 
 # Per line, (D, [(X, j), ...]): see ``LineArrangement.crossings_by_line``.
@@ -76,17 +76,6 @@ class LineArrangement:
             D = lcm(*(det for _, det, _ in solved))
             table.append((D, sorted((num * (D // det), j) for num, det, j in solved)))
         return table
-
-    def intersections(self) -> dict[tuple[int, int], Point]:
-        """All pairwise intersection points, keyed by 1-based index pairs
-        (i, j) with i < j, read from ``crossings_by_line()``."""
-        points = [
-            ((i, j), Vec2(Fraction(X, D), ln.y_at(Fraction(X, D))))
-            for i, (ln, (D, row)) in enumerate(zip(self.lines, self.crossings_by_line()), 1)
-            for X, j in row
-            if j > i
-        ]
-        return dict(sorted(points))
 
 
 def slope_sorted(lines: Iterable[Line]) -> LineArrangement:

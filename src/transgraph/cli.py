@@ -1,7 +1,8 @@
 """Command-line surface for the toolkit.
 
 Exit codes: 0 success or verification pass, 1 verification failure,
-2 input error or unwritable output, 3 parameter search exhausted.
+2 input error or unwritable output, 3 the solved sector parameters failed
+verification (reported as ``parameter search exhausted: <reason>``).
 """
 
 from __future__ import annotations

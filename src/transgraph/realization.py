@@ -4,11 +4,12 @@
 transmission graph equals the segment reduction of the arrangement's
 description.  ``realize_sectors`` does the same for the SC/SA/SB sector
 labels; its free parameters (band offset tau, shared half-angle, apex
-offset delta, radius slack epsilon) are chosen by a verified search:
-construct, verify the full graph plus all side conditions exactly, and
-shrink on any mismatch.  The shrink rates differ per parameter so that
-every ratio constraint (cone width vs. band offset, apex offset vs. cone
-width) eventually holds.
+offset delta, radius slack epsilon) are solved in one pass: tau, the
+half-angle and epsilon from the arrangement's clearances and slopes, and
+delta from the cone test that every band crossing's target edge needs.
+The result is then verified exactly, the full graph plus all side
+conditions, and a failure raises ``ParameterSearchExhausted`` with its
+reason.
 
 Both realizations read the arrangement's crossings from one table,
 ``LineArrangement.crossings_by_line()``, built once in their body: each
@@ -23,23 +24,17 @@ line's C ends, B midpoints and shared far point, placed on its cleared
 The sector realization shifts line i up by o and line k up by o', which
 moves their crossing by (o' - o)/(s_i - s_k) in x, so each band crossing
 is a row entry plus a multiple of the band offset.  Each line's crossing
-parameters, slab end and band step units are cleared to integers once per
-realization (``_layout_units``); each search round scales the steps by the
-band offset, brings them over one denominator with the rest, and sorts
-and spaces the band rows on them (``_sector_layout``).
+parameters, band steps and slab end are cleared to integers once, and the
+band rows are sorted and spaced on them (``_sector_layout``).
 
-A screen then tests the round on those rows before any sector is built
-(``_screen_round``).  For every band crossing, ``reduce_sectors`` emits
-the edge SB(i, m, k, mp) -> SA(k, mp, i, m), and the screen evaluates
-the cone half of ``Sector.contains`` for it on integers.  The cone test is
-necessary for containment, so a failure proves that this round's graph
-lacks a target edge and that the full verification would reject it; the
-round is rejected unbuilt, with the pair named in the search detail.  A
-pass proves nothing: the round is built (``_build_sector_instance``) and
-verified in full, and only that verification accepts a round.  The screen
-therefore never changes which round is accepted or what it returns; it
-saves the rejected rounds' object build, ``transmission_graph`` and
-``graph_diff``.
+For every band crossing, ``reduce_sectors`` emits the edge
+SB(i, m, k, mp) -> SA(k, mp, i, m), and the SB cone can hold the SA apex
+only if the cone test holds for it.  That test is linear in delta, so each
+crossing either passes at every delta or bounds it; ``_apex_offset``
+takes the least bound on integers and halves delta until it is met.  The
+instance is then built once (``_build_sector_instance``) and verified in
+full, which alone accepts it: the radius half of ``Sector.contains`` and
+the side conditions are decided there.
 
 Labels are interned (``graphs.Label``), so the candidate's labels are the
 target graph's own objects and comparing the two graphs matches every
@@ -68,7 +63,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from math import gcd, lcm
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -487,37 +481,16 @@ def _initial_parameters(
     return tau, t0, delta, eps
 
 
-# Per line, the round-invariant part of its band layout: the slab end E0/D0
-# and the crossing parameters P/D0 over one denominator D0, the crossing
-# lines k, and the band step units 1/((s_i - s_k) * b) as S/Ds, with g the
-# gcd of the S.
-LineUnits = tuple[int, int, list[int], list[int], int, list[int], int]
-
 # Per line: D, the slab end E/D and the three sorted band rows of (P, k, mp),
 # the crossing of band mp of line k at P/D.
 BandRows = tuple[int, int, list[list[tuple[int, int, int]]]]
 
 
-def _layout_units(lines: list[Line], table: CrossingTable, slab: Slab) -> list[LineUnits]:
-    """Each line's crossing parameters, slab end and band step units, cleared
-    to integers once per realization (see ``_sector_layout``)."""
-    slopes = [ln.slope() for ln in lines]
-    units = []
-    for s, ln, (den, crossings) in zip(slopes, lines, table):
-        D0, E0, *at = cleared(
-            1, slab.width / ln.b, *((Fraction(x, den) - slab.x_left) / ln.b for x, _ in crossings)
-        )
-        ks = [k for _, k in crossings]
-        Ds, *steps = cleared(1, *(1 / ((s - slopes[k - 1]) * ln.b) for k in ks))
-        units.append((D0, E0, at, ks, Ds, steps, gcd(*steps)))
-    return units
-
-
 def _sector_layout(
-    units: list[LineUnits], tau: Fraction, delta: Fraction
+    lines: list[Line], table: CrossingTable, slab: Slab, tau: Fraction, delta: Fraction
 ) -> Optional[tuple[list[BandRows], Fraction]]:
-    """One search round's band rows and apex offset, or None when a shifted
-    crossing escapes the slab or two of them collide.
+    """The band rows and the apex offset clamped to the rows, or None when a
+    shifted crossing escapes the slab or two of them collide.
 
     Positions along the bisector of line i are parameters in units of its
     direction u = (b, -a), so param = (x - x_left)/b.  Shifting line i up
@@ -527,25 +500,24 @@ def _sector_layout(
     end width/b are cleared to integers over one denominator D; the rows
     are sorted and their gaps taken on those integers.  The apex offset is
     ``delta`` clamped to a quarter of the smallest gap.
-
-    Only the band steps depend on the round.  With tau = tn/td they are
-    tn*S/M over M = td*Ds, whose least common denominator is
-    M/gcd(M, tn*g), so D is its lcm with D0 and no ``Fraction`` is built
-    per crossing.
     """
-    tn, td = tau.numerator, tau.denominator
+    slopes = [ln.slope() for ln in lines]
     bands = []
     least = None  # the smallest gap, as (gap, D)
-    for D0, E0, at, ks, Ds, steps, g in units:
-        M = td * Ds
-        D = lcm(D0, M // gcd(M, tn * g))
-        up = D // D0
-        E = E0 * up
-        crossings = [(p * up, k, tn * s * D // M) for p, k, s in zip(at, ks, steps)]
+    for s, ln, (den, crossings) in zip(slopes, lines, table):
+        D, E, *values = cleared(
+            1,
+            slab.width / ln.b,
+            *((Fraction(x, den) - slab.x_left) / ln.b for x, _ in crossings),
+            *(tau / ((s - slopes[k - 1]) * ln.b) for _, k in crossings),
+        )
+        at, steps = values[: len(crossings)], values[len(crossings) :]
         rows = []
         for m in (1, 2, 3):
             row = sorted(
-                (p + (m - mp) * d, k, mp) for p, k, d in crossings for mp in (1, 2, 3)
+                (p + (m - mp) * d, k, mp)
+                for (_, k), p, d in zip(crossings, at, steps)
+                for mp in (1, 2, 3)
             )
             params = [0, *(p for p, _, _ in row), E]
             gap = min(q - p for p, q in zip(params, params[1:]))
@@ -558,45 +530,51 @@ def _sector_layout(
     return bands, min(delta, Fraction(*least) / 4)
 
 
-def _screen_round(
+def _apex_offset(
     lines: list[Line], bands: list[BandRows], half: Rotation, delta: Fraction
-) -> Optional[tuple[Label, Label]]:
-    """The first (SB(i, m, k, mp), SA(k, mp, i, m)) whose SB cone misses
-    the SA apex, or None when every such cone test passes.
+) -> Fraction:
+    """The largest delta/2^j for which every SB(i, m, k, mp) cone takes the
+    apex of SA(k, mp, i, m) within its half angle.
 
     Both apexes sit by the crossing of band m of line i with band mp of
     line k: SB at h = (nxt - p)/(2D) after it along u_i = (b_i, -a_i), SA
     at delta before it along u_k.  Seen from the SB apex along its bisector
     -u_i, the SA apex has dot = delta*(u_i.u_k) + h*|u_i|^2 and
     cross = delta*|u_i x u_k|, and it lies in the cone iff dot >= 0 and
-    cross*c <= dot*s.  With delta = dn/dd and the vector products cleared
-    to integers by one positive factor per line, both sides times 2*D*dd
-    and that factor give the test g*dd*|u_i|^2*s >= 2*D*dn*(cross*c -
-    dot*s) on the gap g = nxt - p, which a negative dot fails too.
+    cross*c <= dot*s.  That is delta*w <= h*|u_i|^2*s with
+    w = |u_i x u_k|*c - (u_i.u_k)*s, which holds for every delta where
+    w <= 0 (and then dot >= 0) and bounds delta by h*|u_i|^2*s/w where
+    w > 0 (and then implies dot >= 0).  With the vector products cleared
+    to integers by one positive factor per line, the least bound of each
+    line is found on integers, by comparing the ratios g/w of the gaps
+    g = nxt - p.
 
-    The radius half of ``Sector.contains`` is not tested, so a pass proves
-    nothing, but a miss proves that the edge SB -> SA, which
-    ``reduce_sectors`` emits for every crossing, is absent from this
-    round's graph.
+    ``reduce_sectors`` emits the edge SB -> SA for every crossing, and the
+    cone test is necessary for it, so no offset above the least bound can
+    realize the target.  The radius half of ``Sector.contains`` is left to the full
+    verification.
     """
     c, s = cleared(half.c, half.s)
-    dn, dd = delta.numerator, delta.denominator
     us = [Vec2(ln.b, -ln.a) for ln in lines]
-    for i, (u, (D, E, rows)) in enumerate(zip(us, bands), start=1):
+    bound = None
+    for u, (D, E, rows) in zip(us, bands):
         usq, *products = cleared(
             u.norm_sq(), *map(u.dot, us), *(abs(u.cross(v)) for v in us)
         )
-        step = dd * usq * s
-        bound = [
-            2 * D * dn * (cross * c - dot * s)
-            for dot, cross in zip(products, products[len(us) :])
-        ]
-        for m, row in enumerate(rows, start=1):
+        slack = [cross * c - dot * s for dot, cross in zip(products, products[len(us) :])]
+        least = None  # the smallest g/w, as (g, w)
+        for row in rows:
             ends = [p for p, _, _ in row[1:]] + [E]
-            for (p, k, mp), nxt in zip(row, ends):
-                if (nxt - p) * step < bound[k - 1]:
-                    return SB(i, m, k, mp), SA(k, mp, i, m)
-    return None
+            for (p, k, _), nxt in zip(row, ends):
+                w = slack[k - 1]
+                if w > 0 and (least is None or (nxt - p) * least[1] < least[0] * w):
+                    least = (nxt - p, w)
+        if least is not None:
+            line_bound = Fraction(least[0] * usq * s, 2 * D * least[1])
+            bound = line_bound if bound is None else min(bound, line_bound)
+    while bound is not None and delta > bound:
+        delta /= 2
+    return delta
 
 
 def _build_sector_instance(
@@ -608,7 +586,7 @@ def _build_sector_instance(
     delta: Fraction,
     eps: Fraction,
 ) -> Instance:
-    """One search round's candidate instance on its band rows: each band
+    """The candidate instance on its band rows: each band
     apex and squared radius is one ``Fraction`` per coordinate, built from
     an integer parameter num/den."""
     dn, dd = delta.numerator, delta.denominator
@@ -673,9 +651,6 @@ def _sector_side_conditions(
     )
 
 
-MAX_SEARCH_ROUNDS = 64
-
-
 def realize_sectors(arr: LineArrangement) -> SectorRealization:
     if arr.n < 2:
         raise NonSimpleArrangement("need at least 2 lines")
@@ -686,41 +661,25 @@ def realize_sectors(arr: LineArrangement) -> SectorRealization:
     table = arr.crossings_by_line()
     slab = Slab.around(table)
     lines = _normalized_lines(arr)
-    tau0, t0, delta0, eps0 = _initial_parameters(lines, table, slab)
-    units = _layout_units(lines, table, slab)
-
-    last_detail = ""
-    for rnd in range(MAX_SEARCH_ROUNDS):
-        # Different shrink rates: every ratio constraint (half-angle vs.
-        # band offset, apex offset vs. cone width) tends to zero.
-        tau = tau0 / 2**rnd
-        half = rotation_from_parameter(t0 / 8**rnd)
-        eps = eps0 / 2**rnd
-        layout = _sector_layout(units, tau, delta0 / 64**rnd)
-        if layout is None:
-            last_detail = "shifted crossings left the slab"
-            continue
-        bands, delta = layout
-        missed = _screen_round(lines, bands, half, delta)
-        if missed is not None:
-            last_detail = "{} misses the apex of {}".format(*missed)
-            continue
-        inst = _build_sector_instance(lines, slab, bands, tau, half, delta, eps)
-        graph = transmission_graph(inst)
-        diff = graph_diff(target, graph)
-        if not diff.empty:
-            last_detail = diff.summary()
-            continue
-        checks = _sector_side_conditions(inst, graph, desc)
-        failed = [
-            f"{name}: {detail}" if detail else name
-            for name, ok, detail in checks
-            if not ok
-        ]
-        if failed:
-            last_detail = "; ".join(failed)
-            continue
-        return SectorRealization(inst, slab, tau, delta, eps, half, graph, desc, checks)
-    raise ParameterSearchExhausted(
-        f"no parameters found in {MAX_SEARCH_ROUNDS} rounds", last_detail
-    )
+    tau, t, delta, eps = _initial_parameters(lines, table, slab)
+    half = rotation_from_parameter(t)
+    message = "solved sector parameters failed verification"
+    layout = _sector_layout(lines, table, slab, tau, delta)
+    if layout is None:
+        raise ParameterSearchExhausted(message, "shifted crossings left the slab")
+    bands, delta = layout
+    delta = _apex_offset(lines, bands, half, delta)
+    inst = _build_sector_instance(lines, slab, bands, tau, half, delta, eps)
+    graph = transmission_graph(inst)
+    diff = graph_diff(target, graph)
+    if not diff.empty:
+        raise ParameterSearchExhausted(message, diff.summary())
+    checks = _sector_side_conditions(inst, graph, desc)
+    failed = [
+        f"{name}: {detail}" if detail else name
+        for name, ok, detail in checks
+        if not ok
+    ]
+    if failed:
+        raise ParameterSearchExhausted(message, "; ".join(failed))
+    return SectorRealization(inst, slab, tau, delta, eps, half, graph, desc, checks)

@@ -20,11 +20,13 @@ from .transmission import Instance
 ARC_CHORDS = 32
 
 _DOT_ID = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+# DOT reserves these in any case, so a bare one is not a node name.
+_DOT_KEYWORDS = frozenset({"node", "edge", "graph", "digraph", "subgraph", "strict"})
 
 
 def _dot_name(label) -> str:
     name = str(label)
-    if _DOT_ID.match(name):
+    if _DOT_ID.match(name) and name.lower() not in _DOT_KEYWORDS:
         return name
     return '"' + name.replace('"', '\\"') + '"'
 

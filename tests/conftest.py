@@ -1,12 +1,24 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from transgraph import LineArrangement, line_from_slope_intercept
+from transgraph.geometry import line_intersection
 
 
 def F(a, b=1):
     return Fraction(a, b)
+
+
+def intersections_by_fractions(arr):
+    """Every crossing from ``line_intersection``'s ``Fraction`` solve,
+    keyed by 1-based index pairs (i, j) with i < j: the tests' reference
+    for the crossings read from ``LineArrangement.crossings_by_line()``."""
+    return {
+        (i, j): line_intersection(li, lj)
+        for (i, li), (j, lj) in combinations(enumerate(arr.lines, start=1), 2)
+    }
 
 
 @pytest.fixture

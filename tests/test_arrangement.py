@@ -1,10 +1,10 @@
 import sys
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import intersections_by_fractions
 from transgraph.arrangement import (
     ArrangementError,
     LineArrangement,
@@ -15,7 +15,7 @@ from transgraph.arrangement import (
     slope_sorted,
     validate_description,
 )
-from transgraph.geometry import Line, line_from_slope_intercept, line_intersection, vec
+from transgraph.geometry import Line, line_from_slope_intercept, line_intersection
 from transgraph.verification import RandomSpec, random_simple_arrangement
 
 F = Fraction
@@ -58,22 +58,6 @@ def test_slope_sorted_orders_by_slope():
     assert [arr.line(i).slope() for i in (1, 2, 3)] == [-1, 0, 3]
 
 
-def test_intersections_keyed_by_index_pair(three_lines):
-    pts = three_lines.intersections()
-    assert set(pts) == {(1, 2), (1, 3), (2, 3)}
-    assert pts[(1, 2)] == vec(0, 0)
-    assert pts[(1, 3)] == vec(1, 0)
-    assert pts[(2, 3)] == vec(2, 2)
-
-
-def _intersections_by_fractions(arr):
-    """Every crossing from ``line_intersection``'s ``Fraction`` solve."""
-    return {
-        (i, j): line_intersection(li, lj)
-        for (i, li), (j, lj) in combinations(enumerate(arr.lines, start=1), 2)
-    }
-
-
 wide_rationals = st.fractions(
     min_value=-(10**6), max_value=10**6, max_denominator=10**12
 )
@@ -94,23 +78,12 @@ def rescaled_arrangements(draw):
     return LineArrangement(tuple(lines))
 
 
-@settings(max_examples=200, deadline=None)
-@given(rescaled_arrangements())
-def test_intersections_match_pairwise_line_intersection(arr):
-    crossings = arr.intersections()
-    assert crossings == _intersections_by_fractions(arr)
-    doubled = LineArrangement(
-        tuple(Line(2 * l.a, 2 * l.b, 2 * l.c) for l in arr.lines)
-    )
-    assert doubled.intersections() == crossings
-
-
 @settings(max_examples=100, deadline=None)
 @given(rescaled_arrangements())
 def test_crossing_rows_are_sorted_integers_over_one_denominator(arr):
     """Row i lists (X, j) for every other line j, sorted, with X/D the x of
     the ``Fraction`` solve of lines i and j."""
-    reference = _intersections_by_fractions(arr)
+    reference = intersections_by_fractions(arr)
     for i, (D, row) in enumerate(arr.crossings_by_line(), start=1):
         assert D > 0 and row == sorted(row)
         assert sorted(j for _, j in row) == [j for j in range(1, arr.n + 1) if j != i]
@@ -158,7 +131,7 @@ def test_two_lines_always_simple():
 
 def test_containing_slab_covers_crossings(three_lines):
     slab = containing_slab(three_lines)
-    xs = [p.x for p in three_lines.intersections().values()]
+    xs = [p.x for p in intersections_by_fractions(three_lines).values()]
     assert slab.x_left < min(xs)
     assert slab.x_right > max(xs)
     assert slab.width == slab.x_right - slab.x_left
@@ -269,7 +242,7 @@ def test_description_mirror_metamorphic(seed, n):
 
 def _is_simple_by_sweep(arr):
     """Test every crossing point against every third line."""
-    for (i, j), pt in arr.intersections().items():
+    for (i, j), pt in intersections_by_fractions(arr).items():
         for k in range(1, arr.n + 1):
             ln = arr.line(k)
             if k != i and k != j and ln.a * pt.x + ln.b * pt.y == ln.c:

@@ -135,15 +135,13 @@ def test_verify_sectors(arr_path):
     assert run("verify", "--mode", "sectors", "--in", arr_path) == 0
 
 
-def test_realize_sectors_names_the_missed_pair_when_the_search_is_exhausted(
+def test_realize_sectors_exits_3_when_the_solved_parameters_fail_verification(
     arr_path, tmp_path, capsys, monkeypatch
 ):
-    # Round 0 of this input is rejected by its cone screen.
-    monkeypatch.setattr(realization, "MAX_SEARCH_ROUNDS", 1)
+    monkeypatch.setattr(realization, "is_equiangular", lambda inst: False)
     out = tmp_path / "inst.json"
     assert run("realize", "--mode", "sectors", "--in", arr_path, "--out", out) == 3
-    err = capsys.readouterr().err
-    assert err == "parameter search exhausted: SB_2_1_1_3 misses the apex of SA_1_3_2_1\n"
+    assert capsys.readouterr().err == "parameter search exhausted: equiangular\n"
     assert not out.exists()
 
 
@@ -408,15 +406,15 @@ PINNED_DIGESTS = {
         "arr.json": "929d6ca681c4129cbb0bc4ec7957eab64ca38c0de8f4017896692b480aad43ae",
         "arr.svg": "5bf9e93659c3e7ba4c3b45347042c675c8009fe048a7453cbebc48cc2ee970b0",
         "desc.json": "bc937ad7787d81c156ff1431518de9dfb904e8c6b7720c82bd125432350c31ae",
-        "realize-sectors.json": "50c42dccf718d129267221edda67b4c7025d2d9b03202de3c220be411117212c",
-        "realize-sectors.svg": "bca7bfa58d6c70b8a568bd594ac27a318e097e1b035bdb2325dc55026685d7b9",
+        "realize-sectors.json": "f561687d0f011bc7f20fef50ff983693b0bbf79e9fcabce9116680144c72ec5f",
+        "realize-sectors.svg": "108743c77429344f4943fbd3363febadb5aa01dd2ca456719c405826d0abafc1",
         "realize-segments.json": "ead0b4f34e9a33305707baa38e8525e82ad8e97102e576102bfc006e48368578",
         "realize-segments.svg": "7923b078b9ba50087f3f1b6cc5a9036d572f7a5fea0d590be648cbb1f7803cb9",
         "reduce-sectors.dot": "82aab797037706fd1a13354a05287a7240b9f3b9152e5a60604b9f91731c9c8d",
         "reduce-sectors.json": "1e560a7f0557d38f0ce62f5d9046077dc079a7e083b6c253497810dd37c40807",
         "reduce-segments.dot": "4b211a5eabc25d7a4a2c55e390b86e3d408771c7d8036eca8db06fc3de37dd92",
         "reduce-segments.json": "1bacd0da8e215de5e92b8856fdeda7e0bd6efa19e8bceddacf75408051b75356",
-        "report-sectors.json": "ae031b2b9eb0e0884e958f9142dd697e9e8849a9589117f22d1e4c1267145fbf",
+        "report-sectors.json": "76c2f25fe59a8736d7d8623a2b55112c085927b94a833cd55b05e6c0efd59f14",
         "report-segments.json": "c6e347b2f1b051d424bece0594bdd9c481ed0c382b975a34af2fa885349eaf5e",
         "tgraph-sectors.json": "1e560a7f0557d38f0ce62f5d9046077dc079a7e083b6c253497810dd37c40807",
         "tgraph-segments.json": "1bacd0da8e215de5e92b8856fdeda7e0bd6efa19e8bceddacf75408051b75356",
@@ -426,15 +424,15 @@ PINNED_DIGESTS = {
         "arr.json": "1af223b22c6a9452843ccba825b69918c7349e264addacfbf21d7915f522d8cf",
         "arr.svg": "a8ddd4376582260acb6b20f97bec97e5f9a6550557bddd19013de00cc9b3c4a1",
         "desc.json": "81f4371d406fa31f02701f4568f28465d40b5ffb38adb7c04a47a87f4ebaa0e8",
-        "realize-sectors.json": "a44ed103e2d0b37099948a028d1ca8799c973a70d836095f2a3976d583f9c8db",
-        "realize-sectors.svg": "fcf6e59e6f4ad0572d63a2df92539b5c565b8fb8a700d4371c958445404e3659",
+        "realize-sectors.json": "18b62967bf26e08224d44094909282e17a38b5e9fb9893bd583ceb827c26b5ee",
+        "realize-sectors.svg": "6ac443c5ff725256b2d6cfe2a45259d1964b12abea7197c372e36d54935bdf0d",
         "realize-segments.json": "a9f3e9989622a87759a1349d30f2d9a6927b29627aa81cd57b3b2a107670f0fc",
         "realize-segments.svg": "de3561744e6e57ccff7197843560ed1b266500d2706c61bb0c97e0b83dd32f8b",
         "reduce-sectors.dot": "e2405de8f4f6e7894bf83cbef9081f6a8ac75b9ff080b51ef2832dd2d90f7e43",
         "reduce-sectors.json": "0892c22f9221c06110f2182543475cfe6883cf98afdb418417c4373d8fd3eabc",
         "reduce-segments.dot": "29d18ade0a881b3b1726781cc7cef2e5d559748632debb37c5680a1eb5372544",
         "reduce-segments.json": "b787aa949bb5f982b3c2564e4a8e40bf79bc0e6f265e7102d5b0f791ca3dded8",
-        "report-sectors.json": "9858097c61a153c1a4589fffa3bcd497e3124050c805819950bca719dea55e51",
+        "report-sectors.json": "43956e85763dd06d74657f34407dcd8953f52bc8c7638976279264f679c77e13",
         "report-segments.json": "d4966d71d60c9fe86459f3908f1b8eba426ae0ce1b12ab46eae6834d5b0b36ce",
         "tgraph-sectors.json": "0892c22f9221c06110f2182543475cfe6883cf98afdb418417c4373d8fd3eabc",
         "tgraph-segments.json": "b787aa949bb5f982b3c2564e4a8e40bf79bc0e6f265e7102d5b0f791ca3dded8",

@@ -215,6 +215,16 @@ def test_export_dot_lists_isolated_vertices():
     assert "C_1;" in dot and "C_2;" in dot
 
 
+@pytest.mark.parametrize("name", ["graph", "Node", "EDGE", "diGraph", "SubGraph", "sTRICT"])
+def test_export_dot_quotes_keyword_names(name):
+    """A FREE label spelled like a DOT keyword, in any case, is written as a
+    quoted ID; bare, ``graph;`` or ``graph -> node;`` is a syntax error."""
+    g = digraph([free(name), free("x")], [(free(name), free("x"))])
+    lines = export_dot(g).splitlines()
+    assert f'  "{name}";' in lines
+    assert f'  "{name}" -> x;' in lines
+
+
 def test_export_dot_deterministic():
     g = reduce_segments(
         extract_description(random_simple_arrangement(RandomSpec(n=4, seed=4)))

@@ -8,6 +8,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import intersections_by_fractions
 from transgraph import realization
 from transgraph.arrangement import LineArrangement, extract_description
 from transgraph.geometry import (
@@ -389,7 +390,7 @@ def _a_segment_ends_by_fractions(arr, tilt):
     """Each A-segment's far end, from a ``Fraction`` ray-line parameter
     per line: halfway to the nearest line hit, or one tilted step."""
     ends = {}
-    for (i, k), apex in arr.intersections().items():
+    for (i, k), apex in intersections_by_fractions(arr).items():
         d = tilt.apply(arr.line(i).rightward_direction())
         params = []
         for ln in arr.lines:
@@ -490,10 +491,9 @@ def test_realize_sectors_parameters_positive():
 
 
 def test_failed_side_check_is_named_in_the_search_detail(monkeypatch):
-    # Round 0 on two_lines() passes the graph diff, so only the patched
-    # checker can reject it.
+    # The instance of two_lines() passes the graph diff, so only the
+    # patched checker can reject it.
     monkeypatch.setattr(realization, "is_equiangular", lambda inst: False)
-    monkeypatch.setattr(realization, "MAX_SEARCH_ROUNDS", 1)
     with pytest.raises(ParameterSearchExhausted) as exc:
         realize_sectors(two_lines())
     assert exc.value.detail == "equiangular"
@@ -596,26 +596,34 @@ def _build_sector_instance_by_fractions(lines, crossings, slab, tau, t, delta, e
     return instance(cones + bands), half, delta
 
 
-@pytest.mark.parametrize("n, seed", [(n, seed) for n in range(2, 8) for seed in (0, 1, 2)])
-def test_integer_build_matches_the_fraction_reference(n, seed):
-    """Every search round up to the accepted one builds the instance the
-    ``Fraction`` builder builds, and so do a band offset large enough to
-    push shifted crossings out of the slab and an apex offset large enough
-    to be clamped to a quarter of the smallest gap."""
-    # The clamp never binds and no crossing leaves the slab in the search
-    # rounds of these inputs; the last two calls reach both branches.
+SEARCH_INPUTS = [(n, seed) for n in range(2, 8) for seed in (0, 1, 2)]
+
+
+def _one_round(n, seed):
+    """The realization of a seeded input with its normalized lines, crossing
+    table and initial parameters (tau, t, delta, epsilon)."""
     real = _realized(n, seed)
     arr = random_simple_arrangement(RandomSpec(n=n, seed=seed))
     lines = realization._normalized_lines(arr)
-    crossings = arr.intersections()
     table = arr.crossings_by_line()
-    tau0, t0, delta0, eps0 = realization._initial_parameters(lines, table, real.slab)
-    units = realization._layout_units(lines, table, real.slab)
+    return real, arr, lines, table, realization._initial_parameters(lines, table, real.slab)
+
+
+@pytest.mark.parametrize("n, seed", SEARCH_INPUTS)
+def test_integer_build_matches_the_fraction_reference(n, seed):
+    """The realization's round builds the instance the ``Fraction`` builder
+    builds, and so do a band offset large enough to push shifted crossings
+    out of the slab and an apex offset large enough to be clamped to a
+    quarter of the smallest gap."""
+    # The clamp never binds and no crossing leaves the slab in the round
+    # these inputs realize; the last two calls reach both branches.
+    real, arr, lines, table, (tau0, t0, delta0, eps0) = _one_round(n, seed)
+    crossings = intersections_by_fractions(arr)
 
     def both(*params):
         tau, t, delta, eps = params
         half = rotation_from_parameter(t)
-        layout = realization._sector_layout(units, tau, delta)
+        layout = realization._sector_layout(lines, table, real.slab, tau, delta)
         built = layout and (
             realization._build_sector_instance(lines, real.slab, layout[0], tau, half, layout[1], eps),
             half,
@@ -625,87 +633,11 @@ def test_integer_build_matches_the_fraction_reference(n, seed):
         assert built == reference
         return built
 
-    for rnd in range(realization.MAX_SEARCH_ROUNDS):
-        params = (tau0 / 2**rnd, t0 / 8**rnd, delta0 / 64**rnd, eps0 / 2**rnd)
-        built = both(*params)
-        if params[0] == real.tau:
-            break
+    built = both(tau0, t0, real.delta, eps0)
     assert built[0] == real.instance and built[2] == real.delta
     assert both(tau0 * 10**6, t0, delta0, eps0) is None
     clamped = both(tau0, t0, F(1), eps0)
     assert clamped[2] < 1
-
-
-SEARCH_INPUTS = [(n, seed) for n in range(2, 8) for seed in (0, 1, 2)]
-
-
-def _sector_layout_per_round(lines, table, slab, tau, delta):
-    """The band layout as it was computed before its round-invariant part
-    was hoisted: each line's crossing parameters, band steps and slab end
-    cleared afresh every round.  Returns the bands, the clamped apex
-    offset and each band's smallest gap as ``Fraction(gap, D)``; the
-    reference for ``realization._sector_layout``."""
-    slopes = [ln.slope() for ln in lines]
-    bands, gaps = [], []
-    for i, (ln, (den, crossings)) in enumerate(zip(lines, table), start=1):
-        D, E, *values = realization.cleared(
-            1,
-            slab.width / ln.b,
-            *((F(x, den) - slab.x_left) / ln.b for x, _ in crossings),
-            *(tau / ((slopes[i - 1] - slopes[k - 1]) * ln.b) for _, k in crossings),
-        )
-        at, step = values[: len(crossings)], values[len(crossings) :]
-        rows = []
-        for m in (1, 2, 3):
-            row = sorted(
-                (p + (m - mp) * d, k, mp)
-                for (_, k), p, d in zip(crossings, at, step)
-                for mp in (1, 2, 3)
-            )
-            params = [0, *(p for p, _, _ in row), E]
-            gap = min(q - p for p, q in zip(params, params[1:]))
-            if gap <= 0:
-                return None
-            gaps.append(F(gap, D))
-            rows.append(row)
-        bands.append((D, E, rows))
-    return bands, min(delta, min(gaps) / 4), gaps
-
-
-@pytest.mark.parametrize("n, seed", SEARCH_INPUTS)
-def test_the_hoisted_layout_matches_the_per_round_layout(n, seed):
-    """Clearing the crossing parameters and step units once per realization
-    gives every round the same denominators, rows, gaps and clamped apex
-    offset as clearing them afresh, in the search rounds and past the
-    accepted one, and with a band offset that pushes crossings out of the
-    slab or an apex offset that the smallest gap clamps."""
-    real = _realized(n, seed)
-    arr = random_simple_arrangement(RandomSpec(n=n, seed=seed))
-    lines = realization._normalized_lines(arr)
-    table = arr.crossings_by_line()
-    tau0, _, delta0, _ = realization._initial_parameters(lines, table, real.slab)
-    units = realization._layout_units(lines, table, real.slab)
-    rounds = (tau0 / real.tau).numerator.bit_length() + 3
-    cases = [(tau0 / 2**rnd, delta0 / 64**rnd) for rnd in range(rounds)]
-    cases += [(tau0 * 10**6, delta0), (tau0, F(1)), (tau0 / 7, F(1))]
-    outcomes = set()
-    for tau, delta in cases:
-        layout = realization._sector_layout(units, tau, delta)
-        reference = _sector_layout_per_round(lines, table, real.slab, tau, delta)
-        outcomes.add(layout is None)
-        if reference is None:
-            assert layout is None
-            continue
-        bands, clamped, gaps = reference
-        assert layout[0] == bands
-        assert layout[1] == clamped
-        smallest = []
-        for D, E, rows in layout[0]:
-            for row in rows:
-                params = [0, *(p for p, _, _ in row), E]
-                smallest.append(F(min(q - p for p, q in zip(params, params[1:])), D))
-        assert smallest == gaps
-    assert outcomes == {False, True}
 
 
 def _first_cone_miss(inst):
@@ -722,61 +654,47 @@ def _first_cone_miss(inst):
 
 
 @pytest.mark.parametrize("n, seed", SEARCH_INPUTS)
-def test_a_screened_round_misses_an_edge_of_the_target(n, seed):
-    """In every round up to the accepted one, the screen names the first
-    pair whose cone test fails on the built instance, or none when none
-    fails.  Where it names one, ``Sector.contains`` confirms the SB misses
-    the SA apex and the target has that edge, so the full verification
-    would have rejected the round too."""
-    real = _realized(n, seed)
-    arr = random_simple_arrangement(RandomSpec(n=n, seed=seed))
-    lines = realization._normalized_lines(arr)
-    table = arr.crossings_by_line()
-    tau0, t0, delta0, eps0 = realization._initial_parameters(lines, table, real.slab)
-    units = realization._layout_units(lines, table, real.slab)
+def test_the_solved_delta_is_tight_against_the_cone_reference(n, seed):
+    """At the solved apex offset no SB cone misses its SA apex, and where
+    the clamped offset was halved, some SB cone misses at twice the solved
+    offset, which ``Sector.contains`` confirms for an edge of the target.
+    So the offset is the largest of the halvings that can realize every
+    SB -> SA edge.  Besides the realized round: wide cones and an offset
+    clamped to a quarter gap, where the dot product's delta term and the
+    sine side of the test count too."""
+    real, _, lines, table, (tau0, t0, delta0, eps0) = _one_round(n, seed)
     target = reduce_sectors(real.description)
-    for rnd in range(realization.MAX_SEARCH_ROUNDS):
-        tau, half, eps = tau0 / 2**rnd, rotation_from_parameter(t0 / 8**rnd), eps0 / 2**rnd
-        bands, delta = realization._sector_layout(units, tau, delta0 / 64**rnd)
-        missed = realization._screen_round(lines, bands, half, delta)
-        inst = realization._build_sector_instance(lines, real.slab, bands, tau, half, delta, eps)
-        assert missed == _first_cone_miss(inst)
-        if tau == real.tau:
-            assert missed is None
-            break
-        if missed is not None:
-            sb, sa = missed
-            assert (sb, sa) in target.edges
-            objs = dict(inst.entries)
-            assert not objs[sb].contains(objs[sa].apex)
-    # Wide cones and an apex offset clamped to a quarter gap, where the dot
-    # product's delta term and the sine side of the test count too.
     for t, offset in product((t0, F(1, 4), F(3, 4)), (delta0, F(1))):
         half = rotation_from_parameter(t)
-        bands, delta = realization._sector_layout(units, tau0, offset)
-        inst = realization._build_sector_instance(lines, real.slab, bands, tau0, half, delta, eps0)
-        assert realization._screen_round(lines, bands, half, delta) == _first_cone_miss(inst)
+        bands, clamped = realization._sector_layout(lines, table, real.slab, tau0, offset)
+        delta = realization._apex_offset(lines, bands, half, clamped)
+        if (t, offset) == (t0, delta0):
+            assert delta == real.delta
+        halvings = clamped / delta
+        assert halvings.denominator == 1 and halvings.numerator.bit_count() == 1
+
+        def build(delta):
+            return realization._build_sector_instance(
+                lines, real.slab, bands, tau0, half, delta, eps0
+            )
+
+        assert _first_cone_miss(build(delta)) is None
+        if delta < clamped:
+            inst = build(2 * delta)
+            sb, sa = _first_cone_miss(inst)
+            objs = dict(inst.entries)
+            assert (sb, sa) in target.edges and not objs[sb].contains(objs[sa].apex)
 
 
 @pytest.mark.parametrize("n, seed", SEARCH_INPUTS)
-def test_the_screen_never_changes_the_accepted_round(n, seed, monkeypatch):
-    real = _realized(n, seed)
-    monkeypatch.setattr(realization, "_screen_round", lambda *args: None)
-    unscreened = realize_sectors(random_simple_arrangement(RandomSpec(n=n, seed=seed)))
-    # Equality covers the instance, slab, tau, delta, epsilon and alpha.
-    assert unscreened == real
-    assert unscreened.checks == real.checks
-    assert unscreened.graph == real.graph
-
-
-@pytest.mark.parametrize("n", [3, 5])
-def test_every_round_makes_one_rotation_and_only_built_rounds_a_graph(n, monkeypatch):
-    """A benchmark trace counts one search round per
-    ``rotation_from_parameter`` call inside ``realize_sectors``, screened
-    or built, and one verified round per ``transmission_graph`` call."""
-    calls = dict.fromkeys(
-        ("rotation_from_parameter", "_sector_layout", "_build_sector_instance", "transmission_graph"), 0
-    )
+def test_realize_sectors_runs_each_stage_once(n, seed, monkeypatch):
+    """The parameters are solved in one pass from round 0's tau, half angle
+    and epsilon: a benchmark trace counts one search round per
+    ``rotation_from_parameter`` call inside ``realize_sectors`` and one
+    verified round per ``transmission_graph`` call, and each runs once."""
+    _, arr, _, _, (tau0, t0, _, eps0) = _one_round(n, seed)
+    names = ("rotation_from_parameter", "_sector_layout", "_build_sector_instance", "transmission_graph")
+    calls = Counter()
 
     def counting(name, fn):
         def counted(*args):
@@ -785,24 +703,11 @@ def test_every_round_makes_one_rotation_and_only_built_rounds_a_graph(n, monkeyp
 
         return counted
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(realization, name, counting(name, getattr(realization, name)))
-    arr = random_simple_arrangement(RandomSpec(n=n, seed=1))
     real = realize_sectors(arr)
-    lines = realization._normalized_lines(arr)
-    tau0 = realization._initial_parameters(lines, arr.crossings_by_line(), real.slab)[0]
-    # Round r uses tau0 / 2**r.
-    rounds = (tau0 / real.tau).numerator.bit_length()
-    assert rounds > 1
-    assert calls["rotation_from_parameter"] == calls["_sector_layout"] == rounds
-    assert calls["transmission_graph"] == calls["_build_sector_instance"] == 1
-
-
-def test_a_screened_round_names_its_missed_pair_in_the_search_detail(monkeypatch):
-    monkeypatch.setattr(realization, "MAX_SEARCH_ROUNDS", 1)
-    with pytest.raises(ParameterSearchExhausted) as exc:
-        realize_sectors(random_simple_arrangement(RandomSpec(n=3, seed=0)))
-    assert exc.value.detail == f"{SB(2, 1, 1, 3)} misses the apex of {SA(1, 3, 2, 1)}"
+    assert calls == dict.fromkeys(names, 1)
+    assert (real.tau, real.alpha_half, real.epsilon) == (tau0, rotation_from_parameter(t0), eps0)
 
 
 @pytest.mark.parametrize("realize, n", [(realize_segments, 8), (realize_sectors, 3)])

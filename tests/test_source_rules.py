@@ -2,19 +2,17 @@
 module imports another module's private names, correctness checks raise
 instead of using ``assert``, which ``python -O`` strips, crossings come
 from ``LineArrangement.crossings_by_line()`` rather than a fresh
-``line_intersection`` solve, no module but ``arrangement`` calls
-``intersections()``, whose points are read from that table, every
-private module-level function is used by the package itself, not only by
-tests, ``reductions`` emits its edges in bulk (no ``edges.add(...)``,
-one Python step per edge), the sector side checks read the graph's edges
-by label (``realization`` defines no ``_arcs`` position map) and order
-the gadget on integers (no module calls ``project_param``, which stays a
-public helper and the tests' reference), ``transmission`` defines no
-nested function or lambda, so its kernels build no closure per object,
-and no float reaches a
-predicate: outside ``rendering``, which converts to floats for drawing,
-no module calls ``float(...)``, writes a float literal or imports
-``math``, except its integer functions."""
+``line_intersection`` solve, every private module-level function is used
+by the package itself, not only by tests, ``reductions`` emits its edges
+in bulk (no ``edges.add(...)``, one Python step per edge), the sector side
+checks read the graph's edges by label (``realization`` defines no
+``_arcs`` position map) and order the gadget on integers (no module calls
+``project_param``, which stays a public helper and the tests' reference),
+``transmission`` defines no nested function or lambda, so its kernels
+build no closure per object, and no float reaches a predicate: outside
+``rendering``, which converts to floats for drawing, no module calls
+``float(...)``, writes a float literal or imports ``math``, except its
+integer functions."""
 
 import ast
 from pathlib import Path
@@ -59,18 +57,6 @@ def test_no_line_intersection_call(path):
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "line_intersection"
-    ]
-    assert not calls
-
-
-@pytest.mark.parametrize(
-    "path", [p for p in MODULES if p.name != "arrangement.py"], ids=lambda p: p.name
-)
-def test_no_intersections_call_outside_arrangement(path):
-    calls = [
-        node.lineno
-        for node in ast.walk(TREES[path])
-        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "intersections"
     ]
     assert not calls
 

@@ -92,7 +92,7 @@ def _label_calls_in_graph_code(run):
     """Python-level calls into ``Label`` methods made inside ``digraph``
     and inside every ``graph_diff`` that finds the graphs equal, during
     ``run()``.  A diff that finds differences sorts them for its report,
-    so a rejected search round's diff is not counted."""
+    so such a diff is not counted."""
     label_code = {
         f.__code__ for f in (getattr(Label, name) for name in vars(Label)) if inspect.isfunction(f)
     }
