@@ -145,6 +145,20 @@ def test_realize_sectors_exits_3_when_the_solved_parameters_fail_verification(
     assert not out.exists()
 
 
+def test_realize_sectors_names_the_missed_pair_when_the_search_is_exhausted(
+    arr_path, tmp_path, capsys, monkeypatch
+):
+    # Twice the solved apex offset is too large for the SB cones of the
+    # crossing of lines 1 and 3 to take their SA apexes.
+    solve = realization._apex_offset
+    monkeypatch.setattr(realization, "_apex_offset", lambda *args: 2 * solve(*args))
+    out = tmp_path / "inst.json"
+    assert run("realize", "--mode", "sectors", "--in", arr_path, "--out", out) == 3
+    pairs = ", ".join(f"SB_3_{m}_1_{mp}->SA_1_{mp}_3_{m}" for m in (1, 2, 3) for mp in (2, 3))
+    assert capsys.readouterr().err == f"parameter search exhausted: missing edges: {pairs}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["segments", "sectors"])
 def test_verify_rejects_nonsimple_arrangement(mode, concurrent_lines, tmp_path, capsys):
     path = tmp_path / "arr.json"

@@ -687,13 +687,46 @@ def test_the_solved_delta_is_tight_against_the_cone_reference(n, seed):
 
 
 @pytest.mark.parametrize("n, seed", SEARCH_INPUTS)
-def test_realize_sectors_runs_each_stage_once(n, seed, monkeypatch):
-    """The parameters are solved in one pass from round 0's tau, half angle
-    and epsilon: a benchmark trace counts one search round per
-    ``rotation_from_parameter`` call inside ``realize_sectors`` and one
-    verified round per ``transmission_graph`` call, and each runs once."""
-    _, arr, _, _, (tau0, t0, _, eps0) = _one_round(n, seed)
-    names = ("rotation_from_parameter", "_sector_layout", "_build_sector_instance", "transmission_graph")
+def test_a_screened_round_misses_an_edge_of_the_target(n, seed):
+    """A round built at twice the solved apex offset, an offset that the
+    cone bound rules out, fails the full verification: its transmission
+    graph misses SB(i, m, k, mp) -> SA(k, mp, i, m) edges of the target, the
+    first pair ``_first_cone_miss`` names among them, and misses no other
+    kind of edge.  Checked at the realized half angle, for the initial apex
+    offset and one clamped to a quarter gap, wherever the halving ran."""
+    real, _, lines, table, (tau0, t0, delta0, eps0) = _one_round(n, seed)
+    target = reduce_sectors(real.description)
+    half = real.alpha_half
+    doubled = 0
+    for offset in (delta0, F(1)):
+        bands, clamped = realization._sector_layout(lines, table, real.slab, tau0, offset)
+        delta = realization._apex_offset(lines, bands, half, clamped)
+        if delta == clamped:
+            continue
+        inst = realization._build_sector_instance(lines, real.slab, bands, tau0, half, 2 * delta, eps0)
+        missing = graph_diff(target, transmission_graph(inst)).missing_edges
+        assert _first_cone_miss(inst) in missing
+        for sb, sa in missing:
+            i, m, k, mp = sb.indices
+            assert sb.kind == "SB" and sa == SA(k, mp, i, m)
+        doubled += 1
+    assert doubled
+
+
+def test_a_screened_round_names_its_missed_pair_in_the_search_detail(monkeypatch):
+    """With the solved apex offset doubled, the one round of ``gen --n 3
+    --seed 0`` misses the SB -> SA edges of the crossing of lines 1 and 3,
+    and the search detail names each missed pair."""
+    solve = realization._apex_offset
+    monkeypatch.setattr(realization, "_apex_offset", lambda *args: 2 * solve(*args))
+    with pytest.raises(ParameterSearchExhausted) as exc:
+        realize_sectors(random_simple_arrangement(RandomSpec(n=3, seed=0)))
+    pairs = (f"{SB(3, m, 1, mp)}->{SA(1, mp, 3, m)}" for m in (1, 2, 3) for mp in (2, 3))
+    assert exc.value.detail == "missing edges: " + ", ".join(pairs)
+
+
+def _counting_stages(monkeypatch, names):
+    """Count the calls of each named ``realization`` global."""
     calls = Counter()
 
     def counting(name, fn):
@@ -705,8 +738,36 @@ def test_realize_sectors_runs_each_stage_once(n, seed, monkeypatch):
 
     for name in names:
         monkeypatch.setattr(realization, name, counting(name, getattr(realization, name)))
+    return calls
+
+
+STAGES = ("rotation_from_parameter", "_sector_layout", "_build_sector_instance", "transmission_graph")
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_every_round_makes_one_rotation_and_only_built_rounds_a_graph(n, monkeypatch):
+    """A benchmark trace counts one search round per
+    ``rotation_from_parameter`` call inside ``realize_sectors`` and one
+    verified round per ``transmission_graph`` call.  A round that fails its
+    verification is the only round too: no stage runs again before the
+    search is reported exhausted."""
+    calls = _counting_stages(monkeypatch, STAGES)
+    monkeypatch.setattr(realization, "is_equiangular", lambda inst: False)
+    with pytest.raises(ParameterSearchExhausted):
+        realize_sectors(random_simple_arrangement(RandomSpec(n=n, seed=1)))
+    assert calls == dict.fromkeys(STAGES, 1)
+
+
+@pytest.mark.parametrize("n, seed", SEARCH_INPUTS)
+def test_realize_sectors_runs_each_stage_once(n, seed, monkeypatch):
+    """The parameters are solved in one pass from round 0's tau, half angle
+    and epsilon: a benchmark trace counts one search round per
+    ``rotation_from_parameter`` call inside ``realize_sectors`` and one
+    verified round per ``transmission_graph`` call, and each runs once."""
+    _, arr, _, _, (tau0, t0, _, eps0) = _one_round(n, seed)
+    calls = _counting_stages(monkeypatch, STAGES)
     real = realize_sectors(arr)
-    assert calls == dict.fromkeys(names, 1)
+    assert calls == dict.fromkeys(STAGES, 1)
     assert (real.tau, real.alpha_half, real.epsilon) == (tau0, rotation_from_parameter(t0), eps0)
 
 
