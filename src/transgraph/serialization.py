@@ -1,26 +1,21 @@
 """Lossless JSON documents for every pipeline value.
 
-Rationals travel as exact "num/den" strings, labels as structured
-objects, edges as label pairs.  Serialization is deterministic (sorted
-keys, canonical vertex/edge order), so byte-identical goldens are
+Rationals travel as exact "num/den" strings and labels as structured
+objects.  A graph's edges are ``[tail, head]`` positions in its own
+``vertices`` list; only a report's diff names edges by label pairs, since
+they may name a vertex one graph lacks.  Serialization is deterministic
+(sorted keys, canonical vertex/edge order), so byte-identical goldens are
 stable.
 
 The text is exactly ``json.dumps(body, sort_keys=True, separators=(",",
 ": "), indent=1)``, but written by ``_write``: with an indent, CPython's
-``json`` falls back to its pure-Python encoder, which would render the
-same few hundred vertex labels again in each of a sector graph's
-Theta(n^3) edges.  A graph's body holds one dict per distinct label, shared
-by its vertex entry and its edges.  ``_write`` renders each container once
-per indentation depth, and writes a list of equal-length rows, such as the
-edges, as one ``str.join`` of its rows' element texts, with no Python call
-per edge.
+``json`` falls back to its pure-Python encoder.  ``_write`` writes a list
+of equal-length integer rows, such as a graph's edges, as one
+``str.join``, with no Python call per edge.
 
-The decoder checks every edge endpoint's shape and types in C-level passes
-over the whole edge list, then maps each endpoint to its vertex through
-one dict keyed by the raw fields (kind, indices or text).  Only if those
-passes find a fault does it walk the edges one endpoint at a time, to
-raise the first offender with its path.  ``graphs.Label`` interns labels,
-so equal labels are one object.
+The reader also takes version 1, in which each edge endpoint is a full
+label object; ``graphs.Label`` interns labels, so equal labels are one
+object.
 """
 
 from __future__ import annotations
@@ -29,9 +24,9 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat, starmap
-from operator import is_, itemgetter
-from typing import Any, Iterator
+from itertools import chain, repeat
+from operator import itemgetter
+from typing import Any
 
 from .arrangement import Description, LineArrangement
 from .geometry import (
@@ -48,7 +43,7 @@ from .graphs import DiffReport, Label, LabelledDigraph, digraph
 from .transmission import Instance, instance
 from .verification import RoundTripReport
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 KINDS = ("arrangement", "description", "instance", "graph", "report")
 
@@ -113,13 +108,12 @@ def _enc_object(obj: ArrangementObject) -> dict:
 
 
 def _enc_graph(g: LabelledDigraph) -> dict:
-    # One dict per vertex, shared by every edge: ``_write`` renders it once
-    # per depth.  The edge pairs are tuples, made in C.
+    # Each endpoint becomes its vertex's position; the pairs are made in C.
     vertices, edges = g.sorted_vertices_and_edges()
-    encoded = {v: _enc_label(v) for v in vertices}
-    tails = map(encoded.__getitem__, map(itemgetter(0), edges))
-    heads = map(encoded.__getitem__, map(itemgetter(1), edges))
-    return {"vertices": list(encoded.values()), "edges": list(zip(tails, heads))}
+    rank = dict(zip(vertices, range(len(vertices)))).__getitem__
+    tails = map(rank, map(itemgetter(0), edges))
+    heads = map(rank, map(itemgetter(1), edges))
+    return {"vertices": list(map(_enc_label, vertices)), "edges": list(zip(tails, heads))}
 
 
 def _enc_payload(kind: str, payload: Any) -> Any:
@@ -191,19 +185,11 @@ def _write_float(x: float) -> str:
     return _NONFINITE.get(text, text)
 
 
-def _write(value: Any, depth: int, memo: dict) -> str:
+def _write(value: Any, depth: int) -> str:
     """``json.dumps(value, sort_keys=True, separators=(",", ": "), indent=1)``
-    for a value nested ``depth`` levels deep; dict keys must be strings.
-
-    ``memo`` maps (id, depth) of each container already written to its text.
-    The caller keeps the whole tree alive, so no id is reused within a call.
-    """
+    for a value nested ``depth`` levels deep; dict keys must be strings."""
     if isinstance(value, (list, tuple, dict)):
-        key = (id(value), depth)
-        text = memo.get(key)
-        if text is None:
-            text = memo[key] = _write_container(value, depth, memo)
-        return text
+        return _write_container(value, depth)
     if isinstance(value, str):
         return _quote(value)
     if value is None:
@@ -219,22 +205,22 @@ def _write(value: Any, depth: int, memo: dict) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _write_container(value: list | tuple | dict, depth: int, memo: dict) -> str:
+def _write_container(value: list | tuple | dict, depth: int) -> str:
     if isinstance(value, dict):
         keys = sorted(value)
-        texts = map(_write, map(value.__getitem__, keys), repeat(depth + 1), repeat(memo))
+        texts = map(_write, map(value.__getitem__, keys), repeat(depth + 1))
         items = list(map(": ".join, zip(map(_quote, keys), texts)))
         opening, closing = "{", "}"
     else:
         types = set(map(type, value))
         if types and types <= {list, tuple}:
-            text = _write_rows(value, depth, memo)
+            text = _write_rows(value, depth)
             if text is not None:
                 return text
         if types == {int}:
             items = list(map(int.__repr__, value))
         else:
-            items = list(map(_write, value, repeat(depth + 1), repeat(memo)))
+            items = list(map(_write, value, repeat(depth + 1)))
         opening, closing = "[", "]"
     if not items:
         return opening + closing
@@ -243,23 +229,23 @@ def _write_container(value: list | tuple | dict, depth: int, memo: dict) -> str:
     return "".join((opening, inner, ("," + inner).join(items), "\n", " " * depth, closing))
 
 
-def _write_rows(rows: list, depth: int, memo: dict) -> str | None:
-    """``_write_container(rows, depth, memo)`` when ``rows`` holds lists or
-    tuples of one nonzero length, such as a graph's edges, else None.
+def _write_rows(rows: list, depth: int) -> str | None:
+    """``_write_container(rows, depth)`` when ``rows`` holds lists or tuples
+    of one nonzero length whose cells are all integers, such as a graph's
+    edges, else None.
 
-    Each distinct element is written once; the text of every row, and of
-    the whole list, is then one ``str.join`` in C, with no call per row.
+    Every cell is written by ``int.__repr__`` and every row, and the whole
+    list, by one ``str.join``, all in C, with no call per row.
     """
     width = len(rows[0])
     if not width or set(map(len, rows)) != {width}:
         return None
     cells = list(chain.from_iterable(rows))
-    ids = list(map(id, cells))
-    distinct = dict(zip(ids, cells))
-    text = dict(zip(distinct, map(_write, distinct.values(), repeat(depth + 2), repeat(memo))))
+    if set(map(type, cells)) != {int}:
+        return None
     outer = "\n" + " " * (depth + 1)
     inner = "\n" + " " * (depth + 2)
-    by_row = zip(*[map(text.__getitem__, ids)] * width)
+    by_row = zip(*[map(int.__repr__, cells)] * width)
     body = (outer + "]," + outer + "[" + inner).join(map(("," + inner).join, by_row))
     return "".join(("[", outer, "[", inner, body, outer, "]\n", " " * depth, "]"))
 
@@ -270,7 +256,7 @@ def document_to_json(doc: Document) -> str:
         "formatVersion": FORMAT_VERSION,
         "payload": _enc_payload(doc.kind, doc.payload),
     }
-    return _write(body, 0, {}) + "\n"
+    return _write(body, 0) + "\n"
 
 
 def save_document(doc: Document, path) -> None:
@@ -392,59 +378,10 @@ def _dec_edges(raw: dict, key: str, path: str) -> list[tuple[Label, Label]]:
     return [(u, v) for _, u, v in _edge_labels(raw, key, path)]
 
 
-# The field that tells apart the labels of a kind, and its JSON type: the
-# text for FREE, the indices for every other kind.
-_FIELD = {"FREE": "text"}
-_FIELD_TYPE = {"text": str, "indices": list}
-
-
-def _label_keys(objs: list) -> Iterator[tuple] | None:
-    """(kind, field as a tuple) for each label object in ``objs``, or None
-    if a C-level pass over the whole list finds an object that is not a
-    dict, a kind that is not a string, a field of the wrong type, or an
-    index that is neither an exact integer nor a string.
-
-    JSON true and 1.0 are refused because they equal 1 as dict keys.  The
-    characters of a FREE text are strings; a string index makes a key that
-    no vertex has, so its lookup misses.  The keys are made as they are
-    consumed, so none outlives its lookup.
-    """
-    if not set(map(type, objs)) <= {dict}:
-        return None
-    kinds = list(map(dict.get, objs, repeat("kind")))
-    if not set(map(type, kinds)) <= {str}:
-        return None
-    names = list(map(_FIELD.get, kinds, repeat("indices")))
-    fields = list(map(dict.get, objs, names))
-    if list(map(type, fields)) != list(map(_FIELD_TYPE.__getitem__, names)):
-        return None
-    if not set(map(type, chain.from_iterable(fields))) <= {int, str}:
-        return None
-    return zip(kinds, map(tuple, fields))
-
-
-def _bulk_edges(pairs: list, by_key: dict) -> list[tuple[Label, Label]] | None:
-    """The edges named by the label pairs ``pairs``, each endpoint found
-    in ``by_key`` by its ``_label_keys`` key, with no call per edge; None if
-    any pair is malformed, dangles or is a self-loop."""
-    if not set(map(type, pairs)) <= {list} or not set(map(len, pairs)) <= {2}:
-        return None
-    keys = _label_keys(list(chain.from_iterable(pairs)))
-    if keys is None:
-        return None
-    ends = list(map(by_key.get, keys))
-    if None in ends:
-        return None
-    ends = iter(ends)
-    edges = list(zip(ends, ends))
-    return None if any(starmap(is_, edges)) else edges
-
-
 def _checked_edges(raw: dict, vertices: frozenset[Label], path: str) -> list[tuple[Label, Label]]:
-    """The edges, one endpoint at a time: run only when ``_bulk_edges``
-    found a fault, to raise it with the path of the first offender.  Every
-    endpoint is validated before the first dangling endpoint or self-loop
-    is raised."""
+    """The edges of a version-1 graph, whose endpoints are label objects,
+    one endpoint at a time.  Every endpoint is validated before the first
+    dangling endpoint or self-loop is raised."""
     edges = []
     problem = None
     for i, u, v in _edge_labels(raw, "edges", path):
@@ -460,18 +397,37 @@ def _checked_edges(raw: dict, vertices: frozenset[Label], path: str) -> list[tup
     return edges
 
 
-def _dec_graph(raw: Any, path: str) -> LabelledDigraph:
+def _indexed_edges(raw: dict, labels: list[Label], path: str) -> list[tuple[Label, Label]]:
+    """The edges of a version-2 graph: ``[tail, head]`` positions in
+    ``labels``, read by one loop of builtin calls.  A position must be an
+    exact integer, so JSON true and 1.0 are refused.  Duplicate vertex
+    entries decode to one label, so a self-loop is found by identity."""
+    count = len(labels)
+    edges = []
+    for i, pair in enumerate(_dec_list(raw.get("edges", []), path + ".edges")):
+        if type(pair) is not list or len(pair) != 2:
+            raise SchemaError(f"{path}.edges[{i}]", "expected a [tail, head] pair of vertex indices")
+        tail, head = pair
+        if type(tail) is not int or type(head) is not int or not (0 <= tail < count and 0 <= head < count):
+            raise SchemaError(f"{path}.edges[{i}]", f"vertex indices must be integers in [0, {count})")
+        tail, head = labels[tail], labels[head]
+        if tail is head:
+            raise SchemaError(f"{path}.edges[{i}]", f"self-loop at {tail}")
+        edges.append((tail, head))
+    return edges
+
+
+def _dec_graph(raw: Any, path: str, version: int) -> LabelledDigraph:
     raw = _dec_dict(raw, path)
     labels = _dec_labels(raw, "vertices", path)
-    vertices = frozenset(labels)
-    by_key = dict(zip(_label_keys(raw.get("vertices", [])), labels))
-    edges = _bulk_edges(_dec_list(raw.get("edges", []), path + ".edges"), by_key)
-    if edges is None:
-        edges = _checked_edges(raw, vertices, path)
-    return digraph(vertices, edges)
+    if version == 1:
+        edges = _checked_edges(raw, frozenset(labels), path)
+    else:
+        edges = _indexed_edges(raw, labels, path)
+    return digraph(labels, edges)
 
 
-def _dec_payload(kind: str, raw: Any, path: str = "payload") -> Any:
+def _dec_payload(kind: str, raw: Any, version: int, path: str = "payload") -> Any:
     raw = _dec_dict(raw, path)
     if kind == "arrangement":
         lines = []
@@ -523,11 +479,11 @@ def _dec_payload(kind: str, raw: Any, path: str = "payload") -> Any:
         except Exception as exc:
             raise SchemaError(f"{path}.entries", str(exc)) from None
     if kind == "graph":
-        return _dec_graph(raw, path)
+        return _dec_graph(raw, path, version)
     if kind == "report":
-        desc = _dec_payload("description", raw.get("description", {}), path + ".description")
-        reduction = _dec_graph(raw.get("graph_from_reduction", {}), path + ".graph_from_reduction")
-        geometry = _dec_graph(raw.get("graph_from_geometry", {}), path + ".graph_from_geometry")
+        desc = _dec_payload("description", raw.get("description", {}), version, path + ".description")
+        reduction = _dec_graph(raw.get("graph_from_reduction", {}), path + ".graph_from_reduction", version)
+        geometry = _dec_graph(raw.get("graph_from_geometry", {}), path + ".graph_from_geometry", version)
         diff_path = path + ".diff"
         diff_raw = _dec_dict(raw.get("diff", {}), diff_path)
         diff = DiffReport(
@@ -563,9 +519,9 @@ def document_from_json(text: str) -> Document:
     if kind not in KINDS:
         raise SchemaError("kind", f"unknown document kind {kind!r}")
     version = body.get("formatVersion")
-    if not _is_int(version) or version != FORMAT_VERSION:
+    if not _is_int(version) or version not in (1, FORMAT_VERSION):
         raise SchemaError("formatVersion", f"unsupported version {version!r}")
-    return Document(kind, _dec_payload(kind, body.get("payload", {})))
+    return Document(kind, _dec_payload(kind, body.get("payload", {}), version))
 
 
 def load_document(path) -> Document:

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from itertools import combinations
 
@@ -43,3 +44,20 @@ def concurrent_lines():
             line_from_slope_intercept(F(2), F(0)),
         )
     )
+
+
+def version_1_text(text):
+    """A version-2 document text rewritten as version 1: in each graph, and
+    in the two graphs of a report, every ``[tail, head]`` index pair becomes
+    the pair of its two vertex objects."""
+    body = json.loads(text)
+    payload = body["payload"]
+    if body["kind"] == "report":
+        graphs = [payload["graph_from_reduction"], payload["graph_from_geometry"]]
+    else:
+        graphs = [payload] if body["kind"] == "graph" else []
+    for graph in graphs:
+        vertices = graph["vertices"]
+        graph["edges"] = [[vertices[tail], vertices[head]] for tail, head in graph["edges"]]
+    body["formatVersion"] = 1
+    return json.dumps(body)

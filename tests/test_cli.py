@@ -3,6 +3,7 @@ import json
 from functools import lru_cache
 
 import pytest
+from conftest import version_1_text
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from transgraph import realization
@@ -323,7 +324,8 @@ WRITES_OUT = {"describe", "reduce", "realize", "tgraph", "render", "export-dot"}
 
 @lru_cache(maxsize=None)
 def _valid_documents():
-    """One valid n=2 document of every kind, as JSON text."""
+    """One valid n=2 document of every kind, as JSON text, and the graph
+    and the report also as version 1."""
     arr = random_simple_arrangement(RandomSpec(n=2, seed=0))
     desc = extract_description(arr)
     docs = [
@@ -334,7 +336,10 @@ def _valid_documents():
         Document("instance", realize_sectors(arr).instance),
         Document("report", round_trip_sectors(arr)),
     ]
-    return tuple(document_to_json(doc) for doc in docs)
+    texts = [document_to_json(doc) for doc in docs]
+    # The version-1 renderings keep the label-pair edge reader fuzzed.
+    old = [version_1_text(text) for doc, text in zip(docs, texts) if doc.kind in ("graph", "report")]
+    return tuple(texts + old)
 
 
 def _paths(node, path=()):
@@ -417,39 +422,39 @@ def test_malformed_documents_end_with_a_documented_exit_code(tmp_path_factory, t
 # output change.
 PINNED_DIGESTS = {
     3: {
-        "arr.json": "929d6ca681c4129cbb0bc4ec7957eab64ca38c0de8f4017896692b480aad43ae",
+        "arr.json": "af85c9b82b68a82e0cda93b026e4f26650e32fecee2988273fd69f7427366fe6",
         "arr.svg": "5bf9e93659c3e7ba4c3b45347042c675c8009fe048a7453cbebc48cc2ee970b0",
-        "desc.json": "bc937ad7787d81c156ff1431518de9dfb904e8c6b7720c82bd125432350c31ae",
-        "realize-sectors.json": "f561687d0f011bc7f20fef50ff983693b0bbf79e9fcabce9116680144c72ec5f",
+        "desc.json": "192e6970fbfcc421d17900f0165d21676c2ad3de1b1926831046eb9f3c7985c1",
+        "realize-sectors.json": "59fd1461fa44d4954a9f1cca882b43322030b41c58444ec6a0c526a1b0412131",
         "realize-sectors.svg": "108743c77429344f4943fbd3363febadb5aa01dd2ca456719c405826d0abafc1",
-        "realize-segments.json": "ead0b4f34e9a33305707baa38e8525e82ad8e97102e576102bfc006e48368578",
+        "realize-segments.json": "bbf833ffd1903c0ecdd5c64953b35a90889ba1abe4af56c75cf63b7ba6225a1e",
         "realize-segments.svg": "7923b078b9ba50087f3f1b6cc5a9036d572f7a5fea0d590be648cbb1f7803cb9",
         "reduce-sectors.dot": "82aab797037706fd1a13354a05287a7240b9f3b9152e5a60604b9f91731c9c8d",
-        "reduce-sectors.json": "1e560a7f0557d38f0ce62f5d9046077dc079a7e083b6c253497810dd37c40807",
+        "reduce-sectors.json": "c2c31adbc9688d5dd396569f4cfc5eebfa3e50e3223f17485e2345faf0ffbb50",
         "reduce-segments.dot": "4b211a5eabc25d7a4a2c55e390b86e3d408771c7d8036eca8db06fc3de37dd92",
-        "reduce-segments.json": "1bacd0da8e215de5e92b8856fdeda7e0bd6efa19e8bceddacf75408051b75356",
-        "report-sectors.json": "76c2f25fe59a8736d7d8623a2b55112c085927b94a833cd55b05e6c0efd59f14",
-        "report-segments.json": "c6e347b2f1b051d424bece0594bdd9c481ed0c382b975a34af2fa885349eaf5e",
-        "tgraph-sectors.json": "1e560a7f0557d38f0ce62f5d9046077dc079a7e083b6c253497810dd37c40807",
-        "tgraph-segments.json": "1bacd0da8e215de5e92b8856fdeda7e0bd6efa19e8bceddacf75408051b75356",
+        "reduce-segments.json": "b586a8583e603dfb044cc60e649335403b54568ca4d228d46b2169347964c7f9",
+        "report-sectors.json": "c20fb3ebe8ae4151c5c2c478e64955bc55c7c533a54e3f61d8051e957739af11",
+        "report-segments.json": "5c0063920c2ca3466d532db0f23b915b0647c9d7b6001074be849896386326c0",
+        "tgraph-sectors.json": "c2c31adbc9688d5dd396569f4cfc5eebfa3e50e3223f17485e2345faf0ffbb50",
+        "tgraph-segments.json": "b586a8583e603dfb044cc60e649335403b54568ca4d228d46b2169347964c7f9",
         "verify.stdout": "db1b1faafdf5225f0061beb149ed38f7d532a477e6490b88ab273ef89d436d3b",
     },
     4: {
-        "arr.json": "1af223b22c6a9452843ccba825b69918c7349e264addacfbf21d7915f522d8cf",
+        "arr.json": "ffbac14ee10824308b376cc624b84415f92ca905738b8c939842153e06d541a1",
         "arr.svg": "a8ddd4376582260acb6b20f97bec97e5f9a6550557bddd19013de00cc9b3c4a1",
-        "desc.json": "81f4371d406fa31f02701f4568f28465d40b5ffb38adb7c04a47a87f4ebaa0e8",
-        "realize-sectors.json": "18b62967bf26e08224d44094909282e17a38b5e9fb9893bd583ceb827c26b5ee",
+        "desc.json": "7d624b54e2523e46a39196804e3e874dfcb95b7abf9d8699a1ee2aa10976bb70",
+        "realize-sectors.json": "7c37e7ee0279c71aa46c0c66d063d24905cce1ed7b34b8100af2a87c8835185b",
         "realize-sectors.svg": "6ac443c5ff725256b2d6cfe2a45259d1964b12abea7197c372e36d54935bdf0d",
-        "realize-segments.json": "a9f3e9989622a87759a1349d30f2d9a6927b29627aa81cd57b3b2a107670f0fc",
+        "realize-segments.json": "b0ec7bceea39ddf00f00a2e2593515ef7b81226ec54c590ee004ac8788642aeb",
         "realize-segments.svg": "de3561744e6e57ccff7197843560ed1b266500d2706c61bb0c97e0b83dd32f8b",
         "reduce-sectors.dot": "e2405de8f4f6e7894bf83cbef9081f6a8ac75b9ff080b51ef2832dd2d90f7e43",
-        "reduce-sectors.json": "0892c22f9221c06110f2182543475cfe6883cf98afdb418417c4373d8fd3eabc",
+        "reduce-sectors.json": "5d6b6c7ab5bf1f3feee53f9cd35d2be49818f373bfbfa88237b5c3e5c8bffcdb",
         "reduce-segments.dot": "29d18ade0a881b3b1726781cc7cef2e5d559748632debb37c5680a1eb5372544",
-        "reduce-segments.json": "b787aa949bb5f982b3c2564e4a8e40bf79bc0e6f265e7102d5b0f791ca3dded8",
-        "report-sectors.json": "43956e85763dd06d74657f34407dcd8953f52bc8c7638976279264f679c77e13",
-        "report-segments.json": "d4966d71d60c9fe86459f3908f1b8eba426ae0ce1b12ab46eae6834d5b0b36ce",
-        "tgraph-sectors.json": "0892c22f9221c06110f2182543475cfe6883cf98afdb418417c4373d8fd3eabc",
-        "tgraph-segments.json": "b787aa949bb5f982b3c2564e4a8e40bf79bc0e6f265e7102d5b0f791ca3dded8",
+        "reduce-segments.json": "8bf9eb04e4090d10c43d949871f2009fba73e149441ac3f3852d84a2d908de13",
+        "report-sectors.json": "622164743affa9aff2a6346a0f6be3ef8fb10fc5f934f1a68836943537e971af",
+        "report-segments.json": "3f93424c516b847b1db34d8b0b4a6736b6f806febc7ecd1847d0a94d4c2778b8",
+        "tgraph-sectors.json": "5d6b6c7ab5bf1f3feee53f9cd35d2be49818f373bfbfa88237b5c3e5c8bffcdb",
+        "tgraph-segments.json": "8bf9eb04e4090d10c43d949871f2009fba73e149441ac3f3852d84a2d908de13",
         "verify.stdout": "db1b1faafdf5225f0061beb149ed38f7d532a477e6490b88ab273ef89d436d3b",
     },
 }

@@ -4,9 +4,11 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from conftest import version_1_text
 from hypothesis import given, settings, strategies as st
 
 import transgraph
@@ -155,11 +157,10 @@ def test_bad_version_rejected():
 
 
 def test_dangling_edge_rejected():
-    text = document_to_json(Document("graph", digraph([C(1), C(2)], [(C(1), C(2))])))
-    body = json.loads(text)
-    body["payload"]["vertices"] = body["payload"]["vertices"][:1]
+    c1, c2 = {"kind": "C", "indices": [1]}, {"kind": "C", "indices": [2]}
+    payload = {"vertices": [c1], "edges": [[c1, c2]]}
     with pytest.raises(SchemaError) as exc:
-        document_from_json(json.dumps(body))
+        document_from_json(json.dumps({"kind": "graph", "formatVersion": 1, "payload": payload}))
     assert "C_" in str(exc.value)
 
 
@@ -299,7 +300,7 @@ def trees_with_a_shared_container(draw):
 @settings(max_examples=200, deadline=None)
 @given(json_trees | trees_with_a_shared_container())
 def test_writer_matches_json_dumps(tree):
-    assert serialization._write(tree, 0, {}) == dumps(tree)
+    assert serialization._write(tree, 0) == dumps(tree)
 
 
 def _mismatched_report():
@@ -312,43 +313,75 @@ def _mismatched_report():
     return rep
 
 
-def _every_kind_of_document():
-    """Test id -> document."""
-    arr = random_simple_arrangement(RandomSpec(n=3, seed=5))
-    desc = extract_description(arr)
-    mixed = instance(
+@lru_cache(maxsize=None)
+def _arrangement():
+    return random_simple_arrangement(RandomSpec(n=3, seed=5))
+
+
+def _mixed_instance():
+    return instance(
         [
             (free("seg"), Segment(vec(0, 0), vec(1, F(1, 3)))),
             (free("cone"), Sector(vec(2, 2), vec(-1, 0), rotation_from_parameter(F(1, 7)), F(5, 3))),
             (free("disk é"), Disk(vec(-1, F(2, 7)), F(4))),
         ]
     )
-    return {
-        "arrangement": Document("arrangement", arr),
-        "description": Document("description", desc),
-        "instance0": Document("instance", mixed),
-        "instance1": Document("instance", realize_sectors(arr).instance),
-        "graph0": Document("graph", reduce_sectors(desc)),
-        "graph1": Document("graph", digraph([free("a b"), free('q"'), C(1)], [(free("a b"), free('q"')), (C(1), free("a b"))])),
-        "graph without edges": Document("graph", digraph([C(1), free("x")], [])),
-        "empty graph": Document("graph", digraph([], [])),
-        "report": Document("report", _mismatched_report()),
-        # Two 1,188-edge graphs, one depth deeper than a graph document's.
-        "sector report": Document("report", round_trip_sectors(arr)),
-    }
 
 
-_DOCUMENTS = _every_kind_of_document()
+# Test id -> a builder of its document.  A document is built when a test
+# first asks for it, so a fault in one builder fails only that document's
+# tests, not the collection of this module.
+_EVERY_KIND_OF_DOCUMENT = {
+    "arrangement": lambda: Document("arrangement", _arrangement()),
+    "description": lambda: Document("description", extract_description(_arrangement())),
+    "instance0": lambda: Document("instance", _mixed_instance()),
+    "instance1": lambda: Document("instance", realize_sectors(_arrangement()).instance),
+    "graph0": lambda: Document("graph", reduce_sectors(extract_description(_arrangement()))),
+    "graph1": lambda: Document("graph", digraph([free("a b"), free('q"'), C(1)], [(free("a b"), free('q"')), (C(1), free("a b"))])),
+    "graph without edges": lambda: Document("graph", digraph([C(1), free("x")], [])),
+    "empty graph": lambda: Document("graph", digraph([], [])),
+    "report": lambda: Document("report", _mismatched_report()),
+    # Two 1,188-edge graphs, one depth deeper than a graph document's.
+    "sector report": lambda: Document("report", round_trip_sectors(_arrangement())),
+}
+GRAPHS = ["graph0", "graph1", "graph without edges", "empty graph"]
 
 
-@pytest.mark.parametrize("doc", _DOCUMENTS.values(), ids=_DOCUMENTS)
-def test_document_text_is_json_dumps_of_its_tree(doc):
+@lru_cache(maxsize=None)
+def _document(name):
+    return _EVERY_KIND_OF_DOCUMENT[name]()
+
+
+@pytest.mark.parametrize("name", _EVERY_KIND_OF_DOCUMENT)
+def test_document_text_is_json_dumps_of_its_tree(name):
+    doc = _document(name)
     body = {
         "kind": doc.kind,
         "formatVersion": FORMAT_VERSION,
         "payload": serialization._enc_payload(doc.kind, doc.payload),
     }
     assert document_to_json(doc) == dumps(body) + "\n"
+
+
+# --- version 1: edges as label pairs -------------------------------------------
+
+
+@pytest.mark.parametrize("name", GRAPHS + ["report", "sector report"])
+def test_version_1_document_reads_as_its_version_2_text(name):
+    text = document_to_json(_document(name))
+    old = document_from_json(version_1_text(text))
+    assert old.payload == document_from_json(text).payload
+    assert document_to_json(old) == text
+
+
+@pytest.mark.parametrize("name", GRAPHS)
+def test_export_dot_writes_a_version_1_graph_as_its_version_2_rewrite(tmp_path, name):
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(version_1_text(document_to_json(_document(name))))
+    new.write_text(document_to_json(load_document(old)))
+    for path in (old, new):
+        assert main(["export-dot", "--in", str(path), "--out", str(path.with_suffix(".dot"))]) == 0
+    assert (tmp_path / "old.dot").read_bytes() == (tmp_path / "new.dot").read_bytes()
 
 
 # Prints the SHA-256 of the document and DOT text of a graph whose vertex
@@ -416,7 +449,7 @@ def test_boolean_or_float_where_an_integer_belongs_is_rejected(tmp_path, capsys,
 C1 = {"kind": "C", "indices": [1]}
 C2 = {"kind": "C", "indices": [2]}
 X = {"kind": "FREE", "text": "x"}
-# Valid edges before a fault, which the bulk pass over all edges must find.
+# Valid edges before a fault.
 VALID = [[C1, C2], [C2, C1], [X, C1]]
 
 
@@ -468,6 +501,60 @@ def test_bad_edge_endpoint_is_rejected_with_its_path(tmp_path, capsys, edges, me
     path.write_text(text)
     assert main(["export-dot", "--in", str(path), "--out", str(tmp_path / "g.dot")]) == 2
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+# C_1 twice: both entries decode to one label.
+INDEXED_VERTICES = [C1, C2, X, C1]
+INDEX_RANGE = "vertex indices must be integers in [0, 4)"
+INDEX_PAIR = "expected a [tail, head] pair of vertex indices"
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([[0, 1], [2, 4]], f"payload.edges[1]: {INDEX_RANGE}"),
+        ([[-1, 0]], f"payload.edges[0]: {INDEX_RANGE}"),
+        ([[0, 1], [True, 0]], f"payload.edges[1]: {INDEX_RANGE}"),
+        ([[0, 1.0]], f"payload.edges[0]: {INDEX_RANGE}"),
+        ([[0, 1], [1, 0], ["1", 0]], f"payload.edges[2]: {INDEX_RANGE}"),
+        ([[0, 1, 2]], f"payload.edges[0]: {INDEX_PAIR}"),
+        ([[0, 1], {"0": 1}], f"payload.edges[1]: {INDEX_PAIR}"),
+        ([[0, 1], [2, 2]], "payload.edges[1]: self-loop at x"),
+        ([[0, 1], [1, 0], [2, 3], [0, 3]], "payload.edges[3]: self-loop at C_1"),
+        # A version-1 label pair is not read as version 2.
+        ([[C1, C2]], f"payload.edges[0]: {INDEX_RANGE}"),
+    ],
+    ids=[
+        "index past the end",
+        "negative index",
+        "true",
+        "1.0",
+        "string",
+        "three items",
+        "not a list",
+        "self-loop",
+        "self-loop through a duplicate vertex",
+        "label pair",
+    ],
+)
+def test_bad_edge_index_is_rejected_with_its_path(tmp_path, capsys, edges, message):
+    body = {"kind": "graph", "formatVersion": FORMAT_VERSION, "payload": {"vertices": INDEXED_VERTICES, "edges": edges}}
+    text = json.dumps(body)
+    with pytest.raises(SchemaError) as exc:
+        document_from_json(text)
+    assert str(exc.value) == message
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert main(["export-dot", "--in", str(path), "--out", str(tmp_path / "g.dot")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_edge_indices_name_the_vertex_entries():
+    text = json.dumps(
+        {"kind": "graph", "formatVersion": FORMAT_VERSION, "payload": {"vertices": INDEXED_VERTICES, "edges": [[0, 2], [2, 3], [1, 3]]}}
+    )
+    g = document_from_json(text).payload
+    assert g == digraph([C(1), C(2), free("x")], [(C(1), free("x")), (free("x"), C(1)), (C(2), C(1))])
 
 
 MISSING = object()
