@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from itertools import chain, starmap
-from operator import add, is_, itemgetter
+from itertools import chain, repeat, starmap
+from operator import add, is_, itemgetter, mul
 from typing import Iterable
 
 KIND_ORDER = {"C": 0, "A": 1, "B": 2, "SC": 3, "SA": 4, "SB": 5, "FREE": 6}
@@ -142,21 +142,25 @@ class LabelledDigraph:
         return sorted(self.vertices, key=Label.sort_key)
 
     def sorted_edges(self) -> list[Edge]:
-        return self.sorted_vertices_and_edges()[1]
+        order, pairs = self.indexed()
+        return [(order[i], order[j]) for i, j in pairs]
 
-    def sorted_vertices_and_edges(self) -> tuple[list[Label], list[Edge]]:
-        """``sorted_vertices()`` and ``sorted_edges()`` from one sort of the
-        vertices, for a writer that needs both.
+    def indexed(self) -> tuple[list[Label], list[tuple[int, int]]]:
+        """``sorted_vertices()``, and every edge as the ``(tail, head)`` pair
+        of its ends' positions in that list, sorted: the order of
+        ``sorted_edges()``, from one sort of the vertices.
 
-        Edges go by (tail, head) in vertex order; ``sort_key`` is total, so
-        ranks compare exactly as the key pairs would.  Each edge's key,
-        rank(tail) * V + rank(head), is made in C, with no call per edge."""
+        ``sort_key`` is total, so positions compare exactly as the key pairs
+        would.  Each edge's key, rank(tail) * V + rank(head), is made,
+        sorted and split back by ``divmod``, all in C, with no call per
+        edge."""
         order = self.sorted_vertices()
-        rank = {v: i for i, v in enumerate(order)}.__getitem__
-        row = {v: i * len(order) for i, v in enumerate(order)}.__getitem__
-        edges = list(self.edges)
-        key = list(map(add, map(row, map(itemgetter(0), edges)), map(rank, map(itemgetter(1), edges))))
-        return order, list(map(edges.__getitem__, sorted(range(len(edges)), key=key.__getitem__)))
+        count = len(order)
+        rank = dict(zip(order, range(count))).__getitem__
+        tails = map(rank, map(itemgetter(0), self.edges))
+        heads = map(rank, map(itemgetter(1), self.edges))
+        keys = sorted(map(add, map(mul, tails, repeat(count)), heads))
+        return order, list(map(divmod, keys, repeat(count)))
 
 
 def digraph(vertices: Iterable[Label], edges: Iterable[Edge]) -> LabelledDigraph:

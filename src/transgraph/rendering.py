@@ -33,11 +33,12 @@ def _dot_name(label) -> str:
 
 def export_dot(graph: LabelledDigraph) -> str:
     lines = ["digraph G {"]
-    vertices, edges = graph.sorted_vertices_and_edges()
-    for v in vertices:
-        lines.append(f"  {_dot_name(v)};")
-    for u, v in edges:
-        lines.append(f"  {_dot_name(u)} -> {_dot_name(v)};")
+    vertices, edges = graph.indexed()
+    names = list(map(_dot_name, vertices))
+    for name in names:
+        lines.append(f"  {name};")
+    for i, j in edges:
+        lines.append(f"  {names[i]} -> {names[j]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -7,11 +7,10 @@ they may name a vertex one graph lacks.  Serialization is deterministic
 (sorted keys, canonical vertex/edge order), so byte-identical goldens are
 stable.
 
-The text is exactly ``json.dumps(body, sort_keys=True, separators=(",",
-": "), indent=1)``, but written by ``_write``: with an indent, CPython's
-``json`` falls back to its pure-Python encoder.  ``_write`` writes a list
-of equal-length integer rows, such as a graph's edges, as one
-``str.join``, with no Python call per edge.
+The text is compact, one line of ``json.dumps(body, sort_keys=True,
+separators=(",", ":"))``: without an indent, CPython writes it with its C
+encoder.  ``python -m json.tool`` pretty-prints a document.  The reader
+takes any JSON layout, so indented documents read as well.
 
 The reader also takes version 1, in which each edge endpoint is a full
 label object; ``graphs.Label`` interns labels, so equal labels are one
@@ -24,8 +23,6 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
-from operator import itemgetter
 from typing import Any
 
 from .arrangement import Description, LineArrangement
@@ -108,12 +105,8 @@ def _enc_object(obj: ArrangementObject) -> dict:
 
 
 def _enc_graph(g: LabelledDigraph) -> dict:
-    # Each endpoint becomes its vertex's position; the pairs are made in C.
-    vertices, edges = g.sorted_vertices_and_edges()
-    rank = dict(zip(vertices, range(len(vertices)))).__getitem__
-    tails = map(rank, map(itemgetter(0), edges))
-    heads = map(rank, map(itemgetter(1), edges))
-    return {"vertices": list(map(_enc_label, vertices)), "edges": list(zip(tails, heads))}
+    vertices, edges = g.indexed()
+    return {"vertices": list(map(_enc_label, vertices)), "edges": edges}
 
 
 def _enc_payload(kind: str, payload: Any) -> Any:
@@ -165,89 +158,10 @@ def _enc_payload(kind: str, payload: Any) -> Any:
     raise SchemaError("kind", f"unknown document kind {kind!r}")
 
 
-def _enc_parameter(value: Any) -> Any:
-    if isinstance(value, Fraction):
-        return _enc_rat(value)
+def _enc_parameter(value: Fraction | tuple[Fraction, ...]) -> str | list[str]:
     if isinstance(value, tuple):
-        return [_enc_parameter(v) for v in value]
-    return value
-
-
-_quote = json.encoder.encode_basestring_ascii
-
-
-# ``json.dumps`` writes the floats that ``float.__repr__`` spells these ways.
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _write_float(x: float) -> str:
-    text = float.__repr__(x)
-    return _NONFINITE.get(text, text)
-
-
-def _write(value: Any, depth: int) -> str:
-    """``json.dumps(value, sort_keys=True, separators=(",", ": "), indent=1)``
-    for a value nested ``depth`` levels deep; dict keys must be strings."""
-    if isinstance(value, (list, tuple, dict)):
-        return _write_container(value, depth)
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _write_float(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _write_container(value: list | tuple | dict, depth: int) -> str:
-    if isinstance(value, dict):
-        keys = sorted(value)
-        texts = map(_write, map(value.__getitem__, keys), repeat(depth + 1))
-        items = list(map(": ".join, zip(map(_quote, keys), texts)))
-        opening, closing = "{", "}"
-    else:
-        types = set(map(type, value))
-        if types and types <= {list, tuple}:
-            text = _write_rows(value, depth)
-            if text is not None:
-                return text
-        if types == {int}:
-            items = list(map(int.__repr__, value))
-        else:
-            items = list(map(_write, value, repeat(depth + 1)))
-        opening, closing = "[", "]"
-    if not items:
-        return opening + closing
-    inner = "\n" + " " * (depth + 1)
-    # One join copies a long text once; a chain of ``+`` copies it per step.
-    return "".join((opening, inner, ("," + inner).join(items), "\n", " " * depth, closing))
-
-
-def _write_rows(rows: list, depth: int) -> str | None:
-    """``_write_container(rows, depth)`` when ``rows`` holds lists or tuples
-    of one nonzero length whose cells are all integers, such as a graph's
-    edges, else None.
-
-    Every cell is written by ``int.__repr__`` and every row, and the whole
-    list, by one ``str.join``, all in C, with no call per row.
-    """
-    width = len(rows[0])
-    if not width or set(map(len, rows)) != {width}:
-        return None
-    cells = list(chain.from_iterable(rows))
-    if set(map(type, cells)) != {int}:
-        return None
-    outer = "\n" + " " * (depth + 1)
-    inner = "\n" + " " * (depth + 2)
-    by_row = zip(*[map(int.__repr__, cells)] * width)
-    body = (outer + "]," + outer + "[" + inner).join(map(("," + inner).join, by_row))
-    return "".join(("[", outer, "[", inner, body, outer, "]\n", " " * depth, "]"))
+        return list(map(_enc_rat, value))
+    return _enc_rat(value)
 
 
 def document_to_json(doc: Document) -> str:
@@ -256,7 +170,7 @@ def document_to_json(doc: Document) -> str:
         "formatVersion": FORMAT_VERSION,
         "payload": _enc_payload(doc.kind, doc.payload),
     }
-    return _write(body, 0) + "\n"
+    return json.dumps(body, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def save_document(doc: Document, path) -> None:
@@ -329,6 +243,14 @@ def _dec_label(raw: Any, path: str, *at: int) -> Label:
     if not isinstance(indices, list) or not _all_ints(indices):
         raise SchemaError(_at(path, at), "label indices must be a list of integers")
     return Label(kind, tuple(indices))
+
+
+def _dec_parameter(raw: Any, path: str) -> Fraction | tuple[Fraction, ...]:
+    """What ``_enc_parameter`` writes: a rational, or a list of rationals
+    that decodes to a tuple."""
+    if isinstance(raw, list):
+        return tuple(_dec_rat(x, f"{path}[{i}]") for i, x in enumerate(raw))
+    return _dec_rat(raw, path)
 
 
 def _dec_object(raw: Any, path: str) -> ArrangementObject:
@@ -501,7 +423,10 @@ def _dec_payload(kind: str, raw: Any, version: int, path: str = "payload") -> An
             graph_from_geometry=geometry,
             diff=diff,
             checker_results=[tuple(c) for c in checks],
-            parameters=dict(_dec_dict(raw.get("parameters", {}), path + ".parameters")),
+            parameters={
+                key: _dec_parameter(value, f"{path}.parameters.{key}")
+                for key, value in _dec_dict(raw.get("parameters", {}), path + ".parameters").items()
+            },
         )
     raise SchemaError("kind", f"unknown document kind {kind!r}")
 
@@ -513,6 +438,8 @@ def document_from_json(text: str) -> Document:
         # ``JSONDecodeError`` is a ``ValueError``; so is the refusal of an
         # integer literal longer than ``sys.get_int_max_str_digits()``.
         raise SchemaError("<document>", f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError("<document>", "not valid JSON: nested too deeply") from None
     if not isinstance(body, dict):
         raise SchemaError("<document>", "expected a JSON object")
     kind = body.get("kind")

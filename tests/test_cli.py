@@ -414,6 +414,30 @@ def test_malformed_documents_end_with_a_documented_exit_code(tmp_path_factory, t
         assert run(*argv) in (0, 1, 2, 3), argv
 
 
+DEEP = 5000
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 100_000,
+        json.dumps({"kind": "graph", "formatVersion": FORMAT_VERSION, "payload": [[]]}).replace("[[]]", "[" * DEEP + "]" * DEEP),
+    ],
+    ids=["open brackets", "deep payload"],
+)
+def test_deeply_nested_document_is_an_input_error(tmp_path, capsys, text):
+    doc = tmp_path / "deep.json"
+    doc.write_text(text)
+    for command in READERS:
+        argv = [*command, "--in", doc]
+        if command[0] in WRITES_OUT:
+            argv += ["--out", tmp_path / "out"]
+        if command[0] == "verify":
+            argv += ["--report", tmp_path / "report.json"]
+        assert run(*argv) == 2, argv
+        assert capsys.readouterr().err == f"error: {doc}: <document>: not valid JSON: nested too deeply\n"
+
+
 # --- pinned outputs --------------------------------------------------------
 
 # SHA-256 of every file (and of `verify`'s stdout) that the pipeline below
@@ -422,39 +446,39 @@ def test_malformed_documents_end_with_a_documented_exit_code(tmp_path_factory, t
 # output change.
 PINNED_DIGESTS = {
     3: {
-        "arr.json": "af85c9b82b68a82e0cda93b026e4f26650e32fecee2988273fd69f7427366fe6",
+        "arr.json": "94f5ed0d33955165906b1111e926440237def4717bcd932f5779891046996cff",
         "arr.svg": "5bf9e93659c3e7ba4c3b45347042c675c8009fe048a7453cbebc48cc2ee970b0",
-        "desc.json": "192e6970fbfcc421d17900f0165d21676c2ad3de1b1926831046eb9f3c7985c1",
-        "realize-sectors.json": "59fd1461fa44d4954a9f1cca882b43322030b41c58444ec6a0c526a1b0412131",
+        "desc.json": "2b1774284ac71c7fba54858ef62467c79ab89b457ea5c9f34a7852f683bff802",
+        "realize-sectors.json": "b4fd0d29d3712c7ff2377031bbc40117c1d246ce1a211634b9a1ae013214dece",
         "realize-sectors.svg": "108743c77429344f4943fbd3363febadb5aa01dd2ca456719c405826d0abafc1",
-        "realize-segments.json": "bbf833ffd1903c0ecdd5c64953b35a90889ba1abe4af56c75cf63b7ba6225a1e",
+        "realize-segments.json": "7bd337e602e3c91c5a0fdeb855cc733bb8afbcf64f6e7c64ec403eb1fbdb6729",
         "realize-segments.svg": "7923b078b9ba50087f3f1b6cc5a9036d572f7a5fea0d590be648cbb1f7803cb9",
         "reduce-sectors.dot": "82aab797037706fd1a13354a05287a7240b9f3b9152e5a60604b9f91731c9c8d",
-        "reduce-sectors.json": "c2c31adbc9688d5dd396569f4cfc5eebfa3e50e3223f17485e2345faf0ffbb50",
+        "reduce-sectors.json": "76f4d74f8fd35cd5829cc9c34db8819b4e521c5eee81f7a96885b3a38a529dc5",
         "reduce-segments.dot": "4b211a5eabc25d7a4a2c55e390b86e3d408771c7d8036eca8db06fc3de37dd92",
-        "reduce-segments.json": "b586a8583e603dfb044cc60e649335403b54568ca4d228d46b2169347964c7f9",
-        "report-sectors.json": "c20fb3ebe8ae4151c5c2c478e64955bc55c7c533a54e3f61d8051e957739af11",
-        "report-segments.json": "5c0063920c2ca3466d532db0f23b915b0647c9d7b6001074be849896386326c0",
-        "tgraph-sectors.json": "c2c31adbc9688d5dd396569f4cfc5eebfa3e50e3223f17485e2345faf0ffbb50",
-        "tgraph-segments.json": "b586a8583e603dfb044cc60e649335403b54568ca4d228d46b2169347964c7f9",
+        "reduce-segments.json": "414fa482ef24f7826cf5e7e19068d903a5127fdd6e9fe49570fbca9761dff127",
+        "report-sectors.json": "fca155c68d4ce4d23b58ceb7cc492bd396821977c07afd7705c8306884e89fa8",
+        "report-segments.json": "babb6dda37ac76fb90edd70a87b505e1b5062a5c1e385639f2d40df2eea607d0",
+        "tgraph-sectors.json": "76f4d74f8fd35cd5829cc9c34db8819b4e521c5eee81f7a96885b3a38a529dc5",
+        "tgraph-segments.json": "414fa482ef24f7826cf5e7e19068d903a5127fdd6e9fe49570fbca9761dff127",
         "verify.stdout": "db1b1faafdf5225f0061beb149ed38f7d532a477e6490b88ab273ef89d436d3b",
     },
     4: {
-        "arr.json": "ffbac14ee10824308b376cc624b84415f92ca905738b8c939842153e06d541a1",
+        "arr.json": "9d1224a5b949a7bebacf47cd3737d2a2d1b3f00f9ded4785f167cfc035b7deaa",
         "arr.svg": "a8ddd4376582260acb6b20f97bec97e5f9a6550557bddd19013de00cc9b3c4a1",
-        "desc.json": "7d624b54e2523e46a39196804e3e874dfcb95b7abf9d8699a1ee2aa10976bb70",
-        "realize-sectors.json": "7c37e7ee0279c71aa46c0c66d063d24905cce1ed7b34b8100af2a87c8835185b",
+        "desc.json": "f03ca03eab68a432c1d2a28c091d637df7d96c5bcaa46e32f77bf9e9dcad6e54",
+        "realize-sectors.json": "a78591aec68351be7eb89225acb6ac6fd9f3bbd6dae5fe03871e9366238c8537",
         "realize-sectors.svg": "6ac443c5ff725256b2d6cfe2a45259d1964b12abea7197c372e36d54935bdf0d",
-        "realize-segments.json": "b0ec7bceea39ddf00f00a2e2593515ef7b81226ec54c590ee004ac8788642aeb",
+        "realize-segments.json": "0b2602b40462f90c54315631971492b774a7484cdef71e2ebe63ee04431c3adf",
         "realize-segments.svg": "de3561744e6e57ccff7197843560ed1b266500d2706c61bb0c97e0b83dd32f8b",
         "reduce-sectors.dot": "e2405de8f4f6e7894bf83cbef9081f6a8ac75b9ff080b51ef2832dd2d90f7e43",
-        "reduce-sectors.json": "5d6b6c7ab5bf1f3feee53f9cd35d2be49818f373bfbfa88237b5c3e5c8bffcdb",
+        "reduce-sectors.json": "dd039851120dc5164b5fe4f824ab6698e790c4beca309ca0dced7dba4a250e47",
         "reduce-segments.dot": "29d18ade0a881b3b1726781cc7cef2e5d559748632debb37c5680a1eb5372544",
-        "reduce-segments.json": "8bf9eb04e4090d10c43d949871f2009fba73e149441ac3f3852d84a2d908de13",
-        "report-sectors.json": "622164743affa9aff2a6346a0f6be3ef8fb10fc5f934f1a68836943537e971af",
-        "report-segments.json": "3f93424c516b847b1db34d8b0b4a6736b6f806febc7ecd1847d0a94d4c2778b8",
-        "tgraph-sectors.json": "5d6b6c7ab5bf1f3feee53f9cd35d2be49818f373bfbfa88237b5c3e5c8bffcdb",
-        "tgraph-segments.json": "8bf9eb04e4090d10c43d949871f2009fba73e149441ac3f3852d84a2d908de13",
+        "reduce-segments.json": "e2663233ea15cd41932ee1b4f532223e5231ec6adb1bd40b85e47a74c1136039",
+        "report-sectors.json": "1f0fdc2c6e449f36e1ed0d2bf00a15dec1fa85a987d4c14e64692c7ce17b2fd2",
+        "report-segments.json": "119b7838722b26b3429c2a801b5c0d3ba07876e70d59a284281bd64a568e71dd",
+        "tgraph-sectors.json": "dd039851120dc5164b5fe4f824ab6698e790c4beca309ca0dced7dba4a250e47",
+        "tgraph-segments.json": "e2663233ea15cd41932ee1b4f532223e5231ec6adb1bd40b85e47a74c1136039",
         "verify.stdout": "db1b1faafdf5225f0061beb149ed38f7d532a477e6490b88ab273ef89d436d3b",
     },
 }

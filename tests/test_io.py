@@ -9,10 +9,9 @@ from pathlib import Path
 
 import pytest
 from conftest import version_1_text
-from hypothesis import given, settings, strategies as st
 
 import transgraph
-from transgraph import serialization
+from transgraph import rendering, serialization
 from transgraph.arrangement import LineArrangement, extract_description
 from transgraph.cli import main
 from transgraph.geometry import Disk, Sector, Segment, rotation_from_parameter, vec
@@ -264,43 +263,12 @@ def test_render_deterministic(three_lines):
 
 
 def dumps(value):
-    return json.dumps(value, sort_keys=True, separators=(",", ": "), indent=1)
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-awkward_text = st.text() | st.sampled_from(['"', "\\", "\x00", "\x1f\n\t", "é", " ", "😀", "a\"b"])
-json_scalars = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(-(10**60), 10**60)
-    | st.floats()
-    | awkward_text
-)
-
-
-def json_containers(inner):
-    return (
-        st.lists(inner, max_size=4)
-        | st.lists(inner, max_size=4).map(tuple)
-        | st.dictionaries(awkward_text, inner, max_size=4)
-    )
-
-
-json_trees = st.recursive(json_scalars, json_containers, max_leaves=12)
-
-
-@st.composite
-def trees_with_a_shared_container(draw):
-    """A tree holding one container object twice at one depth and once at
-    another, beside an unshared tree."""
-    shared = draw(json_containers(json_trees))
-    return {"twice": [shared, shared], "once": shared, "other": draw(json_trees)}
-
-
-@settings(max_examples=200, deadline=None)
-@given(json_trees | trees_with_a_shared_container())
-def test_writer_matches_json_dumps(tree):
-    assert serialization._write(tree, 0) == dumps(tree)
+def indented(text):
+    """A document text laid out as version-2 documents were once written."""
+    return json.dumps(json.loads(text), sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
 
 def _mismatched_report():
@@ -361,6 +329,50 @@ def test_document_text_is_json_dumps_of_its_tree(name):
         "payload": serialization._enc_payload(doc.kind, doc.payload),
     }
     assert document_to_json(doc) == dumps(body) + "\n"
+
+
+@pytest.mark.parametrize("name", _EVERY_KIND_OF_DOCUMENT)
+def test_compact_and_indented_texts_decode_to_the_document_written(name):
+    """Every document, a report's parameters too, decodes to the value
+    written, from its compact text and from its indented layout."""
+    doc = _document(name)
+    text = document_to_json(doc)
+    for layout in (text, indented(text)):
+        back = document_from_json(layout)
+        assert back.payload == doc.payload
+        assert document_to_json(back) == text
+
+
+@pytest.mark.parametrize("name", GRAPHS)
+def test_export_dot_writes_an_indented_graph_as_its_compact_rewrite(tmp_path, name):
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(indented(document_to_json(_document(name))))
+    new.write_text(document_to_json(load_document(old)))
+    for path in (old, new):
+        assert main(["export-dot", "--in", str(path), "--out", str(path.with_suffix(".dot"))]) == 0
+    assert (tmp_path / "old.dot").read_bytes() == (tmp_path / "new.dot").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (5, "payload.parameters.tau: expected a rational string, got 5"),
+        (["1/2", None], "payload.parameters.tau[1]: expected a rational string, got None"),
+        ({"c": "1"}, "payload.parameters.tau: expected a rational string, got {'c': '1'}"),
+    ],
+    ids=["number", "list holding null", "object"],
+)
+def test_bad_report_parameter_is_rejected_with_its_path(tmp_path, capsys, value, message):
+    body = json.loads(document_to_json(_document("sector report")))
+    body["payload"]["parameters"]["tau"] = value
+    text = json.dumps(body)
+    with pytest.raises(SchemaError) as exc:
+        document_from_json(text)
+    assert str(exc.value) == message
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert main(["export-dot", "--in", str(path), "--out", str(tmp_path / "g.dot")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 # --- version 1: edges as label pairs -------------------------------------------
@@ -614,6 +626,24 @@ def test_writing_a_graph_sorts_its_vertices_once(write):
     sys.setprofile(profile)
     try:
         text = write(g)
+    finally:
+        sys.setprofile(None)
+    assert text == expected
+    assert calls == g.vertex_count == 375
+
+
+def test_export_dot_names_each_vertex_once():
+    g = reduce_sectors(extract_description(random_simple_arrangement(RandomSpec(n=5, seed=1))))
+    expected = export_dot(g)
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code is rendering._dot_name.__code__
+
+    sys.setprofile(profile)
+    try:
+        text = export_dot(g)
     finally:
         sys.setprofile(None)
     assert text == expected
