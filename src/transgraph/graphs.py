@@ -3,17 +3,29 @@
 Labels are interned: ``Label(kind, indices, text)`` returns the one live
 object with those fields, held in a weak-valued table, so equal labels are
 the same object.  A label therefore compares and hashes by identity, in C,
-and graph comparison is plain set equality of labels and label pairs; no
-isomorphism search is ever needed.
+and no isomorphism search is ever needed.  A label computes its sort key
+once, when it is interned, and keeps it in a slot, so labels are sorted
+through ``attrgetter``, in C.
+
+A graph sorts its vertices once and keeps each edge as the integer code
+``rank(tail) * V + rank(head)`` over that order, V being the vertex count.
+The cyclic garbage collector does not track ints, so a graph with E edges
+holds a few containers, not E tuples.  Equal vertex sets have equal orders,
+so graph equality and ``graph_diff`` compare the codes as sets of ints, in
+C.  Sorted codes are the edges in ``sorted_edges()`` order, split by
+``divmod``, and the mutual couples are found by one frozenset intersection
+with the reversed codes.  The frozenset of label pairs, ``edges``, is built
+from the codes only when something reads it.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from itertools import chain, repeat, starmap
-from operator import add, is_, itemgetter, mul
-from typing import Iterable
+from functools import cached_property
+from itertools import chain, repeat
+from operator import add, attrgetter, floordiv, itemgetter, mod, mul
+from typing import Iterable, Optional
 
 KIND_ORDER = {"C": 0, "A": 1, "B": 2, "SC": 3, "SA": 4, "SB": 5, "FREE": 6}
 
@@ -29,7 +41,7 @@ class Label:
     identity comparison and hash that ``object`` provides.
     """
 
-    __slots__ = ("kind", "indices", "text", "__weakref__")
+    __slots__ = ("kind", "indices", "text", "_key", "__weakref__")
 
     kind: str
     indices: tuple[int, ...]
@@ -43,6 +55,7 @@ class Label:
             object.__setattr__(label, "kind", kind)
             object.__setattr__(label, "indices", indices)
             object.__setattr__(label, "text", text)
+            object.__setattr__(label, "_key", (KIND_ORDER.get(kind, 99), kind, indices, text))
             _INTERNED[key] = label
         return label
 
@@ -66,10 +79,20 @@ class Label:
 
     def sort_key(self) -> tuple:
         """A total order: known kinds by rank, any other kind by name."""
-        return (KIND_ORDER.get(self.kind, 99), self.kind, self.indices, self.text)
+        return self._key
 
     def __lt__(self, other: "Label") -> bool:
-        return self.sort_key() < other.sort_key()
+        return self._key < other._key
+
+
+_SORT_KEY = attrgetter("_key")
+
+
+def sorted_labels(labels: Iterable[Label]) -> list[Label]:
+    """The distinct labels of ``labels`` in sort-key order, found in C: the
+    vertex order over which a graph's edge codes are taken.  Timsort takes
+    an already sorted input in one pass."""
+    return list(dict.fromkeys(sorted(labels, key=_SORT_KEY)))
 
 
 def C(i: int) -> Label:
@@ -113,22 +136,69 @@ def free(text: str) -> Label:
 Edge = tuple[Label, Label]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class LabelledDigraph:
+    """A directed graph on interned labels.
+
+    ``order`` is the tuple of the vertices in sort-key order and ``codes``
+    the frozenset of edge codes ``rank(tail) * V + rank(head)`` over it.
+    ``vertices`` and ``edges`` are the dataclass fields, so
+    ``dataclasses.replace(graph, edges=...)`` takes label pairs; ``edges``
+    is built from the codes on first read, and then kept.
+    """
+
     vertices: frozenset[Label]
     edges: frozenset[Edge]
 
-    def __post_init__(self) -> None:
-        # Labels compare by identity, so both tests run in C; the loop only
-        # names the first offending edge.
-        if any(starmap(is_, self.edges)) or not self.vertices.issuperset(
-            chain.from_iterable(self.edges)
-        ):
-            for u, v in self.edges:
-                if u is v:
-                    raise ValueError(f"self-loop at {u}")
-                if u not in self.vertices or v not in self.vertices:
-                    raise ValueError(f"dangling edge {u} -> {v}")
+    def __init__(
+        self,
+        vertices: Iterable[Label],
+        edges: Iterable[Edge] = (),
+        *,
+        codes: Optional[Iterable[int]] = None,
+    ) -> None:
+        order = sorted_labels(vertices)
+        count = len(order)
+        object.__setattr__(self, "vertices", frozenset(order))
+        if codes is None:
+            codes = _encoded(order, self.vertices, edges)
+        codes = frozenset(codes)
+        # The self-loop codes t*V + t are V of the V*V codes; look them up.
+        loops = codes.intersection(range(0, count * count, count + 1))
+        if loops:
+            raise ValueError(f"self-loop at {order[min(loops) // count]}")
+        object.__setattr__(self, "order", tuple(order))
+        object.__setattr__(self, "codes", codes)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LabelledDigraph):
+            return NotImplemented
+        return self.vertices == other.vertices and self.codes == other.codes
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.codes))
+
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        count, label = len(self.order), self.order.__getitem__
+        tails = map(label, map(floordiv, self.codes, repeat(count)))
+        heads = map(label, map(mod, self.codes, repeat(count)))
+        return frozenset(zip(tails, heads))
+
+    @cached_property
+    def rank(self) -> dict[Label, int]:
+        """Each vertex's position in ``order``."""
+        return dict(zip(self.order, range(len(self.order))))
+
+    @cached_property
+    def couples(self) -> tuple[int, ...]:
+        """The mutual couples, each once, as the sorted codes t*V + h with
+        t < h whose reverse h*V + t is a code too: one frozenset
+        intersection with the reversed codes, in C."""
+        count, codes = len(self.order), self.codes
+        counts = repeat(count)
+        reverse = map(add, map(mul, map(mod, codes, counts), counts), map(floordiv, codes, counts))
+        return tuple(code for code in sorted(codes.intersection(reverse)) if code % count > code // count)
 
     @property
     def vertex_count(self) -> int:
@@ -136,10 +206,10 @@ class LabelledDigraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.codes)
 
     def sorted_vertices(self) -> list[Label]:
-        return sorted(self.vertices, key=Label.sort_key)
+        return list(self.order)
 
     def sorted_edges(self) -> list[Edge]:
         order, pairs = self.indexed()
@@ -148,23 +218,53 @@ class LabelledDigraph:
     def indexed(self) -> tuple[list[Label], list[tuple[int, int]]]:
         """``sorted_vertices()``, and every edge as the ``(tail, head)`` pair
         of its ends' positions in that list, sorted: the order of
-        ``sorted_edges()``, from one sort of the vertices.
+        ``sorted_edges()``.  The sorted codes are split by ``divmod``, in C."""
+        return list(self.order), list(map(divmod, sorted(self.codes), repeat(len(self.order))))
 
-        ``sort_key`` is total, so positions compare exactly as the key pairs
-        would.  Each edge's key, rank(tail) * V + rank(head), is made,
-        sorted and split back by ``divmod``, all in C, with no call per
-        edge."""
-        order = self.sorted_vertices()
-        count = len(order)
-        rank = dict(zip(order, range(count))).__getitem__
-        tails = map(rank, map(itemgetter(0), self.edges))
-        heads = map(rank, map(itemgetter(1), self.edges))
-        keys = sorted(map(add, map(mul, tails, repeat(count)), heads))
-        return order, list(map(divmod, keys, repeat(count)))
+    def _codes_over(self, order: list[Label]) -> frozenset[int]:
+        """The codes of this graph's edges over ``order``, a sorted list that
+        holds every vertex of this graph, as if it were its vertex order."""
+        count = len(self.order)
+        rank = dict(zip(order, range(len(order))))
+        position = list(map(rank.__getitem__, self.order)).__getitem__
+        tails = map(position, map(floordiv, self.codes, repeat(count)))
+        heads = map(position, map(mod, self.codes, repeat(count)))
+        return _coded(tails, heads, len(order))
 
 
-def digraph(vertices: Iterable[Label], edges: Iterable[Edge]) -> LabelledDigraph:
-    return LabelledDigraph(frozenset(vertices), frozenset(edges))
+def _coded(tails: Iterable[int], heads: Iterable[int], count: int) -> frozenset[int]:
+    """The codes tail * count + head, made in C."""
+    return frozenset(map(add, map(mul, tails, repeat(count)), heads))
+
+
+def _encoded(order: list[Label], vertices: frozenset[Label], edges: Iterable[Edge]) -> frozenset[int]:
+    """Label pairs as codes over ``order``.  Labels compare by identity, so
+    the endpoint test runs in C; the loop only names the first dangling
+    edge."""
+    edges = list(edges)
+    if not vertices.issuperset(chain.from_iterable(edges)):
+        for u, v in edges:
+            if u not in vertices or v not in vertices:
+                raise ValueError(f"dangling edge {u} -> {v}")
+    rank = dict(zip(order, range(len(order)))).__getitem__
+    tails = map(rank, map(itemgetter(0), edges))
+    heads = map(rank, map(itemgetter(1), edges))
+    return _coded(tails, heads, len(order))
+
+
+def digraph(
+    vertices: Iterable[Label],
+    edges: Iterable[Edge] = (),
+    *,
+    codes: Optional[Iterable[int]] = None,
+) -> LabelledDigraph:
+    """The graph on ``vertices`` with ``edges`` as label pairs or, instead,
+    ``codes`` as rank(tail) * V + rank(head) over ``sorted_labels(vertices)``.
+
+    A label pair is checked for a dangling end and a self-loop, a code only
+    for a self-loop: the caller makes codes from ranks, which are in range,
+    and the document reader checks the ranks it reads."""
+    return LabelledDigraph(vertices, edges, codes=codes)
 
 
 @dataclass
@@ -204,11 +304,24 @@ class DiffReport:
 
 
 def graph_diff(g: LabelledDigraph, h: LabelledDigraph) -> DiffReport:
-    """Label-exact difference: what g has that h lacks, and vice versa."""
-    ekey = lambda e: (e[0].sort_key(), e[1].sort_key())
+    """Label-exact difference: what g has that h lacks, and vice versa.
+
+    The edges are compared as codes over one vertex order, g's own when the
+    vertex sets are equal, and only the edges that differ become label
+    pairs, in ``sorted_edges()`` order."""
+    if g.vertices == h.vertices:
+        order, g_codes, h_codes = g.order, g.codes, h.codes
+    else:
+        order = sorted_labels(g.vertices | h.vertices)
+        g_codes, h_codes = g._codes_over(order), h._codes_over(order)
+    count = len(order)
+
+    def pairs(codes: frozenset[int]) -> list[Edge]:
+        return [(order[t], order[u]) for t, u in map(divmod, sorted(codes), repeat(count))]
+
     return DiffReport(
-        missing_vertices=sorted(g.vertices - h.vertices, key=Label.sort_key),
-        extra_vertices=sorted(h.vertices - g.vertices, key=Label.sort_key),
-        missing_edges=sorted(g.edges - h.edges, key=ekey),
-        extra_edges=sorted(h.edges - g.edges, key=ekey),
+        missing_vertices=sorted_labels(g.vertices - h.vertices),
+        extra_vertices=sorted_labels(h.vertices - g.vertices),
+        missing_edges=pairs(g_codes - h_codes),
+        extra_edges=pairs(h_codes - g_codes),
     )

@@ -46,13 +46,14 @@ virtual vertical line, and the boundary crossings are exact rationals.
 
 The sector side checks (observation 1, the ordering gadget, wide spread)
 read containment from the transmission graph they are given, so each
-containment is decided once, by ``transmission_graph``.  They look up
-edges and couples by the interned labels themselves and number their
-classes by integer keys, so the pass hashes no ``Fraction``.  Observation
-1 tests its bound once per class of couples with equal directions and
-half angles; wide spread runs its angle test first, once per pair of
-distinct directions, and looks for a qualifying pair only where that test
-fails.  The ordering gadget of band (i, m) takes its members in
+containment is decided once, by ``transmission_graph``.  They work on the
+graph's edge codes and vertex ranks (``graphs.LabelledDigraph``), take the
+mutual couples from the graph, which finds them once, and number their
+classes by integer keys, so the pass builds no label pair per edge and
+hashes no ``Fraction``.  Observation 1 tests its bound once per class of
+couples with equal directions and half angles; wide spread runs its angle
+test first, once per pair of distinct directions, and looks for a
+qualifying pair only where that test fails.  The ordering gadget of band (i, m) takes its members in
 ``reductions.sector_order``, the order the reduction's order edges follow,
 and compares their projections on cleared integers.  ``Sector.contains``
 remains the reference that kernel's tests compare against.
@@ -62,8 +63,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
-from operator import itemgetter
+from itertools import combinations, combinations_with_replacement, product, repeat
 from typing import Optional, Sequence
 
 from .arrangement import (
@@ -225,7 +225,8 @@ def realize_segments(arr: LineArrangement) -> SegmentRealization:
 
 # ---------------------------------------------------------------------------
 # Sector condition checkers.  ``graph`` is the instance's transmission graph:
-# x contains the apex of y iff ``(x, y) in graph.edges``.
+# x contains the apex of y iff ``(x, y) in graph.edges``, that is iff
+# ``rank[x] * V + rank[y] in graph.codes`` with ``rank = graph.rank``.
 
 
 def _pair_key(pair: Vec2 | Rotation) -> tuple[int, int, int, int]:
@@ -236,45 +237,38 @@ def _pair_key(pair: Vec2 | Rotation) -> tuple[int, int, int, int]:
     return a.numerator, a.denominator, b.numerator, b.denominator
 
 
-def _mutual(graph: LabelledDigraph) -> frozenset[Edge]:
-    """The edges of ``graph`` whose reverse is an edge too, found in C."""
-    edges = graph.edges
-    return edges.intersection(zip(map(itemgetter(1), edges), map(itemgetter(0), edges)))
-
-
 def check_observation1(inst: Instance, graph: LabelledDigraph) -> list[Edge]:
     """The mutual couples whose bisectors are not within
     (alpha(x)+alpha(y))/2 of antipodal, as sorted (u, v) pairs with u < v.
 
     A mutual couple is a pair with an edge each way in ``graph``, taken
-    once: its two labels ordered by identity.  The test reads only the two
-    directions and half angles, and it is symmetric in x and y, so it runs
-    once per class of couples, numbered by the integer keys of those four
-    values.
+    once, as the ranks t < h of ``graph.couples``; in that sorted order the
+    failures come out sorted.  The test reads only the two directions and
+    half angles, and it is symmetric in x and y, so it runs once per class
+    of couples, numbered by the integer keys of those four values.
     """
-    objs = dict(inst.entries)
-    couples = [(u, v) for u, v in _mutual(graph) if id(u) < id(v)]
+    objs = list(map(dict(inst.entries).__getitem__, graph.order))
+    couples = list(map(divmod, graph.couples, repeat(len(objs))))
     classes: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     number = {
-        label: classes.setdefault(
-            (_pair_key(objs[label].direction), _pair_key(objs[label].half_angle)),
-            len(classes),
+        r: classes.setdefault(
+            (_pair_key(objs[r].direction), _pair_key(objs[r].half_angle)), len(classes)
         )
-        for label in {label for couple in couples for label in couple}
+        for r in {r for couple in couples for r in couple}
     }
     verdicts: dict[tuple[int, int], bool] = {}
     failures = []
-    for u, v in couples:
-        key = (min(number[u], number[v]), max(number[u], number[v]))
+    for t, h in couples:
+        key = (min(number[t], number[h]), max(number[t], number[h]))
         if key not in verdicts:
-            x, y = objs[u], objs[v]
+            x, y = objs[t], objs[h]
             bound = x.half_angle.compose(y.half_angle)
             if bound.c < 0 or bound.s < 0:
                 raise ValueError("combined half-angles exceed pi/2")
             verdicts[key] = angle_at_most(x.direction, -y.direction, bound)
         if not verdicts[key]:
-            failures.append((u, v) if u < v else (v, u))
-    return sorted(failures)
+            failures.append((graph.order[t], graph.order[h]))
+    return failures
 
 
 def _require_sectors(inst: Instance) -> list[Sector]:
@@ -307,8 +301,9 @@ def is_wide_spread(inst: Instance, graph: LabelledDigraph) -> bool:
     the acute angle between undirected lines reads both |u x v| and |u.v|
     and so ignores their signs.  The angle test runs first, once per pair
     of class numbers; a qualifying pair is looked for only among the class
-    pairs that fail it.  The container and couple sets are keyed by label.
-    Within one container set, when all the members of such a class pair
+    pairs that fail it.  The container and couple sets are keyed by the
+    graph's vertex ranks, read from its codes and its couples.  Within one
+    container set, when all the members of such a class pair
     share a couple partner, no pair of them qualifies, and only otherwise
     are they tested pair by pair.
     """
@@ -337,14 +332,18 @@ def is_wide_spread(inst: Instance, graph: LabelledDigraph) -> bool:
         }
     else:
         narrow = set(pairs)  # twice the opening angle already exceeds pi/2
-    # The sectors containing the apex of sector d, by class number.
-    containers = {d: {number: [d]} for d, number in direction.items()}
-    couples = {d: {d} for d in direction}
-    for u, v in graph.edges:
-        containers[v].setdefault(direction[u], []).append(u)
-    for u, v in _mutual(graph):
-        couples[u].add(v)
-    for groups in containers.values():
+    # The sectors containing the apex of sector d, by class number, and the
+    # sectors coupled with d, all by rank.
+    classes = list(map(direction.__getitem__, graph.order))
+    count = len(classes)
+    containers = [{number: [d]} for d, number in enumerate(classes)]
+    couples = [{d} for d in range(count)]
+    for t, h in map(divmod, graph.codes, repeat(count)):
+        containers[h].setdefault(classes[t], []).append(t)
+    for t, h in map(divmod, graph.couples, repeat(count)):
+        couples[t].add(h)
+        couples[h].add(t)
+    for groups in containers:
         for da, db in combinations_with_replacement(sorted(groups), 2):
             if (da, db) not in narrow:
                 continue
@@ -399,16 +398,19 @@ def check_ordering_gadget(
     positive |u|^2 and the squared factor, plus the origin's constant
     term, so the keys give the same order and the same ties."""
     report = GadgetReport()
-    edges = graph.edges
-    for s in members:
-        if (base, s) not in edges:
+    codes, count, rank = graph.codes, len(graph.order), graph.rank
+    b = rank[base]
+    ranks = [rank[s] for s in members]
+    for s, r in zip(members, ranks):
+        if b * count + r not in codes:
             report.hypothesis_failures.append(f"apex of {s} not in {base}")
-        if (s, base) not in edges:
+        if r * count + b not in codes:
             report.hypothesis_failures.append(f"apex of {base} not in {s}")
-    for j, later in enumerate(members):
-        for earlier in members[:j]:
-            if (later, earlier) not in edges:
-                report.hypothesis_failures.append(f"apex of {earlier} not in {later}")
+    for j, later in enumerate(ranks):
+        tail = later * count
+        for i, earlier in enumerate(ranks[:j]):
+            if tail + earlier not in codes:
+                report.hypothesis_failures.append(f"apex of {members[i]} not in {members[j]}")
     objs = dict(inst.entries)
     l = objs[base]
     apexes = [objs[s].apex for s in members]

@@ -14,8 +14,8 @@ same convention, and the round-trip tests enforce the consistency.
 The segment BORDER family has Theta(n^3) edges: B(i, k) points at the B
 labels of the crossings before k on line i and at the A labels up to its
 own.  Each line's labels are listed once in crossing order, and each B's
-edges are added as two prefixes of those lists, zipped in C, with no
-Python step per edge.
+edges are added as two prefixes of those lists, with no Python step per
+edge.
 
 The sector order families are one prefix relation.  ``sector_order``
 lists the parts (k, mp) of a band (i, m) in the order their apexes
@@ -29,6 +29,11 @@ its SB at those and, by the l <= k amendment, at its own SA and partner
 SA.  So each band keeps ``run``, those three labels of every part so far,
 and each part's edges are prefixes of it.
 
+Both build every label once and then work on its rank in the graph's
+sorted vertex list: an edge is the code rank(tail) * V + rank(head) that
+``graphs.digraph`` takes, and a prefix run of heads is emitted as
+``map(add, repeat(tail * V), heads)``, in C.
+
 ``omit`` drops whole edge families, for mutation testing of the
 verification pipeline: every edge is built, and the omitted ones are then
 filtered out by a classifier that names an edge's family from its labels.
@@ -36,11 +41,12 @@ filtered out by a classifier that names an edge's family from its labels.
 
 from __future__ import annotations
 
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
+from operator import add
 from typing import Iterable
 
 from .arrangement import Description, validate_description
-from .graphs import A, B, C, Edge, Label, LabelledDigraph, SA, SB, SC, digraph
+from .graphs import A, B, C, Label, LabelledDigraph, SA, SB, SC, digraph, sorted_labels
 
 SEGMENT_FAMILIES = ("CA", "CB", "BC", "BORDER")
 SECTOR_FAMILIES = ("EI", "EC", "EGO", "ELOI", "ELOD", "EGO_BB")
@@ -71,6 +77,20 @@ def _omitted(omit: Iterable[str], families: tuple[str, ...]) -> frozenset[str]:
     return omit
 
 
+def _ranked(*tables: dict) -> tuple[list[Label], list[dict]]:
+    """The sorted vertex list of the labels in ``tables``, and each table
+    with its labels replaced by their ranks in that list."""
+    vertices = sorted_labels(chain.from_iterable(table.values() for table in tables))
+    rank = dict(zip(vertices, range(len(vertices))))
+    return vertices, [{key: rank[label] for key, label in table.items()} for table in tables]
+
+
+def _kept(codes: set[int], vertices: list[Label], family, omit: frozenset[str]) -> set[int]:
+    """The codes whose edge ``family`` names no omitted family."""
+    count = len(vertices)
+    return {e for e in codes if family(vertices[e // count], vertices[e % count]) not in omit}
+
+
 def _segment_family(tail: Label, head: Label) -> str:
     """CA, CB or BC for an edge at a C hub, else BORDER (B -> A, B -> B)."""
     kinds = tail.kind + head.kind
@@ -84,25 +104,28 @@ def reduce_segments(
     _check_simple_input(desc)
     omit = _omitted(omit, SEGMENT_FAMILIES)
     lines = range(1, desc.n + 1)
-    # Each label is built once; an edge end is a dict lookup, not a call.
-    c = {i: C(i) for i in lines}
-    a = {(i, k): A(i, k) for i, k in combinations(lines, 2)}
-    b = {(i, k): B(i, k) for i in lines for k in lines if k != i}
-    vertices: list[Label] = [*c.values(), *a.values(), *b.values()]
-    a.update({(k, i): label for (i, k), label in a.items()})
-    edges: set[Edge] = set()
+    # Each label is built once; an edge end is its rank, a dict lookup.
+    vertices, (c, a, b) = _ranked(
+        {i: C(i) for i in lines},
+        {(i, k): A(i, k) for i, k in combinations(lines, 2)},
+        {(i, k): B(i, k) for i in lines for k in lines if k != i},
+    )
+    count = len(vertices)
+    a.update({(k, i): rank for (i, k), rank in a.items()})
+    edges: set[int] = set()
     for i, k in b:
-        edges.update(((c[i], a[i, k]), (c[i], b[i, k]), (b[i, k], c[i])))
+        hub, b_ik = c[i] * count, b[i, k]
+        edges.update((hub + a[i, k], hub + b_ik, b_ik * count + c[i]))
     for i in lines:
         order = desc.flat_order(i)
         bs = [b[i, k] for k in order]
         as_ = [a[i, k] for k in order]
         for k, b_k in enumerate(bs):
-            edges.update(zip(repeat(b_k), bs[:k]))
-            edges.update(zip(repeat(b_k), as_[: k + 1]))
+            edges.update(map(add, repeat(b_k * count), bs[:k]))
+            edges.update(map(add, repeat(b_k * count), as_[: k + 1]))
     if omit:
-        edges = {e for e in edges if _segment_family(*e) not in omit}
-    return digraph(vertices, edges)
+        edges = _kept(edges, vertices, _segment_family, omit)
+    return digraph(vertices, codes=edges)
 
 
 MS = (1, 2, 3)
@@ -143,28 +166,33 @@ def reduce_sectors(
     _check_simple_input(desc)
     omit = _omitted(omit, SECTOR_FAMILIES)
     lines = range(1, desc.n + 1)
-    # Each label is built once; an edge end is a dict lookup, not a call.
-    sc = {(i, m): SC(i, m) for i in lines for m in MS}
+    # Each label is built once; an edge end is its rank, a dict lookup.
     parts = [(i, m, k, mp) for i in lines for k in lines if k != i for m in MS for mp in MS]
-    sa = {part: SA(*part) for part in parts}
-    sb = {part: SB(*part) for part in parts}
-    vertices: list[Label] = [*sc.values(), *sa.values(), *sb.values()]
-    edges: set[Edge] = set()
+    vertices, (sc, sa, sb) = _ranked(
+        {(i, m): SC(i, m) for i in lines for m in MS},
+        {part: SA(*part) for part in parts},
+        {part: SB(*part) for part in parts},
+    )
+    count = len(vertices)
+    edges: set[int] = set()
     for i in lines:
         order = sector_order(desc, i)
         for m in MS:
             hub = sc[i, m]
-            run: list[Label] = []
+            spoke = hub * count
+            run: list[int] = []
             for k, mp in order:
                 own, partner, b = sa[i, m, k, mp], sa[k, mp, i, m], sb[i, m, k, mp]
-                edges.update(((hub, own), (hub, partner), (own, hub), (hub, b), (b, hub)))
-                edges.update(zip(repeat(own), run))
+                edges.update(
+                    (spoke + own, spoke + partner, own * count + hub, spoke + b, b * count + hub)
+                )
+                edges.update(map(add, repeat(own * count), run))
                 run += (own, partner)
-                edges.update(zip(repeat(b), run))
+                edges.update(map(add, repeat(b * count), run))
                 run.append(b)
     if omit:
-        edges = {e for e in edges if _sector_family(*e) not in omit}
-    return digraph(vertices, edges)
+        edges = _kept(edges, vertices, _sector_family, omit)
+    return digraph(vertices, codes=edges)
 
 
 def segment_vertex_count(n: int) -> int:

@@ -9,8 +9,13 @@ stable.
 
 The text is compact, one line of ``json.dumps(body, sort_keys=True,
 separators=(",", ":"))``: without an indent, CPython writes it with its C
-encoder.  ``python -m json.tool`` pretty-prints a document.  The reader
-takes any JSON layout, so indented documents read as well.
+encoder.  A body is a fresh tree that shares no container, so the encoder's
+cycle check is skipped.  ``python -m json.tool`` pretty-prints a document.
+The reader takes any JSON layout, so indented documents read as well.
+
+A graph's edge pairs are its sorted edge codes split by ``divmod``
+(``LabelledDigraph.indexed``); the reader checks all the pairs at once and
+turns them back into codes.
 
 The reader also takes version 1, in which each edge endpoint is a full
 label object; ``graphs.Label`` interns labels, so equal labels are one
@@ -23,6 +28,8 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import add
 from typing import Any
 
 from .arrangement import Description, LineArrangement
@@ -36,7 +43,7 @@ from .geometry import (
     Segment,
     Vec2,
 )
-from .graphs import DiffReport, Label, LabelledDigraph, digraph
+from .graphs import DiffReport, Label, LabelledDigraph, digraph, sorted_labels
 from .transmission import Instance, instance
 from .verification import RoundTripReport
 
@@ -170,7 +177,7 @@ def document_to_json(doc: Document) -> str:
         "formatVersion": FORMAT_VERSION,
         "payload": _enc_payload(doc.kind, doc.payload),
     }
-    return json.dumps(body, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(body, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
 
 
 def save_document(doc: Document, path) -> None:
@@ -319,34 +326,46 @@ def _checked_edges(raw: dict, vertices: frozenset[Label], path: str) -> list[tup
     return edges
 
 
-def _indexed_edges(raw: dict, labels: list[Label], path: str) -> list[tuple[Label, Label]]:
-    """The edges of a version-2 graph: ``[tail, head]`` positions in
-    ``labels``, read by one loop of builtin calls.  A position must be an
-    exact integer, so JSON true and 1.0 are refused.  Duplicate vertex
-    entries decode to one label, so a self-loop is found by identity."""
+def _indexed_graph(raw: dict, labels: list[Label], path: str) -> LabelledDigraph:
+    """A version-2 graph, whose edges are ``[tail, head]`` positions in
+    ``labels``.  Every edge is checked at once, by builtin calls: a list of
+    two exact integers (so JSON true and 1.0 are refused) in range.  Each
+    position is then mapped to its label's rank in ``sorted_labels(labels)``,
+    where duplicate vertex entries are one label, each edge becomes its code,
+    and a self-loop is looked up among the codes.  Only a document that
+    fails a check is read again edge by edge, to name its first bad edge."""
+    pairs = _dec_list(raw.get("edges", []), path + ".edges")
     count = len(labels)
-    edges = []
-    for i, pair in enumerate(_dec_list(raw.get("edges", []), path + ".edges")):
-        if type(pair) is not list or len(pair) != 2:
-            raise SchemaError(f"{path}.edges[{i}]", "expected a [tail, head] pair of vertex indices")
-        tail, head = pair
-        if type(tail) is not int or type(head) is not int or not (0 <= tail < count and 0 <= head < count):
-            raise SchemaError(f"{path}.edges[{i}]", f"vertex indices must be integers in [0, {count})")
-        tail, head = labels[tail], labels[head]
-        if tail is head:
-            raise SchemaError(f"{path}.edges[{i}]", f"self-loop at {tail}")
-        edges.append((tail, head))
-    return edges
+    order = sorted_labels(labels)
+    ok = set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
+    if ok:
+        ends = list(chain.from_iterable(pairs))
+        ok = set(map(type, ends)) <= {int} and (not ends or (min(ends) >= 0 and max(ends) < count))
+    if ok:
+        # Position i's rank, as a head and times V as a tail.
+        rank = dict(zip(order, range(len(order))))
+        head_at = list(map(rank.__getitem__, labels))
+        tail_at = [r * len(order) for r in head_at]
+        codes = frozenset(map(add, map(tail_at.__getitem__, ends[::2]), map(head_at.__getitem__, ends[1::2])))
+        ok = codes.isdisjoint(range(0, len(order) ** 2, len(order) + 1))
+    if not ok:
+        for i, pair in enumerate(pairs):
+            if type(pair) is not list or len(pair) != 2:
+                raise SchemaError(f"{path}.edges[{i}]", "expected a [tail, head] pair of vertex indices")
+            tail, head = pair
+            if type(tail) is not int or type(head) is not int or not (0 <= tail < count and 0 <= head < count):
+                raise SchemaError(f"{path}.edges[{i}]", f"vertex indices must be integers in [0, {count})")
+            if labels[tail] is labels[head]:
+                raise SchemaError(f"{path}.edges[{i}]", f"self-loop at {labels[tail]}")
+    return digraph(order, codes=codes)
 
 
 def _dec_graph(raw: Any, path: str, version: int) -> LabelledDigraph:
     raw = _dec_dict(raw, path)
     labels = _dec_labels(raw, "vertices", path)
     if version == 1:
-        edges = _checked_edges(raw, frozenset(labels), path)
-    else:
-        edges = _indexed_edges(raw, labels, path)
-    return digraph(labels, edges)
+        return digraph(labels, _checked_edges(raw, frozenset(labels), path))
+    return _indexed_graph(raw, labels, path)
 
 
 def _dec_payload(kind: str, raw: Any, version: int, path: str = "payload") -> Any:

@@ -28,6 +28,10 @@ test only on the points that can pass it:
   C.
 
 A disk is tested against every point; no reduction builds disks.
+
+The edges are emitted as the integer codes rank(tail) * V + rank(head)
+that ``graphs.digraph`` takes, over the sorted labels: each object's rank
+is looked up once, and a run of heads becomes codes in C.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count, repeat
 from math import gcd
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .geometry import (
@@ -47,7 +52,7 @@ from .geometry import (
     Segment,
     cleared,
 )
-from .graphs import Label, LabelledDigraph, digraph
+from .graphs import Label, LabelledDigraph, digraph, sorted_labels
 
 
 class DuplicateLabel(Exception):
@@ -95,34 +100,36 @@ def _radius_edges(
     i: int,
     candidates: Iterable[int],
     radius_sq: Fraction,
-    labels: Sequence[Label],
+    ranks: Sequence[int],
     points: Sequence[tuple[int, int]],
     scale: int,
-) -> Iterator[tuple[Label, Label]]:
-    """Edges i -> j for the candidates j != i within ``radius_sq`` of
-    point i, tested inline on the points times ``scale`` and emitted in C.
-    This is a disk's whole test, and all that is left of a sector's once
-    the cone sweep has chosen its candidates."""
+) -> Iterator[int]:
+    """The codes of edges i -> j for the candidates j != i within
+    ``radius_sq`` of point i, tested inline on the points times ``scale``
+    and emitted in C; object j's rank is ``ranks[j]``, and V is
+    ``len(ranks)``.  This is a disk's whole test, and all that is left of
+    a sector's once the cone sweep has chosen its candidates."""
     (ax, ay), rd = points[i], radius_sq.denominator
     rbound = radius_sq.numerator * scale * scale
     near = [
-        labels[j]
+        ranks[j]
         for j in candidates
         for x, y in [points[j]]
         if j != i and ((x - ax) * (x - ax) + (y - ay) * (y - ay)) * rd <= rbound
     ]
-    return zip(repeat(labels[i]), near)
+    return map(add, repeat(ranks[i] * len(ranks)), near)
 
 
 def _cone_edges(
     cone: tuple[int, int, int, int],
     group: list[int],
-    labels: Sequence[Label],
+    ranks: Sequence[int],
     objects: Sequence[ArrangementObject],
     points: Sequence[tuple[int, int]],
     scale: int,
-) -> list[tuple[Label, Label]]:
-    """Edges i -> j such that sector i of ``group`` contains point j.
+) -> list[int]:
+    """The codes of edges i -> j such that sector i of ``group`` contains
+    point j.
 
     ``cone`` is (ux, uy, c, s): the direction u and half angle (c, s) that
     every sector of the group shares, each cleared to integers.  A
@@ -152,7 +159,7 @@ def _cone_edges(
     joined_k2: list[int] = []
     joined: list[int] = []
     nxt = 0
-    edges: list[tuple[Label, Label]] = []
+    edges: list[int] = []
     for i in sorted(group, key=k1.__getitem__, reverse=True):
         while nxt < len(by_k1) and k1[by_k1[nxt]] >= k1[i]:
             j = by_k1[nxt]
@@ -163,7 +170,7 @@ def _cone_edges(
         candidates = joined[bisect_left(joined_k2, k2[i]) :]
         if not s:
             candidates = [j for j in candidates if along[j] >= along[i]]
-        edges += _radius_edges(i, candidates, objects[i].radius_sq, labels, points, scale)
+        edges += _radius_edges(i, candidates, objects[i].radius_sq, ranks, points, scale)
     return edges
 
 
@@ -189,12 +196,15 @@ def transmission_graph(inst: Instance) -> LabelledDigraph:
     labels = inst.labels()
     objects = inst.objects()
     m = len(objects)
+    vertices = sorted_labels(labels)
+    rank = dict(zip(vertices, range(m)))
+    ranks = list(map(rank.__getitem__, labels))
     pts = [distinguished_point(obj) for obj in objects]
     pts += [obj.q for obj in objects if isinstance(obj, Segment)]
     scale, *coords = cleared(1, *(v for pt in pts for v in (pt.x, pt.y)))
     scaled = list(zip(coords[::2], coords[1::2]))
     points, far_ends = scaled[:m], iter(scaled[m:])
-    edges = []
+    edges: list[int] = []
     segments_by_direction: dict[tuple[int, int], list[tuple[int, int]]] = {}
     cone_groups: dict[tuple[int, ...], list[int]] = {}
     for i, obj in enumerate(objects):
@@ -210,9 +220,9 @@ def transmission_graph(inst: Instance) -> LabelledDigraph:
             d, h = obj.direction, obj.half_angle
             cone_groups.setdefault(cleared(d.x, d.y) + cleared(h.c, h.s), []).append(i)
         else:
-            edges += _radius_edges(i, range(m), obj.radius_sq, labels, points, scale)
+            edges += _radius_edges(i, range(m), obj.radius_sq, ranks, points, scale)
     for cone, group in cone_groups.items():
-        edges += _cone_edges(cone, group, labels, objects, points, scale)
+        edges += _cone_edges(cone, group, ranks, objects, points, scale)
     for (ex, ey), members in segments_by_direction.items():
         keys = [ex * y - ey * x for x, y in points]
         on_line: dict[int, list[int]] = {keys[i]: [] for i, _ in members}
@@ -225,11 +235,11 @@ def transmission_graph(inst: Instance) -> LabelledDigraph:
                 t[j] = ex * x + ey * y
             run.sort(key=t.__getitem__)
             position.update(zip(run, count()))
-            runs[key] = (list(map(t.__getitem__, run)), list(map(labels.__getitem__, run)))
+            runs[key] = (list(map(t.__getitem__, run)), list(map(ranks.__getitem__, run)))
         for i, tq in members:
-            ts, run_labels = runs[keys[i]]
+            ts, run_ranks = runs[keys[i]]
             lo, hi = sorted((t[i], tq))
-            k, tail = position[i], repeat(labels[i])
-            edges += zip(tail, run_labels[bisect_left(ts, lo) : k])
-            edges += zip(tail, run_labels[k + 1 : bisect_right(ts, hi)])
-    return digraph(labels, edges)
+            k, tail = position[i], repeat(ranks[i] * m)
+            edges += map(add, tail, run_ranks[bisect_left(ts, lo) : k])
+            edges += map(add, tail, run_ranks[k + 1 : bisect_right(ts, hi)])
+    return digraph(vertices, codes=edges)

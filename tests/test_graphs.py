@@ -4,12 +4,16 @@ import os
 import pickle
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from conftest import version_1_text
+from hypothesis import given, settings, strategies as st
 
 import transgraph
 from transgraph import graphs
+from transgraph.arrangement import extract_description
 from transgraph.graphs import (
     A,
     B,
@@ -22,6 +26,10 @@ from transgraph.graphs import (
     free,
     graph_diff,
 )
+from transgraph.realization import realize_sectors
+from transgraph.reductions import reduce_sectors
+from transgraph.serialization import Document, document_from_json, document_to_json
+from transgraph.verification import RandomSpec, random_simple_arrangement
 
 
 def test_label_text():
@@ -172,3 +180,116 @@ def test_sorted_edges_follow_the_sort_keys_of_their_ends():
     ]
     g = digraph(vertices, edges)
     assert g.sorted_edges() == sorted(edges, key=lambda e: (e[0].sort_key(), e[1].sort_key()))
+
+
+# --- edge codes --------------------------------------------------------------
+
+
+def _tracked_while_alive(build):
+    """``build()``'s result, and how many more objects the cyclic collector
+    tracks while it is alive.  The collector is paused meanwhile, so nothing
+    is collected or untracked, and restored afterwards."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        kept = build()
+        return kept, len(gc.get_objects()) - before
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("source", ["reduce_sectors", "realize_sectors", "document"])
+def test_a_graph_keeps_no_gc_tracked_object_per_edge(source):
+    """A graph holds its E edges as ints, which the collector does not track,
+    so building one leaves far fewer than E new tracked objects alive.  The
+    labels are interned by a first reduction kept alive throughout, so only
+    what a build adds is counted.  A realization is counted through its
+    graph: its instance holds a few tracked objects per sector, not per
+    edge."""
+    arr = random_simple_arrangement(RandomSpec(n=5, seed=1))
+    desc = extract_description(arr)
+    first = reduce_sectors(desc)
+    text = document_to_json(Document("graph", first))
+    build = {
+        "reduce_sectors": lambda: reduce_sectors(desc),
+        "realize_sectors": lambda: realize_sectors(arr).graph,
+        "document": lambda: document_from_json(text).payload,
+    }[source]
+    graph, tracked = _tracked_while_alive(build)
+    assert graph == first and first.edge_count == 7200
+    assert tracked < first.edge_count / 10
+
+
+def _label(kind, i):
+    if kind == "FREE":
+        return free(f"v{i}")
+    if kind in ("SA", "SB"):
+        return Label(kind, (i, 1, i + 1, 2))
+    return Label(kind, (i,) if kind != "SC" else (i, 1))
+
+
+# Known kinds, FREE labels and kinds with no rank of their own.
+LABELS = st.builds(_label, st.sampled_from(["C", "A", "SC", "SA", "SB", "FREE", "X", "Q"]), st.integers(1, 3))
+
+
+@st.composite
+def label_graphs(draw):
+    """(vertices, edges): a list of labels, with repeats, and label pairs
+    between distinct ones."""
+    vertices = draw(st.lists(LABELS, max_size=8))
+    distinct = list(dict.fromkeys(vertices))
+    pairs = [(u, v) for u in distinct for v in distinct if u is not v]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=20)) if pairs else []
+    return vertices, edges
+
+
+def _reference_codes(vertices, edges):
+    """rank(tail) * V + rank(head) over the vertices sorted by ``sort_key``."""
+    order = sorted(set(vertices), key=Label.sort_key)
+    rank = {label: i for i, label in enumerate(order)}
+    return order, {rank[u] * len(order) + rank[v] for u, v in edges}
+
+
+def _edge_key(edge):
+    return edge[0].sort_key(), edge[1].sort_key()
+
+
+@settings(max_examples=150, deadline=None)
+@given(label_graphs(), label_graphs())
+def test_graphs_from_codes_agree_with_graphs_from_label_pairs(first, second):
+    vertices, edges = first
+    order, codes = _reference_codes(vertices, edges)
+    from_pairs, from_codes = digraph(vertices, edges), digraph(vertices, codes=codes)
+    for g in (from_pairs, from_codes):
+        assert g.vertices == frozenset(vertices) and g.edges == frozenset(edges)
+        assert g.sorted_vertices() == order
+        assert g.indexed() == (order, sorted(divmod(code, len(order)) for code in codes))
+        assert g.sorted_edges() == sorted(set(edges), key=_edge_key)
+        assert g.edge_count == len(set(edges)) and g.vertex_count == len(order)
+    assert from_pairs == from_codes and hash(from_pairs) == hash(from_codes)
+    for copied in (pickle.loads(pickle.dumps(from_codes)), copy.deepcopy(from_codes)):
+        assert copied == from_pairs and copied.edges == from_pairs.edges
+    assert replace(from_codes, edges=frozenset(edges)) == from_pairs
+
+    other = digraph(*second)
+    for g, h in ((from_codes, other), (other, from_codes)):
+        diff = graph_diff(g, h)
+        assert diff.missing_vertices == sorted(g.vertices - h.vertices, key=Label.sort_key)
+        assert diff.extra_vertices == sorted(h.vertices - g.vertices, key=Label.sort_key)
+        assert diff.missing_edges == sorted(g.edges - h.edges, key=_edge_key)
+        assert diff.extra_edges == sorted(h.edges - g.edges, key=_edge_key)
+        assert diff.empty == (g == h)
+
+    text = document_to_json(Document("graph", from_codes))
+    for version_text in (text, version_1_text(text)):
+        assert document_from_json(version_text).payload == from_pairs
+
+
+def test_couples_are_the_edges_whose_reverse_is_an_edge_taken_once():
+    pairs = [(C(1), C(2)), (C(2), C(1)), (C(3), C(1)), (A(1, 2), C(3)), (C(3), A(1, 2))]
+    g = digraph([C(1), C(2), C(3), A(1, 2)], pairs)
+    couples = [divmod(code, g.vertex_count) for code in g.couples]
+    assert [(g.order[t], g.order[h]) for t, h in couples] == [(C(1), C(2)), (C(3), A(1, 2))]
