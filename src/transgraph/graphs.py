@@ -15,7 +15,9 @@ so graph equality and ``graph_diff`` compare the codes as sets of ints, in
 C.  Sorted codes are the edges in ``sorted_edges()`` order, split by
 ``divmod``, and the mutual couples are found by one frozenset intersection
 with the reversed codes.  The frozenset of label pairs, ``edges``, is built
-from the codes only when something reads it.
+from the codes only when something reads it.  ``ranked``, ``coded``,
+``coded_run`` and ``decoded`` are this format's one definition: the other
+modules take vertex ranks and make and split codes through them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
 from operator import add, attrgetter, floordiv, itemgetter, mod, mul
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 KIND_ORDER = {"C": 0, "A": 1, "B": 2, "SC": 3, "SA": 4, "SB": 5, "FREE": 6}
 
@@ -95,6 +97,35 @@ def sorted_labels(labels: Iterable[Label]) -> list[Label]:
     return list(dict.fromkeys(sorted(labels, key=_SORT_KEY)))
 
 
+def ranked(labels: Iterable[Label]) -> tuple[list[Label], dict[Label, int]]:
+    """``sorted_labels(labels)``, the vertex order of a graph on them, and
+    each label's rank in it: the tail and head numbers of an edge code."""
+    order = sorted_labels(labels)
+    return order, _ranks(order)
+
+
+def _ranks(order: Sequence[Label]) -> dict[Label, int]:
+    return dict(zip(order, range(len(order))))
+
+
+def coded(tails: Iterable[int], heads: Iterable[int], vertex_count: int) -> Iterator[int]:
+    """The edge codes ``tail * V + head`` of rank pairs, V being
+    ``vertex_count``, made in C."""
+    return map(add, map(mul, tails, repeat(vertex_count)), heads)
+
+
+def coded_run(tail: int, heads: Iterable[int], vertex_count: int) -> Iterator[int]:
+    """The codes of the edges from rank ``tail`` to each rank of
+    ``heads``: ``coded`` with one multiplication in all."""
+    return map(add, repeat(tail * vertex_count), heads)
+
+
+def decoded(codes: Iterable[int], vertex_count: int) -> Iterator[tuple[int, int]]:
+    """The ``(tail, head)`` rank pairs of edge codes, split by ``divmod``
+    in C."""
+    return map(divmod, codes, repeat(vertex_count))
+
+
 def C(i: int) -> Label:
     return Label("C", (i,))
 
@@ -155,14 +186,14 @@ class LabelledDigraph:
         vertices: Iterable[Label],
         edges: Iterable[Edge] = (),
         *,
-        codes: Optional[Iterable[int]] = None,
+        _codes: Optional[Iterable[int]] = None,
     ) -> None:
         order = sorted_labels(vertices)
         count = len(order)
         object.__setattr__(self, "vertices", frozenset(order))
-        if codes is None:
-            codes = _encoded(order, self.vertices, edges)
-        codes = frozenset(codes)
+        if _codes is None:
+            _codes = _encoded(order, self.vertices, edges)
+        codes = frozenset(_codes)
         # The self-loop codes t*V + t are V of the V*V codes; look them up.
         loops = codes.intersection(range(0, count * count, count + 1))
         if loops:
@@ -188,7 +219,7 @@ class LabelledDigraph:
     @cached_property
     def rank(self) -> dict[Label, int]:
         """Each vertex's position in ``order``."""
-        return dict(zip(self.order, range(len(self.order))))
+        return _ranks(self.order)
 
     @cached_property
     def couples(self) -> tuple[int, ...]:
@@ -197,7 +228,7 @@ class LabelledDigraph:
         intersection with the reversed codes, in C."""
         count, codes = len(self.order), self.codes
         counts = repeat(count)
-        reverse = map(add, map(mul, map(mod, codes, counts), counts), map(floordiv, codes, counts))
+        reverse = coded(map(mod, codes, counts), map(floordiv, codes, counts), count)
         return tuple(code for code in sorted(codes.intersection(reverse)) if code % count > code // count)
 
     @property
@@ -219,22 +250,16 @@ class LabelledDigraph:
         """``sorted_vertices()``, and every edge as the ``(tail, head)`` pair
         of its ends' positions in that list, sorted: the order of
         ``sorted_edges()``.  The sorted codes are split by ``divmod``, in C."""
-        return list(self.order), list(map(divmod, sorted(self.codes), repeat(len(self.order))))
+        return list(self.order), list(decoded(sorted(self.codes), len(self.order)))
 
     def _codes_over(self, order: list[Label]) -> frozenset[int]:
         """The codes of this graph's edges over ``order``, a sorted list that
         holds every vertex of this graph, as if it were its vertex order."""
         count = len(self.order)
-        rank = dict(zip(order, range(len(order))))
-        position = list(map(rank.__getitem__, self.order)).__getitem__
+        position = list(map(_ranks(order).__getitem__, self.order)).__getitem__
         tails = map(position, map(floordiv, self.codes, repeat(count)))
         heads = map(position, map(mod, self.codes, repeat(count)))
-        return _coded(tails, heads, len(order))
-
-
-def _coded(tails: Iterable[int], heads: Iterable[int], count: int) -> frozenset[int]:
-    """The codes tail * count + head, made in C."""
-    return frozenset(map(add, map(mul, tails, repeat(count)), heads))
+        return frozenset(coded(tails, heads, len(order)))
 
 
 def _encoded(order: list[Label], vertices: frozenset[Label], edges: Iterable[Edge]) -> frozenset[int]:
@@ -246,25 +271,27 @@ def _encoded(order: list[Label], vertices: frozenset[Label], edges: Iterable[Edg
         for u, v in edges:
             if u not in vertices or v not in vertices:
                 raise ValueError(f"dangling edge {u} -> {v}")
-    rank = dict(zip(order, range(len(order)))).__getitem__
+    rank = _ranks(order).__getitem__
     tails = map(rank, map(itemgetter(0), edges))
     heads = map(rank, map(itemgetter(1), edges))
-    return _coded(tails, heads, len(order))
+    return frozenset(coded(tails, heads, len(order)))
 
 
 def digraph(
     vertices: Iterable[Label],
     edges: Iterable[Edge] = (),
     *,
-    codes: Optional[Iterable[int]] = None,
+    _codes: Optional[Iterable[int]] = None,
 ) -> LabelledDigraph:
-    """The graph on ``vertices`` with ``edges`` as label pairs or, instead,
-    ``codes`` as rank(tail) * V + rank(head) over ``sorted_labels(vertices)``.
+    """The graph on ``vertices`` with ``edges``, label pairs, each checked
+    for a dangling end and a self-loop.
 
-    A label pair is checked for a dangling end and a self-loop, a code only
-    for a self-loop: the caller makes codes from ranks, which are in range,
-    and the document reader checks the ranks it reads."""
-    return LabelledDigraph(vertices, edges, codes=codes)
+    The package's own producers pass ``_codes`` instead: codes
+    rank(tail) * V + rank(head) over ``ranked(vertices)``, made by
+    ``coded`` from ranks they looked up, so every code is in range and
+    only self-loops are checked.  Range-checking them here would take a
+    ``min`` and a ``max`` over every edge of every graph."""
+    return LabelledDigraph(vertices, edges, _codes=_codes)
 
 
 @dataclass
@@ -314,10 +341,9 @@ def graph_diff(g: LabelledDigraph, h: LabelledDigraph) -> DiffReport:
     else:
         order = sorted_labels(g.vertices | h.vertices)
         g_codes, h_codes = g._codes_over(order), h._codes_over(order)
-    count = len(order)
 
     def pairs(codes: frozenset[int]) -> list[Edge]:
-        return [(order[t], order[u]) for t, u in map(divmod, sorted(codes), repeat(count))]
+        return [(order[t], order[u]) for t, u in decoded(sorted(codes), len(order))]
 
     return DiffReport(
         missing_vertices=sorted_labels(g.vertices - h.vertices),

@@ -63,7 +63,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product, repeat
+from itertools import combinations, combinations_with_replacement, product
 from typing import Optional, Sequence
 
 from .arrangement import (
@@ -86,7 +86,7 @@ from .geometry import (
     cleared,
     rotation_from_parameter,
 )
-from .graphs import A, B, C, Edge, Label, LabelledDigraph, SA, SB, SC, graph_diff
+from .graphs import A, B, C, Edge, Label, LabelledDigraph, SA, SB, SC, decoded, graph_diff
 from .reductions import reduce_sectors, reduce_segments, sector_order
 from .transmission import Instance, instance, transmission_graph
 
@@ -248,7 +248,7 @@ def check_observation1(inst: Instance, graph: LabelledDigraph) -> list[Edge]:
     of couples, numbered by the integer keys of those four values.
     """
     objs = list(map(dict(inst.entries).__getitem__, graph.order))
-    couples = list(map(divmod, graph.couples, repeat(len(objs))))
+    couples = list(decoded(graph.couples, len(objs)))
     classes: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     number = {
         r: classes.setdefault(
@@ -338,9 +338,9 @@ def is_wide_spread(inst: Instance, graph: LabelledDigraph) -> bool:
     count = len(classes)
     containers = [{number: [d]} for d, number in enumerate(classes)]
     couples = [{d} for d in range(count)]
-    for t, h in map(divmod, graph.codes, repeat(count)):
+    for t, h in decoded(graph.codes, count):
         containers[h].setdefault(classes[t], []).append(t)
-    for t, h in map(divmod, graph.couples, repeat(count)):
+    for t, h in decoded(graph.couples, count):
         couples[t].add(h)
         couples[h].add(t)
     for groups in containers:

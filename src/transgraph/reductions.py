@@ -31,8 +31,9 @@ and each part's edges are prefixes of it.
 
 Both build every label once and then work on its rank in the graph's
 sorted vertex list: an edge is the code rank(tail) * V + rank(head) that
-``graphs.digraph`` takes, and a prefix run of heads is emitted as
-``map(add, repeat(tail * V), heads)``, in C.
+``graphs.digraph`` takes, and the codes from one tail to a run of heads,
+or from a run of tails to one head, are made in C by ``graphs.coded_run``
+and ``graphs.coded``.
 
 ``omit`` drops whole edge families, for mutation testing of the
 verification pipeline: every edge is built, and the omitted ones are then
@@ -42,11 +43,10 @@ filtered out by a classifier that names an edge's family from its labels.
 from __future__ import annotations
 
 from itertools import chain, combinations, repeat
-from operator import add
 from typing import Iterable
 
 from .arrangement import Description, validate_description
-from .graphs import A, B, C, Label, LabelledDigraph, SA, SB, SC, digraph, sorted_labels
+from .graphs import A, B, C, Label, LabelledDigraph, SA, SB, SC, coded, coded_run, decoded, digraph, ranked
 
 SEGMENT_FAMILIES = ("CA", "CB", "BC", "BORDER")
 SECTOR_FAMILIES = ("EI", "EC", "EGO", "ELOI", "ELOD", "EGO_BB")
@@ -80,15 +80,14 @@ def _omitted(omit: Iterable[str], families: tuple[str, ...]) -> frozenset[str]:
 def _ranked(*tables: dict) -> tuple[list[Label], list[dict]]:
     """The sorted vertex list of the labels in ``tables``, and each table
     with its labels replaced by their ranks in that list."""
-    vertices = sorted_labels(chain.from_iterable(table.values() for table in tables))
-    rank = dict(zip(vertices, range(len(vertices))))
+    vertices, rank = ranked(chain.from_iterable(table.values() for table in tables))
     return vertices, [{key: rank[label] for key, label in table.items()} for table in tables]
 
 
 def _kept(codes: set[int], vertices: list[Label], family, omit: frozenset[str]) -> set[int]:
     """The codes whose edge ``family`` names no omitted family."""
-    count = len(vertices)
-    return {e for e in codes if family(vertices[e // count], vertices[e % count]) not in omit}
+    pairs = decoded(codes, len(vertices))
+    return {e for e, (t, h) in zip(codes, pairs) if family(vertices[t], vertices[h]) not in omit}
 
 
 def _segment_family(tail: Label, head: Label) -> str:
@@ -113,19 +112,18 @@ def reduce_segments(
     count = len(vertices)
     a.update({(k, i): rank for (i, k), rank in a.items()})
     edges: set[int] = set()
-    for i, k in b:
-        hub, b_ik = c[i] * count, b[i, k]
-        edges.update((hub + a[i, k], hub + b_ik, b_ik * count + c[i]))
     for i in lines:
         order = desc.flat_order(i)
         bs = [b[i, k] for k in order]
         as_ = [a[i, k] for k in order]
+        edges.update(coded_run(c[i], as_ + bs, count))
+        edges.update(coded(bs, repeat(c[i]), count))
         for k, b_k in enumerate(bs):
-            edges.update(map(add, repeat(b_k * count), bs[:k]))
-            edges.update(map(add, repeat(b_k * count), as_[: k + 1]))
+            edges.update(coded_run(b_k, bs[:k], count))
+            edges.update(coded_run(b_k, as_[: k + 1], count))
     if omit:
         edges = _kept(edges, vertices, _segment_family, omit)
-    return digraph(vertices, codes=edges)
+    return digraph(vertices, _codes=edges)
 
 
 MS = (1, 2, 3)
@@ -179,20 +177,20 @@ def reduce_sectors(
         order = sector_order(desc, i)
         for m in MS:
             hub = sc[i, m]
-            spoke = hub * count
             run: list[int] = []
             for k, mp in order:
                 own, partner, b = sa[i, m, k, mp], sa[k, mp, i, m], sb[i, m, k, mp]
-                edges.update(
-                    (spoke + own, spoke + partner, own * count + hub, spoke + b, b * count + hub)
-                )
-                edges.update(map(add, repeat(own * count), run))
+                edges.update(coded_run(own, run, count))
                 run += (own, partner)
-                edges.update(map(add, repeat(b * count), run))
+                edges.update(coded_run(b, run, count))
                 run.append(b)
+            # The hub points at every part's labels, and its own SA and SB
+            # point back at it.
+            edges.update(coded_run(hub, run, count))
+            edges.update(coded(run[0::3] + run[2::3], repeat(hub), count))
     if omit:
         edges = _kept(edges, vertices, _sector_family, omit)
-    return digraph(vertices, codes=edges)
+    return digraph(vertices, _codes=edges)
 
 
 def segment_vertex_count(n: int) -> int:

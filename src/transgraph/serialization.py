@@ -28,8 +28,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from operator import add
+from operator import itemgetter
 from typing import Any
 
 from .arrangement import Description, LineArrangement
@@ -43,7 +42,7 @@ from .geometry import (
     Segment,
     Vec2,
 )
-from .graphs import DiffReport, Label, LabelledDigraph, digraph, sorted_labels
+from .graphs import DiffReport, Label, LabelledDigraph, coded, digraph, ranked
 from .transmission import Instance, instance
 from .verification import RoundTripReport
 
@@ -328,36 +327,25 @@ def _checked_edges(raw: dict, vertices: frozenset[Label], path: str) -> list[tup
 
 def _indexed_graph(raw: dict, labels: list[Label], path: str) -> LabelledDigraph:
     """A version-2 graph, whose edges are ``[tail, head]`` positions in
-    ``labels``.  Every edge is checked at once, by builtin calls: a list of
-    two exact integers (so JSON true and 1.0 are refused) in range.  Each
-    position is then mapped to its label's rank in ``sorted_labels(labels)``,
-    where duplicate vertex entries are one label, each edge becomes its code,
-    and a self-loop is looked up among the codes.  Only a document that
-    fails a check is read again edge by edge, to name its first bad edge."""
+    ``labels``, checked by one loop of builtin calls.  A position must be
+    an exact integer, so JSON true and 1.0 are refused.  Duplicate vertex
+    entries decode to one label, so a self-loop is found by identity.  The
+    checked positions are then mapped to ranks and codes, in C."""
     pairs = _dec_list(raw.get("edges", []), path + ".edges")
     count = len(labels)
-    order = sorted_labels(labels)
-    ok = set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
-    if ok:
-        ends = list(chain.from_iterable(pairs))
-        ok = set(map(type, ends)) <= {int} and (not ends or (min(ends) >= 0 and max(ends) < count))
-    if ok:
-        # Position i's rank, as a head and times V as a tail.
-        rank = dict(zip(order, range(len(order))))
-        head_at = list(map(rank.__getitem__, labels))
-        tail_at = [r * len(order) for r in head_at]
-        codes = frozenset(map(add, map(tail_at.__getitem__, ends[::2]), map(head_at.__getitem__, ends[1::2])))
-        ok = codes.isdisjoint(range(0, len(order) ** 2, len(order) + 1))
-    if not ok:
-        for i, pair in enumerate(pairs):
-            if type(pair) is not list or len(pair) != 2:
-                raise SchemaError(f"{path}.edges[{i}]", "expected a [tail, head] pair of vertex indices")
-            tail, head = pair
-            if type(tail) is not int or type(head) is not int or not (0 <= tail < count and 0 <= head < count):
-                raise SchemaError(f"{path}.edges[{i}]", f"vertex indices must be integers in [0, {count})")
-            if labels[tail] is labels[head]:
-                raise SchemaError(f"{path}.edges[{i}]", f"self-loop at {labels[tail]}")
-    return digraph(order, codes=codes)
+    for i, pair in enumerate(pairs):
+        if type(pair) is not list or len(pair) != 2:
+            raise SchemaError(f"{path}.edges[{i}]", "expected a [tail, head] pair of vertex indices")
+        tail, head = pair
+        if type(tail) is not int or type(head) is not int or not (0 <= tail < count and 0 <= head < count):
+            raise SchemaError(f"{path}.edges[{i}]", f"vertex indices must be integers in [0, {count})")
+        if labels[tail] is labels[head]:
+            raise SchemaError(f"{path}.edges[{i}]", f"self-loop at {labels[tail]}")
+    order, rank = ranked(labels)
+    rank_at = list(map(rank.__getitem__, labels)).__getitem__
+    tails = map(rank_at, map(itemgetter(0), pairs))
+    heads = map(rank_at, map(itemgetter(1), pairs))
+    return digraph(order, _codes=coded(tails, heads, len(order)))
 
 
 def _dec_graph(raw: Any, path: str, version: int) -> LabelledDigraph:

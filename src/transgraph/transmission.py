@@ -30,8 +30,9 @@ test only on the points that can pass it:
 A disk is tested against every point; no reduction builds disks.
 
 The edges are emitted as the integer codes rank(tail) * V + rank(head)
-that ``graphs.digraph`` takes, over the sorted labels: each object's rank
-is looked up once, and a run of heads becomes codes in C.
+that ``graphs.digraph`` takes, over ``graphs.ranked(labels)``: each
+object's rank is looked up once, and ``graphs.coded_run`` makes the codes
+of a run of heads, in C.
 """
 
 from __future__ import annotations
@@ -39,9 +40,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count, repeat
+from itertools import compress, count
 from math import gcd
-from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .geometry import (
@@ -52,7 +52,7 @@ from .geometry import (
     Segment,
     cleared,
 )
-from .graphs import Label, LabelledDigraph, digraph, sorted_labels
+from .graphs import Label, LabelledDigraph, coded_run, digraph, ranked
 
 
 class DuplicateLabel(Exception):
@@ -117,7 +117,7 @@ def _radius_edges(
         for x, y in [points[j]]
         if j != i and ((x - ax) * (x - ax) + (y - ay) * (y - ay)) * rd <= rbound
     ]
-    return map(add, repeat(ranks[i] * len(ranks)), near)
+    return coded_run(ranks[i], near, len(ranks))
 
 
 def _cone_edges(
@@ -196,8 +196,7 @@ def transmission_graph(inst: Instance) -> LabelledDigraph:
     labels = inst.labels()
     objects = inst.objects()
     m = len(objects)
-    vertices = sorted_labels(labels)
-    rank = dict(zip(vertices, range(m)))
+    vertices, rank = ranked(labels)
     ranks = list(map(rank.__getitem__, labels))
     pts = [distinguished_point(obj) for obj in objects]
     pts += [obj.q for obj in objects if isinstance(obj, Segment)]
@@ -239,7 +238,7 @@ def transmission_graph(inst: Instance) -> LabelledDigraph:
         for i, tq in members:
             ts, run_ranks = runs[keys[i]]
             lo, hi = sorted((t[i], tq))
-            k, tail = position[i], repeat(ranks[i] * m)
-            edges += map(add, tail, run_ranks[bisect_left(ts, lo) : k])
-            edges += map(add, tail, run_ranks[k + 1 : bisect_right(ts, hi)])
-    return digraph(vertices, codes=edges)
+            k, tail = position[i], ranks[i]
+            edges += coded_run(tail, run_ranks[bisect_left(ts, lo) : k], m)
+            edges += coded_run(tail, run_ranks[k + 1 : bisect_right(ts, hi)], m)
+    return digraph(vertices, _codes=edges)

@@ -262,7 +262,7 @@ def _edge_key(edge):
 def test_graphs_from_codes_agree_with_graphs_from_label_pairs(first, second):
     vertices, edges = first
     order, codes = _reference_codes(vertices, edges)
-    from_pairs, from_codes = digraph(vertices, edges), digraph(vertices, codes=codes)
+    from_pairs, from_codes = digraph(vertices, edges), digraph(vertices, _codes=codes)
     for g in (from_pairs, from_codes):
         assert g.vertices == frozenset(vertices) and g.edges == frozenset(edges)
         assert g.sorted_vertices() == order

@@ -11,7 +11,7 @@ import pytest
 from conftest import version_1_text
 
 import transgraph
-from transgraph import rendering, serialization
+from transgraph import graphs, rendering, serialization
 from transgraph.arrangement import LineArrangement, extract_description
 from transgraph.cli import main
 from transgraph.geometry import Disk, Sector, Segment, rotation_from_parameter, vec
@@ -612,25 +612,37 @@ def test_graph_document_is_written_and_read_without_a_call_per_edge():
 @pytest.mark.parametrize(
     "write", [lambda g: document_to_json(Document("graph", g)), export_dot], ids=["json", "dot"]
 )
-def test_writing_a_graph_sorts_its_vertices_once(write):
-    """A graph sorts its vertices once, when it is built, by the key each
-    label keeps in a slot; a write reuses that order for the vertices and
-    the edges, and calls no ``sort_key`` at all."""
+def test_writing_a_graph_sorts_its_vertices_once(write, monkeypatch):
+    """A graph sorts its vertices once, when it is built, through the sort
+    key each label keeps; a write reuses that order for the vertices and
+    the edges.  Every vertex sort runs through ``graphs.sorted_labels``,
+    which reads ``graphs._SORT_KEY`` when called, so a counting key sees
+    each sort, and the profile sees any ``Label.sort_key`` call."""
     g = reduce_sectors(extract_description(random_simple_arrangement(RandomSpec(n=5, seed=1))))
     expected = write(g)
-    calls = 0
+    keys = calls = 0
+    key = graphs._SORT_KEY
+
+    def counting_key(label):
+        nonlocal keys
+        keys += 1
+        return key(label)
 
     def profile(frame, event, arg):
         nonlocal calls
         calls += event == "call" and frame.f_code is Label.sort_key.__code__
 
+    monkeypatch.setattr(graphs, "_SORT_KEY", counting_key)
+    assert digraph(g.vertices, _codes=g.codes) == g
+    assert keys == g.vertex_count == 375
+    keys = 0
     sys.setprofile(profile)
     try:
         text = write(g)
     finally:
         sys.setprofile(None)
     assert text == expected
-    assert calls == 0
+    assert keys == calls == 0
 
 
 def test_export_dot_names_each_vertex_once():
