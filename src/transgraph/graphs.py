@@ -13,16 +13,19 @@ The cyclic garbage collector does not track ints, so a graph with E edges
 holds a few containers, not E tuples.  Equal vertex sets have equal orders,
 so graph equality and ``graph_diff`` compare the codes as sets of ints, in
 C.  Sorted codes are the edges in ``sorted_edges()`` order, split by
-``divmod``, and the mutual couples are found by one frozenset intersection
-with the reversed codes.  The frozenset of label pairs, ``edges``, is built
-from the codes only when something reads it.  ``ranked``, ``coded``,
-``coded_run`` and ``decoded`` are this format's one definition: the other
+``divmod``, or into one row of heads per tail by ``mod`` and a ``bisect``
+at each multiple of V, and the mutual couples are found by one frozenset
+intersection with the reversed codes.  The frozenset of label pairs,
+``edges``, is built from the codes only when something reads it.
+``ranked``, ``coded``, ``coded_run``, ``decoded`` and
+``LabelledDigraph.rows`` are this format's one definition: the other
 modules take vertex ranks and make and split codes through them.
 """
 
 from __future__ import annotations
 
 import weakref
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
@@ -251,6 +254,17 @@ class LabelledDigraph:
         of its ends' positions in that list, sorted: the order of
         ``sorted_edges()``.  The sorted codes are split by ``divmod``, in C."""
         return list(self.order), list(decoded(sorted(self.codes), len(self.order)))
+
+    def rows(self) -> tuple[list[Label], list[list[int]]]:
+        """``sorted_vertices()``, and for each of its entries the ascending
+        positions of the heads of that vertex's out-edges (``[]`` for a
+        sink): ``indexed()`` grouped by tail.  The heads of the sorted codes
+        are split off by ``mod``, and row t's bounds are found by a
+        ``bisect`` at t * V and (t + 1) * V, all in C."""
+        count, codes = len(self.order), sorted(self.codes)
+        heads = list(map(mod, codes, repeat(count)))
+        bounds = list(map(bisect_left, repeat(codes), range(0, (count + 1) * count, count or 1)))
+        return list(self.order), list(map(heads.__getitem__, map(slice, bounds, bounds[1:])))
 
     def _codes_over(self, order: list[Label]) -> frozenset[int]:
         """The codes of this graph's edges over ``order``, a sorted list that

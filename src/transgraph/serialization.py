@@ -1,10 +1,12 @@
 """Lossless JSON documents for every pipeline value.
 
 Rationals travel as exact "num/den" strings and labels as structured
-objects.  A graph's edges are ``[tail, head]`` positions in its own
-``vertices`` list; only a report's diff names edges by label pairs, since
-they may name a vertex one graph lacks.  Serialization is deterministic
-(sorted keys, canonical vertex/edge order), so byte-identical goldens are
+objects.  A graph is its sorted ``vertices`` list and ``out``, one row per
+entry of that list: row t lists, in ascending order, the positions in
+``vertices`` of the heads of vertex t's out-edges, and a sink's row is
+``[]``.  Only a report's diff names edges by label pairs, since they may
+name a vertex one graph lacks.  Serialization is deterministic (sorted
+keys, canonical vertex and head order), so byte-identical goldens are
 stable.
 
 The text is compact, one line of ``json.dumps(body, sort_keys=True,
@@ -13,13 +15,14 @@ encoder.  A body is a fresh tree that shares no container, so the encoder's
 cycle check is skipped.  ``python -m json.tool`` pretty-prints a document.
 The reader takes any JSON layout, so indented documents read as well.
 
-A graph's edge pairs are its sorted edge codes split by ``divmod``
-(``LabelledDigraph.indexed``); the reader checks all the pairs at once and
-turns them back into codes.
+The rows are a graph's sorted edge codes split by tail
+(``LabelledDigraph.rows``), so writing and reading a graph makes one list
+per vertex, not one per edge.  The reader checks one row at a time with
+builtin calls and turns the rows back into codes in C.
 
-The reader also takes version 1, in which each edge endpoint is a full
-label object; ``graphs.Label`` interns labels, so equal labels are one
-object.
+The reader also takes version 2, in which each edge is a ``[tail, head]``
+pair of positions in ``vertices``.  Version 1, whose edge endpoints were
+label objects, is refused.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Any
 
@@ -46,7 +50,7 @@ from .graphs import DiffReport, Label, LabelledDigraph, coded, digraph, ranked
 from .transmission import Instance, instance
 from .verification import RoundTripReport
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 KINDS = ("arrangement", "description", "instance", "graph", "report")
 
@@ -111,8 +115,8 @@ def _enc_object(obj: ArrangementObject) -> dict:
 
 
 def _enc_graph(g: LabelledDigraph) -> dict:
-    vertices, edges = g.indexed()
-    return {"vertices": list(map(_enc_label, vertices)), "edges": edges}
+    vertices, rows = g.rows()
+    return {"vertices": list(map(_enc_label, vertices)), "out": rows}
 
 
 def _enc_payload(kind: str, payload: Any) -> Any:
@@ -293,35 +297,13 @@ def _dec_labels(raw: dict, key: str, path: str) -> list[Label]:
     return [_dec_label(v, path, i) for i, v in enumerate(_dec_list(raw.get(key, []), path))]
 
 
-def _edge_labels(raw: dict, key: str, path: str):
-    """(i, tail, head) for each label pair i in ``raw[key]``."""
+def _dec_edges(raw: dict, key: str, path: str) -> list[tuple[Label, Label]]:
     path = f"{path}.{key}"
+    edges = []
     for i, pair in enumerate(_dec_list(raw.get(key, []), path)):
         if not isinstance(pair, list) or len(pair) != 2:
             raise SchemaError(f"{path}[{i}]", "expected a label pair")
-        yield i, _dec_label(pair[0], path, i, 0), _dec_label(pair[1], path, i, 1)
-
-
-def _dec_edges(raw: dict, key: str, path: str) -> list[tuple[Label, Label]]:
-    return [(u, v) for _, u, v in _edge_labels(raw, key, path)]
-
-
-def _checked_edges(raw: dict, vertices: frozenset[Label], path: str) -> list[tuple[Label, Label]]:
-    """The edges of a version-1 graph, whose endpoints are label objects,
-    one endpoint at a time.  Every endpoint is validated before the first
-    dangling endpoint or self-loop is raised."""
-    edges = []
-    problem = None
-    for i, u, v in _edge_labels(raw, "edges", path):
-        if problem is None:
-            if u not in vertices or v not in vertices:
-                missing = u if u not in vertices else v
-                problem = SchemaError(f"{path}.edges[{i}]", f"dangling edge endpoint {missing}")
-            elif u is v:
-                problem = SchemaError(f"{path}.edges[{i}]", f"self-loop at {u}")
-        edges.append((u, v))
-    if problem is not None:
-        raise problem
+        edges.append((_dec_label(pair[0], path, i, 0), _dec_label(pair[1], path, i, 1)))
     return edges
 
 
@@ -348,12 +330,36 @@ def _indexed_graph(raw: dict, labels: list[Label], path: str) -> LabelledDigraph
     return digraph(order, _codes=coded(tails, heads, len(order)))
 
 
+def _row_graph(raw: dict, labels: list[Label], path: str) -> LabelledDigraph:
+    """A version-3 graph, whose ``out`` holds one row of head positions in
+    ``labels`` per entry of ``labels``, checked one row at a time by builtin
+    calls.  A position must be an exact integer, so JSON true and 1.0 are
+    refused.  Duplicate vertex entries decode to one label and so to one
+    rank, and a self-loop is a head of the tail's own rank.  The checked
+    rows are then mapped to ranks and codes, in C."""
+    rows = _dec_list(raw.get("out", []), path + ".out")
+    count = len(labels)
+    if len(rows) != count:
+        raise SchemaError(path + ".out", f"expected {count} rows, one per vertex entry, got {len(rows)}")
+    order, rank = ranked(labels)
+    ranks = list(map(rank.__getitem__, labels))
+    rank_at = ranks.__getitem__
+    for t, row in enumerate(rows):
+        if type(row) is not list or not _all_ints(row) or row and (min(row) < 0 or max(row) >= count):
+            raise SchemaError(f"{path}.out[{t}]", f"expected a list of vertex indices, integers in [0, {count})")
+        if ranks[t] in map(rank_at, row):
+            raise SchemaError(f"{path}.out[{t}]", f"self-loop at {labels[t]}")
+    tails = chain.from_iterable(map(repeat, ranks, map(len, rows)))
+    heads = map(rank_at, chain.from_iterable(rows))
+    return digraph(order, _codes=coded(tails, heads, len(order)))
+
+
 def _dec_graph(raw: Any, path: str, version: int) -> LabelledDigraph:
     raw = _dec_dict(raw, path)
     labels = _dec_labels(raw, "vertices", path)
-    if version == 1:
-        return digraph(labels, _checked_edges(raw, frozenset(labels), path))
-    return _indexed_graph(raw, labels, path)
+    if version == 2:
+        return _indexed_graph(raw, labels, path)
+    return _row_graph(raw, labels, path)
 
 
 def _dec_payload(kind: str, raw: Any, version: int, path: str = "payload") -> Any:
@@ -453,7 +459,7 @@ def document_from_json(text: str) -> Document:
     if kind not in KINDS:
         raise SchemaError("kind", f"unknown document kind {kind!r}")
     version = body.get("formatVersion")
-    if not _is_int(version) or version not in (1, FORMAT_VERSION):
+    if not _is_int(version) or version not in (2, FORMAT_VERSION):
         raise SchemaError("formatVersion", f"unsupported version {version!r}")
     return Document(kind, _dec_payload(kind, body.get("payload", {}), version))
 

@@ -46,10 +46,11 @@ def concurrent_lines():
     )
 
 
-def version_1_text(text):
-    """A version-2 document text rewritten as version 1: in each graph, and
-    in the two graphs of a report, every ``[tail, head]`` index pair becomes
-    the pair of its two vertex objects."""
+def version_2_text(text):
+    """A version-3 document text rewritten as version 2, in the compact
+    layout the version-2 writer used: in each graph, and in the two graphs
+    of a report, the rows of head positions become ``[tail, head]``
+    position pairs, in the same order."""
     body = json.loads(text)
     payload = body["payload"]
     if body["kind"] == "report":
@@ -57,7 +58,6 @@ def version_1_text(text):
     else:
         graphs = [payload] if body["kind"] == "graph" else []
     for graph in graphs:
-        vertices = graph["vertices"]
-        graph["edges"] = [[vertices[tail], vertices[head]] for tail, head in graph["edges"]]
-    body["formatVersion"] = 1
-    return json.dumps(body)
+        graph["edges"] = [[tail, head] for tail, row in enumerate(graph.pop("out")) for head in row]
+    body["formatVersion"] = 2
+    return json.dumps(body, sort_keys=True, separators=(",", ":")) + "\n"

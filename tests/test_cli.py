@@ -3,7 +3,7 @@ import json
 from functools import lru_cache
 
 import pytest
-from conftest import version_1_text
+from conftest import version_2_text
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from transgraph import realization
@@ -89,7 +89,7 @@ def test_validate_rejects_bad_description(tmp_path):
         json.dumps(
             {
                 "kind": "description",
-                "formatVersion": 1,
+                "formatVersion": FORMAT_VERSION,
                 "payload": {"n": 2, "orders": [[[2]], [[2]]]},
             }
         )
@@ -239,7 +239,7 @@ def test_render_rejects_a_coordinate_too_large_for_a_float(segments, tmp_path, c
         {"label": {"kind": "FREE", "text": f"s{k}"}, "object": {"type": "segment", "p": p, "q": q}}
         for k, (p, q) in enumerate(segments)
     ]
-    body = {"kind": "instance", "formatVersion": 1, "payload": {"entries": entries}}
+    body = {"kind": "instance", "formatVersion": FORMAT_VERSION, "payload": {"entries": entries}}
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(body))
     svg = tmp_path / "out.svg"
@@ -271,7 +271,7 @@ def test_an_integer_too_long_for_the_json_reader_is_input_error(tmp_path, capsys
     bad = tmp_path / "graph.json"
     bad.write_text(
         f'{{"formatVersion": {FORMAT_VERSION}, "kind": "graph", "payload": '
-        f'{{"vertices": [{{"kind": "C", "indices": [{index}]}}], "edges": []}}}}'
+        f'{{"vertices": [{{"kind": "C", "indices": [{index}]}}], "out": [[]]}}}}'
     )
     assert run("export-dot", "--in", bad, "--out", tmp_path / "g.dot") == 2
     err = capsys.readouterr().err
@@ -290,7 +290,7 @@ def test_tgraph_rejects_sector_half_angle_past_a_quarter_turn(tmp_path, capsys):
     }
     body = {
         "kind": "instance",
-        "formatVersion": 1,
+        "formatVersion": FORMAT_VERSION,
         "payload": {
             "entries": [{"label": {"kind": "FREE", "text": "x"}, "object": sector}]
         },
@@ -325,7 +325,7 @@ WRITES_OUT = {"describe", "reduce", "realize", "tgraph", "render", "export-dot"}
 @lru_cache(maxsize=None)
 def _valid_documents():
     """One valid n=2 document of every kind, as JSON text, and the graph
-    and the report also as version 1."""
+    and the report also as version 2."""
     arr = random_simple_arrangement(RandomSpec(n=2, seed=0))
     desc = extract_description(arr)
     docs = [
@@ -337,8 +337,8 @@ def _valid_documents():
         Document("report", round_trip_sectors(arr)),
     ]
     texts = [document_to_json(doc) for doc in docs]
-    # The version-1 renderings keep the label-pair edge reader fuzzed.
-    old = [version_1_text(text) for doc, text in zip(docs, texts) if doc.kind in ("graph", "report")]
+    # The version-2 renderings keep the index-pair edge reader fuzzed.
+    old = [version_2_text(text) for doc, text in zip(docs, texts) if doc.kind in ("graph", "report")]
     return tuple(texts + old)
 
 
@@ -446,39 +446,39 @@ def test_deeply_nested_document_is_an_input_error(tmp_path, capsys, text):
 # output change.
 PINNED_DIGESTS = {
     3: {
-        "arr.json": "94f5ed0d33955165906b1111e926440237def4717bcd932f5779891046996cff",
+        "arr.json": "7ce71656a1071baf32e06aa641e12fa27e9cfa3d85936a548025cad390ca3848",
         "arr.svg": "5bf9e93659c3e7ba4c3b45347042c675c8009fe048a7453cbebc48cc2ee970b0",
-        "desc.json": "2b1774284ac71c7fba54858ef62467c79ab89b457ea5c9f34a7852f683bff802",
-        "realize-sectors.json": "b4fd0d29d3712c7ff2377031bbc40117c1d246ce1a211634b9a1ae013214dece",
+        "desc.json": "618e96b08cfb6fb52b7b7474acbe3380d95c5b89447ae3a7dd6e8de30f6f6f0d",
+        "realize-sectors.json": "bdaf3ad8c67428f161cc1f92013e5159c2bfddac008b9c6b0bd95e501af07b12",
         "realize-sectors.svg": "108743c77429344f4943fbd3363febadb5aa01dd2ca456719c405826d0abafc1",
-        "realize-segments.json": "7bd337e602e3c91c5a0fdeb855cc733bb8afbcf64f6e7c64ec403eb1fbdb6729",
+        "realize-segments.json": "34b794bcb0fd17a4c97bd6477a1006b16fb07c1b32e36a9e92669229d96a4510",
         "realize-segments.svg": "7923b078b9ba50087f3f1b6cc5a9036d572f7a5fea0d590be648cbb1f7803cb9",
         "reduce-sectors.dot": "82aab797037706fd1a13354a05287a7240b9f3b9152e5a60604b9f91731c9c8d",
-        "reduce-sectors.json": "76f4d74f8fd35cd5829cc9c34db8819b4e521c5eee81f7a96885b3a38a529dc5",
+        "reduce-sectors.json": "aec871f1856196f60db945b30bb79c10e14fc8a14f9b36754d9d02d26f3ea953",
         "reduce-segments.dot": "4b211a5eabc25d7a4a2c55e390b86e3d408771c7d8036eca8db06fc3de37dd92",
-        "reduce-segments.json": "414fa482ef24f7826cf5e7e19068d903a5127fdd6e9fe49570fbca9761dff127",
-        "report-sectors.json": "fca155c68d4ce4d23b58ceb7cc492bd396821977c07afd7705c8306884e89fa8",
-        "report-segments.json": "babb6dda37ac76fb90edd70a87b505e1b5062a5c1e385639f2d40df2eea607d0",
-        "tgraph-sectors.json": "76f4d74f8fd35cd5829cc9c34db8819b4e521c5eee81f7a96885b3a38a529dc5",
-        "tgraph-segments.json": "414fa482ef24f7826cf5e7e19068d903a5127fdd6e9fe49570fbca9761dff127",
+        "reduce-segments.json": "ce1ce735660418c0ef07349b2c341718c6a29c3876fa7c6c11f07b9de52c6982",
+        "report-sectors.json": "e15d8f63f234c00d615e843131563d7306ca1607b9ee14d84531041524984518",
+        "report-segments.json": "003e170e354a7dddcc13441895e485ad0dc1a52d60517658cc991d28f3827f58",
+        "tgraph-sectors.json": "aec871f1856196f60db945b30bb79c10e14fc8a14f9b36754d9d02d26f3ea953",
+        "tgraph-segments.json": "ce1ce735660418c0ef07349b2c341718c6a29c3876fa7c6c11f07b9de52c6982",
         "verify.stdout": "db1b1faafdf5225f0061beb149ed38f7d532a477e6490b88ab273ef89d436d3b",
     },
     4: {
-        "arr.json": "9d1224a5b949a7bebacf47cd3737d2a2d1b3f00f9ded4785f167cfc035b7deaa",
+        "arr.json": "458462e931da1cf0a4a2f0644ce6b1845771a6c1130cc334d930e46525cd561b",
         "arr.svg": "a8ddd4376582260acb6b20f97bec97e5f9a6550557bddd19013de00cc9b3c4a1",
-        "desc.json": "f03ca03eab68a432c1d2a28c091d637df7d96c5bcaa46e32f77bf9e9dcad6e54",
-        "realize-sectors.json": "a78591aec68351be7eb89225acb6ac6fd9f3bbd6dae5fe03871e9366238c8537",
+        "desc.json": "36b3199f572b1e037af8c72d62d46f6a76c3ba5917f01f1d5eaed64bbbc533fc",
+        "realize-sectors.json": "ef521eda0ed7335b0f7d42869c40168c228ee1d9d7997ddbe60e1cdf16238e90",
         "realize-sectors.svg": "6ac443c5ff725256b2d6cfe2a45259d1964b12abea7197c372e36d54935bdf0d",
-        "realize-segments.json": "0b2602b40462f90c54315631971492b774a7484cdef71e2ebe63ee04431c3adf",
+        "realize-segments.json": "5eb70e8c2ce064b591c6e52f178d248063c2435cf0e780eb1fa048eefbc73170",
         "realize-segments.svg": "de3561744e6e57ccff7197843560ed1b266500d2706c61bb0c97e0b83dd32f8b",
         "reduce-sectors.dot": "e2405de8f4f6e7894bf83cbef9081f6a8ac75b9ff080b51ef2832dd2d90f7e43",
-        "reduce-sectors.json": "dd039851120dc5164b5fe4f824ab6698e790c4beca309ca0dced7dba4a250e47",
+        "reduce-sectors.json": "639451e8cf49293f9b9600f016bd8c78c7ba26acb38fa75edb0839b68839d477",
         "reduce-segments.dot": "29d18ade0a881b3b1726781cc7cef2e5d559748632debb37c5680a1eb5372544",
-        "reduce-segments.json": "e2663233ea15cd41932ee1b4f532223e5231ec6adb1bd40b85e47a74c1136039",
-        "report-sectors.json": "1f0fdc2c6e449f36e1ed0d2bf00a15dec1fa85a987d4c14e64692c7ce17b2fd2",
-        "report-segments.json": "119b7838722b26b3429c2a801b5c0d3ba07876e70d59a284281bd64a568e71dd",
-        "tgraph-sectors.json": "dd039851120dc5164b5fe4f824ab6698e790c4beca309ca0dced7dba4a250e47",
-        "tgraph-segments.json": "e2663233ea15cd41932ee1b4f532223e5231ec6adb1bd40b85e47a74c1136039",
+        "reduce-segments.json": "cd346499b42d0ea0261e73d8f8209953894277c2eb08a49c6a13c8a97ef868d1",
+        "report-sectors.json": "d4288db5e96087114ac9016b54ae66039eaca919c34514b0c886fc39b96fbc0d",
+        "report-segments.json": "53483ada5df64e39030b603ff5db94812611641cc3db59f842cf3c20169495e6",
+        "tgraph-sectors.json": "639451e8cf49293f9b9600f016bd8c78c7ba26acb38fa75edb0839b68839d477",
+        "tgraph-segments.json": "cd346499b42d0ea0261e73d8f8209953894277c2eb08a49c6a13c8a97ef868d1",
         "verify.stdout": "db1b1faafdf5225f0061beb149ed38f7d532a477e6490b88ab273ef89d436d3b",
     },
 }

@@ -8,7 +8,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from conftest import version_1_text
+from conftest import version_2_text
 
 import transgraph
 from transgraph import graphs, rendering, serialization
@@ -123,7 +123,7 @@ def test_zero_denominator_rejected():
 def _segment_document(x: str) -> str:
     segment = {"type": "segment", "p": [x, "5"], "q": ["9", "9"]}
     payload = {"entries": [{"label": {"kind": "FREE", "text": "s"}, "object": segment}]}
-    return json.dumps({"kind": "instance", "formatVersion": 1, "payload": payload})
+    return json.dumps({"kind": "instance", "formatVersion": FORMAT_VERSION, "payload": payload})
 
 
 @pytest.mark.parametrize("raw", ["1e4000000", "1.5", " 3/4", "1_0"])
@@ -144,7 +144,7 @@ def test_unknown_kind_rejected():
     with pytest.raises(SchemaError):
         Document("mystery", None)
     with pytest.raises(SchemaError):
-        document_from_json('{"kind": "mystery", "formatVersion": 1, "payload": {}}')
+        document_from_json(json.dumps({"kind": "mystery", "formatVersion": FORMAT_VERSION, "payload": {}}))
 
 
 def test_bad_version_rejected():
@@ -156,11 +156,11 @@ def test_bad_version_rejected():
 
 
 def test_dangling_edge_rejected():
-    c1, c2 = {"kind": "C", "indices": [1]}, {"kind": "C", "indices": [2]}
-    payload = {"vertices": [c1], "edges": [[c1, c2]]}
+    """A head position past the last vertex entry names no vertex."""
+    payload = {"vertices": [{"kind": "C", "indices": [1]}], "out": [[1]]}
     with pytest.raises(SchemaError) as exc:
-        document_from_json(json.dumps({"kind": "graph", "formatVersion": 1, "payload": payload}))
-    assert "C_" in str(exc.value)
+        document_from_json(json.dumps({"kind": "graph", "formatVersion": FORMAT_VERSION, "payload": payload}))
+    assert exc.value.path == "payload.out[0]"
 
 
 ONE_LINE = {"n": 1, "orders": [[]]}
@@ -171,8 +171,8 @@ ONE_LINE = {"n": 1, "orders": [[]]}
     [
         ("arrangement", []),  # payload not an object
         ("description", {"n": 2, "orders": [7, []]}),  # row not a list
-        ("graph", {"vertices": 3, "edges": []}),
-        ("graph", {"vertices": [{"kind": ["C"], "indices": [1]}], "edges": []}),
+        ("graph", {"vertices": 3, "out": []}),
+        ("graph", {"vertices": [{"kind": ["C"], "indices": [1]}], "out": [[]]}),
         ("instance", {"entries": 5}),
         ("report", {"description": ONE_LINE, "checkers": [5]}),
         ("report", {"description": ONE_LINE, "diff": {"missing_edges": [7]}}),
@@ -180,7 +180,7 @@ ONE_LINE = {"n": 1, "orders": [[]]}
     ],
 )
 def test_malformed_payload_shape_rejected(kind, payload):
-    text = json.dumps({"kind": kind, "formatVersion": 1, "payload": payload})
+    text = json.dumps({"kind": kind, "formatVersion": FORMAT_VERSION, "payload": payload})
     with pytest.raises(SchemaError):
         document_from_json(text)
 
@@ -375,25 +375,51 @@ def test_bad_report_parameter_is_rejected_with_its_path(tmp_path, capsys, value,
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
-# --- version 1: edges as label pairs -------------------------------------------
+# --- version 2: edges as index pairs -------------------------------------------
 
 
 @pytest.mark.parametrize("name", GRAPHS + ["report", "sector report"])
-def test_version_1_document_reads_as_its_version_2_text(name):
+def test_version_2_document_reads_as_its_version_3_text(name):
     text = document_to_json(_document(name))
-    old = document_from_json(version_1_text(text))
+    old = document_from_json(version_2_text(text))
     assert old.payload == document_from_json(text).payload
     assert document_to_json(old) == text
 
 
 @pytest.mark.parametrize("name", GRAPHS)
-def test_export_dot_writes_a_version_1_graph_as_its_version_2_rewrite(tmp_path, name):
+def test_export_dot_writes_a_version_2_graph_as_its_version_3_rewrite(tmp_path, name):
     old, new = tmp_path / "old.json", tmp_path / "new.json"
-    old.write_text(version_1_text(document_to_json(_document(name))))
+    old.write_text(version_2_text(document_to_json(_document(name))))
     new.write_text(document_to_json(load_document(old)))
     for path in (old, new):
         assert main(["export-dot", "--in", str(path), "--out", str(path.with_suffix(".dot"))]) == 0
     assert (tmp_path / "old.dot").read_bytes() == (tmp_path / "new.dot").read_bytes()
+
+
+# Version 1 wrote each edge endpoint as a label object.
+VERSION_1_GRAPH = {
+    "vertices": [{"kind": "C", "indices": [1]}, {"kind": "C", "indices": [2]}],
+    "edges": [[{"kind": "C", "indices": [1]}, {"kind": "C", "indices": [2]}]],
+}
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        {"kind": "graph", "formatVersion": 1, "payload": VERSION_1_GRAPH},
+        {"kind": "description", "formatVersion": 1, "payload": ONE_LINE},
+    ],
+    ids=["graph", "description"],
+)
+def test_version_1_document_is_refused(tmp_path, capsys, body):
+    text = json.dumps(body)
+    with pytest.raises(SchemaError) as exc:
+        document_from_json(text)
+    assert str(exc.value) == "formatVersion: unsupported version 1"
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert main(["export-dot", "--in", str(path), "--out", str(tmp_path / "g.dot")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: formatVersion: unsupported version 1\n"
 
 
 # Prints the SHA-256 of the document and DOT text of a graph whose vertex
@@ -427,22 +453,18 @@ def test_unknown_kinds_write_the_same_bytes_under_any_hash_seed():
 
 # --- booleans are not integers -------------------------------------------------
 
-GRAPH_OF_TWO = {"vertices": [{"kind": "SC", "indices": [1, 2]}, {"kind": "C", "indices": [1]}]}
+GRAPH_OF_TWO = {"vertices": [{"kind": "SC", "indices": [1, 2]}, {"kind": "C", "indices": [1]}], "out": [[], []]}
 
 
 @pytest.mark.parametrize(
     "body",
     [
-        {"kind": "graph", "formatVersion": 1, "payload": {"vertices": [{"kind": "SC", "indices": [True, 2]}]}},
-        {
-            "kind": "graph",
-            "formatVersion": 1,
-            "payload": {**GRAPH_OF_TWO, "edges": [[{"kind": "C", "indices": [True]}, {"kind": "SC", "indices": [1, 2]}]]},
-        },
-        {"kind": "description", "formatVersion": 1, "payload": {"n": True, "orders": [[]]}},
-        {"kind": "description", "formatVersion": 1, "payload": {"n": 2, "orders": [[[True]], [[1]]]}},
+        {"kind": "graph", "formatVersion": FORMAT_VERSION, "payload": {"vertices": [{"kind": "SC", "indices": [True, 2]}], "out": [[]]}},
+        {"kind": "graph", "formatVersion": FORMAT_VERSION, "payload": {**GRAPH_OF_TWO, "out": [[True], []]}},
+        {"kind": "description", "formatVersion": FORMAT_VERSION, "payload": {"n": True, "orders": [[]]}},
+        {"kind": "description", "formatVersion": FORMAT_VERSION, "payload": {"n": 2, "orders": [[[True]], [[1]]]}},
         {"kind": "graph", "formatVersion": True, "payload": GRAPH_OF_TWO},
-        {"kind": "graph", "formatVersion": 1.0, "payload": GRAPH_OF_TWO},
+        {"kind": "graph", "formatVersion": float(FORMAT_VERSION), "payload": GRAPH_OF_TWO},
     ],
     ids=["label indices", "edge endpoint indices", "description n", "description block", "formatVersion", "formatVersion float"],
 )
@@ -456,43 +478,37 @@ def test_boolean_or_float_where_an_integer_belongs_is_rejected(tmp_path, capsys,
     assert "error: " in capsys.readouterr().err
 
 
-# --- edge endpoints are looked up among the vertices ----------------------------
+# --- a report's diff names its edges by label pairs -----------------------------
 
 C1 = {"kind": "C", "indices": [1]}
 C2 = {"kind": "C", "indices": [2]}
 X = {"kind": "FREE", "text": "x"}
-# Valid edges before a fault.
+# Valid label pairs before a fault.
 VALID = [[C1, C2], [C2, C1], [X, C1]]
 
 
 @pytest.mark.parametrize(
     "edges, message",
     [
-        ([[C1, {"kind": ["C"], "indices": [2]}]], "payload.edges[0][1]: expected a label object with a kind"),
-        ([[{"kind": "C", "indices": [[2]]}, C1]], "payload.edges[0][0]: label indices must be a list of integers"),
-        ([[C2, {"kind": "C", "indices": [1.0]}]], "payload.edges[0][1]: label indices must be a list of integers"),
-        ([[C1, {"kind": "C", "indices": [3]}]], "payload.edges[0]: dangling edge endpoint C_3"),
-        ([[{"kind": "FREE", "text": "y"}, C1]], "payload.edges[0]: dangling edge endpoint y"),
-        ([[C1, C2], [C2, C2]], "payload.edges[1]: self-loop at C_2"),
-        # Every endpoint is checked before a dangling endpoint is reported.
-        ([[C1, {"kind": "C", "indices": [3]}], [C1, 7]], "payload.edges[1][1]: expected a label object with a kind"),
-        # True and 1.0 are equal to 1, the index of the vertex C_1.
-        (VALID + [[C2, {"kind": "C", "indices": [True]}]], "payload.edges[3][1]: label indices must be a list of integers"),
-        (VALID + [[{"kind": "C", "indices": [1.0]}, C2]], "payload.edges[3][0]: label indices must be a list of integers"),
-        (VALID + [[C2, {"kind": "C", "indices": "1"}]], "payload.edges[3][1]: label indices must be a list of integers"),
-        (VALID + [[{"kind": "C"}, C2]], "payload.edges[3][0]: label indices must be a list of integers"),
-        (VALID + [[C1, C2, X]], "payload.edges[3]: expected a label pair"),
+        ([[C1, {"kind": ["C"], "indices": [2]}]], "payload.diff.missing_edges[0][1]: expected a label object with a kind"),
+        ([[{"kind": "C", "indices": [[2]]}, C1]], "payload.diff.missing_edges[0][0]: label indices must be a list of integers"),
+        ([[C2, {"kind": "C", "indices": [1.0]}]], "payload.diff.missing_edges[0][1]: label indices must be a list of integers"),
+        # A diff edge may name a vertex that no graph holds, so only the
+        # shape of the second pair is at fault.
+        ([[C1, {"kind": "C", "indices": [3]}], [C1, 7]], "payload.diff.missing_edges[1][1]: expected a label object with a kind"),
+        (VALID + [[C2, {"kind": "C", "indices": [True]}]], "payload.diff.missing_edges[3][1]: label indices must be a list of integers"),
+        (VALID + [[{"kind": "C", "indices": [1.0]}, C2]], "payload.diff.missing_edges[3][0]: label indices must be a list of integers"),
+        (VALID + [[C2, {"kind": "C", "indices": "1"}]], "payload.diff.missing_edges[3][1]: label indices must be a list of integers"),
+        (VALID + [[{"kind": "C"}, C2]], "payload.diff.missing_edges[3][0]: label indices must be a list of integers"),
+        (VALID + [[C1, C2, X]], "payload.diff.missing_edges[3]: expected a label pair"),
         # ["x"] has the characters of the text "x" as its items.
-        (VALID + [[C2, {"kind": "FREE", "text": ["x"]}]], "payload.edges[3][1]: FREE label text must be a string"),
-        ({"3": [C1, C2]}, "payload.edges: expected a list"),
+        (VALID + [[C2, {"kind": "FREE", "text": ["x"]}]], "payload.diff.missing_edges[3][1]: FREE label text must be a string"),
+        ({"3": [C1, C2]}, "payload.diff.missing_edges: expected a list"),
     ],
     ids=[
         "kind is a list",
         "list in indices",
         "float in indices",
-        "missing",
-        "missing free",
-        "self-loop",
         "shape first",
         "true for 1",
         "1.0 for 1",
@@ -504,8 +520,8 @@ VALID = [[C1, C2], [C2, C1], [X, C1]]
     ],
 )
 def test_bad_edge_endpoint_is_rejected_with_its_path(tmp_path, capsys, edges, message):
-    vertices = [C1, C2, X]
-    text = json.dumps({"kind": "graph", "formatVersion": 1, "payload": {"vertices": vertices, "edges": edges}})
+    payload = {"description": ONE_LINE, "diff": {"missing_edges": edges}}
+    text = json.dumps({"kind": "report", "formatVersion": FORMAT_VERSION, "payload": payload})
     with pytest.raises(SchemaError) as exc:
         document_from_json(text)
     assert str(exc.value) == message
@@ -550,7 +566,7 @@ INDEX_PAIR = "expected a [tail, head] pair of vertex indices"
     ],
 )
 def test_bad_edge_index_is_rejected_with_its_path(tmp_path, capsys, edges, message):
-    body = {"kind": "graph", "formatVersion": FORMAT_VERSION, "payload": {"vertices": INDEXED_VERTICES, "edges": edges}}
+    body = {"kind": "graph", "formatVersion": 2, "payload": {"vertices": INDEXED_VERTICES, "edges": edges}}
     text = json.dumps(body)
     with pytest.raises(SchemaError) as exc:
         document_from_json(text)
@@ -563,10 +579,56 @@ def test_bad_edge_index_is_rejected_with_its_path(tmp_path, capsys, edges, messa
 
 def test_edge_indices_name_the_vertex_entries():
     text = json.dumps(
-        {"kind": "graph", "formatVersion": FORMAT_VERSION, "payload": {"vertices": INDEXED_VERTICES, "edges": [[0, 2], [2, 3], [1, 3]]}}
+        {"kind": "graph", "formatVersion": 2, "payload": {"vertices": INDEXED_VERTICES, "edges": [[0, 2], [2, 3], [1, 3]]}}
     )
     g = document_from_json(text).payload
     assert g == digraph([C(1), C(2), free("x")], [(C(1), free("x")), (free("x"), C(1)), (C(2), C(1))])
+
+
+ROW_RANGE = "expected a list of vertex indices, integers in [0, 4)"
+
+
+@pytest.mark.parametrize(
+    "out, message",
+    [
+        ([[1], [], []], "payload.out: expected 4 rows, one per vertex entry, got 3"),
+        ([[1], [], [], [], []], "payload.out: expected 4 rows, one per vertex entry, got 5"),
+        ({"0": [1]}, "payload.out: expected a list"),
+        ([[1], 2, [], []], f"payload.out[1]: {ROW_RANGE}"),
+        ([[1], {"0": 2}, [], []], f"payload.out[1]: {ROW_RANGE}"),
+        ([[1], [], [0, True], []], f"payload.out[2]: {ROW_RANGE}"),
+        ([[1.0], [], [], []], f"payload.out[0]: {ROW_RANGE}"),
+        ([[1], ["0"], [], []], f"payload.out[1]: {ROW_RANGE}"),
+        ([[1], [0], [-1], []], f"payload.out[2]: {ROW_RANGE}"),
+        ([[1], [0], [], [4]], f"payload.out[3]: {ROW_RANGE}"),
+        ([[1, 2], [0, 1], [], []], "payload.out[1]: self-loop at C_2"),
+        ([[1, 2], [0], [], [2, 0]], "payload.out[3]: self-loop at C_1"),
+    ],
+    ids=[
+        "too few rows",
+        "too many rows",
+        "not a list",
+        "row not a list",
+        "row an object",
+        "true",
+        "1.0",
+        "string",
+        "negative index",
+        "index equal to the vertex count",
+        "self-loop",
+        "self-loop through a duplicate vertex",
+    ],
+)
+def test_bad_out_row_is_rejected_with_its_path(tmp_path, capsys, out, message):
+    body = {"kind": "graph", "formatVersion": FORMAT_VERSION, "payload": {"vertices": INDEXED_VERTICES, "out": out}}
+    text = json.dumps(body)
+    with pytest.raises(SchemaError) as exc:
+        document_from_json(text)
+    assert str(exc.value) == message
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert main(["export-dot", "--in", str(path), "--out", str(tmp_path / "g.dot")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 MISSING = object()
@@ -577,7 +639,7 @@ MISSING = object()
 @pytest.mark.parametrize("text", [5, ["a"], None, MISSING])
 def test_free_label_text_must_be_a_string(tmp_path, capsys, text):
     free = {"kind": "FREE"} if text is MISSING else {"kind": "FREE", "text": text}
-    body = {"kind": "graph", "formatVersion": 1, "payload": {"vertices": [C1, free]}}
+    body = {"kind": "graph", "formatVersion": FORMAT_VERSION, "payload": {"vertices": [C1, free], "out": [[], []]}}
     with pytest.raises(SchemaError) as exc:
         document_from_json(json.dumps(body))
     assert str(exc.value) == "payload.vertices[1]: FREE label text must be a string"
@@ -607,6 +669,28 @@ def test_graph_document_is_written_and_read_without_a_call_per_edge():
         sys.setprofile(None)
     assert back == doc
     assert calls < g.edge_count
+
+
+def _lists_in(node):
+    if isinstance(node, dict):
+        return sum(map(_lists_in, node.values()))
+    if isinstance(node, list):
+        return 1 + sum(map(_lists_in, node))
+    return 0
+
+
+def test_graph_document_holds_a_list_per_vertex_not_per_edge():
+    """A sector graph document's edges take one list per vertex, and the
+    document is at most half its version-2 text, whose edges took one list
+    each."""
+    g = reduce_sectors(extract_description(random_simple_arrangement(RandomSpec(n=5, seed=1))))
+    assert (g.vertex_count, g.edge_count) == (375, 7200)
+    text = document_to_json(Document("graph", g))
+    payload = json.loads(text)["payload"]
+    # Each vertex label holds its own list of indices.
+    assert _lists_in(payload["vertices"]) == 1 + g.vertex_count
+    assert _lists_in(payload["out"]) <= g.vertex_count + 10
+    assert len(text) <= len(version_2_text(text)) / 2
 
 
 @pytest.mark.parametrize(
@@ -664,12 +748,16 @@ def test_export_dot_names_each_vertex_once():
 
 
 def test_edge_endpoints_ignore_fields_their_kind_does_not_use():
-    vertices = [C1, {"kind": "FREE", "text": "5"}, {"kind": "FREE", "text": "x"}, C1]
-    edges = [
-        [{"kind": "C", "indices": [1], "text": "ignored"}, {"kind": "FREE", "text": "5"}],
-        [{"kind": "FREE", "text": "x", "indices": [9]}, C1],
+    """An edge's ends are vertex entries, and an entry's label ignores the
+    fields its kind does not use."""
+    vertices = [
+        {"kind": "C", "indices": [1], "text": "ignored"},
+        {"kind": "FREE", "text": "5"},
+        {"kind": "FREE", "text": "x", "indices": [9]},
+        C1,
     ]
-    text = json.dumps({"kind": "graph", "formatVersion": 1, "payload": {"vertices": vertices, "edges": edges}})
+    out = [[1], [], [3], []]
+    text = json.dumps({"kind": "graph", "formatVersion": FORMAT_VERSION, "payload": {"vertices": vertices, "out": out}})
     g = document_from_json(text).payload
     assert g == digraph([C(1), free("5"), free("x")], [(C(1), free("5")), (free("x"), C(1))])
     # Equal labels decode to one object.
