@@ -17,7 +17,7 @@ from math import lcm
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .geometry import Line, cleared
+from .geometry import Line
 
 
 # Per line, (D, [(X, j), ...]): see ``LineArrangement.crossings_by_line``.
@@ -59,13 +59,13 @@ class LineArrangement:
 
     def crossings_by_line(self) -> CrossingTable:
         """Per line i, ``(D, [(X, j), ...])`` sorted: its crossing with line j
-        is at x = X/D, by Cramer's rule on the lines' cleared integer
-        (a, b, c), and D is the lcm of the row's determinants (none is 0, as
-        no lines are parallel).  The table is built on each call, not stored
-        on the arrangement: a stored table was measured to raise peak
-        resident memory, and the build is cheap.
+        is at x = X/D, by Cramer's rule on the lines' cached integer
+        (a, b, c) (``Line.integers``), and D is the lcm of the row's
+        determinants (none is 0, as no lines are parallel).  The table is
+        built on each call, not stored on the arrangement: a stored table
+        was measured to raise peak resident memory, and the build is cheap.
         """
-        lines = [cleared(ln.a, ln.b, ln.c) for ln in self.lines]
+        lines = [ln.integers for ln in self.lines]
         table = []
         for i, (a1, b1, c1) in enumerate(lines, start=1):
             solved = [

@@ -9,6 +9,16 @@ there is no rounding anywhere in the pipeline.  ``cleared`` is the
 package's one routine for clearing denominators; the integer kernels of
 ``arrangement``, ``realization`` and ``transmission`` run on its output.
 
+``Vec2``, ``Rotation`` and ``Line`` each keep their cleared values as
+``integers``, computed on first read and kept on the frozen value, so an
+object shared by many sectors or read by many passes is cleared once.
+``Sector`` and ``Line`` validate on those integers, and the kernels key
+and scale on them.  Two values with equal ``integers`` differ by a
+positive factor at most (a rotation, on the unit circle, not even that),
+and every predicate below reads only signs and ratios, which a positive
+factor keeps; so equal ``integers`` are an exact class key for any
+angle or cone verdict.
+
 Every cone and angle predicate is one tangent test.  For an angle bound
 (c, s) with c, s >= 0, i.e. an angle in [0, pi/2], the angle between u and
 v is at most the bound iff u.v >= 0 and |u x v| * c <= (u.v) * s; the
@@ -20,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Union
 
@@ -77,6 +88,12 @@ class Vec2:
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
 
+    @cached_property
+    def integers(self) -> tuple[int, int]:
+        """``cleared(x, y)``: the vector times a positive integer, so it has
+        the direction, the sense and the zero test of the vector."""
+        return cleared(self.x, self.y)
+
 
 def vec(x: RationalLike, y: RationalLike) -> Vec2:
     return Vec2(Fraction(x), Fraction(y))
@@ -112,6 +129,12 @@ class Rotation:
 
     def apply(self, v: Vec2) -> Vec2:
         return Vec2(self.c * v.x - self.s * v.y, self.s * v.x + self.c * v.y)
+
+    @cached_property
+    def integers(self) -> tuple[int, int]:
+        """``cleared(c, s)``: the signs and the ratio of (c, s), which fix
+        the rotation, as (c, s) lies on the unit circle."""
+        return cleared(self.c, self.s)
 
 
 def rotation_from_parameter(t: RationalLike) -> Rotation:
@@ -182,11 +205,14 @@ class Sector:
     radius_sq: Fraction
 
     def __post_init__(self) -> None:
-        if self.direction.is_zero():
+        # On the cached integers, which have the values' signs: a direction
+        # shared by many sectors is cleared once, by the first of them.
+        if self.direction.integers == (0, 0):
             raise ValueError("sector direction must be nonzero")
-        if self.radius_sq <= 0:
+        if self.radius_sq.numerator <= 0:
             raise ValueError("sector needs a positive squared radius")
-        if self.half_angle.c < 0 or self.half_angle.s < 0:
+        c, s = self.half_angle.integers
+        if c < 0 or s < 0:
             raise ValueError("sector half angle must lie in [0, pi/2]")
 
     def opening_at_most_quarter_pi(self) -> bool:
@@ -212,7 +238,7 @@ class Disk:
     radius_sq: Fraction
 
     def __post_init__(self) -> None:
-        if self.radius_sq <= 0:
+        if self.radius_sq.numerator <= 0:
             raise ValueError("disk needs a positive squared radius")
 
     def contains(self, pt: Point) -> bool:
@@ -242,8 +268,14 @@ class Line:
     c: Fraction
 
     def __post_init__(self) -> None:
-        if self.a == 0 and self.b == 0:
+        if self.integers[:2] == (0, 0):
             raise ValueError("degenerate line: a = b = 0")
+
+    @cached_property
+    def integers(self) -> tuple[int, int, int]:
+        """``cleared(a, b, c)``: the same line, on integer coefficients.
+        Computed when the line is built, as its validation reads it."""
+        return cleared(self.a, self.b, self.c)
 
     def is_vertical(self) -> bool:
         return self.b == 0

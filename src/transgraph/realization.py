@@ -18,8 +18,9 @@ line.  The slab, each line's ordered crossings and the A apexes come from
 its rows.  The segment realization runs on integers cleared of their
 denominators (``geometry.cleared``), with a ``Fraction`` built only for
 each output coordinate: the tilt scan, the A-segment ray hits, and each
-line's C ends, B midpoints and shared far point, placed on its cleared
-(a, b, c) at the row's Xs and the slab ends over one denominator.
+line's C ends, B midpoints and shared far point, placed on its cached
+integer (a, b, c) (``Line.integers``, which the table reads too) at the
+row's Xs and the slab ends over one denominator.
 
 The sector realization shifts line i up by o and line k up by o', which
 moves their crossing by (o' - o)/(s_i - s_k) in x, so each band crossing
@@ -49,13 +50,18 @@ read containment from the transmission graph they are given, so each
 containment is decided once, by ``transmission_graph``.  They work on the
 graph's edge codes and vertex ranks (``graphs.LabelledDigraph``), take the
 mutual couples from the graph, which finds them once, and number their
-classes by integer keys, so the pass builds no label pair per edge and
-hashes no ``Fraction``.  Observation 1 tests its bound once per class of
-couples with equal directions and half angles; wide spread runs its angle
-test first, once per pair of distinct directions, and looks for a
-qualifying pair only where that test fails.  The ordering gadget of band (i, m) takes its members in
+classes by the cached ``integers`` of the directions and half angles,
+which the sectors' validation and the kernel read too, so the pass builds
+no label pair per edge, hashes no ``Fraction`` and clears nothing.  Equal
+cleared pairs differ by a positive factor at most, and every angle test is
+invariant under positive scaling, so a class's verdict is each member's.
+Observation 1 tests its bound once per class of couples with equal
+directions and half angles; wide spread runs its angle test first, once
+per pair of line classes, and looks for a qualifying pair only where that
+test fails.  The ordering gadget of band (i, m) takes its members in
 ``reductions.sector_order``, the order the reduction's order edges follow,
-and compares their projections on cleared integers.  ``Sector.contains``
+and compares their projections on the instance's scaled points
+(``Instance.scaled``), the kernel's own integers.  ``Sector.contains``
 remains the reference that kernel's tests compare against.
 """
 
@@ -64,6 +70,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
+from math import lcm
 from typing import Optional, Sequence
 
 from .arrangement import (
@@ -134,7 +141,7 @@ def _pick_tilt(arr: LineArrangement) -> Rotation:
     k^2 + 1 is the integer pair (k^2 - 1, 2k).  The rightward directions
     are cleared once, and every parallelism test runs on integers.
     """
-    dirs = [cleared(d.x, d.y) for d in map(Line.rightward_direction, arr.lines)]
+    dirs = [d.integers for d in map(Line.rightward_direction, arr.lines)]
     for k in range(3, 3 + 2 * arr.n * arr.n + 4):
         c, s = k * k - 1, 2 * k
         tilted = [(c * ux - s * uy, s * ux + c * uy) for ux, uy in dirs]
@@ -191,7 +198,7 @@ def realize_segments(arr: LineArrangement) -> SegmentRealization:
     table = arr.crossings_by_line()
     slab = Slab.around(table)
     tilt = _pick_tilt(arr)
-    lines = [cleared(ln.a, ln.b, ln.c) for ln in arr.lines]
+    lines = [ln.integers for ln in arr.lines]
     tilted = [
         cleared(1, d.x, d.y)
         for d in (tilt.apply(ln.rightward_direction()) for ln in arr.lines)
@@ -229,14 +236,6 @@ def realize_segments(arr: LineArrangement) -> SegmentRealization:
 # ``rank[x] * V + rank[y] in graph.codes`` with ``rank = graph.rank``.
 
 
-def _pair_key(pair: Vec2 | Rotation) -> tuple[int, int, int, int]:
-    """A key equal exactly for equal vectors or rotations: a ``Fraction`` is
-    kept in lowest terms with a positive denominator, so its numerator and
-    denominator name it."""
-    a, b = (pair.x, pair.y) if isinstance(pair, Vec2) else (pair.c, pair.s)
-    return a.numerator, a.denominator, b.numerator, b.denominator
-
-
 def check_observation1(inst: Instance, graph: LabelledDigraph) -> list[Edge]:
     """The mutual couples whose bisectors are not within
     (alpha(x)+alpha(y))/2 of antipodal, as sorted (u, v) pairs with u < v.
@@ -245,14 +244,18 @@ def check_observation1(inst: Instance, graph: LabelledDigraph) -> list[Edge]:
     once, as the ranks t < h of ``graph.couples``; in that sorted order the
     failures come out sorted.  The test reads only the two directions and
     half angles, and it is symmetric in x and y, so it runs once per class
-    of couples, numbered by the integer keys of those four values.
+    of couples, numbered by the cached ``integers`` of those four values.
+    Those are an exact class key: sectors with equal keys have directions
+    that differ by a positive factor at most and equal half angles, and
+    ``angle_at_most`` reads only signs, which a positive factor keeps.
     """
-    objs = list(map(dict(inst.entries).__getitem__, graph.order))
+    objects, position = inst.objects(), inst.scaled.position
+    objs = [objects[position[label]] for label in graph.order]
     couples = list(decoded(graph.couples, len(objs)))
-    classes: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    classes: dict[tuple[int, ...], int] = {}
     number = {
         r: classes.setdefault(
-            (_pair_key(objs[r].direction), _pair_key(objs[r].half_angle)), len(classes)
+            objs[r].direction.integers + objs[r].half_angle.integers, len(classes)
         )
         for r in {r for couple in couples for r in couple}
     }
@@ -281,11 +284,10 @@ def _require_sectors(inst: Instance) -> list[Sector]:
 
 
 def is_equiangular(inst: Instance) -> bool:
-    sectors = _require_sectors(inst)
-    if not sectors:
-        return True
-    first = sectors[0].half_angle
-    return all(s.half_angle == first for s in sectors)
+    """True iff all sectors have one half angle: one class of cached
+    ``integers``, which name a rotation exactly, as it lies on the unit
+    circle."""
+    return len({s.half_angle.integers for s in _require_sectors(inst)}) <= 1
 
 
 def is_wide_spread(inst: Instance, graph: LabelledDigraph) -> bool:
@@ -297,32 +299,36 @@ def is_wide_spread(inst: Instance, graph: LabelledDigraph) -> bool:
     couple with each other.  Qualifying pairs need an acute bisector
     angle of at least twice the largest opening angle.
 
-    Directions are numbered by line class: u and -u share a number, since
-    the acute angle between undirected lines reads both |u x v| and |u.v|
-    and so ignores their signs.  The angle test runs first, once per pair
-    of class numbers; a qualifying pair is looked for only among the class
-    pairs that fail it.  The container and couple sets are keyed by the
-    graph's vertex ranks, read from its codes and its couples.  Within one
-    container set, when all the members of such a class pair
+    Directions are numbered by line class, on their cached ``integers``
+    with the sign made positive: u and -u share a number, since the acute
+    angle between undirected lines reads both |u x v| and |u.v| and so
+    ignores their signs, and so do directions that differ by a positive
+    factor, which scales both products alike.  The angle test runs first,
+    once per pair of class numbers; a qualifying pair is looked for only
+    among the class pairs that fail it.  The container and couple sets are
+    keyed by the graph's vertex ranks, read from its codes and its couples.
+    Within one container set, when all the members of such a class pair
     share a couple partner, no pair of them qualifies, and only otherwise
     are they tested pair by pair.
     """
     sectors = _require_sectors(inst)
     if len(sectors) <= 1:
         return True
-    numbers: dict[tuple[int, ...], int] = {}
+    numbers: dict[tuple[int, int], int] = {}
     vectors: list[Vec2] = []
-    direction: dict[Label, int] = {}
-    for label, s in inst.entries:
-        xn, xd, yn, yd = _pair_key(s.direction)
-        if (xn, yn) < (0, 0):
-            xn, yn = -xn, -yn
-        number = numbers.setdefault((xn, xd, yn, yd), len(numbers))
+    direction: list[int] = []
+    for s in sectors:
+        key = s.direction.integers
+        if key < (0, 0):
+            key = (-key[0], -key[1])
+        number = numbers.setdefault(key, len(numbers))
         if number == len(vectors):
             vectors.append(s.direction)
-        direction[label] = number
+        direction.append(number)
     pairs = list(combinations_with_replacement(range(len(vectors)), 2))
-    largest = min(sectors, key=lambda s: s.half_angle.c)
+    # One sector per half-angle class; the widest half angle has least c.
+    halves = {s.half_angle.integers: s for s in sectors}
+    largest = min(halves.values(), key=lambda s: s.half_angle.c)
     if largest.opening_at_most_quarter_pi():
         two_alpha = largest.half_angle.doubled().doubled()
         narrow = {
@@ -334,7 +340,8 @@ def is_wide_spread(inst: Instance, graph: LabelledDigraph) -> bool:
         narrow = set(pairs)  # twice the opening angle already exceeds pi/2
     # The sectors containing the apex of sector d, by class number, and the
     # sectors coupled with d, all by rank.
-    classes = list(map(direction.__getitem__, graph.order))
+    position = inst.scaled.position
+    classes = [direction[position[label]] for label in graph.order]
     count = len(classes)
     containers = [{number: [d]} for d, number in enumerate(classes)]
     couples = [{d} for d in range(count)]
@@ -364,16 +371,18 @@ class GadgetReport:
     hypothesis_failures: list[str] = field(default_factory=list)
     order_ok: bool = True
     ties: list[int] = field(default_factory=list)
-    # The projections onto the base bisector u on cleared integers: each
-    # member's key u.p, the base apex's key u.o and |u|^2, all times one
-    # positive factor, which ``params`` divides out again.
+    # The projections onto the base bisector u on integers: each member's
+    # key u.p and the base apex's key u.o, times S*f (the points' scale S,
+    # u's clearing factor f), and |u|^2 times S*f^2, which ``params``
+    # divides out with ``factor`` f.
     keys: list[int] = field(default_factory=list)
     origin: int = 0
     usq: int = 1
+    factor: int = 1
 
     @property
     def params(self) -> list[Fraction]:
-        return [Fraction(k - self.origin, self.usq) for k in self.keys]
+        return [Fraction((k - self.origin) * self.factor, self.usq) for k in self.keys]
 
     @property
     def hypotheses_hold(self) -> bool:
@@ -392,11 +401,12 @@ def check_ordering_gadget(
     ``base`` and later members contain earlier apexes, the apexes project
     onto the bisector of ``base`` in list order.
 
-    The bisector u and the apexes are cleared to integers by one
-    ``geometry.cleared`` call, and the members are ordered by their keys
-    ux*x + uy*y.  Each key is the member's ``project_param`` times the
-    positive |u|^2 and the squared factor, plus the origin's constant
-    term, so the keys give the same order and the same ties."""
+    The members are ordered by their keys ux*x + uy*y, with (ux, uy) the
+    bisector's cached ``integers``, u times a factor f > 0, and (x, y) the
+    apex in the instance's scaled view, times its scale S > 0; nothing is
+    cleared here.  Each key is the member's ``project_param`` times the
+    positive S*f*|u|^2, plus the origin's constant term, so the keys give
+    the same order and the same ties."""
     report = GadgetReport()
     codes, count, rank = graph.codes, len(graph.order), graph.rank
     b = rank[base]
@@ -411,14 +421,13 @@ def check_ordering_gadget(
         for i, earlier in enumerate(ranks[:j]):
             if tail + earlier not in codes:
                 report.hypothesis_failures.append(f"apex of {members[i]} not in {members[j]}")
-    objs = dict(inst.entries)
-    l = objs[base]
-    apexes = [objs[s].apex for s in members]
-    ux, uy, *xy = cleared(
-        l.direction.x, l.direction.y, l.apex.x, l.apex.y, *(c for p in apexes for c in (p.x, p.y))
-    )
-    keys = [ux * x + uy * y for x, y in zip(xy[::2], xy[1::2])]
-    report.origin, report.keys, report.usq = keys[0], keys[1:], ux * ux + uy * uy
+    scale, points, _, position = inst.scaled
+    u = inst.entries[position[base]][1].direction
+    ux, uy = u.integers
+    keys = [ux * x + uy * y for x, y in (points[position[s]] for s in (base, *members))]
+    report.origin, report.keys = keys[0], keys[1:]
+    report.usq = scale * (ux * ux + uy * uy)
+    report.factor = lcm(u.x.denominator, u.y.denominator)
     for i in range(1, len(report.keys)):
         if report.keys[i] < report.keys[i - 1]:
             report.order_ok = False
@@ -556,7 +565,7 @@ def _apex_offset(
     realize the target.  The radius half of ``Sector.contains`` is left to the full
     verification.
     """
-    c, s = cleared(half.c, half.s)
+    c, s = half.integers
     us = [Vec2(ln.b, -ln.a) for ln in lines]
     bound = None
     for u, (D, E, rows) in zip(us, bands):

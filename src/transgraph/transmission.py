@@ -8,15 +8,18 @@ the reduction graphs.
 Every test is exact integer arithmetic on coordinates cleared of their
 denominators: one ``geometry.cleared`` call scales every distinguished
 point and every segment's far end by one common factor, and each kernel
-takes its object's point from that result.  Segments and sectors run the
-test only on the points that can pass it:
+takes its object's point from that result.  That call is the instance's
+``scaled`` view, made on first read and kept with the instance, so the
+side checks of ``realization`` read the same integers.  Segments and
+sectors run the test only on the points that can pass it:
 
 - A segment can only contain points on its own line.  The points of each
   line that holds a segment are sorted along it, once per line, and the
   points a segment contains are one contiguous run of that order: a
   ``bisect`` slice, emitted as edges in C with no test per point.
-- The sectors are grouped by their cone: direction u and half angle
-  (c, s), each cleared to integers once; a construction has 2n groups.  A
+- The sectors are grouped by their cone: the cached ``integers`` of
+  direction u and half angle (c, s), so a direction or half angle shared
+  by many sectors is cleared once; a construction has 2n groups.  A
   point in a sector's cone has both integer keys
   ``k1 = s*(u.p) - c*(u x p)`` and ``k2 = s*(u.p) + c*(u x p)`` at least
   those of the apex, because c, s >= 0.  A sweep in descending k1 with a
@@ -40,9 +43,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress, count
 from math import gcd
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .geometry import (
     ArrangementObject,
@@ -57,6 +61,19 @@ from .graphs import Label, LabelledDigraph, coded_run, digraph, ranked
 
 class DuplicateLabel(Exception):
     pass
+
+
+class ScaledInstance(NamedTuple):
+    """An instance's points on integers: the distinguished point of each
+    entry (``points``, in entry order) and the far end of each segment
+    (``far_ends``, in the segments' entry order), all times ``scale``, the
+    least positive integer that makes them integral, and each label's
+    entry position (``position``)."""
+
+    scale: int
+    points: list[tuple[int, int]]
+    far_ends: list[tuple[int, int]]
+    position: dict[Label, int]
 
 
 @dataclass(frozen=True)
@@ -80,6 +97,19 @@ class Instance:
 
     def objects(self) -> list[ArrangementObject]:
         return [obj for _, obj in self.entries]
+
+    @cached_property
+    def scaled(self) -> ScaledInstance:
+        """The points cleared by one ``geometry.cleared`` call, on first
+        read; ``transmission_graph`` and the sector side checks read them."""
+        objects = self.objects()
+        pts = [distinguished_point(obj) for obj in objects]
+        pts += [obj.q for obj in objects if isinstance(obj, Segment)]
+        scale, *coords = cleared(1, *(v for pt in pts for v in (pt.x, pt.y)))
+        scaled = list(zip(coords[::2], coords[1::2]))
+        m = len(objects)
+        position = {label: i for i, (label, _) in enumerate(self.entries)}
+        return ScaledInstance(scale, scaled[:m], scaled[m:], position)
 
 
 def instance(entries: Iterable[tuple[Label, ArrangementObject]]) -> Instance:
@@ -177,10 +207,13 @@ def _cone_edges(
 def transmission_graph(inst: Instance) -> LabelledDigraph:
     """Containment sweep over the instance, with exact integer tests.
 
-    The sectors are grouped by their cone cleared to integers, and each
-    group is swept as a dominance query on two integer keys
-    (``_cone_edges``), so a sector runs its radius test only on the points
-    that pass both keys.
+    The sectors are grouped by their cone, the cached ``integers`` of
+    their direction and half angle, and each group is swept as a dominance
+    query on two integer keys (``_cone_edges``), so a sector runs its
+    radius test only on the points that pass both keys.  Equal keys mean
+    directions that differ by a positive factor at most and equal half
+    angles, and the tangent test reads only the signs of products linear
+    in u, so every member of a group has the group's cone test.
     A segment from p to q is grouped by its direction d = q - p, reduced
     by the gcd and sign-normalised to (ex, ey) with ex > 0, or ex = 0 and
     ey > 0, so parallel segments share a group.  A point (x, y) lies on
@@ -198,11 +231,8 @@ def transmission_graph(inst: Instance) -> LabelledDigraph:
     m = len(objects)
     vertices, rank = ranked(labels)
     ranks = list(map(rank.__getitem__, labels))
-    pts = [distinguished_point(obj) for obj in objects]
-    pts += [obj.q for obj in objects if isinstance(obj, Segment)]
-    scale, *coords = cleared(1, *(v for pt in pts for v in (pt.x, pt.y)))
-    scaled = list(zip(coords[::2], coords[1::2]))
-    points, far_ends = scaled[:m], iter(scaled[m:])
+    scale, points, far_ends, _ = inst.scaled
+    far_ends = iter(far_ends)
     edges: list[int] = []
     segments_by_direction: dict[tuple[int, int], list[tuple[int, int]]] = {}
     cone_groups: dict[tuple[int, ...], list[int]] = {}
@@ -216,8 +246,8 @@ def transmission_graph(inst: Instance) -> LabelledDigraph:
             ex, ey = dx // g, dy // g
             segments_by_direction.setdefault((ex, ey), []).append((i, ex * qx + ey * qy))
         elif isinstance(obj, Sector):
-            d, h = obj.direction, obj.half_angle
-            cone_groups.setdefault(cleared(d.x, d.y) + cleared(h.c, h.s), []).append(i)
+            cone = obj.direction.integers + obj.half_angle.integers
+            cone_groups.setdefault(cone, []).append(i)
         else:
             edges += _radius_edges(i, range(m), obj.radius_sq, ranks, points, scale)
     for cone, group in cone_groups.items():

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from transgraph.geometry import (
     Disk,
@@ -11,6 +11,7 @@ from transgraph.geometry import (
     Rotation,
     Sector,
     Segment,
+    Vec2,
     ZeroVector,
     acute_angle_at_least,
     angle_at_most,
@@ -271,3 +272,68 @@ def test_cleared_uses_the_least_positive_factor(values):
     assert factor.denominator == 1 and factor > 0
     assert out == tuple(v * factor for v in values)
     assert gcd(int(factor), *out) == 1
+
+
+# --- cached integer forms --------------------------------------------------
+
+
+@given(small_rationals, small_rationals)
+def test_the_integer_forms_are_the_cleared_values(x, y):
+    assert Vec2(x, y).integers == cleared(x, y)
+    half = rotation_from_parameter(x)
+    assert half.integers == cleared(half.c, half.s)
+    if x or y:
+        assert Line(x, y, x - y).integers == cleared(x, y, x - y)
+
+
+def test_an_integer_form_is_computed_once_per_object():
+    v = vec(F(1, 2), F(-2, 3))
+    assert v.integers is v.integers == (3, -4)
+    assert v.integers is not vec(F(1, 2), F(-2, 3)).integers
+
+
+# Plain ints, zeros and both signs, so every validation branch is reached.
+coordinates = st.one_of(st.integers(-2, 2), small_rationals)
+THIRD = rotation_from_parameter(F(1, 3))
+
+
+@st.composite
+def _signed_rotations(draw):
+    """A rotation in [0, pi/2], or one with c or s negated."""
+    r = rotation_from_parameter(draw(st.fractions(min_value=0, max_value=1)))
+    c, s = draw(st.sampled_from([(r.c, r.s), (-r.c, r.s), (r.c, -r.s), (-r.c, -r.s)]))
+    return Rotation(c, s)
+
+
+def _raises_value_error(make):
+    try:
+        make()
+    except ValueError:
+        return True
+    return False
+
+
+@given(coordinates, coordinates, _signed_rotations(), coordinates)
+@example(0, 0, THIRD, 1)  # zero direction, int coordinates
+@example(0, 3, THIRD, 2)
+@example(1, 0, Rotation(THIRD.c, -THIRD.s), 1)  # negative half-angle sine
+@example(1, 0, THIRD, 0)  # zero radius
+@example(F(1, 2), 0, THIRD, F(-1, 3))
+def test_sector_validates_where_the_fraction_predicates_do(dx, dy, half, rsq):
+    expected = (dx == 0 and dy == 0) or rsq <= 0 or half.c < 0 or half.s < 0
+    assert _raises_value_error(lambda: Sector(vec(0, 0), Vec2(dx, dy), half, rsq)) is expected
+
+
+@given(coordinates, coordinates, coordinates)
+@example(0, 0, 5)
+@example(0, F(0), F(1, 2))
+@example(0, 2, 1)
+def test_line_validates_where_the_fraction_predicates_do(a, b, c):
+    assert _raises_value_error(lambda: Line(a, b, c)) is (a == 0 and b == 0)
+
+
+@given(coordinates)
+@example(0)
+@example(F(-1, 2))
+def test_disk_validates_where_the_fraction_predicates_do(rsq):
+    assert _raises_value_error(lambda: Disk(vec(1, 2), rsq)) is (rsq <= 0)

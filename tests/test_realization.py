@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import intersections_by_fractions
-from transgraph import realization
+from transgraph import arrangement, geometry, realization, transmission
 from transgraph.arrangement import LineArrangement, extract_description
 from transgraph.geometry import (
     Line,
@@ -789,6 +789,50 @@ def test_a_realization_solves_the_crossings_at_most_three_times(realize, n, monk
     assert 1 <= len(solves) <= 3
 
 
+def _counting_cleared(monkeypatch):
+    """Record the arguments of every ``geometry.cleared`` call, wherever the
+    package calls it from."""
+    real = geometry.cleared
+    calls = []
+
+    def counted(*values):
+        calls.append(values)
+        return real(*values)
+
+    for module in (geometry, arrangement, realization, transmission):
+        if getattr(module, "cleared", None) is real:
+            monkeypatch.setattr(module, "cleared", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_a_sector_realization_clears_per_line_not_per_sector(n, monkeypatch):
+    """A sector realization and its side pass call ``cleared`` at most
+    6n + 2 times: per line, the normalized line (if negated), the layout,
+    the apex-offset products, the build's band origins, and the build's
+    bisector u and its negation, each cleared once by the first sector
+    that validates on it; once for the shared half angle; and once for the
+    instance's scaled view, which the kernel and the side checks share.
+    The arrangement's own lines were cleared when built, and the crossing
+    tables read them.  Clearing per sector would take more calls than the
+    instance has sectors, 9n + 18n(n - 1)."""
+    arr = random_simple_arrangement(RandomSpec(n=n, seed=1))
+    calls = _counting_cleared(monkeypatch)
+    real = realize_sectors(arr)
+    realization._sector_side_conditions(real.instance, real.graph, real.description)
+    assert len(calls) <= 6 * n + 2 < len(real.instance)
+
+
+def test_a_segment_realization_clears_no_line_again(monkeypatch):
+    """Each line's (a, b, c) is cleared once, when the line is built; the
+    crossing tables and the segment placement read ``Line.integers``."""
+    arr = random_simple_arrangement(RandomSpec(n=8, seed=1))
+    calls = _counting_cleared(monkeypatch)
+    realize_segments(arr)
+    assert calls
+    assert not {(ln.a, ln.b, ln.c) for ln in arr.lines} & set(calls)
+
+
 def test_realized_sectors_carry_the_target_labels(monkeypatch):
     """Every label of the realized instance is the target graph's own
     object, so the accepted round's ``graph_diff`` matches every vertex
@@ -959,6 +1003,35 @@ def test_the_side_pass_hashes_no_fraction_and_calls_no_label_method(n):
         sys.setprofile(None)
     assert checks == real.checks
     assert not calls
+
+
+def _unshared(inst):
+    """The instance rebuilt with a fresh ``Vec2`` and ``Rotation`` for every
+    point, direction and half angle, so no cached integers are shared."""
+    return instance(
+        (
+            label,
+            Sector(
+                Vec2(s.apex.x, s.apex.y),
+                Vec2(s.direction.x, s.direction.y),
+                Rotation(s.half_angle.c, s.half_angle.s),
+                s.radius_sq,
+            ),
+        )
+        for label, s in inst.entries
+    )
+
+
+@pytest.mark.parametrize("n, seed", [(3, 1), (4, 2)])
+def test_unshared_values_give_the_same_graph_and_side_checks(n, seed):
+    real = _realized(n, seed)
+    copy = _unshared(real.instance)
+    sectors = copy.objects()
+    assert len({id(s.direction) for s in sectors}) == len(sectors)
+    assert len({id(s.half_angle) for s in sectors}) == len(sectors)
+    graph = transmission_graph(copy)
+    assert graph == real.graph
+    assert realization._sector_side_conditions(copy, graph, real.description) == real.checks
 
 
 def _without(graph, edge):

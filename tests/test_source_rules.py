@@ -8,6 +8,10 @@ in bulk (no ``edges.add(...)``, one Python step per edge), the sector side
 checks read the graph's edges by label (``realization`` defines no
 ``_arcs`` position map) and order the gadget on integers (no module calls
 ``project_param``, which stays a public helper and the tests' reference),
+directions and half angles are cleared only through their cached
+``integers`` (``realization`` defines no ``_pair_key``, and no module but
+``geometry`` passes a ``.direction`` or ``.half_angle`` component to
+``cleared``),
 ``transmission`` defines no nested function or lambda, so its kernels
 build no closure per object, and no float reaches a predicate: outside
 ``rendering``, which converts to floats for drawing, no module calls
@@ -101,13 +105,36 @@ def test_reductions_emit_edges_in_bulk():
     assert not calls
 
 
-def test_realization_defines_no_arcs_map():
-    names = [
+def _realization_functions():
+    return [
         stmt.name
         for stmt in TREES[SOURCE / "realization.py"].body
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
     ]
-    assert "_arcs" not in names
+
+
+def test_realization_defines_no_arcs_map():
+    assert "_arcs" not in _realization_functions()
+
+
+def test_realization_defines_no_pair_key():
+    assert "_pair_key" not in _realization_functions()
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "geometry.py"], ids=lambda p: p.name
+)
+def test_no_direction_or_half_angle_is_cleared_outside_geometry(path):
+    found = [
+        f"line {node.lineno}: .{inner.attr}"
+        for node in ast.walk(TREES[path])
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "cleared"
+        for arg in node.args
+        for inner in ast.walk(arg)
+        if isinstance(inner, ast.Attribute) and inner.attr in ("direction", "half_angle")
+    ]
+    assert not found
 
 
 FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
