@@ -1,10 +1,13 @@
 """Structured vertex labels and labelled directed graphs.
 
-Labels are interned: ``Label(kind, indices, text)`` returns the one live
-object with those fields, held in a weak-valued table, so equal labels are
-the same object.  A label therefore compares and hashes by identity, in C,
-and no isomorphism search is ever needed.  A label computes its sort key
-once, when it is interned, and keeps it in a slot, so labels are sorted
+Labels are interned: ``Label(kind, indices, text)`` returns the one object
+with those fields, so equal labels are the same object.  The table keeps
+every label for the life of the process, so a label built again, in a later
+reduction or by a document reader, is a dict hit; it grows only with the
+distinct labels a process builds, about 300 B each (5.2 MiB for the 17,952
+sector labels of n=32).  A label therefore compares and hashes by identity,
+in C, and no isomorphism search is ever needed.  A label computes its sort
+key once, when it is interned, and keeps it in a slot, so labels are sorted
 through ``attrgetter``, in C.
 
 A graph sorts its vertices once and keeps each edge as the integer code
@@ -24,7 +27,6 @@ modules take vertex ranks and make and split codes through them.
 
 from __future__ import annotations
 
-import weakref
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -34,19 +36,20 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 KIND_ORDER = {"C": 0, "A": 1, "B": 2, "SC": 3, "SA": 4, "SB": 5, "FREE": 6}
 
-# (kind, indices, text) -> the live label with those fields.  An entry
-# leaves the table when its label is no longer referenced.
-_INTERNED: weakref.WeakValueDictionary[tuple, Label] = weakref.WeakValueDictionary()
+# (kind, indices, text) -> the label with those fields, kept for the life of
+# the process.
+_INTERNED: dict[tuple, Label] = {}
 
 
 class Label:
     """An immutable, interned vertex label.
 
-    Equal fields give the same object, so ``==`` and ``hash`` are the
-    identity comparison and hash that ``object`` provides.
+    Equal fields give the same object, built once per process and then
+    returned from the intern table, so ``==`` and ``hash`` are the identity
+    comparison and hash that ``object`` provides.
     """
 
-    __slots__ = ("kind", "indices", "text", "_key", "__weakref__")
+    __slots__ = ("kind", "indices", "text", "_key")
 
     kind: str
     indices: tuple[int, ...]

@@ -17,8 +17,11 @@ The reader takes any JSON layout, so indented documents read as well.
 
 The rows are a graph's sorted edge codes split by tail
 (``LabelledDigraph.rows``), so writing and reading a graph makes one list
-per vertex, not one per edge.  The reader checks one row at a time with
-builtin calls and turns the rows back into codes in C.
+per vertex, not one per edge.  The reader checks a graph's vertex list and
+its rows once per document, by type sets and a ``min`` and ``max`` over the
+flattened entries, builds the labels and the codes in C, and lets the graph
+find a self-loop.  The loop over the labels or the rows runs only when a
+check fails, to name the first offender.
 
 The reader also takes version 2, in which each edge is a ``[tail, head]``
 pair of positions in ``vertices``.  Version 1, whose edge endpoints were
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Any
+from typing import Any, Iterable
 
 from .arrangement import Description, LineArrangement
 from .geometry import (
@@ -230,7 +233,7 @@ def _is_int(x: Any) -> bool:
     return type(x) is int
 
 
-def _all_ints(xs: list) -> bool:
+def _all_ints(xs: Iterable[Any]) -> bool:
     return set(map(type, xs)) <= {int}
 
 
@@ -297,6 +300,21 @@ def _dec_labels(raw: dict, key: str, path: str) -> list[Label]:
     return [_dec_label(v, path, i) for i, v in enumerate(_dec_list(raw.get(key, []), path))]
 
 
+def _dec_vertices(raw: dict, path: str) -> list[Label]:
+    """A graph's ``vertices``, checked once per document: type sets over the
+    entries, their kinds and their flattened indices, then ``map(Label, ...)``
+    in C.  A list that holds a FREE label, or fails a check, is decoded one
+    label at a time, which names the first bad entry."""
+    entries = _dec_list(raw.get("vertices", []), path + ".vertices")
+    if set(map(type, entries)) <= {dict}:
+        kinds = list(map(dict.get, entries, repeat("kind")))
+        if set(map(type, kinds)) <= {str} and "FREE" not in kinds:
+            indices = list(map(dict.get, entries, repeat("indices")))
+            if set(map(type, indices)) <= {list} and _all_ints(chain.from_iterable(indices)):
+                return list(map(Label, kinds, map(tuple, indices)))
+    return _dec_labels(raw, "vertices", path)
+
+
 def _dec_edges(raw: dict, key: str, path: str) -> list[tuple[Label, Label]]:
     path = f"{path}.{key}"
     edges = []
@@ -332,11 +350,14 @@ def _indexed_graph(raw: dict, labels: list[Label], path: str) -> LabelledDigraph
 
 def _row_graph(raw: dict, labels: list[Label], path: str) -> LabelledDigraph:
     """A version-3 graph, whose ``out`` holds one row of head positions in
-    ``labels`` per entry of ``labels``, checked one row at a time by builtin
-    calls.  A position must be an exact integer, so JSON true and 1.0 are
-    refused.  Duplicate vertex entries decode to one label and so to one
-    rank, and a self-loop is a head of the tail's own rank.  The checked
-    rows are then mapped to ranks and codes, in C."""
+    ``labels`` per entry of ``labels``, checked once per document: a type
+    set over the rows, then a type set, a ``min`` and a ``max`` over their
+    flattened heads.  A position must be an exact integer, so JSON true and
+    1.0 are refused.  The rows are mapped to ranks and codes in C, and the
+    graph's own diagonal intersection finds a self-loop: duplicate vertex
+    entries decode to one label and so to one rank, and a self-loop is a
+    head of the tail's own rank.  Only when a check fails does a loop over
+    the rows run, to name the first bad one."""
     rows = _dec_list(raw.get("out", []), path + ".out")
     count = len(labels)
     if len(rows) != count:
@@ -344,19 +365,25 @@ def _row_graph(raw: dict, labels: list[Label], path: str) -> LabelledDigraph:
     order, rank = ranked(labels)
     ranks = list(map(rank.__getitem__, labels))
     rank_at = ranks.__getitem__
+    if set(map(type, rows)) <= {list}:
+        heads = list(chain.from_iterable(rows))
+        if _all_ints(heads) and (not heads or min(heads) >= 0 and max(heads) < count):
+            tails = chain.from_iterable(map(repeat, ranks, map(len, rows)))
+            try:
+                return digraph(order, _codes=coded(tails, map(rank_at, heads), len(order)))
+            except ValueError:
+                pass  # a self-loop, named below
     for t, row in enumerate(rows):
         if type(row) is not list or not _all_ints(row) or row and (min(row) < 0 or max(row) >= count):
             raise SchemaError(f"{path}.out[{t}]", f"expected a list of vertex indices, integers in [0, {count})")
         if ranks[t] in map(rank_at, row):
             raise SchemaError(f"{path}.out[{t}]", f"self-loop at {labels[t]}")
-    tails = chain.from_iterable(map(repeat, ranks, map(len, rows)))
-    heads = map(rank_at, chain.from_iterable(rows))
-    return digraph(order, _codes=coded(tails, heads, len(order)))
+    raise ValueError("a row check failed, but every row is well formed")
 
 
 def _dec_graph(raw: Any, path: str, version: int) -> LabelledDigraph:
     raw = _dec_dict(raw, path)
-    labels = _dec_labels(raw, "vertices", path)
+    labels = _dec_vertices(raw, path)
     if version == 2:
         return _indexed_graph(raw, labels, path)
     return _row_graph(raw, labels, path)

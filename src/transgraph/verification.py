@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arrangement import Description, LineArrangement, is_simple, slope_sorted
+from .arrangement import Description, LineArrangement, is_simple
 from .geometry import line_from_slope_intercept
 from .graphs import DiffReport, LabelledDigraph, graph_diff
 from .realization import realize_sectors, realize_segments
@@ -85,11 +85,11 @@ def random_simple_arrangement(spec: RandomSpec) -> LineArrangement:
             p = rng.randint(-bound, bound)
             q = rng.randint(1, bound)
             slopes.add(Fraction(p, q))
-        lines = [
-            line_from_slope_intercept(s, rng.randint(-bound, bound))
-            for s in sorted(slopes)
-        ]
-        arr = slope_sorted(lines)
+        # Distinct slopes in ascending order, which ``LineArrangement``
+        # checks itself.
+        arr = LineArrangement(
+            tuple(line_from_slope_intercept(s, rng.randint(-bound, bound)) for s in sorted(slopes))
+        )
         if is_simple(arr):
             return arr
     raise SamplingExhausted(f"no simple arrangement found for {spec}")

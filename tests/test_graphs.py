@@ -108,13 +108,17 @@ def test_equal_labels_built_apart_are_equal_with_equal_hashes():
     assert free("x") == Label("FREE", (), "x") and hash(free("x")) == hash(Label("FREE", (), "x"))
 
 
-def test_the_intern_table_holds_only_live_labels():
+def test_the_intern_table_keeps_a_dropped_label_for_the_life_of_the_process():
+    """A label is built once per process: dropped, collected and built
+    again, it is the same object, and the table still holds it."""
     key = ("FREE", (), "a label no other test builds")
     label = free(key[2])
     assert graphs._INTERNED[key] is label
+    first = id(label)
     del label
     gc.collect()
-    assert key not in graphs._INTERNED
+    assert graphs._INTERNED[key] is free(key[2])
+    assert id(free(key[2])) == first
 
 
 @pytest.mark.parametrize("field", ["kind", "indices", "text"])

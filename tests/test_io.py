@@ -603,6 +603,11 @@ ROW_RANGE = "expected a list of vertex indices, integers in [0, 4)"
         ([[1], [0], [], [4]], f"payload.out[3]: {ROW_RANGE}"),
         ([[1, 2], [0, 1], [], []], "payload.out[1]: self-loop at C_2"),
         ([[1, 2], [0], [], [2, 0]], "payload.out[3]: self-loop at C_1"),
+        # The rows are checked per document; the first bad row is named.
+        ([[0], [], [4], []], "payload.out[0]: self-loop at C_1"),
+        ([[1], [0], [4], [True]], f"payload.out[2]: {ROW_RANGE}"),
+        ([[1], [True], [], []], f"payload.out[1]: {ROW_RANGE}"),
+        ([[1], [0], [1], 3], f"payload.out[3]: {ROW_RANGE}"),
     ],
     ids=[
         "too few rows",
@@ -617,6 +622,10 @@ ROW_RANGE = "expected a list of vertex indices, integers in [0, 4)"
         "index equal to the vertex count",
         "self-loop",
         "self-loop through a duplicate vertex",
+        "self-loop ahead of an index past the end",
+        "index past the end ahead of true",
+        "true alone",
+        "row not a list after valid rows",
     ],
 )
 def test_bad_out_row_is_rejected_with_its_path(tmp_path, capsys, out, message):
@@ -629,6 +638,70 @@ def test_bad_out_row_is_rejected_with_its_path(tmp_path, capsys, out, message):
     path.write_text(text)
     assert main(["export-dot", "--in", str(path), "--out", str(tmp_path / "g.dot")]) == 2
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+LABEL_KIND = "expected a label object with a kind"
+LABEL_INDICES = "label indices must be a list of integers"
+
+
+@pytest.mark.parametrize(
+    "vertices, message",
+    [
+        ([C1, C2, 7, X], f"payload.vertices[2]: {LABEL_KIND}"),
+        ([C1, C2, [C1], X], f"payload.vertices[2]: {LABEL_KIND}"),
+        ([C1, {"kind": ["C"], "indices": [2]}, X, C2], f"payload.vertices[1]: {LABEL_KIND}"),
+        ([C1, C2, {"indices": [3]}, X], f"payload.vertices[2]: {LABEL_KIND}"),
+        ([C1, {"kind": "C", "indices": [True]}, C2, X], f"payload.vertices[1]: {LABEL_INDICES}"),
+        ([C1, C2, X, {"kind": "C", "indices": [1.0]}], f"payload.vertices[3]: {LABEL_INDICES}"),
+        ([C1, C2, {"kind": "C", "indices": "3"}, X], f"payload.vertices[2]: {LABEL_INDICES}"),
+        ([C1, C2, {"kind": "C"}, X], f"payload.vertices[2]: {LABEL_INDICES}"),
+        ([C1, {"kind": "C", "indices": [[2]]}, C2, X], f"payload.vertices[1]: {LABEL_INDICES}"),
+        # Every kind is a string and no label is FREE, so only the bulk
+        # index check fails; the loop still names the entry.
+        ([C1, C2, {"kind": "SC", "indices": [1, True]}, C1], f"payload.vertices[2]: {LABEL_INDICES}"),
+        ([C1, 7, {"kind": "C", "indices": [True]}, X], f"payload.vertices[1]: {LABEL_KIND}"),
+        ({"0": C1}, "payload.vertices: expected a list"),
+    ],
+    ids=[
+        "number",
+        "list",
+        "kind is a list",
+        "no kind",
+        "true in indices",
+        "1.0 in indices",
+        "string indices",
+        "no indices",
+        "list in indices",
+        "true in indices, no free label",
+        "first bad entry",
+        "not a list",
+    ],
+)
+def test_bad_vertex_is_rejected_with_its_path(tmp_path, capsys, vertices, message):
+    out = [[]] * len(vertices) if isinstance(vertices, list) else []
+    body = {"kind": "graph", "formatVersion": FORMAT_VERSION, "payload": {"vertices": vertices, "out": out}}
+    text = json.dumps(body)
+    with pytest.raises(SchemaError) as exc:
+        document_from_json(text)
+    assert str(exc.value) == message
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert main(["export-dot", "--in", str(path), "--out", str(tmp_path / "g.dot")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("version", [2, FORMAT_VERSION])
+def test_a_graph_of_free_and_structured_labels_decodes_to_the_graph_written(version):
+    g = digraph(
+        [C(1), free("x"), A(1, 2), free("C_1"), C(2)],
+        [(C(1), free("x")), (free("x"), A(1, 2)), (free("C_1"), C(1)), (C(2), free("C_1"))],
+    )
+    text = document_to_json(Document("graph", g))
+    if version == 2:
+        text = version_2_text(text)
+    back = document_from_json(text).payload
+    assert back == g
+    assert all(u is v for u, v in zip(back.order, g.order))
 
 
 MISSING = object()
@@ -727,6 +800,30 @@ def test_writing_a_graph_sorts_its_vertices_once(write, monkeypatch):
         sys.setprofile(None)
     assert text == expected
     assert keys == calls == 0
+
+
+def test_decoding_a_sector_graph_builds_no_label_one_entry_at_a_time():
+    """A graph's vertex list is checked once per document and its labels are
+    built by one ``map(Label, ...)`` in C, so no vertex goes through
+    ``serialization._dec_label``; being interned, they are the reduced
+    graph's own label objects."""
+    g = reduce_sectors(extract_description(random_simple_arrangement(RandomSpec(n=5, seed=2))))
+    assert g.vertex_count == 375
+    text = document_to_json(Document("graph", g))
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code is serialization._dec_label.__code__
+
+    sys.setprofile(profile)
+    try:
+        back = document_from_json(text).payload
+    finally:
+        sys.setprofile(None)
+    assert back == g
+    assert calls == 0
+    assert all(u is v for u, v in zip(back.order, g.order, strict=True))
 
 
 def test_export_dot_names_each_vertex_once():
