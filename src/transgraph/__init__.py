@@ -26,8 +26,6 @@ from .geometry import (
     Vec2,
     angle_at_most,
     line_from_slope_intercept,
-    line_intersection,
-    project_param,
     rotation_from_parameter,
     vec,
 )

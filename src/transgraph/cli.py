@@ -3,12 +3,16 @@
 Exit codes: 0 success or verification pass, 1 verification failure,
 2 input error or unwritable output, 3 the solved sector parameters failed
 verification (reported as ``parameter search exhausted: <reason>``).
+``main`` maps each library error to its exit code, once for every command.
+``gen`` and ``export-dot`` map ``ValueError`` themselves, around the one
+call that raises it for bad input: caught in ``main``, it would hide bugs.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable, NamedTuple
 
 from .arrangement import extract_description, validate_description
 from .graphs import LabelledDigraph
@@ -43,6 +47,18 @@ EXIT_SEARCH_EXHAUSTED = 3
 
 class InputError(Exception):
     pass
+
+
+class Mode(NamedTuple):
+    reduce: Callable
+    realize: Callable
+    round_trip: Callable
+
+
+MODES = {
+    "segments": Mode(reduce_segments, realize_segments, round_trip_segments),
+    "sectors": Mode(reduce_sectors, realize_sectors, round_trip_sectors),
+}
 
 
 def _load(path, *kinds) -> Document:
@@ -93,32 +109,15 @@ def _cmd_validate(args) -> int:
     return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
 
 
-def _reduce_fn(mode):
-    return reduce_segments if mode == "segments" else reduce_sectors
-
-
 def _cmd_reduce(args) -> int:
     desc = _load(getattr(args, "in"), "description").payload
-    try:
-        graph = _reduce_fn(args.mode)(desc)
-    except (InvalidDescription, NonSimpleDescription) as exc:
-        raise InputError(str(exc)) from None
-    _write(args.out, document_to_json(Document("graph", graph)))
+    _write(args.out, document_to_json(Document("graph", MODES[args.mode].reduce(desc))))
     return EXIT_OK
 
 
 def _cmd_realize(args) -> int:
     arr = _load(getattr(args, "in"), "arrangement").payload
-    try:
-        if args.mode == "segments":
-            realized = realize_segments(arr)
-        else:
-            realized = realize_sectors(arr)
-    except NonSimpleArrangement as exc:
-        raise InputError(str(exc)) from None
-    except ParameterSearchExhausted as exc:
-        print(f"parameter search exhausted: {exc.detail}", file=sys.stderr)
-        return EXIT_SEARCH_EXHAUSTED
+    realized = MODES[args.mode].realize(arr)
     _write(args.out, document_to_json(Document("instance", realized.instance)))
     return EXIT_OK
 
@@ -131,16 +130,7 @@ def _cmd_tgraph(args) -> int:
 
 def _cmd_verify(args) -> int:
     arr = _load(getattr(args, "in"), "arrangement").payload
-    try:
-        if args.mode == "segments":
-            report = round_trip_segments(arr)
-        else:
-            report = round_trip_sectors(arr)
-    except NonSimpleArrangement as exc:
-        raise InputError(str(exc)) from None
-    except ParameterSearchExhausted as exc:
-        print(f"parameter search exhausted: {exc.detail}", file=sys.stderr)
-        return EXIT_SEARCH_EXHAUSTED
+    report = MODES[args.mode].round_trip(arr)
     if args.report:
         _write(args.report, document_to_json(Document("report", report)))
     print(report.summary())
@@ -159,8 +149,13 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    graph: LabelledDigraph = _load(getattr(args, "in"), "graph").payload
-    _write(args.out, export_dot(graph))
+    path = getattr(args, "in")
+    graph: LabelledDigraph = _load(path, "graph").payload
+    try:
+        dot = export_dot(graph)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from None
+    _write(args.out, dot)
     return EXIT_OK
 
 
@@ -188,13 +183,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser("reduce", help="description -> candidate graph")
-    p.add_argument("--mode", choices=("segments", "sectors"), required=True)
+    p.add_argument("--mode", choices=tuple(MODES), required=True)
     p.add_argument("--in", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_reduce)
 
     p = sub.add_parser("realize", help="arrangement -> object instance")
-    p.add_argument("--mode", choices=("segments", "sectors"), required=True)
+    p.add_argument("--mode", choices=tuple(MODES), required=True)
     p.add_argument("--in", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_realize)
@@ -205,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_tgraph)
 
     p = sub.add_parser("verify", help="full round trip on an arrangement")
-    p.add_argument("--mode", choices=("segments", "sectors"), required=True)
+    p.add_argument("--mode", choices=tuple(MODES), required=True)
     p.add_argument("--in", required=True)
     p.add_argument("--report", default=None)
     p.set_defaults(fn=_cmd_verify)
@@ -227,9 +222,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
+    except (InputError, InvalidDescription, NonSimpleDescription, NonSimpleArrangement) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except ParameterSearchExhausted as exc:
+        print(f"parameter search exhausted: {exc.detail}", file=sys.stderr)
+        return EXIT_SEARCH_EXHAUSTED
 
 
 if __name__ == "__main__":

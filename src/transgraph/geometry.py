@@ -49,10 +49,6 @@ def cleared(*values: Union[Fraction, int]) -> tuple[int, ...]:
     return tuple(v.numerator * (f // v.denominator) for v in values)
 
 
-class ParallelLines(Exception):
-    """Raised when intersecting two parallel (or identical) lines."""
-
-
 class ZeroVector(Exception):
     """Raised when a direction-dependent predicate receives (0, 0)."""
 
@@ -180,6 +176,8 @@ class Segment:
             raise ValueError("degenerate segment: p == q")
 
     def contains(self, pt: Point) -> bool:
+        """On the closed segment.  The containment specification that the
+        transmission kernel's tests compare against."""
         d = self.q - self.p
         w = pt - self.p
         if d.cross(w) != 0:
@@ -225,7 +223,9 @@ class Sector:
         return double.c >= double.s
 
     def contains(self, pt: Point) -> bool:
-        """Within the radius and the half angle of the bisector (closed)."""
+        """Within the radius and the half angle of the bisector (closed).
+        The containment specification that the transmission kernel's tests
+        compare against."""
         w = pt - self.apex
         if w.norm_sq() > self.radius_sq:
             return False
@@ -242,21 +242,12 @@ class Disk:
             raise ValueError("disk needs a positive squared radius")
 
     def contains(self, pt: Point) -> bool:
+        """In the closed disk.  The containment specification that the
+        transmission kernel's tests compare against."""
         return (pt - self.center).norm_sq() <= self.radius_sq
 
 
 ArrangementObject = Union[Segment, Sector, Disk]
-
-
-def project_param(origin: Point, u: Vec2, pt: Point) -> Fraction:
-    """Parameter of ``pt`` projected onto the directed line origin + t*u.
-
-    Parameters are ordered exactly as the projections along the line;
-    the origin projects to 0.
-    """
-    if u.is_zero():
-        raise ZeroVector("projection direction must be nonzero")
-    return u.dot(pt - origin) / u.norm_sq()
 
 
 @dataclass(frozen=True)
@@ -301,12 +292,3 @@ class Line:
 def line_from_slope_intercept(slope: RationalLike, intercept: RationalLike) -> Line:
     s = Fraction(slope)
     return Line(-s, Fraction(1), Fraction(intercept))
-
-
-def line_intersection(l1: Line, l2: Line) -> Point:
-    det = l1.a * l2.b - l2.a * l1.b
-    if det == 0:
-        raise ParallelLines(f"{l1} and {l2} do not meet in one point")
-    x = (l1.c * l2.b - l2.c * l1.b) / det
-    y = (l1.a * l2.c - l2.a * l1.c) / det
-    return Vec2(x, y)

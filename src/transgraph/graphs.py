@@ -15,9 +15,9 @@ A graph sorts its vertices once and keeps each edge as the integer code
 The cyclic garbage collector does not track ints, so a graph with E edges
 holds a few containers, not E tuples.  Equal vertex sets have equal orders,
 so graph equality and ``graph_diff`` compare the codes as sets of ints, in
-C.  Sorted codes are the edges in ``sorted_edges()`` order, split by
-``divmod``, or into one row of heads per tail by ``mod`` and a ``bisect``
-at each multiple of V, and the mutual couples are found by one frozenset
+C.  Sorted codes are the edges in ``sorted_edges()`` order; ``rows()``
+splits them into one row of heads per tail by ``mod`` and a ``bisect`` at
+each multiple of V, and the mutual couples are found by one frozenset
 intersection with the reversed codes.  The frozenset of label pairs,
 ``edges``, is built from the codes only when something reads it.
 ``ranked``, ``coded``, ``coded_run``, ``decoded`` and
@@ -249,21 +249,16 @@ class LabelledDigraph:
         return list(self.order)
 
     def sorted_edges(self) -> list[Edge]:
-        order, pairs = self.indexed()
-        return [(order[i], order[j]) for i, j in pairs]
-
-    def indexed(self) -> tuple[list[Label], list[tuple[int, int]]]:
-        """``sorted_vertices()``, and every edge as the ``(tail, head)`` pair
-        of its ends' positions in that list, sorted: the order of
-        ``sorted_edges()``.  The sorted codes are split by ``divmod``, in C."""
-        return list(self.order), list(decoded(sorted(self.codes), len(self.order)))
+        order, rows = self.rows()
+        return [(tail, order[h]) for tail, row in zip(order, rows) for h in row]
 
     def rows(self) -> tuple[list[Label], list[list[int]]]:
         """``sorted_vertices()``, and for each of its entries the ascending
         positions of the heads of that vertex's out-edges (``[]`` for a
-        sink): ``indexed()`` grouped by tail.  The heads of the sorted codes
-        are split off by ``mod``, and row t's bounds are found by a
-        ``bisect`` at t * V and (t + 1) * V, all in C."""
+        sink): the graph's one sorted view of its codes, so read row by row
+        it lists the edges in ``sorted_edges()`` order.  The heads of the
+        sorted codes are split off by ``mod``, and row t's bounds are found
+        by a ``bisect`` at t * V and (t + 1) * V, all in C."""
         count, codes = len(self.order), sorted(self.codes)
         heads = list(map(mod, codes, repeat(count)))
         bounds = list(map(bisect_left, repeat(codes), range(0, (count + 1) * count, count or 1)))

@@ -404,9 +404,9 @@ def check_ordering_gadget(
     The members are ordered by their keys ux*x + uy*y, with (ux, uy) the
     bisector's cached ``integers``, u times a factor f > 0, and (x, y) the
     apex in the instance's scaled view, times its scale S > 0; nothing is
-    cleared here.  Each key is the member's ``project_param`` times the
-    positive S*f*|u|^2, plus the origin's constant term, so the keys give
-    the same order and the same ties."""
+    cleared here.  Each key is the member's projection parameter
+    u.(p - o)/|u|^2 times the positive S*f*|u|^2, plus the origin's
+    constant term, so the keys give the same order and the same ties."""
     report = GadgetReport()
     codes, count, rank = graph.codes, len(graph.order), graph.rank
     b = rank[base]

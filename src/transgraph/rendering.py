@@ -24,21 +24,35 @@ _DOT_ID = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _DOT_KEYWORDS = frozenset({"node", "edge", "graph", "digraph", "subgraph", "strict"})
 
 
+# In a DOT quoted string, a pair of backslashes is kept as two, a backslash
+# before a quote escapes it and a backslash before a newline is dropped.  So
+# an odd run of backslashes before a quote, a newline or the end of the text
+# has no quoted form.
+_DOT_UNQUOTABLE = re.compile(r'(?<!\\)(?:\\\\)*\\(?:["\n]|\Z)')
+
+
 def _dot_name(label) -> str:
     name = str(label)
     if _DOT_ID.match(name) and name.lower() not in _DOT_KEYWORDS:
         return name
+    if _DOT_UNQUOTABLE.search(name):
+        raise ValueError(
+            f"label {name!r} has no DOT quoted form: an odd run of backslashes"
+            " ends it or precedes a quote or a newline"
+        )
     return '"' + name.replace('"', '\\"') + '"'
 
 
 def export_dot(graph: LabelledDigraph) -> str:
+    """The graph in DOT, its vertices and then its edges in sort order.
+    Raises ``ValueError`` for a label that no DOT quoted string spells."""
     lines = ["digraph G {"]
-    vertices, edges = graph.indexed()
+    vertices, rows = graph.rows()
     names = list(map(_dot_name, vertices))
     for name in names:
         lines.append(f"  {name};")
-    for i, j in edges:
-        lines.append(f"  {names[i]} -> {names[j]};")
+    for tail, row in zip(names, rows):
+        lines.extend(f"  {tail} -> {names[h]};" for h in row)
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -23,9 +23,8 @@ flattened entries, builds the labels and the codes in C, and lets the graph
 find a self-loop.  The loop over the labels or the rows runs only when a
 check fails, to name the first offender.
 
-The reader also takes version 2, in which each edge is a ``[tail, head]``
-pair of positions in ``vertices``.  Version 1, whose edge endpoints were
-label objects, is refused.
+The reader takes only ``FORMAT_VERSION``: versions 1 and 2, whose edges
+were label pairs and ``[tail, head]`` position pairs, are refused.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import itemgetter
 from typing import Any, Iterable
 
 from .arrangement import Description, LineArrangement
@@ -325,29 +323,6 @@ def _dec_edges(raw: dict, key: str, path: str) -> list[tuple[Label, Label]]:
     return edges
 
 
-def _indexed_graph(raw: dict, labels: list[Label], path: str) -> LabelledDigraph:
-    """A version-2 graph, whose edges are ``[tail, head]`` positions in
-    ``labels``, checked by one loop of builtin calls.  A position must be
-    an exact integer, so JSON true and 1.0 are refused.  Duplicate vertex
-    entries decode to one label, so a self-loop is found by identity.  The
-    checked positions are then mapped to ranks and codes, in C."""
-    pairs = _dec_list(raw.get("edges", []), path + ".edges")
-    count = len(labels)
-    for i, pair in enumerate(pairs):
-        if type(pair) is not list or len(pair) != 2:
-            raise SchemaError(f"{path}.edges[{i}]", "expected a [tail, head] pair of vertex indices")
-        tail, head = pair
-        if type(tail) is not int or type(head) is not int or not (0 <= tail < count and 0 <= head < count):
-            raise SchemaError(f"{path}.edges[{i}]", f"vertex indices must be integers in [0, {count})")
-        if labels[tail] is labels[head]:
-            raise SchemaError(f"{path}.edges[{i}]", f"self-loop at {labels[tail]}")
-    order, rank = ranked(labels)
-    rank_at = list(map(rank.__getitem__, labels)).__getitem__
-    tails = map(rank_at, map(itemgetter(0), pairs))
-    heads = map(rank_at, map(itemgetter(1), pairs))
-    return digraph(order, _codes=coded(tails, heads, len(order)))
-
-
 def _row_graph(raw: dict, labels: list[Label], path: str) -> LabelledDigraph:
     """A version-3 graph, whose ``out`` holds one row of head positions in
     ``labels`` per entry of ``labels``, checked once per document: a type
@@ -381,15 +356,12 @@ def _row_graph(raw: dict, labels: list[Label], path: str) -> LabelledDigraph:
     raise ValueError("a row check failed, but every row is well formed")
 
 
-def _dec_graph(raw: Any, path: str, version: int) -> LabelledDigraph:
+def _dec_graph(raw: Any, path: str) -> LabelledDigraph:
     raw = _dec_dict(raw, path)
-    labels = _dec_vertices(raw, path)
-    if version == 2:
-        return _indexed_graph(raw, labels, path)
-    return _row_graph(raw, labels, path)
+    return _row_graph(raw, _dec_vertices(raw, path), path)
 
 
-def _dec_payload(kind: str, raw: Any, version: int, path: str = "payload") -> Any:
+def _dec_payload(kind: str, raw: Any, path: str = "payload") -> Any:
     raw = _dec_dict(raw, path)
     if kind == "arrangement":
         lines = []
@@ -441,11 +413,11 @@ def _dec_payload(kind: str, raw: Any, version: int, path: str = "payload") -> An
         except Exception as exc:
             raise SchemaError(f"{path}.entries", str(exc)) from None
     if kind == "graph":
-        return _dec_graph(raw, path, version)
+        return _dec_graph(raw, path)
     if kind == "report":
-        desc = _dec_payload("description", raw.get("description", {}), version, path + ".description")
-        reduction = _dec_graph(raw.get("graph_from_reduction", {}), path + ".graph_from_reduction", version)
-        geometry = _dec_graph(raw.get("graph_from_geometry", {}), path + ".graph_from_geometry", version)
+        desc = _dec_payload("description", raw.get("description", {}), path + ".description")
+        reduction = _dec_graph(raw.get("graph_from_reduction", {}), path + ".graph_from_reduction")
+        geometry = _dec_graph(raw.get("graph_from_geometry", {}), path + ".graph_from_geometry")
         diff_path = path + ".diff"
         diff_raw = _dec_dict(raw.get("diff", {}), diff_path)
         diff = DiffReport(
@@ -486,9 +458,9 @@ def document_from_json(text: str) -> Document:
     if kind not in KINDS:
         raise SchemaError("kind", f"unknown document kind {kind!r}")
     version = body.get("formatVersion")
-    if not _is_int(version) or version not in (2, FORMAT_VERSION):
+    if not _is_int(version) or version != FORMAT_VERSION:
         raise SchemaError("formatVersion", f"unsupported version {version!r}")
-    return Document(kind, _dec_payload(kind, body.get("payload", {}), version))
+    return Document(kind, _dec_payload(kind, body.get("payload", {})))
 
 
 def load_document(path) -> Document:

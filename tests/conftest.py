@@ -5,11 +5,36 @@ from itertools import combinations
 import pytest
 
 from transgraph import LineArrangement, line_from_slope_intercept
-from transgraph.geometry import line_intersection
+from transgraph.geometry import Vec2, ZeroVector
 
 
 def F(a, b=1):
     return Fraction(a, b)
+
+
+class ParallelLines(Exception):
+    """Raised when intersecting two parallel (or identical) lines."""
+
+
+def line_intersection(l1, l2):
+    """The crossing of two lines, solved in ``Fraction``s: the tests'
+    reference for the package's integer crossing kernels."""
+    det = l1.a * l2.b - l2.a * l1.b
+    if det == 0:
+        raise ParallelLines(f"{l1} and {l2} do not meet in one point")
+    x = (l1.c * l2.b - l2.c * l1.b) / det
+    y = (l1.a * l2.c - l2.a * l1.c) / det
+    return Vec2(x, y)
+
+
+def project_param(origin, u, pt):
+    """Parameter of ``pt`` projected onto the directed line origin + t*u,
+    in ``Fraction``s: the tests' reference for the ordering gadget's
+    integer keys.  Parameters are ordered exactly as the projections along
+    the line; the origin projects to 0."""
+    if u.is_zero():
+        raise ZeroVector("projection direction must be nonzero")
+    return u.dot(pt - origin) / u.norm_sq()
 
 
 def intersections_by_fractions(arr):

@@ -12,12 +12,12 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import project_param
 from transgraph import realization, verification
 from transgraph.arrangement import LineArrangement, extract_description
 from transgraph.geometry import (
     Line,
     Sector,
-    project_param,
     rotation_from_parameter,
     vec,
 )

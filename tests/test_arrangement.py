@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import intersections_by_fractions
+from conftest import intersections_by_fractions, line_intersection
 from transgraph.arrangement import (
     ArrangementError,
     LineArrangement,
@@ -15,7 +15,7 @@ from transgraph.arrangement import (
     slope_sorted,
     validate_description,
 )
-from transgraph.geometry import Line, line_from_slope_intercept, line_intersection
+from transgraph.geometry import Line, line_from_slope_intercept
 from transgraph.verification import RandomSpec, random_simple_arrangement
 
 F = Fraction

@@ -3,7 +3,6 @@ import json
 from functools import lru_cache
 
 import pytest
-from conftest import version_2_text
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from transgraph import realization
@@ -324,8 +323,7 @@ WRITES_OUT = {"describe", "reduce", "realize", "tgraph", "render", "export-dot"}
 
 @lru_cache(maxsize=None)
 def _valid_documents():
-    """One valid n=2 document of every kind, as JSON text, and the graph
-    and the report also as version 2."""
+    """One valid n=2 document of every kind, as JSON text."""
     arr = random_simple_arrangement(RandomSpec(n=2, seed=0))
     desc = extract_description(arr)
     docs = [
@@ -336,10 +334,7 @@ def _valid_documents():
         Document("instance", realize_sectors(arr).instance),
         Document("report", round_trip_sectors(arr)),
     ]
-    texts = [document_to_json(doc) for doc in docs]
-    # The version-2 renderings keep the index-pair edge reader fuzzed.
-    old = [version_2_text(text) for doc, text in zip(docs, texts) if doc.kind in ("graph", "report")]
-    return tuple(texts + old)
+    return tuple(document_to_json(doc) for doc in docs)
 
 
 def _paths(node, path=()):

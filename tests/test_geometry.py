@@ -4,10 +4,10 @@ from math import gcd
 import pytest
 from hypothesis import example, given, strategies as st
 
+from conftest import ParallelLines, line_intersection, project_param
 from transgraph.geometry import (
     Disk,
     Line,
-    ParallelLines,
     Rotation,
     Sector,
     Segment,
@@ -17,8 +17,6 @@ from transgraph.geometry import (
     angle_at_most,
     cleared,
     line_from_slope_intercept,
-    line_intersection,
-    project_param,
     rotation_from_parameter,
     vec,
 )

@@ -9,7 +9,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from conftest import version_2_text
 from hypothesis import example, given, settings, strategies as st
 
 import transgraph
@@ -267,11 +266,13 @@ def _edge_key(edge):
 def test_graphs_from_codes_agree_with_graphs_from_label_pairs(first, second):
     vertices, edges = first
     order, codes = _reference_codes(vertices, edges)
+    count = len(order)
+    rows = [sorted(code % count for code in codes if code // count == t) for t in range(count)]
     from_pairs, from_codes = digraph(vertices, edges), digraph(vertices, _codes=codes)
     for g in (from_pairs, from_codes):
         assert g.vertices == frozenset(vertices) and g.edges == frozenset(edges)
         assert g.sorted_vertices() == order
-        assert g.indexed() == (order, sorted(divmod(code, len(order)) for code in codes))
+        assert g.rows() == (order, rows)
         assert g.sorted_edges() == sorted(set(edges), key=_edge_key)
         assert g.edge_count == len(set(edges)) and g.vertex_count == len(order)
     assert from_pairs == from_codes and hash(from_pairs) == hash(from_codes)
@@ -288,29 +289,27 @@ def test_graphs_from_codes_agree_with_graphs_from_label_pairs(first, second):
         assert diff.extra_edges == sorted(h.edges - g.edges, key=_edge_key)
         assert diff.empty == (g == h)
 
-    text = document_to_json(Document("graph", from_codes))
-    for version_text in (text, version_2_text(text)):
-        assert document_from_json(version_text).payload == from_pairs
+    assert document_from_json(document_to_json(Document("graph", from_codes))).payload == from_pairs
 
 
 @settings(max_examples=150, deadline=None)
 @given(label_graphs())
 @example(([], []))
 @example(([free("a")], []))
-def test_rows_split_the_indexed_pairs_and_round_trip_through_both_versions(graph):
-    """A graph's rows are ``indexed()`` grouped by tail, one ascending row
-    per vertex; its version-3 text decodes to it and re-encodes to the same
-    bytes, and its version-2 rendering decodes to it."""
+def test_rows_split_the_sorted_codes_and_round_trip(graph):
+    """A graph's rows are its sorted codes grouped by tail, one ascending
+    row per vertex, and read row by row they are ``sorted_edges()``; its
+    text decodes to it and re-encodes to the same bytes."""
     g = digraph(*graph)
     order, rows = g.rows()
     assert order == g.sorted_vertices() and len(rows) == g.vertex_count
-    assert [(t, h) for t, row in enumerate(rows) for h in row] == g.indexed()[1]
+    assert [t * len(order) + h for t, row in enumerate(rows) for h in row] == sorted(g.codes)
+    assert [(order[t], order[h]) for t, row in enumerate(rows) for h in row] == g.sorted_edges()
     assert all(row == sorted(set(row)) for row in rows)
     text = document_to_json(Document("graph", g))
     assert json.loads(text)["payload"]["out"] == rows
     back = document_from_json(text).payload
     assert back == g and document_to_json(Document("graph", back)) == text
-    assert document_from_json(version_2_text(text)).payload == g
 
 
 def test_couples_are_the_edges_whose_reverse_is_an_edge_taken_once():

@@ -8,7 +8,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import intersections_by_fractions
+from conftest import intersections_by_fractions, line_intersection, project_param
 from transgraph import arrangement, geometry, realization, transmission
 from transgraph.arrangement import LineArrangement, extract_description
 from transgraph.geometry import (
@@ -19,8 +19,6 @@ from transgraph.geometry import (
     Segment,
     acute_angle_at_least,
     angle_at_most,
-    line_intersection,
-    project_param,
     rotation_from_parameter,
     vec,
 )

@@ -1,13 +1,14 @@
 """Quality rules for the package source, checked on its syntax tree: no
 module imports another module's private names, correctness checks raise
-instead of using ``assert``, which ``python -O`` strips, crossings come
-from ``LineArrangement.crossings_by_line()`` rather than a fresh
-``line_intersection`` solve, every private module-level function is used
+instead of using ``assert``, which ``python -O`` strips, no module defines
+the tests' ``Fraction`` references ``line_intersection``, ``project_param``
+or ``ParallelLines`` (so crossings come from
+``LineArrangement.crossings_by_line()`` and the gadget is ordered on
+integers), every private module-level function is used
 by the package itself, not only by tests, ``reductions`` emits its edges
 in bulk (no ``edges.add(...)``, one Python step per edge), the sector side
 checks read the graph's edges by label (``realization`` defines no
-``_arcs`` position map) and order the gadget on integers (no module calls
-``project_param``, which stays a public helper and the tests' reference),
+``_arcs`` position map),
 directions and half angles are cleared only through their cached
 ``integers`` (``realization`` defines no ``_pair_key``, and no module but
 ``geometry`` passes a ``.direction`` or ``.half_angle`` component to
@@ -53,16 +54,31 @@ def test_no_assert_statement(path):
     assert not lines
 
 
+# The tests' ``Fraction`` references, kept in ``tests/conftest.py``.
+TEST_REFERENCES = {"line_intersection", "project_param", "ParallelLines"}
+
+
+def _bound_names(node):
+    """The names a statement or expression node binds: a ``def`` or
+    ``class``, an import, or an assignment target."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [alias.asname or alias.name for alias in node.names]
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+        return [node.id]
+    return []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_no_line_intersection_call(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-    calls = [
-        node.lineno
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "line_intersection"
+def test_no_module_defines_a_test_reference(path):
+    found = [
+        f"line {node.lineno}: {name}"
+        for node in ast.walk(TREES[path])
+        for name in _bound_names(node)
+        if name in TEST_REFERENCES
     ]
-    assert not calls
+    assert not found
 
 
 def _names_in(node):
@@ -149,17 +165,6 @@ def test_transmission_defines_no_nested_function():
         if inner is not outer and isinstance(inner, FUNCTION_NODES)
     ]
     assert not nested
-
-
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_no_project_param_call(path):
-    calls = [
-        node.lineno
-        for node in ast.walk(TREES[path])
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "project_param"
-    ]
-    assert not calls
 
 
 # The functions of ``math`` that take and return integers only.
