@@ -2,9 +2,9 @@
 module imports another module's private names, correctness checks raise
 instead of using ``assert``, which ``python -O`` strips, no module defines
 the tests' ``Fraction`` references ``line_intersection``, ``project_param``
-or ``ParallelLines`` (so crossings come from
-``LineArrangement.crossings_by_line()`` and the gadget is ordered on
-integers), every private module-level function is used
+or ``ParallelLines`` and none calls either reference function (so
+crossings come from ``LineArrangement.crossings_by_line()`` and the gadget
+is ordered on integers), every private module-level function is used
 by the package itself, not only by tests, ``reductions`` emits its edges
 in bulk (no ``edges.add(...)``, one Python step per edge), the sector side
 checks read the graph's edges by label (``realization`` defines no
@@ -79,6 +79,25 @@ def test_no_module_defines_a_test_reference(path):
         if name in TEST_REFERENCES
     ]
     assert not found
+
+
+def _calls_to(path, name):
+    return [
+        node.lineno
+        for node in ast.walk(TREES[path])
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_line_intersection_call(path):
+    assert not _calls_to(path, "line_intersection")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_project_param_call(path):
+    assert not _calls_to(path, "project_param")
 
 
 def _names_in(node):
