@@ -1,21 +1,27 @@
 """Command-line surface for the toolkit.
 
+``COMMANDS`` states each subcommand once, in ``--help`` order: its name,
+help text and flags, whose argparse options are in ``FLAGS``, and either
+its handler or, for a conversion, the document kinds ``--in`` accepts and
+a function from their payload to the text ``_convert`` writes to ``--out``.
+
 Exit codes: 0 success or verification pass, 1 verification failure,
 2 input error or unwritable output, 3 the solved sector parameters failed
 verification (reported as ``parameter search exhausted: <reason>``).
 ``main`` maps each library error to its exit code, once for every command.
-``gen`` and ``export-dot`` map ``ValueError`` themselves, around the one
-call that raises it for bad input: caught in ``main``, it would hide bugs.
+``gen``, ``render`` and ``export-dot`` map ``ValueError`` or
+``OverflowError`` themselves, around the one call that raises it for bad
+input: caught in ``main``, it would hide bugs.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, NamedTuple
+from functools import partial
+from typing import Any, Callable, NamedTuple, Optional
 
 from .arrangement import extract_description, validate_description
-from .graphs import LabelledDigraph
 from .realization import (
     NonSimpleArrangement,
     ParameterSearchExhausted,
@@ -60,6 +66,16 @@ MODES = {
     "sectors": Mode(reduce_sectors, realize_sectors, round_trip_sectors),
 }
 
+FLAGS = {
+    "--n": {"type": int, "required": True},
+    "--seed": {"type": int, "required": True},
+    "--bound": {"type": int, "default": 12},
+    "--mode": {"choices": tuple(MODES), "required": True},
+    "--in": {"required": True},
+    "--out": {"required": True},
+    "--report": {"default": None},
+}
+
 
 def _load(path, *kinds) -> Document:
     try:
@@ -69,8 +85,7 @@ def _load(path, *kinds) -> Document:
     except SchemaError as exc:
         raise InputError(f"{path}: {exc}") from None
     if doc.kind not in kinds:
-        expected = " or ".join(kinds)
-        raise InputError(f"{path}: expected a {expected} document, found {doc.kind}")
+        raise InputError(f"{path}: expected a {' or '.join(kinds)} document, found {doc.kind}")
     return doc
 
 
@@ -82,26 +97,21 @@ def _write(path, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from None
 
 
-def _cmd_gen(args) -> int:
+def _json(kind: str, payload) -> str:
+    return document_to_json(Document(kind, payload))
+
+
+def _gen(args) -> int:
     try:
-        arr = random_simple_arrangement(
-            RandomSpec(n=args.n, seed=args.seed, coord_bound=args.bound)
-        )
+        arr = random_simple_arrangement(RandomSpec(n=args.n, seed=args.seed, coord_bound=args.bound))
     except (ValueError, SamplingExhausted) as exc:
         raise InputError(str(exc)) from None
-    _write(args.out, document_to_json(Document("arrangement", arr)))
+    _write(args.out, _json("arrangement", arr))
     return EXIT_OK
 
 
-def _cmd_describe(args) -> int:
-    arr = _load(getattr(args, "in"), "arrangement").payload
-    _write(args.out, document_to_json(Document("description", extract_description(arr))))
-    return EXIT_OK
-
-
-def _cmd_validate(args) -> int:
-    desc = _load(getattr(args, "in"), "description").payload
-    report = validate_description(desc)
+def _validate(args) -> int:
+    report = validate_description(_load(getattr(args, "in"), "description").payload)
     for violation in report.violations:
         print(violation)
     status = "ok" if report.ok else "invalid"
@@ -109,53 +119,59 @@ def _cmd_validate(args) -> int:
     return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
 
 
-def _cmd_reduce(args) -> int:
-    desc = _load(getattr(args, "in"), "description").payload
-    _write(args.out, document_to_json(Document("graph", MODES[args.mode].reduce(desc))))
-    return EXIT_OK
-
-
-def _cmd_realize(args) -> int:
-    arr = _load(getattr(args, "in"), "arrangement").payload
-    realized = MODES[args.mode].realize(arr)
-    _write(args.out, document_to_json(Document("instance", realized.instance)))
-    return EXIT_OK
-
-
-def _cmd_tgraph(args) -> int:
-    inst = _load(getattr(args, "in"), "instance").payload
-    _write(args.out, document_to_json(Document("graph", transmission_graph(inst))))
-    return EXIT_OK
-
-
-def _cmd_verify(args) -> int:
+def _verify(args) -> int:
     arr = _load(getattr(args, "in"), "arrangement").payload
     report = MODES[args.mode].round_trip(arr)
     if args.report:
-        _write(args.report, document_to_json(Document("report", report)))
+        _write(args.report, _json("report", report))
     print(report.summary())
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
-def _cmd_render(args) -> int:
-    path = getattr(args, "in")
-    doc = _load(path, "instance", "arrangement")
+def _render(subject, args) -> str:
     try:
-        svg = render_svg(doc.payload)
+        return render_svg(subject)
     except OverflowError:
-        raise InputError(f"{path}: a coordinate is too large to draw") from None
-    _write(args.out, svg)
-    return EXIT_OK
+        raise InputError(f"{getattr(args, 'in')}: a coordinate is too large to draw") from None
 
 
-def _cmd_export_dot(args) -> int:
-    path = getattr(args, "in")
-    graph: LabelledDigraph = _load(path, "graph").payload
+def _export_dot(graph, args) -> str:
     try:
-        dot = export_dot(graph)
+        return export_dot(graph)
     except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from None
-    _write(args.out, dot)
+        raise InputError(f"{getattr(args, 'in')}: {exc}") from None
+
+
+class Command(NamedTuple):
+    name: str
+    help: str
+    flags: str  # separated by spaces
+    kinds: tuple[str, ...] = ()
+    convert: Optional[Callable[[Any, argparse.Namespace], str]] = None
+    run: Optional[Callable[[argparse.Namespace], int]] = None
+
+
+COMMANDS = (
+    Command("gen", "random simple line arrangement", "--n --seed --bound --out", run=_gen),
+    Command("describe", "arrangement -> crossing description", "--in --out", ("arrangement",),
+            lambda arr, args: _json("description", extract_description(arr))),
+    Command("validate", "check description well-formedness", "--in", run=_validate),
+    Command("reduce", "description -> candidate graph", "--mode --in --out", ("description",),
+            lambda desc, args: _json("graph", MODES[args.mode].reduce(desc))),
+    Command("realize", "arrangement -> object instance", "--mode --in --out", ("arrangement",),
+            lambda arr, args: _json("instance", MODES[args.mode].realize(arr).instance)),
+    Command("tgraph", "instance -> transmission graph", "--in --out", ("instance",),
+            lambda inst, args: _json("graph", transmission_graph(inst))),
+    Command("verify", "full round trip on an arrangement", "--mode --in --report", run=_verify),
+    Command("render", "instance or arrangement -> SVG", "--in --out", ("instance", "arrangement"),
+            _render),
+    Command("export-dot", "graph -> DOT", "--in --out", ("graph",), _export_dot),
+)
+
+
+def _convert(command: Command, args) -> int:
+    payload = _load(getattr(args, "in"), *command.kinds).payload
+    _write(args.out, command.convert(payload, args))
     return EXIT_OK
 
 
@@ -165,56 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact toolkit for generalized transmission graph reductions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="random simple line arrangement")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--bound", type=int, default=12)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_gen)
-
-    p = sub.add_parser("describe", help="arrangement -> crossing description")
-    p.add_argument("--in", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_describe)
-
-    p = sub.add_parser("validate", help="check description well-formedness")
-    p.add_argument("--in", required=True)
-    p.set_defaults(fn=_cmd_validate)
-
-    p = sub.add_parser("reduce", help="description -> candidate graph")
-    p.add_argument("--mode", choices=tuple(MODES), required=True)
-    p.add_argument("--in", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_reduce)
-
-    p = sub.add_parser("realize", help="arrangement -> object instance")
-    p.add_argument("--mode", choices=tuple(MODES), required=True)
-    p.add_argument("--in", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_realize)
-
-    p = sub.add_parser("tgraph", help="instance -> transmission graph")
-    p.add_argument("--in", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_tgraph)
-
-    p = sub.add_parser("verify", help="full round trip on an arrangement")
-    p.add_argument("--mode", choices=tuple(MODES), required=True)
-    p.add_argument("--in", required=True)
-    p.add_argument("--report", default=None)
-    p.set_defaults(fn=_cmd_verify)
-
-    p = sub.add_parser("render", help="instance or arrangement -> SVG")
-    p.add_argument("--in", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_render)
-
-    p = sub.add_parser("export-dot", help="graph -> DOT")
-    p.add_argument("--in", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_export_dot)
-
+    for command in COMMANDS:
+        p = sub.add_parser(command.name, help=command.help)
+        for flag in command.flags.split():
+            p.add_argument(flag, **FLAGS[flag])
+        p.set_defaults(fn=command.run or partial(_convert, command))
     return parser
 
 

@@ -69,9 +69,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product, repeat
 from math import lcm
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .arrangement import (
     CrossingTable,
@@ -93,7 +93,7 @@ from .geometry import (
     cleared,
     rotation_from_parameter,
 )
-from .graphs import A, B, C, Edge, Label, LabelledDigraph, SA, SB, SC, decoded, graph_diff
+from .graphs import A, B, C, Edge, Label, LabelledDigraph, SA, SB, SC, coded, coded_run, decoded, graph_diff
 from .reductions import reduce_sectors, reduce_segments, sector_order
 from .transmission import Instance, instance, transmission_graph
 
@@ -233,7 +233,9 @@ def realize_segments(arr: LineArrangement) -> SegmentRealization:
 # ---------------------------------------------------------------------------
 # Sector condition checkers.  ``graph`` is the instance's transmission graph:
 # x contains the apex of y iff ``(x, y) in graph.edges``, that is iff
-# ``rank[x] * V + rank[y] in graph.codes`` with ``rank = graph.rank``.
+# ``rank[x] * V + rank[y] in graph.codes`` with ``rank = graph.rank``.  Each
+# raises ``NonSectorObject`` with the label of an entry it reads that is no
+# sector; only ``check_ordering_gadget`` reads less than every entry.
 
 
 def check_observation1(inst: Instance, graph: LabelledDigraph) -> list[Edge]:
@@ -249,7 +251,7 @@ def check_observation1(inst: Instance, graph: LabelledDigraph) -> list[Edge]:
     that differ by a positive factor at most and equal half angles, and
     ``angle_at_most`` reads only signs, which a positive factor keeps.
     """
-    objects, position = inst.objects(), inst.scaled.position
+    objects, position = _require_sectors(inst.entries), inst.scaled.position
     objs = [objects[position[label]] for label in graph.order]
     couples = list(decoded(graph.couples, len(objs)))
     classes: dict[tuple[int, ...], int] = {}
@@ -274,9 +276,9 @@ def check_observation1(inst: Instance, graph: LabelledDigraph) -> list[Edge]:
     return failures
 
 
-def _require_sectors(inst: Instance) -> list[Sector]:
+def _require_sectors(entries: Iterable[tuple[Label, object]]) -> list[Sector]:
     sectors = []
-    for label, obj in inst.entries:
+    for label, obj in entries:
         if not isinstance(obj, Sector):
             raise NonSectorObject(str(label))
         sectors.append(obj)
@@ -287,7 +289,7 @@ def is_equiangular(inst: Instance) -> bool:
     """True iff all sectors have one half angle: one class of cached
     ``integers``, which name a rotation exactly, as it lies on the unit
     circle."""
-    return len({s.half_angle.integers for s in _require_sectors(inst)}) <= 1
+    return len({s.half_angle.integers for s in _require_sectors(inst.entries)}) <= 1
 
 
 def is_wide_spread(inst: Instance, graph: LabelledDigraph) -> bool:
@@ -311,7 +313,7 @@ def is_wide_spread(inst: Instance, graph: LabelledDigraph) -> bool:
     share a couple partner, no pair of them qualifies, and only otherwise
     are they tested pair by pair.
     """
-    sectors = _require_sectors(inst)
+    sectors = _require_sectors(inst.entries)
     if len(sectors) <= 1:
         return True
     numbers: dict[tuple[int, int], int] = {}
@@ -411,20 +413,21 @@ def check_ordering_gadget(
     codes, count, rank = graph.codes, len(graph.order), graph.rank
     b = rank[base]
     ranks = [rank[s] for s in members]
-    for s, r in zip(members, ranks):
-        if b * count + r not in codes:
+    pairs = zip(members, coded_run(b, ranks, count), coded(ranks, repeat(b), count))
+    for s, base_holds, holds_base in pairs:
+        if base_holds not in codes:
             report.hypothesis_failures.append(f"apex of {s} not in {base}")
-        if r * count + b not in codes:
+        if holds_base not in codes:
             report.hypothesis_failures.append(f"apex of {base} not in {s}")
     for j, later in enumerate(ranks):
-        tail = later * count
-        for i, earlier in enumerate(ranks[:j]):
-            if tail + earlier not in codes:
+        for i, code in enumerate(coded_run(later, ranks[:j], count)):
+            if code not in codes:
                 report.hypothesis_failures.append(f"apex of {members[i]} not in {members[j]}")
     scale, points, _, position = inst.scaled
-    u = inst.entries[position[base]][1].direction
+    at = [position[s] for s in (base, *members)]
+    u = _require_sectors(inst.entries[i] for i in at)[0].direction
     ux, uy = u.integers
-    keys = [ux * x + uy * y for x, y in (points[position[s]] for s in (base, *members))]
+    keys = [ux * x + uy * y for x, y in (points[i] for i in at)]
     report.origin, report.keys = keys[0], keys[1:]
     report.usq = scale * (ux * ux + uy * uy)
     report.factor = lcm(u.x.denominator, u.y.denominator)

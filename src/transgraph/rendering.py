@@ -29,6 +29,8 @@ _DOT_KEYWORDS = frozenset({"node", "edge", "graph", "digraph", "subgraph", "stri
 # an odd run of backslashes before a quote, a newline or the end of the text
 # has no quoted form.
 _DOT_UNQUOTABLE = re.compile(r'(?<!\\)(?:\\\\)*\\(?:["\n]|\Z)')
+# The only code points a str can hold that UTF-8 cannot encode.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _dot_name(label) -> str:
@@ -40,12 +42,15 @@ def _dot_name(label) -> str:
             f"label {name!r} has no DOT quoted form: an odd run of backslashes"
             " ends it or precedes a quote or a newline"
         )
+    if _SURROGATE.search(name):
+        raise ValueError(f"label {name!r} has no UTF-8 form: it holds a lone surrogate")
     return '"' + name.replace('"', '\\"') + '"'
 
 
 def export_dot(graph: LabelledDigraph) -> str:
     """The graph in DOT, its vertices and then its edges in sort order.
-    Raises ``ValueError`` for a label that no DOT quoted string spells."""
+    Raises ``ValueError`` for a label that no DOT quoted string spells or
+    that has no UTF-8 form."""
     lines = ["digraph G {"]
     vertices, rows = graph.rows()
     names = list(map(_dot_name, vertices))

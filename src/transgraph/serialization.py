@@ -465,4 +465,8 @@ def document_from_json(text: str) -> Document:
 
 def load_document(path) -> Document:
     with open(path, "r", encoding="utf-8") as fh:
-        return document_from_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SchemaError("<document>", f"not valid UTF-8: {exc}") from None
+    return document_from_json(text)

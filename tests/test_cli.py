@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 from functools import lru_cache
@@ -7,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from transgraph import realization
 from transgraph.arrangement import LineArrangement, extract_description
-from transgraph.cli import main
+from transgraph.cli import build_parser, main
 from transgraph.realization import realize_sectors, realize_segments
 from transgraph.reductions import reduce_sectors
 from transgraph.serialization import (
@@ -33,6 +34,51 @@ def arr_path(tmp_path):
     path = tmp_path / "arr.json"
     assert run("gen", "--n", 3, "--seed", 0, "--out", path) == 0
     return path
+
+
+# The CLI surface, in ``--help`` order: each subcommand, its help text and,
+# per flag, (option strings, required, type, default, choices).
+MODE = ("--mode", True, None, None, ("segments", "sectors"))
+IN = ("--in", True, None, None, None)
+OUT = ("--out", True, None, None, None)
+CLI_SURFACE = [
+    (
+        "gen",
+        "random simple line arrangement",
+        [
+            ("--n", True, int, None, None),
+            ("--seed", True, int, None, None),
+            ("--bound", False, int, 12, None),
+            OUT,
+        ],
+    ),
+    ("describe", "arrangement -> crossing description", [IN, OUT]),
+    ("validate", "check description well-formedness", [IN]),
+    ("reduce", "description -> candidate graph", [MODE, IN, OUT]),
+    ("realize", "arrangement -> object instance", [MODE, IN, OUT]),
+    ("tgraph", "instance -> transmission graph", [IN, OUT]),
+    ("verify", "full round trip on an arrangement", [MODE, IN, ("--report", False, None, None, None)]),
+    ("render", "instance or arrangement -> SVG", [IN, OUT]),
+    ("export-dot", "graph -> DOT", [IN, OUT]),
+]
+
+
+def test_the_parser_offers_every_command_and_flag_in_order():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    surface = [
+        (
+            name,
+            helps[name],
+            [
+                (*a.option_strings, a.required, a.type, a.default, a.choices)
+                for a in parser._actions
+                if not isinstance(a, argparse._HelpAction)
+            ],
+        )
+        for name, parser in sub.choices.items()
+    ]
+    assert surface == CLI_SURFACE
 
 
 def test_gen_writes_arrangement(arr_path):
@@ -321,6 +367,16 @@ READERS = (
 WRITES_OUT = {"describe", "reduce", "realize", "tgraph", "render", "export-dot"}
 
 
+def _reader_argv(command, doc, folder):
+    """``command`` reading ``doc``, with every output it writes in ``folder``."""
+    argv = [*command, "--in", doc]
+    if command[0] in WRITES_OUT:
+        argv += ["--out", folder / "out"]
+    if command[0] == "verify":
+        argv += ["--report", folder / "report.json"]
+    return argv
+
+
 @lru_cache(maxsize=None)
 def _valid_documents():
     """One valid n=2 document of every kind, as JSON text."""
@@ -401,11 +457,7 @@ def test_malformed_documents_end_with_a_documented_exit_code(tmp_path_factory, t
     doc = folder / "doc.json"
     doc.write_text(text)
     for command in READERS:
-        argv = [*command, "--in", doc]
-        if command[0] in WRITES_OUT:
-            argv += ["--out", folder / "out"]
-        if command[0] == "verify":
-            argv += ["--report", folder / "report.json"]
+        argv = _reader_argv(command, doc, folder)
         assert run(*argv) in (0, 1, 2, 3), argv
 
 
@@ -424,13 +476,21 @@ def test_deeply_nested_document_is_an_input_error(tmp_path, capsys, text):
     doc = tmp_path / "deep.json"
     doc.write_text(text)
     for command in READERS:
-        argv = [*command, "--in", doc]
-        if command[0] in WRITES_OUT:
-            argv += ["--out", tmp_path / "out"]
-        if command[0] == "verify":
-            argv += ["--report", tmp_path / "report.json"]
+        argv = _reader_argv(command, doc, tmp_path)
         assert run(*argv) == 2, argv
         assert capsys.readouterr().err == f"error: {doc}: <document>: not valid JSON: nested too deeply\n"
+
+
+def test_a_document_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(b"\xff" + json.dumps({"kind": "graph"}).encode())
+    for command in READERS:
+        argv = _reader_argv(command, doc, tmp_path)
+        assert run(*argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {doc}: <document>: not valid UTF-8: "), argv
+        assert err.count("\n") == 1, argv
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["doc.json"], argv
 
 
 # --- pinned outputs --------------------------------------------------------

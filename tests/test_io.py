@@ -228,13 +228,14 @@ def test_export_dot_quotes_keyword_names(name):
 # In a DOT quoted string a backslash before a quote escapes it, one before
 # a newline is dropped, and a pair of backslashes stays two.
 @pytest.mark.parametrize(
-    "name", ["a\\", "\\", "a\\\\\\", "a\\\nb", 'a\\"b'],
-    ids=["trailing backslash", "lone backslash", "three trailing backslashes", "backslash-newline", "backslash-quote"],
+    "name", ["a\\", "\\", "a\\\\\\", "a\\\nb", 'a\\"b', "a\ud800"],
+    ids=["trailing backslash", "lone backslash", "three trailing backslashes", "backslash-newline", "backslash-quote", "lone surrogate"],
 )
 def test_export_dot_refuses_a_label_no_quoted_string_spells(tmp_path, capsys, name):
     """Quoted, each of these names would leave the string open or lose a
-    character, so ``export_dot`` raises and ``export-dot`` exits 2 with a
-    one-line message and writes nothing."""
+    character, or, holding a lone surrogate, could not be written as UTF-8,
+    so ``export_dot`` raises and ``export-dot`` exits 2 with a one-line
+    message and writes nothing."""
     g = digraph([free(name), C(1)], [(C(1), free(name))])
     with pytest.raises(ValueError) as exc:
         export_dot(g)

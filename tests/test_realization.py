@@ -181,6 +181,25 @@ def test_equiangular_rejects_non_sectors():
         is_equiangular(instance([(free("s"), Segment(vec(0, 0), vec(1, 0)))]))
 
 
+def test_every_side_check_rejects_a_non_sector_by_its_label():
+    # The segment holds the apex of the sector, and the sector holds the
+    # segment's point, so the two form a mutual couple.
+    inst = instance(
+        [(free("s"), Segment(vec(0, 0), vec(2, 0))), (free("t"), sector(1, 0, -1, 0))]
+    )
+    g = transmission_graph(inst)
+    assert g.edges == {(free("s"), free("t")), (free("t"), free("s"))}
+    checks = [
+        lambda: is_equiangular(inst),
+        lambda: is_wide_spread(inst, g),
+        lambda: check_observation1(inst, g),
+        lambda: check_ordering_gadget(inst, g, free("s"), [free("t")]),
+    ]
+    for check in checks:
+        with pytest.raises(NonSectorObject, match="^s$"):
+            check()
+
+
 def wide_spread(inst):
     return is_wide_spread(inst, transmission_graph(inst))
 
