@@ -17,10 +17,12 @@ line's crossings as integers X over one denominator D, in order along the
 line.  The slab, each line's ordered crossings and the A apexes come from
 its rows.  The segment realization runs on integers cleared of their
 denominators (``geometry.cleared``), with a ``Fraction`` built only for
-each output coordinate: the tilt scan, the A-segment ray hits, and each
-line's C ends, B midpoints and shared far point, placed on its cached
-integer (a, b, c) (``Line.integers``, which the table reads too) at the
-row's Xs and the slab ends over one denominator.
+each output coordinate: the tilt scan, which hands back the tilted
+directions it tested, the A-segment ray hits from each apex's row
+integers, with one row of ray coefficients per line pair, and each line's
+C ends, B midpoints and shared far point, placed on its cached integer
+(a, b, c) (``Line.integers``, which the table reads too) at the row's Xs
+and the slab ends over one denominator.
 
 The sector realization shifts line i up by o and line k up by o', which
 moves their crossing by (o' - o)/(s_i - s_k) in x, so each band crossing
@@ -133,53 +135,58 @@ class SegmentRealization:
     description: Description = field(compare=False)
 
 
-def _pick_tilt(arr: LineArrangement) -> Rotation:
+def _pick_tilt(arr: LineArrangement) -> tuple[Rotation, list[tuple[int, int, int]]]:
     """A rotation making every tilted line direction non-parallel to every
-    line; deterministic scan of the rational rotation family.
+    line, and each line's tilted direction d = (dx, dy)/Q as (Q, dx, dy);
+    deterministic scan of the rational rotation family.
 
-    Candidate k is ``rotation_from_parameter(1/k)``, whose (c, s) times
-    k^2 + 1 is the integer pair (k^2 - 1, 2k).  The rightward directions
-    are cleared once, and every parallelism test runs on integers.
+    Candidate k is ``rotation_from_parameter(1/k)``, whose (cos, sin) times
+    k^2 + 1 is the integer pair (c, s) = (k^2 - 1, 2k).  A rightward
+    direction (ux, uy)/f tilts to (c*ux - s*uy, s*ux + c*uy)/(f*(k^2 + 1)),
+    so every parallelism test runs on integers.
     """
-    dirs = [d.integers for d in map(Line.rightward_direction, arr.lines)]
+    dirs = [cleared(1, d.x, d.y) for d in map(Line.rightward_direction, arr.lines)]
     for k in range(3, 3 + 2 * arr.n * arr.n + 4):
-        c, s = k * k - 1, 2 * k
-        tilted = [(c * ux - s * uy, s * ux + c * uy) for ux, uy in dirs]
-        if all(tx * vy != ty * vx for tx, ty in tilted for vx, vy in dirs):
-            return rotation_from_parameter(Fraction(1, k))
+        c, s, q = k * k - 1, 2 * k, k * k + 1
+        tilted = [(f * q, c * ux - s * uy, s * ux + c * uy) for f, ux, uy in dirs]
+        if all(tx * vy != ty * vx for _, tx, ty in tilted for _, vx, vy in dirs):
+            return rotation_from_parameter(Fraction(1, k)), tilted
     raise RealizationError("no usable tilt rotation found")  # pragma: no cover
 
 
-def _a_segment_end(
-    apex: Point, tilted: tuple[int, int, int], lines: list[tuple[int, ...]]
-) -> Point:
-    """The far end of the A-segment from ``apex`` along the tilted direction
-    d = (dx, dy)/Q, given as (Q, dx, dy).
+def _a_segments(
+    i: int, line: tuple[int, ...], D: int, row: list, tilted: tuple[int, ...], lines: list
+) -> list[tuple[Label, Segment]]:
+    """The segments A(i, k), k > i, from the crossings x/D in ``row`` of
+    the cleared line i, (a, b, c), along its tilted direction d = (dx, dy)/Q
+    as (Q, dx, dy), each ending halfway to the nearest line hit, or at apex + d.
 
-    It lies halfway to the nearest line the ray hits, or at apex + d when
-    the ray hits none.  With the apex as (px, py)/P and a cleared line
-    (a, b, c), the ray meets the line at apex + (num/den)/P * (dx, dy), with
-    num = c*P - a*px - b*py and den = a*dx + b*dy.  The hits are compared
-    as int pairs; only the endpoint's two coordinates are ``Fraction``s.
+    With b > 0, an apex is (px, py)/P = (x*b, c*D - a*x)/(b*D).  Each line
+    (a', b', c') gets one row with den = a'*dx + b'*dy, negated to make
+    den > 0; den is never 0, as ``_pick_tilt`` makes d parallel to no line.
+    The ray meets that line at apex + (num/den)/P * (dx, dy), with
+    num = c'*P - a'*px - b'*py, ahead iff num > 0; hits compare as ints.
     """
-    P, px, py = cleared(1, apex.x, apex.y)
-    Q, dx, dy = tilted
-    best = None
-    for a, b, c in lines:
-        den = a * dx + b * dy
-        if den == 0:
-            continue
-        num = c * P - a * px - b * py
-        if den < 0:
-            num, den = -num, -den
-        if num > 0 and (best is None or num * best[1] < best[0] * den):
-            best = (num, den)
-    # No hit: the end is apex + d, which is the hit num/den = 2P/Q.
-    num, den = best or (2 * P, Q)
-    return Vec2(
-        Fraction(2 * den * px + num * dx, 2 * den * P),
-        Fraction(2 * den * py + num * dy, 2 * den * P),
-    )
+    a, b, c = line if line[1] > 0 else (-line[0], -line[1], -line[2])
+    (Q, dx, dy), P = tilted, b * D
+    rays = []
+    for a2, b2, c2 in lines:
+        den = a2 * dx + b2 * dy
+        rays.append((a2, b2, c2, den) if den > 0 else (-a2, -b2, -c2, -den))
+    segments = []
+    for k, x in sorted((k, x) for x, k in row if k > i):
+        px, py = x * b, c * D - a * x
+        best = None
+        for a2, b2, c2, den in rays:
+            num = c2 * P - a2 * px - b2 * py
+            if num > 0 and (best is None or num * best[1] < best[0] * den):
+                best = (num, den)
+        # No hit: the end is apex + d, which is the hit num/den = 2P/Q.
+        num, den = best or (2 * P, Q)
+        h = 2 * den * P
+        end = Vec2(Fraction(2 * den * px + num * dx, h), Fraction(2 * den * py + num * dy, h))
+        segments.append((A(i, k), Segment(Vec2(Fraction(x, D), Fraction(py, P)), end)))
+    return segments
 
 
 def _line_point(line: tuple[int, int, int], x: int, den: int) -> Point:
@@ -197,16 +204,12 @@ def realize_segments(arr: LineArrangement) -> SegmentRealization:
     desc = extract_description(arr)
     table = arr.crossings_by_line()
     slab = Slab.around(table)
-    tilt = _pick_tilt(arr)
+    tilt, tilted = _pick_tilt(arr)
     lines = [ln.integers for ln in arr.lines]
-    tilted = [
-        cleared(1, d.x, d.y)
-        for d in (tilt.apply(ln.rightward_direction()) for ln in arr.lines)
-    ]
     entries: list[tuple[Label, Segment]] = []
     a_entries: list[tuple[Label, Segment]] = []
     b_entries: list[tuple[Label, Segment]] = []
-    for i, (line, (D, row)) in enumerate(zip(lines, table), start=1):
+    for i, (line, (D, row), ray) in enumerate(zip(lines, table, tilted), start=1):
         # The row's crossings and the slab ends over one denominator den.
         scale, left, right = cleared(Fraction(1, D), slab.x_left, slab.x_right)
         den, xs = scale * D, [x * scale for x, _ in row]
@@ -216,10 +219,7 @@ def realize_segments(arr: LineArrangement) -> SegmentRealization:
         far = _line_point(line, left - den, den)
         for (_, k), x, nxt in zip(row, xs, xs[1:] + [right]):
             b_entries.append((B(i, k), Segment(_line_point(line, x + nxt, 2 * den), far)))
-        for k, x in sorted((k, x) for x, k in row if k > i):
-            apex = _line_point(line, x, D)
-            end = _a_segment_end(apex, tilted[i - 1], lines)
-            a_entries.append((A(i, k), Segment(apex, end)))
+        a_entries += _a_segments(i, line, D, row, ray, lines)
     entries += a_entries + b_entries
 
     inst = instance(entries)

@@ -33,7 +33,8 @@ Both build every label once and then work on its rank in the graph's
 sorted vertex list: an edge is the code rank(tail) * V + rank(head) that
 ``graphs.digraph`` takes, and the codes from one tail to a run of heads,
 or from a run of tails to one head, are made in C by ``graphs.coded_run``
-and ``graphs.coded``.
+and ``graphs.coded``.  The families are disjoint, so the codes go into
+one list, which ``digraph`` freezes once.
 
 ``omit`` drops whole edge families, for mutation testing of the
 verification pipeline: every edge is built, and the omitted ones are then
@@ -84,10 +85,10 @@ def _ranked(*tables: dict) -> tuple[list[Label], list[dict]]:
     return vertices, [{key: rank[label] for key, label in table.items()} for table in tables]
 
 
-def _kept(codes: set[int], vertices: list[Label], family, omit: frozenset[str]) -> set[int]:
+def _kept(codes: list[int], vertices: list[Label], family, omit: frozenset[str]) -> list[int]:
     """The codes whose edge ``family`` names no omitted family."""
     pairs = decoded(codes, len(vertices))
-    return {e for e, (t, h) in zip(codes, pairs) if family(vertices[t], vertices[h]) not in omit}
+    return [e for e, (t, h) in zip(codes, pairs) if family(vertices[t], vertices[h]) not in omit]
 
 
 def _segment_family(tail: Label, head: Label) -> str:
@@ -111,16 +112,16 @@ def reduce_segments(
     )
     count = len(vertices)
     a.update({(k, i): rank for (i, k), rank in a.items()})
-    edges: set[int] = set()
+    edges: list[int] = []
     for i in lines:
         order = desc.flat_order(i)
         bs = [b[i, k] for k in order]
         as_ = [a[i, k] for k in order]
-        edges.update(coded_run(c[i], as_ + bs, count))
-        edges.update(coded(bs, repeat(c[i]), count))
+        edges += coded_run(c[i], as_ + bs, count)
+        edges += coded(bs, repeat(c[i]), count)
         for k, b_k in enumerate(bs):
-            edges.update(coded_run(b_k, bs[:k], count))
-            edges.update(coded_run(b_k, as_[: k + 1], count))
+            edges += coded_run(b_k, bs[:k], count)
+            edges += coded_run(b_k, as_[: k + 1], count)
     if omit:
         edges = _kept(edges, vertices, _segment_family, omit)
     return digraph(vertices, _codes=edges)
@@ -172,7 +173,7 @@ def reduce_sectors(
         {part: SB(*part) for part in parts},
     )
     count = len(vertices)
-    edges: set[int] = set()
+    edges: list[int] = []
     for i in lines:
         order = sector_order(desc, i)
         for m in MS:
@@ -180,14 +181,14 @@ def reduce_sectors(
             run: list[int] = []
             for k, mp in order:
                 own, partner, b = sa[i, m, k, mp], sa[k, mp, i, m], sb[i, m, k, mp]
-                edges.update(coded_run(own, run, count))
+                edges += coded_run(own, run, count)
                 run += (own, partner)
-                edges.update(coded_run(b, run, count))
+                edges += coded_run(b, run, count)
                 run.append(b)
             # The hub points at every part's labels, and its own SA and SB
             # point back at it.
-            edges.update(coded_run(hub, run, count))
-            edges.update(coded(run[0::3] + run[2::3], repeat(hub), count))
+            edges += coded_run(hub, run, count)
+            edges += coded(run[0::3] + run[2::3], repeat(hub), count)
     if omit:
         edges = _kept(edges, vertices, _sector_family, omit)
     return digraph(vertices, _codes=edges)

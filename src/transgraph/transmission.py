@@ -13,10 +13,11 @@ takes its object's point from that result.  That call is the instance's
 side checks of ``realization`` read the same integers.  Segments and
 sectors run the test only on the points that can pass it:
 
-- A segment can only contain points on its own line.  The points of each
-  line that holds a segment are sorted along it, once per line, and the
-  points a segment contains are one contiguous run of that order: a
-  ``bisect`` slice, emitted as edges in C with no test per point.
+- A segment can only contain points on its own line.  The points on the
+  lines of each segment direction are sorted once, by line and then along
+  it, into one list, and the points a segment contains are one contiguous
+  run of it: a ``bisect`` slice, emitted as edges in C with no test per
+  point.
 - The sectors are grouped by their cone: the cached ``integers`` of
   direction u and half angle (c, s), so a direction or half angle shared
   by many sectors is cleared once; a construction has 2n groups.  A
@@ -170,21 +171,22 @@ def _cone_edges(
     c, s >= 0.  Both are linear in p, so with the keys
     ``k1 = s*(u.p) - c*(u x p)`` and ``k2 = s*(u.p) + c*(u x p)`` a point
     can lie in the cone at apex a only if ``k1(p) >= k1(a)`` and
-    ``k2(p) >= k2(a)``: a 2-D dominance query.  The sectors are taken in
-    descending k1 of their apex; the points whose k1 reaches it join a
-    list kept sorted by k2, and the candidates are that list's suffix
-    with k2 at least the apex's.
+    ``k2(p) >= k2(a)``: a 2-D dominance query on the linear forms with
+    coefficients (s*ux + c*uy, s*uy - c*ux) and (s*ux - c*uy, s*uy + c*ux).
+    The sectors are taken in descending k1 of their apex; the points whose
+    k1 reaches it join a list kept sorted by k2, and the candidates are
+    that list's suffix with k2 at least the apex's.
 
     The two key bounds add up to ``s*(u.w) >= c*|u x w|``.  For s > 0 that
     is the whole tangent test, so a candidate only has to pass the radius
     test.  For s = 0 they give ``u x w == 0``, so only a group with s = 0
-    also keeps the candidates with ``u.w >= 0``, that is ``u.p >= u.a``.
+    computes ``along`` = u.p and keeps the candidates with u.p >= u.a.
     """
     ux, uy, c, s = cone
-    along = [ux * x + uy * y for x, y in points]
-    across = [ux * y - uy * x for x, y in points]
-    k1 = [s * a - c * b for a, b in zip(along, across)]
-    k2 = [s * a + c * b for a, b in zip(along, across)]
+    k1x, k1y, k2x, k2y = s * ux + c * uy, s * uy - c * ux, s * ux - c * uy, s * uy + c * ux
+    k1 = [k1x * x + k1y * y for x, y in points]
+    k2 = [k2x * x + k2y * y for x, y in points]
+    along = [] if s else [ux * x + uy * y for x, y in points]
     by_k1 = sorted(range(len(points)), key=k1.__getitem__, reverse=True)
     joined_k2: list[int] = []
     joined: list[int] = []
@@ -217,14 +219,14 @@ def transmission_graph(inst: Instance) -> LabelledDigraph:
     A segment from p to q is grouped by its direction d = q - p, reduced
     by the gcd and sign-normalised to (ex, ey) with ex > 0, or ex = 0 and
     ey > 0, so parallel segments share a group.  A point (x, y) lies on
-    the line through p exactly when ``ex*y - ey*x == ex*p.y - ey*p.x``;
-    for each direction in turn the points whose key is a member's line
-    are kept, and each line's points are sorted by ``t = ex*x + ey*y``.
-    Since d = g*(ex, ey), a point of the line is in the segment iff its t
-    lies between t(p) and t(q), in either order, so the segment's edges
-    are one ``bisect`` slice of its line's run, less its own position,
-    emitted in C.  A disk is tested against every other distinguished
-    point; no reduction builds disks.
+    the line through p exactly when its key ``ex*y - ey*x`` is p's.  Per
+    direction, the members' lines are numbered by key, and the points on
+    them are kept as (line, t, index), ``t = ex*x + ey*y``, in one sorted
+    list.  Since d = g*(ex, ey), a point of the line is in the segment iff
+    its t lies between t(p) and t(q), in either order, so the edges of the
+    segment at position k are the ``bisect`` slices from (line, min t) to k
+    and from k + 1 through (line, max t), emitted in C.  A disk is tested
+    against every other distinguished point; no reduction builds disks.
     """
     labels = inst.labels()
     objects = inst.objects()
@@ -234,7 +236,7 @@ def transmission_graph(inst: Instance) -> LabelledDigraph:
     scale, points, far_ends, _ = inst.scaled
     far_ends = iter(far_ends)
     edges: list[int] = []
-    segments_by_direction: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    segments_by_direction: dict[tuple[int, int], dict[int, int]] = {}
     cone_groups: dict[tuple[int, ...], list[int]] = {}
     for i, obj in enumerate(objects):
         if isinstance(obj, Segment):
@@ -244,7 +246,7 @@ def transmission_graph(inst: Instance) -> LabelledDigraph:
             if dx < 0 or (dx == 0 and dy < 0):
                 g = -g
             ex, ey = dx // g, dy // g
-            segments_by_direction.setdefault((ex, ey), []).append((i, ex * qx + ey * qy))
+            segments_by_direction.setdefault((ex, ey), {})[i] = ex * qx + ey * qy
         elif isinstance(obj, Sector):
             cone = obj.direction.integers + obj.half_angle.integers
             cone_groups.setdefault(cone, []).append(i)
@@ -252,23 +254,19 @@ def transmission_graph(inst: Instance) -> LabelledDigraph:
             edges += _radius_edges(i, range(m), obj.radius_sq, ranks, points, scale)
     for cone, group in cone_groups.items():
         edges += _cone_edges(cone, group, ranks, objects, points, scale)
-    for (ex, ey), members in segments_by_direction.items():
+    for (ex, ey), far_t in segments_by_direction.items():
         keys = [ex * y - ey * x for x, y in points]
-        on_line: dict[int, list[int]] = {keys[i]: [] for i, _ in members}
-        for j in compress(range(m), map(on_line.__contains__, keys)):
-            on_line[keys[j]].append(j)
-        t, position, runs = {}, {}, {}
-        for key, run in on_line.items():
-            for j in run:
-                x, y = points[j]
-                t[j] = ex * x + ey * y
-            run.sort(key=t.__getitem__)
-            position.update(zip(run, count()))
-            runs[key] = (list(map(t.__getitem__, run)), list(map(ranks.__getitem__, run)))
-        for i, tq in members:
-            ts, run_ranks = runs[keys[i]]
-            lo, hi = sorted((t[i], tq))
-            k, tail = position[i], ranks[i]
-            edges += coded_run(tail, run_ranks[bisect_left(ts, lo) : k], m)
-            edges += coded_run(tail, run_ranks[k + 1 : bisect_right(ts, hi)], m)
+        line_of = list(map(dict(zip(map(keys.__getitem__, far_t), count(1))).get, keys))
+        on = list(compress(range(m), line_of))
+        ts = [ex * x + ey * y for x, y in map(points.__getitem__, on)]
+        run = sorted(zip(map(line_of.__getitem__, on), ts, on))
+        run_ranks = [ranks[j] for _, _, j in run]
+        for k, (line, tp, i) in enumerate(run):
+            if i in far_t:
+                tq = far_t[i]
+                lo, hi = (tp, tq) if tp <= tq else (tq, tp)
+                start = bisect_left(run, (line, lo), 0, k)
+                stop = bisect_right(run, (line, hi, m), k)
+                edges += coded_run(ranks[i], run_ranks[start:k], m)
+                edges += coded_run(ranks[i], run_ranks[k + 1 : stop], m)
     return digraph(vertices, _codes=edges)

@@ -456,18 +456,32 @@ def test_a_segment_at_n2_is_one_tilted_step():
     assert a_segment == Segment(vec(0, 0), vec(F(4, 5), F(3, 5)))
 
 
-def test_a_segment_end_skips_parallel_and_backward_lines():
-    origin, along_x = vec(0, 0), (1, 1, 0)
-    # y = 1 is parallel to the ray, x = -4 is behind it (written with a < 0
-    # too, so its denominator is negative): one step along (1, 0).
-    behind = [(0, 1, 1), (1, 0, -4), (-1, 0, 4)]
-    assert realization._a_segment_end(origin, along_x, behind) == vec(1, 0)
-    # x = 4 and x = 6 (as -x = -6) are hit at 4 and 6: halfway to the nearer.
-    ahead = behind + [(-1, 0, -6), (1, 0, 4)]
-    assert realization._a_segment_end(origin, along_x, ahead) == vec(2, 0)
-    # The direction (2, 1)/5, given with Q = 5, meets y = 1 at (2, 1).
-    end = realization._a_segment_end(origin, (5, 2, 1), [(0, 1, 1)])
-    assert end == vec(1, F(1, 2))
+def _a_segment_from_origin(line, tilted, lines):
+    """The A-segment from the origin, the crossing at x = 0/1 of ``line``,
+    along the tilted direction (Q, dx, dy), with ``line`` among the lines."""
+    [(label, segment)] = realization._a_segments(1, line, 1, [(0, 2)], tilted, [line] + lines)
+    assert label == A(1, 2) and segment.p == vec(0, 0)
+    return segment.q
+
+
+def test_a_segment_skips_backward_lines_and_stops_halfway_to_the_nearer_hit():
+    # The origin lies on x + y = 0, also written with b < 0, which is
+    # negated before the apex is placed.  Its own line is no hit.
+    along_x = (1, 1, 0)
+    for line in [(1, 1, 0), (-1, -1, 0)]:
+        # x = -4 is behind the ray (written with a < 0 too, so its row is
+        # negated): one step along (1, 0).
+        behind = [(1, 0, -4), (-1, 0, 4)]
+        assert _a_segment_from_origin(line, along_x, behind) == vec(1, 0)
+        # x = 4 and x = 6 (as -x = -6) are hit at 4 and 6: halfway to the
+        # nearer.
+        ahead = behind + [(-1, 0, -6), (1, 0, 4)]
+        assert _a_segment_from_origin(line, along_x, ahead) == vec(2, 0)
+        # The direction (2, 1)/5, given with Q = 5, meets y = 1 at (2, 1).
+        assert _a_segment_from_origin(line, (5, 2, 1), [(0, 1, 1)]) == vec(1, F(1, 2))
+        # It meets y = -1 behind the apex only, so the end is one step of d.
+        end = _a_segment_from_origin(line, (5, 2, 1), [(0, 1, -1)])
+        assert end == vec(F(2, 5), F(1, 5))
 
 
 # --- sector realization ----------------------------------------------------
@@ -848,6 +862,20 @@ def test_a_segment_realization_clears_no_line_again(monkeypatch):
     realize_segments(arr)
     assert calls
     assert not {(ln.a, ln.b, ln.c) for ln in arr.lines} & set(calls)
+
+
+def test_a_segment_realization_clears_per_line_not_per_apex(monkeypatch):
+    """The seed-1 n=8 segment realization calls ``cleared`` at most 2n + 1
+    times: each line's rightward direction, whose clearing factor the tilted
+    direction keeps, and each line's slab ends, once per line, and the
+    instance's scaled view once.  The A apexes are placed from the crossing
+    table's integers and the tilted directions from the tilt scan's, so
+    clearing either again would take n(n - 1)/2 or n more calls."""
+    n = 8
+    arr = random_simple_arrangement(RandomSpec(n=n, seed=1))
+    calls = _counting_cleared(monkeypatch)
+    realize_segments(arr)
+    assert len(calls) <= 2 * n + 1
 
 
 def test_realized_sectors_carry_the_target_labels(monkeypatch):

@@ -9,8 +9,9 @@ from itertools import combinations
 
 import pytest
 
+from transgraph import reductions
 from transgraph.arrangement import description, extract_description
-from transgraph.graphs import A, B, C, SA, SB, SC, graph_diff
+from transgraph.graphs import A, B, C, SA, SB, SC, digraph, graph_diff
 from transgraph.reductions import (
     SECTOR_FAMILIES,
     SEGMENT_FAMILIES,
@@ -108,6 +109,24 @@ def test_edges_share_the_vertex_label_objects(reduce):
     g = reduce(desc)
     vertex_ids = {id(v) for v in g.vertices}
     assert all(id(u) in vertex_ids and id(v) in vertex_ids for u, v in g.edges)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("reduce", [reduce_segments, reduce_sectors])
+def test_each_edge_code_is_emitted_once(reduce, n, monkeypatch):
+    """The edge families are disjoint, so the list of codes a reduction
+    hands to ``digraph`` holds each edge once, and freezing it is the only
+    set the codes go into."""
+    handed = []
+
+    def recording_digraph(vertices, *, _codes):
+        handed.append(_codes)
+        return digraph(vertices, _codes=_codes)
+
+    monkeypatch.setattr(reductions, "digraph", recording_digraph)
+    g = reduce(extract_description(random_simple_arrangement(RandomSpec(n, 1))))
+    [codes] = handed
+    assert isinstance(codes, list) and len(codes) == g.edge_count
 
 
 # --- segments --------------------------------------------------------------

@@ -6,7 +6,8 @@ or ``ParallelLines`` and none calls either reference function (so
 crossings come from ``LineArrangement.crossings_by_line()`` and the gadget
 is ordered on integers), every private module-level function is used
 by the package itself, not only by tests, ``reductions`` emits its edges
-in bulk (no ``edges.add(...)``, one Python step per edge), the sector side
+in bulk into one list (no ``edges.add(...)``, one Python step per edge,
+and no ``edges.update(...)``, a set that ``digraph`` copies), the sector side
 checks read the graph's edges by label (``realization`` defines no
 ``_arcs`` position map),
 directions and half angles are cleared only through their cached
@@ -134,7 +135,7 @@ def test_reductions_emit_edges_in_bulk():
         for node in ast.walk(TREES[SOURCE / "reductions.py"])
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "add"
+        and node.func.attr in ("add", "update")
         and getattr(node.func.value, "id", None) == "edges"
     ]
     assert not calls

@@ -189,6 +189,9 @@ def line_instances(draw):
     earlier segment's far end q, so its p sits on that segment's boundary.
     With few probes a segment's ends are often the first and last points
     of its line's run, so a range can start or stop at either end of it.
+    Two more segments run along a second direction through the first
+    segment's p, one starting there and one drawn across it, so that point
+    is shared by two direction groups and ties in the runs of both.
     Random points are almost never collinear; these are, so a segment that
     misses a point of its own line, or tests one off it, changes the graph."""
     base, d = draw(points), draw(directions)
@@ -217,6 +220,10 @@ def line_instances(draw):
                 "off": p + normal.scaled(draw(st.sampled_from(offsets[1:] + [tiny]))),
             }[where]
             objs.append(Disk(centre, draw(radii_sq)))
+    shared, across = ends[0][0], draw(directions.filter(lambda v: v.cross(d) != 0))
+    objs.append(Segment(shared, shared + across.scaled(draw(small.filter(bool)))))
+    before, after = (draw(st.fractions(lo, 2, max_denominator=4)) for lo in (0, 1))
+    objs.append(Segment(shared - across.scaled(before), shared + across.scaled(after)))
     return instance((free(f"o{i}"), obj) for i, obj in enumerate(objs))
 
 
