@@ -172,7 +172,7 @@ class Segment:
     q: Point
 
     def __post_init__(self) -> None:
-        if self.p == self.q:
+        if self.p.x == self.q.x and self.p.y == self.q.y:
             raise ValueError("degenerate segment: p == q")
 
     def contains(self, pt: Point) -> bool:

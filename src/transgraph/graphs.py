@@ -10,8 +10,13 @@ in C, and no isomorphism search is ever needed.  A label computes its sort
 key once, when it is interned, and keeps it in a slot, so labels are sorted
 through ``attrgetter``, in C.
 
-A graph sorts its vertices once and keeps each edge as the integer code
-``rank(tail) * V + rank(head)`` over that order, V being the vertex count.
+A graph's vertices are a ``Frame``: their sorted tuple ``order``, its
+frozenset and each label's ``rank`` in it, made by ``frame`` with one sort.
+A graph keeps its frame's three parts as they are and each edge as the
+integer code ``rank(tail) * V + rank(head)`` over that order, V being the
+vertex count.  A producer that builds graphs on one vertex set builds the
+frame once and hands it to every graph, so graphs on one set may share
+``order`` and ``rank``, and ``rank`` must never be mutated.
 The cyclic garbage collector does not track ints, so a graph with E edges
 holds a few containers, not E tuples.  Equal vertex sets have equal orders,
 so graph equality and ``graph_diff`` compare the codes as sets of ints, in
@@ -20,7 +25,7 @@ splits them into one row of heads per tail by ``mod`` and a ``bisect`` at
 each multiple of V, and the mutual couples are found by one frozenset
 intersection with the reversed codes.  The frozenset of label pairs,
 ``edges``, is built from the codes only when something reads it.
-``ranked``, ``coded``, ``coded_run``, ``decoded`` and
+``frame``, ``coded``, ``coded_run``, ``decoded`` and
 ``LabelledDigraph.rows`` are this format's one definition: the other
 modules take vertex ranks and make and split codes through them.
 """
@@ -32,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
 from operator import add, attrgetter, floordiv, itemgetter, mod, mul
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 KIND_ORDER = {"C": 0, "A": 1, "B": 2, "SC": 3, "SA": 4, "SB": 5, "FREE": 6}
 
@@ -103,11 +108,23 @@ def sorted_labels(labels: Iterable[Label]) -> list[Label]:
     return list(dict.fromkeys(sorted(labels, key=_SORT_KEY)))
 
 
-def ranked(labels: Iterable[Label]) -> tuple[list[Label], dict[Label, int]]:
-    """``sorted_labels(labels)``, the vertex order of a graph on them, and
-    each label's rank in it: the tail and head numbers of an edge code."""
-    order = sorted_labels(labels)
-    return order, _ranks(order)
+class Frame(NamedTuple):
+    """The vertex frame of a graph: ``order``, the distinct vertices in
+    sort-key order, ``vertices``, their frozenset, and ``rank``, each
+    vertex's position in ``order``, the tail and head numbers of an edge
+    code.  Graphs built on one frame share its parts, so ``rank`` must
+    never be mutated."""
+
+    order: tuple[Label, ...]
+    vertices: frozenset[Label]
+    rank: dict[Label, int]
+
+
+def frame(labels: Iterable[Label]) -> Frame:
+    """The frame of a graph on the distinct labels of ``labels``, with
+    one sort."""
+    order = tuple(sorted_labels(labels))
+    return Frame(order, frozenset(order), _ranks(order))
 
 
 def _ranks(order: Sequence[Label]) -> dict[Label, int]:
@@ -177,8 +194,10 @@ Edge = tuple[Label, Label]
 class LabelledDigraph:
     """A directed graph on interned labels.
 
-    ``order`` is the tuple of the vertices in sort-key order and ``codes``
-    the frozenset of edge codes ``rank(tail) * V + rank(head)`` over it.
+    ``order``, ``vertices`` and ``rank`` are the parts of the graph's
+    ``Frame``, kept as they are, and ``codes`` the frozenset of edge codes
+    ``rank(tail) * V + rank(head)`` over ``order``.  ``vertices`` may be a
+    ``Frame`` or any iterable of labels, which is sorted once into one.
     ``vertices`` and ``edges`` are the dataclass fields, so
     ``dataclasses.replace(graph, edges=...)`` takes label pairs; ``edges``
     is built from the codes on first read, and then kept.
@@ -189,22 +208,24 @@ class LabelledDigraph:
 
     def __init__(
         self,
-        vertices: Iterable[Label],
+        vertices: Union[Frame, Iterable[Label]],
         edges: Iterable[Edge] = (),
         *,
         _codes: Optional[Iterable[int]] = None,
     ) -> None:
-        order = sorted_labels(vertices)
-        count = len(order)
-        object.__setattr__(self, "vertices", frozenset(order))
+        if not isinstance(vertices, Frame):
+            vertices = frame(vertices)
+        order, count = vertices.order, len(vertices.order)
         if _codes is None:
-            _codes = _encoded(order, self.vertices, edges)
+            _codes = _encoded(vertices, edges)
         codes = frozenset(_codes)
         # The self-loop codes t*V + t are V of the V*V codes; look them up.
         loops = codes.intersection(range(0, count * count, count + 1))
         if loops:
             raise ValueError(f"self-loop at {order[min(loops) // count]}")
-        object.__setattr__(self, "order", tuple(order))
+        object.__setattr__(self, "vertices", vertices.vertices)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "rank", vertices.rank)
         object.__setattr__(self, "codes", codes)
 
     def __eq__(self, other: object) -> bool:
@@ -221,11 +242,6 @@ class LabelledDigraph:
         tails = map(label, map(floordiv, self.codes, repeat(count)))
         heads = map(label, map(mod, self.codes, repeat(count)))
         return frozenset(zip(tails, heads))
-
-    @cached_property
-    def rank(self) -> dict[Label, int]:
-        """Each vertex's position in ``order``."""
-        return _ranks(self.order)
 
     @cached_property
     def couples(self) -> tuple[int, ...]:
@@ -274,35 +290,36 @@ class LabelledDigraph:
         return frozenset(coded(tails, heads, len(order)))
 
 
-def _encoded(order: list[Label], vertices: frozenset[Label], edges: Iterable[Edge]) -> frozenset[int]:
-    """Label pairs as codes over ``order``.  Labels compare by identity, so
-    the endpoint test runs in C; the loop only names the first dangling
-    edge."""
+def _encoded(vertices: Frame, edges: Iterable[Edge]) -> frozenset[int]:
+    """Label pairs as codes over the frame ``vertices``.  Labels compare by
+    identity, so the endpoint test runs in C; the loop only names the first
+    dangling edge."""
     edges = list(edges)
-    if not vertices.issuperset(chain.from_iterable(edges)):
+    if not vertices.vertices.issuperset(chain.from_iterable(edges)):
         for u, v in edges:
-            if u not in vertices or v not in vertices:
+            if u not in vertices.vertices or v not in vertices.vertices:
                 raise ValueError(f"dangling edge {u} -> {v}")
-    rank = _ranks(order).__getitem__
+    rank = vertices.rank.__getitem__
     tails = map(rank, map(itemgetter(0), edges))
     heads = map(rank, map(itemgetter(1), edges))
-    return frozenset(coded(tails, heads, len(order)))
+    return frozenset(coded(tails, heads, len(vertices.order)))
 
 
 def digraph(
-    vertices: Iterable[Label],
+    vertices: Union[Frame, Iterable[Label]],
     edges: Iterable[Edge] = (),
     *,
     _codes: Optional[Iterable[int]] = None,
 ) -> LabelledDigraph:
-    """The graph on ``vertices`` with ``edges``, label pairs, each checked
-    for a dangling end and a self-loop.
+    """The graph on ``vertices``, a ``Frame`` or labels to sort into one,
+    with ``edges``, label pairs, each checked for a dangling end and a
+    self-loop.
 
-    The package's own producers pass ``_codes`` instead: codes
-    rank(tail) * V + rank(head) over ``ranked(vertices)``, made by
-    ``coded`` from ranks they looked up, so every code is in range and
-    only self-loops are checked.  Range-checking them here would take a
-    ``min`` and a ``max`` over every edge of every graph."""
+    The package's own producers pass a ``Frame`` and ``_codes`` instead:
+    codes rank(tail) * V + rank(head) over the frame, made by ``coded``
+    from ranks they looked up in it, so every code is in range and only
+    self-loops are checked.  Range-checking them here would take a ``min``
+    and a ``max`` over every edge of every graph."""
     return LabelledDigraph(vertices, edges, _codes=_codes)
 
 

@@ -71,7 +71,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product, repeat
+from itertools import chain, combinations, combinations_with_replacement, product, repeat
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
@@ -413,16 +413,25 @@ def check_ordering_gadget(
     codes, count, rank = graph.codes, len(graph.order), graph.rank
     b = rank[base]
     ranks = [rank[s] for s in members]
-    pairs = zip(members, coded_run(b, ranks, count), coded(ranks, repeat(b), count))
-    for s, base_holds, holds_base in pairs:
-        if base_holds not in codes:
-            report.hypothesis_failures.append(f"apex of {s} not in {base}")
-        if holds_base not in codes:
-            report.hypothesis_failures.append(f"apex of {base} not in {s}")
-    for j, later in enumerate(ranks):
-        for i, code in enumerate(coded_run(later, ranks[:j], count)):
-            if code not in codes:
-                report.hypothesis_failures.append(f"apex of {members[i]} not in {members[j]}")
+    # Every hypothesis code is tested in one C call; only when one fails do
+    # the loops run, to list the failures in order.
+    earlier = map(ranks.__getitem__, map(slice, range(len(ranks))))
+    hypotheses = chain(
+        coded_run(b, ranks, count),
+        coded(ranks, repeat(b), count),
+        chain.from_iterable(map(coded_run, ranks, earlier, repeat(count))),
+    )
+    if not codes.issuperset(hypotheses):
+        pairs = zip(members, coded_run(b, ranks, count), coded(ranks, repeat(b), count))
+        for s, base_holds, holds_base in pairs:
+            if base_holds not in codes:
+                report.hypothesis_failures.append(f"apex of {s} not in {base}")
+            if holds_base not in codes:
+                report.hypothesis_failures.append(f"apex of {base} not in {s}")
+        for j, later in enumerate(ranks):
+            for i, code in enumerate(coded_run(later, ranks[:j], count)):
+                if code not in codes:
+                    report.hypothesis_failures.append(f"apex of {members[i]} not in {members[j]}")
     scale, points, _, position = inst.scaled
     at = [position[s] for s in (base, *members)]
     u = _require_sectors(inst.entries[i] for i in at)[0].direction

@@ -29,12 +29,16 @@ its SB at those and, by the l <= k amendment, at its own SA and partner
 SA.  So each band keeps ``run``, those three labels of every part so far,
 and each part's edges are prefixes of it.
 
-Both build every label once and then work on its rank in the graph's
-sorted vertex list: an edge is the code rank(tail) * V + rank(head) that
-``graphs.digraph`` takes, and the codes from one tail to a run of heads,
-or from a run of tails to one head, are made in C by ``graphs.coded_run``
-and ``graphs.coded``.  The families are disjoint, so the codes go into
-one list, which ``digraph`` freezes once.
+The vertex set of either graph depends on n alone, so each is built once
+per n, by ``_segment_frame`` and ``_sector_frame``: the labels, the
+``graphs.Frame`` that sorts them, and the tables from a label's indices to
+its rank, kept per n for the life of the process.  Every graph of one n
+shares that frame, and a reduction works on ranks only: an edge is the
+code rank(tail) * V + rank(head) that ``graphs.digraph`` takes, and the
+codes from one tail to a run of heads, or from a run of tails to one head,
+are made in C by ``graphs.coded_run`` and ``graphs.coded``.  The families
+are disjoint, so the codes go into one list, which ``digraph`` freezes
+once.
 
 ``omit`` drops whole edge families, for mutation testing of the
 verification pipeline: every edge is built, and the omitted ones are then
@@ -43,11 +47,12 @@ filtered out by a classifier that names an edge's family from its labels.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain, combinations, repeat
 from typing import Iterable
 
 from .arrangement import Description, validate_description
-from .graphs import A, B, C, Label, LabelledDigraph, SA, SB, SC, coded, coded_run, decoded, digraph, ranked
+from .graphs import A, B, C, Frame, Label, LabelledDigraph, SA, SB, SC, coded, coded_run, decoded, digraph, frame
 
 SEGMENT_FAMILIES = ("CA", "CB", "BC", "BORDER")
 SECTOR_FAMILIES = ("EI", "EC", "EGO", "ELOI", "ELOD", "EGO_BB")
@@ -78,23 +83,39 @@ def _omitted(omit: Iterable[str], families: tuple[str, ...]) -> frozenset[str]:
     return omit
 
 
-def _ranked(*tables: dict) -> tuple[list[Label], list[dict]]:
-    """The sorted vertex list of the labels in ``tables``, and each table
-    with its labels replaced by their ranks in that list."""
-    vertices, rank = ranked(chain.from_iterable(table.values() for table in tables))
-    return vertices, [{key: rank[label] for key, label in table.items()} for table in tables]
+def _framed(*tables: dict) -> tuple:
+    """The frame of the labels in ``tables``, and each table with its
+    labels replaced by their ranks in that frame."""
+    vertices = frame(chain.from_iterable(table.values() for table in tables))
+    rank = vertices.rank
+    return (vertices, *({key: rank[label] for key, label in table.items()} for table in tables))
 
 
-def _kept(codes: list[int], vertices: list[Label], family, omit: frozenset[str]) -> list[int]:
+def _kept(codes: list[int], vertices: Frame, family, omit: frozenset[str]) -> list[int]:
     """The codes whose edge ``family`` names no omitted family."""
-    pairs = decoded(codes, len(vertices))
-    return [e for e, (t, h) in zip(codes, pairs) if family(vertices[t], vertices[h]) not in omit]
+    order = vertices.order
+    pairs = decoded(codes, len(order))
+    return [e for e, (t, h) in zip(codes, pairs) if family(order[t], order[h]) not in omit]
 
 
 def _segment_family(tail: Label, head: Label) -> str:
     """CA, CB or BC for an edge at a C hub, else BORDER (B -> A, B -> B)."""
     kinds = tail.kind + head.kind
     return kinds if "C" in kinds else "BORDER"
+
+
+@lru_cache(maxsize=None)
+def _segment_frame(n: int) -> tuple[Frame, dict, dict, dict]:
+    """The frame of every segment graph on n lines, and the ranks of C(i),
+    A(i, k) under both (i, k) and (k, i), and B(i, k)."""
+    lines = range(1, n + 1)
+    vertices, c, a, b = _framed(
+        {i: C(i) for i in lines},
+        {(i, k): A(i, k) for i, k in combinations(lines, 2)},
+        {(i, k): B(i, k) for i in lines for k in lines if k != i},
+    )
+    a.update({(k, i): rank for (i, k), rank in a.items()})
+    return vertices, c, a, b
 
 
 def reduce_segments(
@@ -104,14 +125,9 @@ def reduce_segments(
     _check_simple_input(desc)
     omit = _omitted(omit, SEGMENT_FAMILIES)
     lines = range(1, desc.n + 1)
-    # Each label is built once; an edge end is its rank, a dict lookup.
-    vertices, (c, a, b) = _ranked(
-        {i: C(i) for i in lines},
-        {(i, k): A(i, k) for i, k in combinations(lines, 2)},
-        {(i, k): B(i, k) for i in lines for k in lines if k != i},
-    )
-    count = len(vertices)
-    a.update({(k, i): rank for (i, k), rank in a.items()})
+    # An edge end is its rank in the frame of this n, a dict lookup.
+    vertices, c, a, b = _segment_frame(desc.n)
+    count = len(vertices.order)
     edges: list[int] = []
     for i in lines:
         order = desc.flat_order(i)
@@ -151,6 +167,19 @@ def _sector_family(tail: Label, head: Label) -> str:
     return "EGO_BB" if tail.kind == head.kind == "SB" else "EGO"
 
 
+@lru_cache(maxsize=None)
+def _sector_frame(n: int) -> tuple[Frame, dict, dict, dict]:
+    """The frame of every sector graph on n lines, and the ranks of
+    SC(i, m), SA(i, m, k, mp) and SB(i, m, k, mp)."""
+    lines = range(1, n + 1)
+    parts = [(i, m, k, mp) for i in lines for k in lines if k != i for m in MS for mp in MS]
+    return _framed(
+        {(i, m): SC(i, m) for i in lines for m in MS},
+        {part: SA(*part) for part in parts},
+        {part: SB(*part) for part in parts},
+    )
+
+
 def reduce_sectors(
     desc: Description, *, omit: Iterable[str] = ()
 ) -> LabelledDigraph:
@@ -165,14 +194,9 @@ def reduce_sectors(
     _check_simple_input(desc)
     omit = _omitted(omit, SECTOR_FAMILIES)
     lines = range(1, desc.n + 1)
-    # Each label is built once; an edge end is its rank, a dict lookup.
-    parts = [(i, m, k, mp) for i in lines for k in lines if k != i for m in MS for mp in MS]
-    vertices, (sc, sa, sb) = _ranked(
-        {(i, m): SC(i, m) for i in lines for m in MS},
-        {part: SA(*part) for part in parts},
-        {part: SB(*part) for part in parts},
-    )
-    count = len(vertices)
+    # An edge end is its rank in the frame of this n, a dict lookup.
+    vertices, sc, sa, sb = _sector_frame(desc.n)
+    count = len(vertices.order)
     edges: list[int] = []
     for i in lines:
         order = sector_order(desc, i)

@@ -47,7 +47,7 @@ from .geometry import (
     Segment,
     Vec2,
 )
-from .graphs import DiffReport, Label, LabelledDigraph, coded, digraph, ranked
+from .graphs import DiffReport, Label, LabelledDigraph, coded, digraph, frame
 from .transmission import Instance, instance
 from .verification import RoundTripReport
 
@@ -337,15 +337,15 @@ def _row_graph(raw: dict, labels: list[Label], path: str) -> LabelledDigraph:
     count = len(labels)
     if len(rows) != count:
         raise SchemaError(path + ".out", f"expected {count} rows, one per vertex entry, got {len(rows)}")
-    order, rank = ranked(labels)
-    ranks = list(map(rank.__getitem__, labels))
+    vertices = frame(labels)
+    ranks = list(map(vertices.rank.__getitem__, labels))
     rank_at = ranks.__getitem__
     if set(map(type, rows)) <= {list}:
         heads = list(chain.from_iterable(rows))
         if _all_ints(heads) and (not heads or min(heads) >= 0 and max(heads) < count):
             tails = chain.from_iterable(map(repeat, ranks, map(len, rows)))
             try:
-                return digraph(order, _codes=coded(tails, map(rank_at, heads), len(order)))
+                return digraph(vertices, _codes=coded(tails, map(rank_at, heads), len(vertices.order)))
             except ValueError:
                 pass  # a self-loop, named below
     for t, row in enumerate(rows):

@@ -34,7 +34,8 @@ sectors run the test only on the points that can pass it:
 A disk is tested against every point; no reduction builds disks.
 
 The edges are emitted as the integer codes rank(tail) * V + rank(head)
-that ``graphs.digraph`` takes, over ``graphs.ranked(labels)``: each
+that ``graphs.digraph`` takes, over ``graphs.frame(labels)``, which
+sorts the labels once and is handed to ``digraph`` as it is: each
 object's rank is looked up once, and ``graphs.coded_run`` makes the codes
 of a run of heads, in C.
 """
@@ -57,7 +58,7 @@ from .geometry import (
     Segment,
     cleared,
 )
-from .graphs import Label, LabelledDigraph, coded_run, digraph, ranked
+from .graphs import Label, LabelledDigraph, coded_run, digraph, frame
 
 
 class DuplicateLabel(Exception):
@@ -231,8 +232,8 @@ def transmission_graph(inst: Instance) -> LabelledDigraph:
     labels = inst.labels()
     objects = inst.objects()
     m = len(objects)
-    vertices, rank = ranked(labels)
-    ranks = list(map(rank.__getitem__, labels))
+    vertices = frame(labels)
+    ranks = list(map(vertices.rank.__getitem__, labels))
     scale, points, far_ends, _ = inst.scaled
     far_ends = iter(far_ends)
     edges: list[int] = []

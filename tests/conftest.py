@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from transgraph import LineArrangement, line_from_slope_intercept
+from transgraph import LineArrangement, graphs, line_from_slope_intercept
 from transgraph.geometry import Vec2, ZeroVector
 
 
@@ -45,6 +45,23 @@ def intersections_by_fractions(arr):
         (i, j): line_intersection(li, lj)
         for (i, li), (j, lj) in combinations(enumerate(arr.lines, start=1), 2)
     }
+
+
+@pytest.fixture
+def sort_key_calls(monkeypatch):
+    """A count of the calls to ``graphs._SORT_KEY``: every vertex sort runs
+    through ``graphs.sorted_labels``, which reads it when called, so
+    ``sort_key_calls()`` counts the labels sorted so far."""
+    key = graphs._SORT_KEY
+    calls = 0
+
+    def counting_key(label):
+        nonlocal calls
+        calls += 1
+        return key(label)
+
+    monkeypatch.setattr(graphs, "_SORT_KEY", counting_key)
+    return lambda: calls
 
 
 @pytest.fixture

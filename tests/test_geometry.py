@@ -167,6 +167,13 @@ def test_segment_contains():
     assert not s.contains(vec(2, 2))
 
 
+def test_a_segment_needs_distinct_ends():
+    with pytest.raises(ValueError, match=r"^degenerate segment: p == q$"):
+        Segment(vec(1, F(1, 2)), vec(1, F(2, 4)))
+    for q in (vec(1, 3), vec(2, F(1, 2))):
+        assert Segment(vec(1, F(1, 2)), q).q == q
+
+
 def test_sector_contains():
     sec = Sector(vec(0, 0), vec(1, 0), rotation_from_parameter(F(1, 3)), F(25))
     assert sec.contains(vec(0, 0))  # apex belongs to the sector

@@ -21,8 +21,10 @@ from transgraph.graphs import (
     SA,
     SB,
     SC,
+    Frame,
     Label,
     digraph,
+    frame,
     free,
     graph_diff,
 )
@@ -74,6 +76,21 @@ def test_digraph_sorted_views():
     assert g.sorted_vertices() == sorted(g.vertices, key=Label.sort_key)
     assert {b for a, b in g.edges if a == C(1)} == {C(2)}
     assert {b for a, b in g.edges if a == A(1, 2)} == set()
+
+
+def test_a_frame_is_the_sorted_distinct_labels_and_their_ranks():
+    vertices = frame([C(2), A(1, 2), C(1), C(2)])
+    assert vertices == Frame((C(1), C(2), A(1, 2)), frozenset({C(1), C(2), A(1, 2)}), {C(1): 0, C(2): 1, A(1, 2): 2})
+
+
+def test_a_graph_on_a_frame_keeps_its_parts_and_sorts_nothing(sort_key_calls):
+    g = reduce_sectors(extract_description(random_simple_arrangement(RandomSpec(n=3, seed=1))))
+    before = sort_key_calls()
+    vertices = frame(g.vertices)
+    assert sort_key_calls() - before == g.vertex_count
+    h = digraph(vertices, _codes=g.codes)
+    assert sort_key_calls() - before == g.vertex_count
+    assert h == g and h.order is vertices.order and h.rank is vertices.rank and h.vertices is vertices.vertices
 
 
 def test_graph_diff_empty_for_equal():

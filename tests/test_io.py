@@ -768,6 +768,14 @@ def test_writing_a_graph_sorts_its_vertices_once(write, monkeypatch):
     assert keys == calls == 0
 
 
+def test_reading_a_graph_sorts_its_vertices_once(sort_key_calls):
+    g = reduce_sectors(extract_description(random_simple_arrangement(RandomSpec(n=5, seed=1))))
+    text = document_to_json(Document("graph", g))
+    before = sort_key_calls()
+    assert document_from_json(text).payload == g
+    assert sort_key_calls() - before == g.vertex_count == 375
+
+
 def test_decoding_a_sector_graph_builds_no_label_one_entry_at_a_time():
     """A graph's vertex list is checked once per document and its labels are
     built by one ``map(Label, ...)`` in C, so no vertex goes through

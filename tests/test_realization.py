@@ -34,7 +34,7 @@ from transgraph.realization import (
     realize_sectors,
     realize_segments,
 )
-from transgraph.reductions import reduce_sectors, reduce_segments
+from transgraph.reductions import reduce_sectors, reduce_segments, sector_order
 from transgraph.transmission import instance, transmission_graph
 from transgraph.verification import RandomSpec, random_simple_arrangement
 
@@ -1100,6 +1100,21 @@ def test_a_dropped_base_edge_breaks_the_gadget_hypotheses(n, seed):
     # the geometric sweep still finds the apex inside the base sector
     assert geometric[4] == ("ordering gadget sweep", True, "")
     assert checks[4] == ("ordering gadget sweep", False, f"hypotheses fail at {base}")
+
+
+@pytest.mark.parametrize(
+    "tail, head",
+    [(SB(3, 2, 2, 1), SA(3, 2, 2, 2)), (SB(3, 2, 2, 3), SA(3, 2, 2, 3))],
+    ids=["across parts", "within a part"],
+)
+def test_a_dropped_order_edge_is_the_one_gadget_hypothesis_failure(tail, head):
+    real = _realized(3, 1)
+    members = [make(3, 2, k, mp) for k, mp in sector_order(real.description, 3) for make in (SA, SB)]
+    base = SC(3, 2)
+    assert check_ordering_gadget(real.instance, real.graph, base, members).hypotheses_hold
+    report = check_ordering_gadget(real.instance, _without(real.graph, (tail, head)), base, members)
+    assert report.hypothesis_failures == [f"apex of {head} not in {tail}"]
+    assert report.order_ok and report.passed
 
 
 @pytest.mark.parametrize("n, seed", SIDE_CHECK_INPUTS)

@@ -5,13 +5,14 @@ loops; they share nothing with the implementation except the label
 constructors.
 """
 
+import sys
 from itertools import combinations
 
 import pytest
 
 from transgraph import reductions
 from transgraph.arrangement import description, extract_description
-from transgraph.graphs import A, B, C, SA, SB, SC, digraph, graph_diff
+from transgraph.graphs import A, B, C, SA, SB, SC, Label, digraph, graph_diff
 from transgraph.reductions import (
     SECTOR_FAMILIES,
     SEGMENT_FAMILIES,
@@ -320,3 +321,67 @@ def test_omitting_a_family_drops_exactly_its_oracle_edges(mode, desc):
         assert full.edges - reduce(desc, omit=(family,)).edges == expected[family], family
     bare = reduce(desc, omit=families)
     assert bare.vertices == full.vertices and not bare.edges
+
+
+# --- one vertex frame per n ------------------------------------------------
+
+
+def oracle_segment_vertices(n):
+    lines = range(1, n + 1)
+    return [C(i) for i in lines] + [A(i, k) for i, k in combinations(lines, 2)] + [
+        B(i, k) for i in lines for k in lines if k != i
+    ]
+
+
+def oracle_sector_vertices(n):
+    lines = range(1, n + 1)
+    parts = [(i, m, k, mp) for i in lines for k in lines if k != i for m in MS for mp in MS]
+    return [SC(i, m) for i in lines for m in MS] + [SA(*p) for p in parts] + [SB(*p) for p in parts]
+
+
+ORACLE_VERTICES = {"segments": oracle_segment_vertices, "sectors": oracle_sector_vertices}
+
+
+@pytest.mark.parametrize("mode", REDUCTIONS)
+def test_graphs_of_one_n_share_one_frame(mode):
+    reduce = REDUCTIONS[mode][0]
+    first, second = (extract_description(random_simple_arrangement(RandomSpec(4, seed))) for seed in (0, 1))
+    g, h = reduce(first), reduce(second)
+    assert g.codes != h.codes
+    assert g.order is h.order and g.rank is h.rank and g.vertices is h.vertices
+    other = reduce(DESC3)
+    assert other.order is not g.order and other.rank is not g.rank
+
+
+@pytest.mark.parametrize("mode", REDUCTIONS)
+def test_a_later_reduction_of_one_n_builds_no_label_and_sorts_nothing(mode, sort_key_calls):
+    reduce = REDUCTIONS[mode][0]
+    desc = extract_description(random_simple_arrangement(RandomSpec(6, 3)))
+    reduce(desc)
+    built = 0
+
+    def profile(frame, event, arg):
+        nonlocal built
+        built += event == "call" and frame.f_code is Label.__new__.__code__
+
+    before = sort_key_calls()
+    sys.setprofile(profile)
+    try:
+        reduce(desc, omit=REDUCTIONS[mode][1][:1])
+        reduce(desc)
+    finally:
+        sys.setprofile(None)
+    assert built == 0 and sort_key_calls() == before
+
+
+@pytest.mark.parametrize("desc", OMIT_DESCS.values(), ids=OMIT_DESCS.keys())
+@pytest.mark.parametrize("mode", REDUCTIONS)
+def test_a_graph_on_a_cached_frame_equals_one_built_from_label_pairs(mode, desc):
+    reduce, families, oracle = REDUCTIONS[mode]
+    reduce(desc)
+    expected = oracle(desc)
+    labels = ORACLE_VERTICES[mode](desc.n)
+    for omit in ((), families[:1], families[-1:]):
+        g = reduce(desc, omit=omit)
+        h = digraph(labels, set().union(*(expected[f] for f in families if f not in omit)))
+        assert g == h and g.order == h.order and g.rank == h.rank and g.codes == h.codes, omit

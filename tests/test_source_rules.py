@@ -15,7 +15,9 @@ directions and half angles are cleared only through their cached
 ``geometry`` passes a ``.direction`` or ``.half_angle`` component to
 ``cleared``),
 ``transmission`` defines no nested function or lambda, so its kernels
-build no closure per object, and no float reaches a predicate: outside
+build no closure per object, no module but ``graphs`` calls
+``sorted_labels`` and none defines or imports ``ranked``, so a graph's
+vertices are sorted once, into its ``graphs.Frame``, and no float reaches a predicate: outside
 ``rendering``, which converts to floats for drawing, no module calls
 ``float(...)``, writes a float literal or imports ``math``, except its
 integer functions."""
@@ -185,6 +187,24 @@ def test_transmission_defines_no_nested_function():
         if inner is not outer and isinstance(inner, FUNCTION_NODES)
     ]
     assert not nested
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "graphs.py"], ids=lambda p: p.name
+)
+def test_no_second_vertex_sort_outside_graphs(path):
+    assert not _calls_to(path, "sorted_labels")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_defines_or_imports_ranked(path):
+    found = [
+        f"line {node.lineno}: {name}"
+        for node in ast.walk(TREES[path])
+        for name in _bound_names(node)
+        if name == "ranked"
+    ]
+    assert not found
 
 
 # The functions of ``math`` that take and return integers only.

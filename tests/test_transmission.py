@@ -337,3 +337,11 @@ def test_the_sector_kernel_hashes_no_fraction(n):
         sys.setprofile(None)
     assert graph.edge_count > 0
     assert calls == 0
+
+
+@pytest.mark.parametrize("realize", [realize_segments, realize_sectors])
+def test_a_transmission_graph_sorts_its_vertices_once(realize, sort_key_calls):
+    inst = realize(random_simple_arrangement(RandomSpec(n=3, seed=1))).instance
+    before = sort_key_calls()
+    g = transmission_graph(inst)
+    assert sort_key_calls() - before == g.vertex_count == len(inst.labels())
