@@ -24,6 +24,12 @@ Every cone and angle predicate is one tangent test.  For an angle bound
 v is at most the bound iff u.v >= 0 and |u x v| * c <= (u.v) * s; the
 acute angle between their lines is at least the bound iff
 |u x v| * c >= |u.v| * s.  No vector is rotated to decide either.
+``angle_at_most``, ``acute_angle_at_least`` and
+``Sector.opening_at_most_quarter_pi`` decide it on the cached ``integers``
+of their vectors and rotations (a rotation's are the numerators of c and
+s, which share one denominator): each side of the test is a product of
+one factor from each of them, so clearing multiplies both sides by one
+positive factor and keeps the verdict, and no ``Fraction`` is built.
 """
 
 from __future__ import annotations
@@ -129,8 +135,13 @@ class Rotation:
     @cached_property
     def integers(self) -> tuple[int, int]:
         """``cleared(c, s)``: the signs and the ratio of (c, s), which fix
-        the rotation, as (c, s) lies on the unit circle."""
-        return cleared(self.c, self.s)
+        the rotation, as (c, s) lies on the unit circle.
+
+        That is the numerators of c and s: in lowest terms c = p/q and
+        s = r/t, and p^2 t^2 + r^2 q^2 = q^2 t^2 makes q^2 divide t^2 and
+        t^2 divide q^2, so q = t, and a composed or doubled rotation has
+        its integers with no clearing."""
+        return self.c.numerator, self.s.numerator
 
 
 def rotation_from_parameter(t: RationalLike) -> Rotation:
@@ -144,24 +155,37 @@ def rotation_from_parameter(t: RationalLike) -> Rotation:
     return Rotation((1 - t * t) / den, 2 * t / den)
 
 
-def _within(dot: Fraction, cross: Fraction, bound: Rotation) -> bool:
-    """The tangent test on the dot and cross products of two vectors."""
-    return dot >= 0 and abs(cross) * bound.c <= dot * bound.s
+def _within(dot: Union[Fraction, int], cross: Union[Fraction, int], bound: Rotation) -> bool:
+    """The tangent test on the dot and cross products of two vectors,
+    given up to a positive factor, and the bound's cached ``integers``."""
+    c, s = bound.integers
+    return dot >= 0 and abs(cross) * c <= dot * s
+
+
+def _products(u: Vec2, v: Vec2, name: str) -> tuple[int, int]:
+    """The dot and cross products of the cached ``integers`` of u and v:
+    those of u and v times one positive factor."""
+    (ux, uy), (vx, vy) = u.integers, v.integers
+    if not (ux or uy) or not (vx or vy):
+        raise ZeroVector(f"{name} needs nonzero vectors")
+    return ux * vx + uy * vy, ux * vy - uy * vx
 
 
 def angle_at_most(u: Vec2, v: Vec2, bound: Rotation) -> bool:
-    """Exact test: unsigned angle between u and v <= angle(bound), a bound in [0, pi/2]."""
-    if u.is_zero() or v.is_zero():
-        raise ZeroVector("angle_at_most needs nonzero vectors")
-    return _within(u.dot(v), u.cross(v), bound)
+    """Exact test: unsigned angle between u and v <= angle(bound), a bound
+    in [0, pi/2].  Decided on the cached ``integers`` of u, v and the
+    bound, so vectors that differ by a positive factor get one verdict."""
+    dot, cross = _products(u, v, "angle_at_most")
+    return _within(dot, cross, bound)
 
 
 def acute_angle_at_least(u: Vec2, v: Vec2, bound: Rotation) -> bool:
     """True iff the acute angle between the *undirected* lines of u and v
-    is at least angle(bound).  Same contract as :func:`angle_at_most`."""
-    if u.is_zero() or v.is_zero():
-        raise ZeroVector("acute_angle_at_least needs nonzero vectors")
-    return abs(u.cross(v)) * bound.c >= abs(u.dot(v)) * bound.s
+    is at least angle(bound).  Same contract as :func:`angle_at_most`,
+    decided on the same cached ``integers``."""
+    dot, cross = _products(u, v, "acute_angle_at_least")
+    c, s = bound.integers
+    return abs(cross) * c >= abs(dot) * s
 
 
 @dataclass(frozen=True)
@@ -217,10 +241,12 @@ class Sector:
         """Exact test for the opening-angle regime alpha <= pi/4.
 
         Twice the half angle lies in [0, pi]; it is at most pi/4 iff its
-        cosine is at least its sine.
+        cosine is at least its sine.  With (c, s) the half angle's cached
+        ``integers``, the doubled rotation is (c^2 - s^2, 2cs) times a
+        positive factor, which keeps the comparison.
         """
-        double = self.half_angle.doubled()
-        return double.c >= double.s
+        c, s = self.half_angle.integers
+        return c * c - s * s >= 2 * c * s
 
     def contains(self, pt: Point) -> bool:
         """Within the radius and the half angle of the bisector (closed).

@@ -23,8 +23,9 @@ so graph equality and ``graph_diff`` compare the codes as sets of ints, in
 C.  Sorted codes are the edges in ``sorted_edges()`` order; ``rows()``
 splits them into one row of heads per tail by ``mod`` and a ``bisect`` at
 each multiple of V, and the mutual couples are found by one frozenset
-intersection with the reversed codes.  The frozenset of label pairs,
-``edges``, is built from the codes only when something reads it.
+intersection with the reversed codes, each (code * V) mod (V^2 - 1).  The
+frozenset of label pairs, ``edges``, is built from the codes only when
+something reads it.
 ``frame``, ``coded``, ``coded_run``, ``decoded`` and
 ``LabelledDigraph.rows`` are this format's one definition: the other
 modules take vertex ranks and make and split codes through them.
@@ -247,10 +248,15 @@ class LabelledDigraph:
     def couples(self) -> tuple[int, ...]:
         """The mutual couples, each once, as the sorted codes t*V + h with
         t < h whose reverse h*V + t is a code too: one frozenset
-        intersection with the reversed codes, in C."""
+        intersection with the reversed codes, in C.
+
+        The reverse of c = t*V + h is (c * V) mod (V^2 - 1), two C ``map``s:
+        c * V = t*V^2 + h*V, and V^2 leaves 1 mod V^2 - 1, so the remainder
+        is t + h*V, which is below V^2 - 1 since t != h, no code being a
+        self-loop.  A graph with V <= 1 holds no code, so the modulus, 0 or
+        -1 there, is never used."""
         count, codes = len(self.order), self.codes
-        counts = repeat(count)
-        reverse = coded(map(mod, codes, counts), map(floordiv, codes, counts), count)
+        reverse = map(mod, map(mul, codes, repeat(count)), repeat(count * count - 1))
         return tuple(code for code in sorted(codes.intersection(reverse)) if code % count > code // count)
 
     @property

@@ -57,22 +57,31 @@ which the sectors' validation and the kernel read too, so the pass builds
 no label pair per edge, hashes no ``Fraction`` and clears nothing.  Equal
 cleared pairs differ by a positive factor at most, and every angle test is
 invariant under positive scaling, so a class's verdict is each member's.
-Observation 1 tests its bound once per class of couples with equal
-directions and half angles; wide spread runs its angle test first, once
-per pair of line classes, and looks for a qualifying pair only where that
-test fails.  The ordering gadget of band (i, m) takes its members in
-``reductions.sector_order``, the order the reduction's order edges follow,
-and compares their projections on the instance's scaled points
-(``Instance.scaled``), the kernel's own integers.  ``Sector.contains``
-remains the reference that kernel's tests compare against.
+The angle tests decide on those same integers (``geometry``), and a
+rotation's integers are its numerators, so the pass builds a ``Fraction``
+only where it composes a rotation: a bound per distinct pair of half
+angles, and twice the widest opening.  Observation 1 tests its bound once
+per pair of classes that a couple joins, with equal directions and half
+angles in one class, and reads the couples one by one only to list
+failures.  Wide spread runs its angle test first, once per pair of line
+classes, and looks for a qualifying pair only where that test fails, on
+one int bitmask of couple partners per sector: one AND tells whether a
+group of sectors shares a partner.  The ordering gadget of band (i, m)
+takes its members in ``reductions.sector_order``, the order the
+reduction's order edges follow, and compares their projections on the
+instance's scaled points (``Instance.scaled``), the kernel's own
+integers.  ``Sector.contains`` remains the reference that kernel's tests
+compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations, combinations_with_replacement, product, repeat
+from functools import reduce
+from itertools import chain, combinations, combinations_with_replacement, count, product, repeat
 from math import lcm
+from operator import and_, attrgetter, itemgetter, lshift
 from typing import Iterable, Optional, Sequence
 
 from .arrangement import (
@@ -245,35 +254,48 @@ def check_observation1(inst: Instance, graph: LabelledDigraph) -> list[Edge]:
     A mutual couple is a pair with an edge each way in ``graph``, taken
     once, as the ranks t < h of ``graph.couples``; in that sorted order the
     failures come out sorted.  The test reads only the two directions and
-    half angles, and it is symmetric in x and y, so it runs once per class
-    of couples, numbered by the cached ``integers`` of those four values.
-    Those are an exact class key: sectors with equal keys have directions
-    that differ by a positive factor at most and equal half angles, and
-    ``angle_at_most`` reads only signs, which a positive factor keeps.
+    half angles, and it is symmetric in x and y, so it runs once per
+    unordered pair of classes that some couple joins, the classes numbered
+    by the cached ``integers`` of the two values.  Those are an exact class
+    key: sectors with equal keys have directions that differ by a positive
+    factor at most and equal half angles, and ``angle_at_most`` reads only
+    signs, which a positive factor keeps.  The half angles are composed
+    once per distinct pair of them and a direction is negated once per
+    class; the couples are read one by one only to list failures.
     """
-    objects, position = _require_sectors(inst.entries), inst.scaled.position
-    objs = [objects[position[label]] for label in graph.order]
-    couples = list(decoded(graph.couples, len(objs)))
-    classes: dict[tuple[int, ...], int] = {}
-    number = {
-        r: classes.setdefault(
-            objs[r].direction.integers + objs[r].half_angle.integers, len(classes)
+    sectors = _ranked_sectors(inst, graph)
+    directions = list(map(_DIRECTION, sectors))
+    number, sample = _classes(list(zip(directions, map(_HALF, sectors))), sectors)
+    # The directions by their cached integers: -u is taken from here when
+    # some sector points along it, so no new vector is cleared.
+    along = dict(zip(directions, map(attrgetter("direction"), sectors)))
+    couples = list(decoded(graph.couples, len(sectors)))
+    joined = set(
+        zip(
+            map(number.__getitem__, map(itemgetter(0), couples)),
+            map(number.__getitem__, map(itemgetter(1), couples)),
         )
-        for r in {r for couple in couples for r in couple}
-    }
-    verdicts: dict[tuple[int, int], bool] = {}
-    failures = []
-    for t, h in couples:
-        key = (min(number[t], number[h]), max(number[t], number[h]))
-        if key not in verdicts:
-            x, y = objs[t], objs[h]
-            bound = x.half_angle.compose(y.half_angle)
-            if bound.c < 0 or bound.s < 0:
+    )
+    bounds: dict[tuple, Rotation] = {}
+    negated: dict[int, Vec2] = {}
+    failing: set[tuple[int, int]] = set()
+    for a, b in {(min(pair), max(pair)) for pair in joined}:
+        x, y = sample[a], sample[b]
+        halves = tuple(sorted((x.half_angle.integers, y.half_angle.integers)))
+        if halves not in bounds:
+            bounds[halves] = x.half_angle.compose(y.half_angle)
+            c, s = bounds[halves].integers
+            if c < 0 or s < 0:
                 raise ValueError("combined half-angles exceed pi/2")
-            verdicts[key] = angle_at_most(x.direction, -y.direction, bound)
-        if not verdicts[key]:
-            failures.append((graph.order[t], graph.order[h]))
-    return failures
+        if b not in negated:
+            ux, uy = y.direction.integers
+            negated[b] = along.get((-ux, -uy)) or -y.direction
+        if not angle_at_most(x.direction, negated[b], bounds[halves]):
+            failing |= {(a, b), (b, a)}
+    if not failing:
+        return []
+    order = graph.order
+    return [(order[t], order[h]) for t, h in couples if (number[t], number[h]) in failing]
 
 
 def _require_sectors(entries: Iterable[tuple[Label, object]]) -> list[Sector]:
@@ -285,11 +307,30 @@ def _require_sectors(entries: Iterable[tuple[Label, object]]) -> list[Sector]:
     return sectors
 
 
+def _ranked_sectors(inst: Instance, graph: LabelledDigraph) -> list[Sector]:
+    """The instance's sectors in the graph's vertex order, indexed by rank."""
+    sectors, position = _require_sectors(inst.entries), inst.scaled.position
+    return list(map(sectors.__getitem__, map(position.__getitem__, graph.order)))
+
+
+# A sector's class keys: the cached integers of its direction and half angle.
+_DIRECTION = attrgetter("direction.integers")
+_HALF = attrgetter("half_angle.integers")
+
+
+def _classes(keys: list, values: Sequence) -> tuple[list[int], list]:
+    """Each key's class number, numbering the distinct keys in order of
+    first appearance, and one of ``values`` per class, each given beside
+    its key; in C."""
+    number = dict(zip(dict.fromkeys(keys), count()))
+    return list(map(number.__getitem__, keys)), list(dict(zip(keys, values)).values())
+
+
 def is_equiangular(inst: Instance) -> bool:
     """True iff all sectors have one half angle: one class of cached
     ``integers``, which name a rotation exactly, as it lies on the unit
     circle."""
-    return len({s.half_angle.integers for s in _require_sectors(inst.entries)}) <= 1
+    return len(set(map(_HALF, _require_sectors(inst.entries)))) <= 1
 
 
 def is_wide_spread(inst: Instance, graph: LabelledDigraph) -> bool:
@@ -307,64 +348,66 @@ def is_wide_spread(inst: Instance, graph: LabelledDigraph) -> bool:
     ignores their signs, and so do directions that differ by a positive
     factor, which scales both products alike.  The angle test runs first,
     once per pair of class numbers; a qualifying pair is looked for only
-    among the class pairs that fail it.  The container and couple sets are
-    keyed by the graph's vertex ranks, read from its codes and its couples.
-    Within one container set, when all the members of such a class pair
-    share a couple partner, no pair of them qualifies, and only otherwise
-    are they tested pair by pair.
+    among the class pairs that fail it, the narrow ones.  Each sector's
+    couples are one int bitmask over the graph's vertex ranks, its own bit
+    and its partners' bits, read from the graph's couples.  Each head's
+    container set is grouped by class from the graph's codes, and only the
+    narrow class pairs present there are visited, skipping a class alone
+    with itself.  When all the members of such a pair of groups share a
+    couple partner, one AND of their masks is nonzero and no pair of them
+    qualifies; only otherwise are they tested pair by pair, one AND each.
     """
-    sectors = _require_sectors(inst.entries)
-    if len(sectors) <= 1:
+    sectors = _ranked_sectors(inst, graph)
+    total = len(sectors)
+    if total <= 1:
         return True
-    numbers: dict[tuple[int, int], int] = {}
-    vectors: list[Vec2] = []
-    direction: list[int] = []
-    for s in sectors:
-        key = s.direction.integers
-        if key < (0, 0):
-            key = (-key[0], -key[1])
-        number = numbers.setdefault(key, len(numbers))
-        if number == len(vectors):
-            vectors.append(s.direction)
-        direction.append(number)
-    pairs = list(combinations_with_replacement(range(len(vectors)), 2))
+    directions = list(map(_DIRECTION, sectors))
+    positive = {d: d if d > (0, 0) else (-d[0], -d[1]) for d in dict.fromkeys(directions)}
+    classes, vectors = _classes(
+        list(map(positive.__getitem__, directions)), list(map(attrgetter("direction"), sectors))
+    )
+    pairs = combinations_with_replacement(range(len(vectors)), 2)
     # One sector per half-angle class; the widest half angle has least c.
-    halves = {s.half_angle.integers: s for s in sectors}
+    halves = dict(zip(map(_HALF, sectors), sectors))
     largest = min(halves.values(), key=lambda s: s.half_angle.c)
     if largest.opening_at_most_quarter_pi():
         two_alpha = largest.half_angle.doubled().doubled()
-        narrow = {
-            (a, b)
-            for a, b in pairs
-            if not acute_angle_at_least(vectors[a], vectors[b], two_alpha)
-        }
+        narrow = [
+            (a, b) for a, b in pairs if not acute_angle_at_least(vectors[a], vectors[b], two_alpha)
+        ]
     else:
-        narrow = set(pairs)  # twice the opening angle already exceeds pi/2
+        narrow = list(pairs)  # twice the opening angle already exceeds pi/2
+    # The narrow partners b >= a of each class a.
+    partners: list[list[int]] = [[] for _ in vectors]
+    for a, b in narrow:
+        partners[a].append(b)
     # The sectors containing the apex of sector d, by class number, and the
-    # sectors coupled with d, all by rank.
-    position = inst.scaled.position
-    classes = [direction[position[label]] for label in graph.order]
-    count = len(classes)
+    # couple masks, all by rank.
     containers = [{number: [d]} for d, number in enumerate(classes)]
-    couples = [{d} for d in range(count)]
-    for t, h in decoded(graph.codes, count):
+    masks = list(map(lshift, repeat(1), range(total)))
+    for t, h in decoded(graph.codes, total):
         containers[h].setdefault(classes[t], []).append(t)
-    for t, h in decoded(graph.couples, count):
-        couples[t].add(h)
-        couples[h].add(t)
+    for t, h in decoded(graph.couples, total):
+        masks[t] |= 1 << h
+        masks[h] |= 1 << t
     for groups in containers:
-        for da, db in combinations_with_replacement(sorted(groups), 2):
-            if (da, db) not in narrow:
-                continue
-            first, second = groups[da], groups[db]
-            members = first if da == db else first + second
-            if len(members) < 2 or set.intersection(*[couples[a] for a in members]):
-                continue
-            # Built only here: each iterator copies its inputs into tuples,
-            # and building them for every class raised peak memory.
-            candidates = combinations(first, 2) if da == db else product(first, second)
-            if any(couples[a].isdisjoint(couples[b]) for a, b in candidates):
-                return False
+        for da, first in groups.items():
+            for db in partners[da]:
+                if db == da:
+                    if len(first) < 2:
+                        continue
+                    members = first
+                elif db in groups:
+                    members = first + groups[db]
+                else:
+                    continue
+                if reduce(and_, map(masks.__getitem__, members)):
+                    continue
+                # Built only here: each iterator copies its inputs into tuples,
+                # and building them for every class raised peak memory.
+                candidates = combinations(first, 2) if da == db else product(first, groups[db])
+                if any(not masks[a] & masks[b] for a, b in candidates):
+                    return False
     return True
 
 

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from transgraph import LineArrangement, graphs, line_from_slope_intercept
+from transgraph import LineArrangement, graphs, line_from_slope_intercept, realization
 from transgraph.geometry import Vec2, ZeroVector
 
 
@@ -35,6 +35,82 @@ def project_param(origin, u, pt):
     if u.is_zero():
         raise ZeroVector("projection direction must be nonzero")
     return u.dot(pt - origin) / u.norm_sq()
+
+
+def angle_at_most_by_fractions(u, v, bound):
+    """The tangent test of ``angle_at_most`` on the ``Fraction`` dot and
+    cross products and the bound's (c, s): the tests' reference for the
+    predicate's integer form."""
+    if u.is_zero() or v.is_zero():
+        raise ZeroVector("angle_at_most needs nonzero vectors")
+    dot = u.dot(v)
+    return dot >= 0 and abs(u.cross(v)) * bound.c <= dot * bound.s
+
+
+def acute_angle_at_least_by_fractions(u, v, bound):
+    """The tangent test of ``acute_angle_at_least`` in ``Fraction``s: the
+    tests' reference for the predicate's integer form."""
+    if u.is_zero() or v.is_zero():
+        raise ZeroVector("acute_angle_at_least needs nonzero vectors")
+    return abs(u.cross(v)) * bound.c >= abs(u.dot(v)) * bound.s
+
+
+def opening_at_most_quarter_pi_by_fractions(sector):
+    """``Sector.opening_at_most_quarter_pi`` on the ``Fraction`` doubled half
+    angle: the tests' reference for its integer form."""
+    double = sector.half_angle.doubled()
+    return double.c >= double.s
+
+
+def _observation1_per_edge(inst, graph):
+    """Reference for ``check_observation1``: the bound tested once per
+    mutual couple, as the checker did before it tested once per class.
+    The predicate is read from ``realization`` so that a test can replace
+    it in both."""
+    objs = dict(inst.entries)
+    failures = []
+    for u, v in graph.edges:
+        if (v, u) not in graph.edges or not u < v:
+            continue
+        x, y = objs[u], objs[v]
+        bound = x.half_angle.compose(y.half_angle)
+        if not realization.angle_at_most(x.direction, -y.direction, bound):
+            failures.append((u, v))
+    return sorted(failures)
+
+
+def _wide_spread_pairwise(inst, graph):
+    """Reference for ``is_wide_spread``: every pair of sectors in every
+    container set tested for a shared couple partner, and the angle test
+    run on the direction pairs of the qualifying pairs, as the checker did
+    before it ran the angle test first."""
+    sectors = inst.objects()
+    index = {label: i for i, label in enumerate(inst.labels())}
+    numbers = {}
+    direction = [numbers.setdefault(s.direction, len(numbers)) for s in sectors]
+    containers = [{d} for d in range(len(sectors))]
+    couples = [{i} for i in range(len(sectors))]
+    for u, v in graph.edges:
+        containers[index[v]].add(index[u])
+        if (v, u) in graph.edges:
+            couples[index[u]].add(index[v])
+    pairs = {
+        tuple(sorted((direction[a], direction[b])))
+        for inside in containers
+        for a, b in combinations(inside, 2)
+        if couples[a].isdisjoint(couples[b])
+    }
+    if not pairs:
+        return True
+    largest = min(sectors, key=lambda s: s.half_angle.c)
+    if not largest.opening_at_most_quarter_pi():
+        return False
+    two_alpha = largest.half_angle.doubled().doubled()
+    vectors = list(numbers)
+    return all(
+        realization.acute_angle_at_least(vectors[a], vectors[b], two_alpha)
+        for a, b in pairs
+    )
 
 
 def intersections_by_fractions(arr):

@@ -6,13 +6,13 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the status lines.
 import random
 import time
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import project_param
+from conftest import _observation1_per_edge, _wide_spread_pairwise, project_param
 from transgraph import realization, verification
 from transgraph.arrangement import LineArrangement, extract_description
 from transgraph.geometry import (
@@ -155,57 +155,6 @@ def test_sector_sweep_matches_all_pairs_reference(sector_suite):
         if rep.graph_from_geometry != _all_pairs_sector_graph(inst)
     ]
     assert not mismatched
-
-
-def _observation1_per_edge(inst, graph):
-    """Reference for ``check_observation1``: the bound tested once per
-    mutual couple, as the checker did before it tested once per class.
-    The predicate is read from ``realization`` so that a test can replace
-    it in both."""
-    objs = dict(inst.entries)
-    failures = []
-    for u, v in graph.edges:
-        if (v, u) not in graph.edges or not u < v:
-            continue
-        x, y = objs[u], objs[v]
-        bound = x.half_angle.compose(y.half_angle)
-        if not realization.angle_at_most(x.direction, -y.direction, bound):
-            failures.append((u, v))
-    return sorted(failures)
-
-
-def _wide_spread_pairwise(inst, graph):
-    """Reference for ``is_wide_spread``: every pair of sectors in every
-    container set tested for a shared couple partner, and the angle test
-    run on the direction pairs of the qualifying pairs, as the checker did
-    before it ran the angle test first."""
-    sectors = inst.objects()
-    index = {label: i for i, label in enumerate(inst.labels())}
-    numbers = {}
-    direction = [numbers.setdefault(s.direction, len(numbers)) for s in sectors]
-    containers = [{d} for d in range(len(sectors))]
-    couples = [{i} for i in range(len(sectors))]
-    for u, v in graph.edges:
-        containers[index[v]].add(index[u])
-        if (v, u) in graph.edges:
-            couples[index[u]].add(index[v])
-    pairs = {
-        tuple(sorted((direction[a], direction[b])))
-        for inside in containers
-        for a, b in combinations(inside, 2)
-        if couples[a].isdisjoint(couples[b])
-    }
-    if not pairs:
-        return True
-    largest = min(sectors, key=lambda s: s.half_angle.c)
-    if not largest.opening_at_most_quarter_pi():
-        return False
-    two_alpha = largest.half_angle.doubled().doubled()
-    vectors = list(numbers)
-    return all(
-        realization.acute_angle_at_least(vectors[a], vectors[b], two_alpha)
-        for a, b in pairs
-    )
 
 
 def test_side_checkers_match_their_per_pair_references(sector_suite, monkeypatch):

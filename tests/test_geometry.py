@@ -4,7 +4,14 @@ from math import gcd
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import ParallelLines, line_intersection, project_param
+from conftest import (
+    ParallelLines,
+    acute_angle_at_least_by_fractions,
+    angle_at_most_by_fractions,
+    line_intersection,
+    opening_at_most_quarter_pi_by_fractions,
+    project_param,
+)
 from transgraph.geometry import (
     Disk,
     Line,
@@ -106,6 +113,71 @@ def test_acute_angle_at_least():
     # measured against the acute angle, direction sign is ignored
     assert acute_angle_at_least(vec(1, 0), vec(-3, 4), b)
     assert not acute_angle_at_least(vec(1, 0), vec(-9, 3), b)
+
+
+def _outcome(predicate, *args):
+    """The predicate's verdict, or ``ZeroVector`` if it raised that."""
+    try:
+        return predicate(*args)
+    except ZeroVector:
+        return ZeroVector
+
+
+# Bounds in [0, pi/2]: the zero and quarter-turn ends, rotations either side
+# of pi/4 (half-tangent 2/5 and 5/12 about tan(pi/8) = 0.4142), the family
+# rotation_from_parameter covers, and doubled rotations, whose integers are
+# a composition's numerators.
+QUARTER_TURN_ENDS = [Rotation(F(1), F(0)), Rotation(F(0), F(1))]
+NEAR_EIGHTH_TURN = [rotation_from_parameter(F(2, 5)), rotation_from_parameter(F(5, 12))]
+bounds = st.one_of(
+    st.sampled_from(QUARTER_TURN_ENDS + NEAR_EIGHTH_TURN),
+    st.builds(rotation_from_parameter, st.fractions(min_value=0, max_value=1, max_denominator=50)),
+    st.builds(
+        lambda t: rotation_from_parameter(t).doubled(),
+        st.fractions(min_value=0, max_value=F(2, 5), max_denominator=50),
+    ),
+)
+
+
+@given(
+    st.builds(vec, small_rationals, small_rationals),
+    st.builds(vec, small_rationals, small_rationals),
+    st.fractions(min_value=F(1, 100), max_value=100, max_denominator=100),
+    bounds,
+)
+@example(vec(1, 0), vec(1, 1), F(7, 3), NEAR_EIGHTH_TURN[0])  # pi/4 apart, bound under pi/4
+@example(vec(1, 0), vec(1, 1), F(7, 3), NEAR_EIGHTH_TURN[1])  # and over it
+@example(vec(-2, 3), vec(F(1, 2), -5), F(1, 3), QUARTER_TURN_ENDS[0])  # mixed signs
+@example(vec(-2, 3), vec(3, 2), 2, QUARTER_TURN_ENDS[1])  # a right angle at the quarter turn
+@example(vec(0, 0), vec(1, 0), 1, QUARTER_TURN_ENDS[1])
+@example(vec(1, 0), vec(0, 0), 1, QUARTER_TURN_ENDS[0])
+def test_the_integer_predicates_agree_with_their_fraction_formulas(u, v, factor, bound):
+    """Both angle predicates, decided on the cached integers, give the
+    ``Fraction`` formulas' verdict, for v and for v times a positive
+    factor alike, and raise ``ZeroVector`` where the formulas do."""
+    pairs = [
+        (angle_at_most, angle_at_most_by_fractions),
+        (acute_angle_at_least, acute_angle_at_least_by_fractions),
+    ]
+    for predicate, reference in pairs:
+        expected = _outcome(reference, u, v, bound)
+        assert _outcome(predicate, u, v, bound) is expected
+        assert _outcome(predicate, u, v.scaled(factor), bound) is expected
+        assert _outcome(predicate, u.scaled(factor), v, bound) is expected
+
+
+@given(st.fractions(min_value=0, max_value=1, max_denominator=1000), st.booleans())
+@example(F(198, 1000), False)  # twice the half angle just under pi/4: tan(pi/16) = 0.19891
+@example(F(199, 1000), False)  # and just over it
+@example(F(0), False)
+@example(F(1), False)
+@example(F(2, 5), True)
+def test_the_opening_regime_agrees_with_its_fraction_formula(t, doubled):
+    half = rotation_from_parameter(t)
+    if doubled and half.doubled().c >= 0:
+        half = half.doubled()
+    sector = Sector(vec(0, 0), vec(1, 0), half, F(1))
+    assert sector.opening_at_most_quarter_pi() == opening_at_most_quarter_pi_by_fractions(sector)
 
 
 def _in_rotated_cone(u, v, bound, strict=False):

@@ -23,6 +23,7 @@ from transgraph.graphs import (
     SC,
     Frame,
     Label,
+    decoded,
     digraph,
     frame,
     free,
@@ -334,3 +335,35 @@ def test_couples_are_the_edges_whose_reverse_is_an_edge_taken_once():
     g = digraph([C(1), C(2), C(3), A(1, 2)], pairs)
     couples = [divmod(code, g.vertex_count) for code in g.couples]
     assert [(g.order[t], g.order[h]) for t, h in couples] == [(C(1), C(2)), (C(3), A(1, 2))]
+
+
+@st.composite
+def rank_graphs(draw):
+    """(V, pairs): a vertex count from 0 to 9 and a set of (tail, head)
+    rank pairs between distinct ranks, the last rank V - 1 drawn often."""
+    count = draw(st.integers(0, 9))
+    if count < 2:
+        return count, set()
+    ranks = st.one_of(st.just(count - 1), st.integers(0, count - 1))
+    return count, draw(st.sets(st.tuples(ranks, ranks).filter(lambda p: p[0] != p[1]), max_size=30))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_graphs())
+@example((0, set()))
+@example((1, set()))
+@example((2, {(0, 1), (1, 0)}))
+@example((2, {(1, 0)}))
+@example((3, {(2, 1), (1, 2), (0, 2), (2, 0)}))
+def test_couples_reverse_the_codes_as_decoded_does(graph):
+    """``couples`` reverses each code by one modulus; the reference splits
+    each code with ``decoded`` and joins the ranks the other way round."""
+    count, pairs = graph
+    labels = [free(f"v{k}") for k in range(count)]
+    g = digraph(frame(labels), _codes=[t * count + h for t, h in pairs])
+    assert list(g.order) == labels
+    reverse = {h * count + t for t, h in decoded(g.codes, count)}
+    couples = sorted(code for code in g.codes & reverse if code % count > code // count)
+    assert g.couples == tuple(couples)
+    mutual = {(t, h) for t, h in pairs if t < h and (h, t) in pairs}
+    assert {divmod(code, count) for code in couples} == mutual

@@ -6,9 +6,15 @@ from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, find, given, settings, strategies as st
 
-from conftest import intersections_by_fractions, line_intersection, project_param
+from conftest import (
+    _observation1_per_edge,
+    _wide_spread_pairwise,
+    intersections_by_fractions,
+    line_intersection,
+    project_param,
+)
 from transgraph import arrangement, geometry, realization, transmission
 from transgraph.arrangement import LineArrangement, extract_description
 from transgraph.geometry import (
@@ -318,6 +324,68 @@ def test_wide_spread_tests_each_pair_of_line_classes_once(seed, monkeypatch):
     calls = _counting_acute_angle(monkeypatch)
     assert is_wide_spread(real.instance, real.graph)
     assert len(calls) == 6
+
+
+# Directions that repeat up to a positive factor and in both senses, and
+# half angles with openings under pi/4 (t = 1/40, 1/10) and over it (1/3).
+CASE_DIRECTIONS = [vec(1, 0), vec(3, 0), vec(-1, 0), vec(0, 1), vec(1, 1), vec(-2, -2), vec(5, -1)]
+CASE_HALVES = [rotation_from_parameter(t) for t in (F(1, 40), F(1, 10), F(1, 3))]
+
+
+@st.composite
+def small_sector_cases(draw):
+    """(instance, graph): 3 to 8 sectors on two or three of a few
+    directions, with one shared half angle or one drawn per sector, and
+    any graph on their labels, so couples need not be geometric."""
+    size = draw(st.integers(3, 8))
+    few = st.lists(st.sampled_from(CASE_DIRECTIONS), min_size=2, max_size=3, unique=True)
+    directions = draw(few)
+    if draw(st.booleans()):
+        halves = [draw(st.sampled_from(CASE_HALVES))] * size
+    else:
+        halves = draw(st.lists(st.sampled_from(CASE_HALVES), min_size=size, max_size=size))
+    labels = [free(f"s{k}") for k in range(size)]
+    sectors = [
+        Sector(vec(k, 0), draw(st.sampled_from(directions)), half, F(1))
+        for k, half in enumerate(halves)
+    ]
+    pairs = st.tuples(st.sampled_from(labels), st.sampled_from(labels))
+    edges = draw(st.sets(pairs.filter(lambda e: e[0] is not e[1]), max_size=3 * size))
+    return instance(zip(labels, sectors)), digraph(labels, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_sector_cases())
+def test_side_checkers_match_their_per_pair_references_on_small_instances(case):
+    assert check_observation1(*case) == _observation1_per_edge(*case)
+    assert is_wide_spread(*case) == _wide_spread_pairwise(*case)
+
+
+def _narrow(case):
+    return all(s.opening_at_most_quarter_pi() for s in case[0].objects())
+
+
+@pytest.mark.parametrize(
+    "condition",
+    [
+        lambda case: is_wide_spread(*case),
+        lambda case: not is_wide_spread(*case) and _narrow(case),
+        lambda case: not is_wide_spread(*case) and not _narrow(case),
+        lambda case: check_observation1(*case),
+    ],
+    ids=[
+        "wide spread",
+        "not wide spread by angle",
+        "not wide spread by opening",
+        "observation-1 failure",
+    ],
+)
+def test_small_instances_reach_every_side_check_verdict(condition):
+    """The differential test above compares verdicts of every kind: its
+    strategy draws each of them.  The first case found is enough, so
+    nothing is shrunk."""
+    once = settings(max_examples=1000, database=None, phases=[Phase.generate])
+    find(small_sector_cases(), condition, settings=once)
 
 
 # --- ordering gadget -------------------------------------------------------
@@ -842,8 +910,10 @@ def test_a_sector_realization_clears_per_line_not_per_sector(n, monkeypatch):
     6n + 2 times: per line, the normalized line (if negated), the layout,
     the apex-offset products, the build's band origins, and the build's
     bisector u and its negation, each cleared once by the first sector
-    that validates on it; once for the shared half angle; and once for the
-    instance's scaled view, which the kernel and the side checks share.
+    that validates on it; and once for the instance's scaled view, which
+    the kernel and the side checks share.  A rotation's integers are its
+    numerators, so the half angle and the side pass's composed bounds
+    clear nothing.
     The arrangement's own lines were cleared when built, and the crossing
     tables read them.  Clearing per sector would take more calls than the
     instance has sectors, 9n + 18n(n - 1)."""
@@ -1048,6 +1118,35 @@ def test_the_side_pass_hashes_no_fraction_and_calls_no_label_method(n):
         sys.setprofile(None)
     assert checks == real.checks
     assert not calls
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_the_side_pass_builds_fractions_only_to_compose_its_bounds(n):
+    """Every angle test of the pass runs on cached integers, so it builds a
+    ``Fraction`` only where it composes a rotation, 9 values each: one
+    bound per distinct pair of half angles (one pair on a realization,
+    whose sectors share their half angle) and twice the widest opening,
+    doubled twice; and it negates a direction, 2 values, only where no
+    sector of the instance points the other way, at most once per line
+    class.  The bound grows with no count of sectors, edges or couples;
+    building every angle test in ``Fraction``s took 156 at n=3 and 286 at
+    n=5."""
+    real = _realized(n, 1)
+    new = Fraction.__new__.__code__
+    built = 0
+
+    def profile(frame, event, arg):
+        nonlocal built
+        if event == "call" and frame.f_code is new:
+            built += 1
+
+    sys.setprofile(profile)
+    try:
+        checks = realization._sector_side_conditions(real.instance, real.graph, real.description)
+    finally:
+        sys.setprofile(None)
+    assert checks == real.checks
+    assert built <= 4 * 9 + 2 * n
 
 
 def _unshared(inst):

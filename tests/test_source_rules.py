@@ -1,10 +1,12 @@
 """Quality rules for the package source, checked on its syntax tree: no
 module imports another module's private names, correctness checks raise
 instead of using ``assert``, which ``python -O`` strips, no module defines
-the tests' ``Fraction`` references ``line_intersection``, ``project_param``
-or ``ParallelLines`` and none calls either reference function (so
-crossings come from ``LineArrangement.crossings_by_line()`` and the gadget
-is ordered on integers), every private module-level function is used
+the tests' ``Fraction`` references ``line_intersection``, ``project_param``,
+``ParallelLines`` or the three predicate references named
+``*_by_fractions``, and none calls ``line_intersection`` or
+``project_param`` (so crossings come from
+``LineArrangement.crossings_by_line()`` and the gadget is ordered on
+integers), every private module-level function is used
 by the package itself, not only by tests, ``reductions`` emits its edges
 in bulk into one list (no ``edges.add(...)``, one Python step per edge,
 and no ``edges.update(...)``, a set that ``digraph`` copies), the sector side
@@ -58,7 +60,14 @@ def test_no_assert_statement(path):
 
 
 # The tests' ``Fraction`` references, kept in ``tests/conftest.py``.
-TEST_REFERENCES = {"line_intersection", "project_param", "ParallelLines"}
+TEST_REFERENCES = {
+    "line_intersection",
+    "project_param",
+    "ParallelLines",
+    "angle_at_most_by_fractions",
+    "acute_angle_at_least_by_fractions",
+    "opening_at_most_quarter_pi_by_fractions",
+}
 
 
 def _bound_names(node):
