@@ -23,6 +23,11 @@ flattened entries, builds the labels and the codes in C, and lets the graph
 find a self-loop.  The loop over the labels or the rows runs only when a
 check fails, to name the first offender.
 
+One table, ``OBJECTS``, writes and reads every instance object: per
+class, its document ``type`` and its fields in constructor order, each
+with the (encode, decode) pair of a rational, a point or a rotation.  The
+reader decodes the fields in that order and names the first bad one.
+
 The reader takes only ``FORMAT_VERSION``: versions 1 and 2, whose edges
 were label pairs and ``[tail, head]`` position pairs, are refused.
 """
@@ -37,23 +42,26 @@ from itertools import chain, repeat
 from typing import Any, Iterable
 
 from .arrangement import Description, LineArrangement
-from .geometry import (
-    ArrangementObject,
-    Disk,
-    Line,
-    Point,
-    Rotation,
-    Sector,
-    Segment,
-    Vec2,
-)
+from .geometry import ArrangementObject, Disk, Line, Rotation, Sector, Segment, Vec2
 from .graphs import DiffReport, Label, LabelledDigraph, coded, digraph, frame
 from .transmission import Instance, instance
 from .verification import RoundTripReport
 
 FORMAT_VERSION = 3
 
-KINDS = ("arrangement", "description", "instance", "graph", "report")
+# Each document kind and the class of its payload.
+_PAYLOADS = {
+    "arrangement": LineArrangement,
+    "description": Description,
+    "instance": Instance,
+    "graph": LabelledDigraph,
+    "report": RoundTripReport,
+}
+KINDS = tuple(_PAYLOADS)
+
+# A report diff's label lists and its label-pair lists.
+_DIFF_VERTICES = ("missing_vertices", "extra_vertices")
+_DIFF_EDGES = ("missing_edges", "extra_edges")
 
 
 class SchemaError(Exception):
@@ -72,6 +80,9 @@ class Document:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise SchemaError("kind", f"unknown document kind {self.kind!r}")
+        if not isinstance(self.payload, _PAYLOADS[self.kind]):
+            expected, got = _PAYLOADS[self.kind].__name__, type(self.payload).__name__
+            raise SchemaError("payload", f"expected {expected} for kind {self.kind!r}, got {got}")
 
 
 # --- encoding ---------------------------------------------------------------
@@ -93,26 +104,6 @@ def _enc_label(label: Label) -> dict:
     if label.kind == "FREE":
         return {"kind": "FREE", "text": label.text}
     return {"kind": label.kind, "indices": list(label.indices)}
-
-
-def _enc_object(obj: ArrangementObject) -> dict:
-    if isinstance(obj, Segment):
-        return {"type": "segment", "p": _enc_point(obj.p), "q": _enc_point(obj.q)}
-    if isinstance(obj, Sector):
-        return {
-            "type": "sector",
-            "apex": _enc_point(obj.apex),
-            "direction": _enc_point(obj.direction),
-            "half_angle": _enc_rotation(obj.half_angle),
-            "radius_sq": _enc_rat(obj.radius_sq),
-        }
-    if isinstance(obj, Disk):
-        return {
-            "type": "disk",
-            "center": _enc_point(obj.center),
-            "radius_sq": _enc_rat(obj.radius_sq),
-        }
-    raise SchemaError("object", f"unsupported object {obj!r}")
 
 
 def _enc_graph(g: LabelledDigraph) -> dict:
@@ -148,14 +139,11 @@ def _enc_payload(kind: str, payload: Any) -> Any:
             "graph_from_reduction": _enc_graph(payload.graph_from_reduction),
             "graph_from_geometry": _enc_graph(payload.graph_from_geometry),
             "diff": {
-                "missing_vertices": [_enc_label(v) for v in payload.diff.missing_vertices],
-                "extra_vertices": [_enc_label(v) for v in payload.diff.extra_vertices],
-                "missing_edges": [
-                    [_enc_label(u), _enc_label(v)] for u, v in payload.diff.missing_edges
-                ],
-                "extra_edges": [
-                    [_enc_label(u), _enc_label(v)] for u, v in payload.diff.extra_edges
-                ],
+                **{key: list(map(_enc_label, getattr(payload.diff, key))) for key in _DIFF_VERTICES},
+                **{
+                    key: [[_enc_label(u), _enc_label(v)] for u, v in getattr(payload.diff, key)]
+                    for key in _DIFF_EDGES
+                },
             },
             "checkers": [
                 [name, ok, detail] for name, ok, detail in payload.checker_results
@@ -226,6 +214,12 @@ def _dec_point(raw: Any, path: str) -> Vec2:
     return Vec2(_dec_rat(raw[0], path + "[0]"), _dec_rat(raw[1], path + "[1]"))
 
 
+def _dec_rotation(raw: Any, path: str) -> Rotation:
+    if not isinstance(raw, list) or len(raw) != 2:
+        raise SchemaError(path, "expected [c, s]")
+    return Rotation(_dec_rat(raw[0], path + "[0]"), _dec_rat(raw[1], path + "[1]"))
+
+
 # JSON ``true`` decodes to ``True``, which ``isinstance(x, int)`` accepts.
 def _is_int(x: Any) -> bool:
     return type(x) is int
@@ -264,53 +258,59 @@ def _dec_parameter(raw: Any, path: str) -> Fraction | tuple[Fraction, ...]:
     return _dec_rat(raw, path)
 
 
+# --- arrangement objects ------------------------------------------------------
+
+_RAT = (_enc_rat, _dec_rat)
+_POINT = (_enc_point, _dec_point)
+_ROTATION = (_enc_rotation, _dec_rotation)
+
+# Each object class: its document ``type`` and its fields in constructor
+# order, each with the (encode, decode) pair of its value.
+OBJECTS = {
+    Segment: ("segment", {"p": _POINT, "q": _POINT}),
+    Sector: ("sector", {"apex": _POINT, "direction": _POINT, "half_angle": _ROTATION, "radius_sq": _RAT}),
+    Disk: ("disk", {"center": _POINT, "radius_sq": _RAT}),
+}
+_BY_TYPE = {name: (cls, fields) for cls, (name, fields) in OBJECTS.items()}
+
+
+def _enc_object(obj: ArrangementObject) -> dict:
+    if type(obj) not in OBJECTS:
+        raise SchemaError("object", f"unsupported object {obj!r}")
+    name, fields = OBJECTS[type(obj)]
+    return {"type": name, **{key: enc(getattr(obj, key)) for key, (enc, _) in fields.items()}}
+
+
 def _dec_object(raw: Any, path: str) -> ArrangementObject:
     if not isinstance(raw, dict) or "type" not in raw:
         raise SchemaError(path, "expected an object with a type")
     kind = raw["type"]
+    if not isinstance(kind, str) or kind not in _BY_TYPE:
+        raise SchemaError(path, f"unknown object type {kind!r}")
+    cls, fields = _BY_TYPE[kind]
     try:
-        if kind == "segment":
-            return Segment(_dec_point(raw["p"], path + ".p"), _dec_point(raw["q"], path + ".q"))
-        if kind == "sector":
-            ha = raw["half_angle"]
-            if not isinstance(ha, list) or len(ha) != 2:
-                raise SchemaError(path + ".half_angle", "expected [c, s]")
-            return Sector(
-                _dec_point(raw["apex"], path + ".apex"),
-                _dec_point(raw["direction"], path + ".direction"),
-                Rotation(_dec_rat(ha[0], path + ".half_angle[0]"), _dec_rat(ha[1], path + ".half_angle[1]")),
-                _dec_rat(raw["radius_sq"], path + ".radius_sq"),
-            )
-        if kind == "disk":
-            return Disk(
-                _dec_point(raw["center"], path + ".center"),
-                _dec_rat(raw["radius_sq"], path + ".radius_sq"),
-            )
+        return cls(*[dec(raw[key], f"{path}.{key}") for key, (_, dec) in fields.items()])
     except KeyError as exc:
         raise SchemaError(path, f"missing field {exc}") from None
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from None
-    raise SchemaError(path, f"unknown object type {kind!r}")
 
 
-def _dec_labels(raw: dict, key: str, path: str) -> list[Label]:
+def _dec_vertices(raw: dict, key: str, path: str) -> list[Label]:
+    """The label list ``raw[key]``, a graph's ``vertices`` or a diff's vertex
+    list, checked once per document: type sets over the entries, their
+    kinds and their flattened indices, then ``map(Label, ...)`` in C.  A
+    list that holds a FREE label, or fails a check, is decoded one label at
+    a time, which names the first bad entry."""
     path = f"{path}.{key}"
-    return [_dec_label(v, path, i) for i, v in enumerate(_dec_list(raw.get(key, []), path))]
-
-
-def _dec_vertices(raw: dict, path: str) -> list[Label]:
-    """A graph's ``vertices``, checked once per document: type sets over the
-    entries, their kinds and their flattened indices, then ``map(Label, ...)``
-    in C.  A list that holds a FREE label, or fails a check, is decoded one
-    label at a time, which names the first bad entry."""
-    entries = _dec_list(raw.get("vertices", []), path + ".vertices")
+    entries = _dec_list(raw.get(key, []), path)
     if set(map(type, entries)) <= {dict}:
         kinds = list(map(dict.get, entries, repeat("kind")))
         if set(map(type, kinds)) <= {str} and "FREE" not in kinds:
             indices = list(map(dict.get, entries, repeat("indices")))
             if set(map(type, indices)) <= {list} and _all_ints(chain.from_iterable(indices)):
                 return list(map(Label, kinds, map(tuple, indices)))
-    return _dec_labels(raw, "vertices", path)
+    return [_dec_label(v, path, i) for i, v in enumerate(entries)]
 
 
 def _dec_edges(raw: dict, key: str, path: str) -> list[tuple[Label, Label]]:
@@ -358,7 +358,7 @@ def _row_graph(raw: dict, labels: list[Label], path: str) -> LabelledDigraph:
 
 def _dec_graph(raw: Any, path: str) -> LabelledDigraph:
     raw = _dec_dict(raw, path)
-    return _row_graph(raw, _dec_vertices(raw, path), path)
+    return _row_graph(raw, _dec_vertices(raw, "vertices", path), path)
 
 
 def _dec_payload(kind: str, raw: Any, path: str = "payload") -> Any:
@@ -421,10 +421,8 @@ def _dec_payload(kind: str, raw: Any, path: str = "payload") -> Any:
         diff_path = path + ".diff"
         diff_raw = _dec_dict(raw.get("diff", {}), diff_path)
         diff = DiffReport(
-            missing_vertices=_dec_labels(diff_raw, "missing_vertices", diff_path),
-            extra_vertices=_dec_labels(diff_raw, "extra_vertices", diff_path),
-            missing_edges=_dec_edges(diff_raw, "missing_edges", diff_path),
-            extra_edges=_dec_edges(diff_raw, "extra_edges", diff_path),
+            **{key: _dec_vertices(diff_raw, key, diff_path) for key in _DIFF_VERTICES},
+            **{key: _dec_edges(diff_raw, key, diff_path) for key in _DIFF_EDGES},
         )
         checks = _dec_list(raw.get("checkers", []), path + ".checkers")
         if not all(isinstance(c, list) and list(map(type, c)) == [str, bool, str] for c in checks):

@@ -6,6 +6,7 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
+from typing import get_args
 
 import pytest
 from conftest import version_2_text
@@ -14,7 +15,7 @@ import transgraph
 from transgraph import graphs, rendering, serialization
 from transgraph.arrangement import LineArrangement, extract_description
 from transgraph.cli import main
-from transgraph.geometry import Disk, Sector, Segment, rotation_from_parameter, vec
+from transgraph.geometry import ArrangementObject, Disk, Sector, Segment, rotation_from_parameter, vec
 from transgraph.graphs import A, C, Label, digraph, free, graph_diff
 from transgraph.realization import realize_sectors, realize_segments
 from transgraph.reductions import reduce_sectors, reduce_segments
@@ -834,3 +835,96 @@ def test_edge_endpoints_ignore_fields_their_kind_does_not_use():
     # Equal labels decode to one object.
     by_value = {v: v for v in g.vertices}
     assert all(u is by_value[u] and v is by_value[v] for u, v in g.edges)
+
+
+# --- documents and their payloads ------------------------------------------------
+
+
+# Kind -> the class name of its payload, and a document of that kind.
+PAYLOAD_CLASSES = {
+    "arrangement": ("LineArrangement", "arrangement"),
+    "description": ("Description", "description"),
+    "instance": ("Instance", "instance0"),
+    "graph": ("LabelledDigraph", "graph1"),
+    "report": ("RoundTripReport", "report"),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, other",
+    [(kind, other) for kind in PAYLOAD_CLASSES for other in PAYLOAD_CLASSES if other != kind],
+)
+def test_a_document_refuses_another_kinds_payload(kind, other):
+    expected, _ = PAYLOAD_CLASSES[kind]
+    got, name = PAYLOAD_CLASSES[other]
+    with pytest.raises(SchemaError) as exc:
+        Document(kind, _document(name).payload)
+    assert str(exc.value) == f"payload: expected {expected} for kind {kind!r}, got {got}"
+
+
+# --- instance objects ---------------------------------------------------------------
+
+
+def test_the_object_table_covers_every_object_type():
+    assert set(serialization.OBJECTS) == set(get_args(ArrangementObject))
+    inst = _document("instance0").payload
+    assert {type(obj) for _, obj in inst.entries} == set(serialization.OBJECTS)
+    assert roundtrip(Document("instance", inst)).payload == inst
+
+
+SECTOR = {"type": "sector", "apex": ["0", "0"], "direction": ["1", "0"], "half_angle": ["3/5", "4/5"], "radius_sq": "1"}
+NO_APEX = {key: value for key, value in SECTOR.items() if key != "apex"}
+OBJECT = "payload.entries[0].object"
+
+
+def _instance_text(obj):
+    entry = {"label": {"kind": "FREE", "text": "x"}, "object": obj}
+    return json.dumps({"kind": "instance", "formatVersion": FORMAT_VERSION, "payload": {"entries": [entry]}})
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        (5, f"{OBJECT}: expected an object with a type"),
+        ({**SECTOR, "type": "kite"}, f"{OBJECT}: unknown object type 'kite'"),
+        ({**SECTOR, "type": ["sector"]}, f"{OBJECT}: unknown object type ['sector']"),
+        (NO_APEX, f"{OBJECT}: missing field 'apex'"),
+        ({**SECTOR, "apex": ["0"]}, f"{OBJECT}.apex: expected [x, y]"),
+        ({**SECTOR, "half_angle": "3/5"}, f"{OBJECT}.half_angle: expected [c, s]"),
+        ({**SECTOR, "half_angle": ["1", "1"]}, f"{OBJECT}: (1, 1) is not on the unit circle"),
+        ({**SECTOR, "radius_sq": 5}, f"{OBJECT}.radius_sq: expected a rational string, got 5"),
+        ({"type": "segment", "p": ["1", "2"], "q": ["1", "2"]}, f"{OBJECT}: degenerate segment: p == q"),
+        ({"type": "disk", "center": ["0", "0"], "radius_sq": "0"}, f"{OBJECT}: disk needs a positive squared radius"),
+    ],
+    ids=[
+        "not an object",
+        "unknown type",
+        "type not a string",
+        "missing apex",
+        "one-element apex",
+        "half angle not a list",
+        "half angle off the unit circle",
+        "radius a number",
+        "degenerate segment",
+        "disk of radius 0",
+    ],
+)
+def test_bad_object_field_is_rejected_with_its_path(obj, message):
+    with pytest.raises(SchemaError) as exc:
+        document_from_json(_instance_text(obj))
+    assert str(exc.value) == message
+
+
+def test_tgraph_names_a_bad_object_field_on_one_line(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(_instance_text({**SECTOR, "apex": ["0"]}))
+    out = tmp_path / "graph.json"
+    assert main(["tgraph", "--in", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {OBJECT}.apex: expected [x, y]\n"
+    assert not out.exists()
+
+
+def test_a_sector_with_two_bad_fields_names_the_first_in_field_order():
+    with pytest.raises(SchemaError) as exc:
+        document_from_json(_instance_text({"type": "sector", "apex": 5, "direction": ["1", "0"], "radius_sq": "1"}))
+    assert str(exc.value) == f"{OBJECT}.apex: expected [x, y]"

@@ -22,7 +22,10 @@ build no closure per object, no module but ``graphs`` calls
 vertices are sorted once, into its ``graphs.Frame``, and no float reaches a predicate: outside
 ``rendering``, which converts to floats for drawing, no module calls
 ``float(...)``, writes a float literal or imports ``math``, except its
-integer functions."""
+integer functions, and ``serialization`` names its object types only in
+its ``OBJECTS`` table: it compares nothing with ``"segment"``, ``"sector"``
+or ``"disk"`` and calls no ``isinstance`` on ``Segment``, ``Sector`` or
+``Disk``."""
 
 import ast
 from pathlib import Path
@@ -237,5 +240,27 @@ def test_no_float_outside_rendering(path):
                 f"line {node.lineno}: from math import {a.name}"
                 for a in node.names
                 if a.name not in INTEGER_MATH
+            ]
+    assert not found
+
+
+OBJECT_TYPES = {"segment", "sector", "disk"}
+OBJECT_CLASSES = {"Segment", "Sector", "Disk"}
+
+
+def test_serialization_names_object_types_only_in_its_table():
+    found = []
+    for node in ast.walk(TREES[SOURCE / "serialization.py"]):
+        if isinstance(node, ast.Compare):
+            found += [
+                f"line {node.lineno}: compares with {operand.value!r}"
+                for operand in [node.left, *node.comparators]
+                if isinstance(operand, ast.Constant) and operand.value in OBJECT_TYPES
+            ]
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            found += [
+                f"line {node.lineno}: isinstance(..., {name})"
+                for name in _names_in(node.args[1])
+                if name in OBJECT_CLASSES
             ]
     assert not found
